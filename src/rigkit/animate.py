@@ -28,6 +28,7 @@ import numpy as np
 from . import quat
 from .core import (
     Mesh,
+    NonFiniteError,
     Skeleton,
     SkinWeights,
     canonical_json,
@@ -43,6 +44,7 @@ from .deform import (
 )
 from .geometry import (
     Camera,
+    first_hit_distances,
     point_inside_mesh,
     project,
     project_vjp,
@@ -223,23 +225,22 @@ def vertex_visibility(
     *,
     eps_geo: float = EPS_GEO,
 ) -> np.ndarray:
-    """Mask of vertices whose first camera hit lies within eps_geo of them."""
+    """Mask of vertices whose first camera hit lies within eps_geo of them.
+
+    One unit-length ray per vertex from the camera centre; a vertex at the
+    centre itself is invisible.  Each vertex's answer is independent of
+    which others are queried alongside it.
+    """
     origin = camera.center
-    indices = (
-        np.arange(mesh.vertex_count)
-        if subset is None
-        else np.asarray(subset, dtype=np.int64)
-    )
-    visible = np.zeros(indices.shape[0], dtype=bool)
-    for i, vi in enumerate(indices):
-        target = mesh.vertices[vi]
-        direction = target - origin
-        dist = np.linalg.norm(direction)
-        if not dist > 0:
-            continue
-        ts, _ = ray_mesh_intersections(mesh, origin, direction / dist)
-        if ts.size:
-            visible[i] = abs(float(ts[0]) - dist) <= eps_geo
+    targets = mesh.vertices
+    if subset is not None:
+        targets = targets[np.asarray(subset, dtype=np.int64)]
+    directions = targets - origin
+    dist = np.linalg.norm(directions, axis=1)
+    cast = dist > 0
+    visible = np.zeros(targets.shape[0], dtype=bool)
+    t = first_hit_distances(mesh, origin, directions[cast] / dist[cast, None])
+    visible[cast] = np.abs(t - dist[cast]) <= eps_geo
     return visible
 
 
@@ -273,6 +274,8 @@ class TrackSet:
             raise ValueError("vertex_subset must align with vertex_tracks")
         if jv.shape != (jt.shape[1],) or vv.shape != (vt.shape[1],):
             raise ValueError("visibility masks must align with tracks")
+        if not (np.all(np.isfinite(jt)) and np.all(np.isfinite(vt))):
+            raise NonFiniteError("tracks contain NaN or Inf")
         for a in (jt, vt, vs, jv, vv):
             a.setflags(write=False)
         object.__setattr__(self, "joint_tracks", jt)
@@ -333,10 +336,11 @@ def synthesize_tracks(
 ) -> TrackSet:
     """Render ground-truth 2-d tracks for a known clip.
 
-    Joint and subset-vertex positions are posed per frame, projected, and
-    optionally perturbed with Gaussian pixel noise on frames >= 1 (frame 0
-    defines the keypoints, so it stays exact).  The tracked vertex subset
-    is seeded and drawn from frame-0-visible vertices only.
+    Joint and subset-vertex positions of all frames are posed and projected
+    in one batched pass, then optionally perturbed with Gaussian pixel
+    noise on frames >= 1 (frame 0 defines the keypoints, so it stays
+    exact).  The tracked vertex subset is seeded and drawn from
+    frame-0-visible vertices only.
     """
     require_valid(s)
     if params.joint_count != s.joint_count:
@@ -352,18 +356,18 @@ def synthesize_tracks(
     count = min(int(vertex_count), candidates.size)
     subset = np.sort(rng.choice(candidates, size=count, replace=False))
 
-    n = params.frame_count
-    joint_tracks = np.zeros((n, s.joint_count, 2))
-    vertex_tracks = np.zeros((n, count, 2))
-    sub_verts = mesh.vertices[subset]
-    sub_w = weights.matrix[subset]
-    for i in range(n):
-        jq, rq, rt = params.frame(i)
-        cache = fk_forward(s.joints, s.parents, jq, rq, rt)
-        joints_p = posed_joint_positions(cache)
-        verts_p = lbs_apply(sub_verts, sub_w, cache.globals_)
-        joint_tracks[i], _, _ = project(camera, joints_p)
-        vertex_tracks[i], _, _ = project(camera, verts_p)
+    rq, rt, jq = params_to_animation(params)
+    cache = fk_forward(s.joints, s.parents, jq, rq, rt)
+    points = np.concatenate(
+        [
+            posed_joint_positions(cache),
+            lbs_apply(mesh.vertices[subset], weights.matrix[subset], cache.globals_),
+        ],
+        axis=1,
+    )
+    uv, _, _ = project(camera, points.reshape(-1, 3))
+    uv = uv.reshape(*points.shape[:2], 2)
+    joint_tracks, vertex_tracks = uv[:, : s.joint_count], uv[:, s.joint_count :]
     if noise_px > 0:
         joint_tracks[1:] += rng.normal(0.0, noise_px, joint_tracks[1:].shape)
         vertex_tracks[1:] += rng.normal(0.0, noise_px, vertex_tracks[1:].shape)
@@ -596,8 +600,8 @@ def optimize(
     Deterministic Adam from the identity clip: quaternions are
     re-normalized after every step, the returned trace is the best-so-far
     envelope (non-increasing), a plateau in that envelope stops early, and
-    a loss exceeding ``divergence_factor`` times the initial loss raises
-    :class:`DivergenceError`.
+    a non-finite loss, or one exceeding ``divergence_factor`` times the
+    initial loss, raises :class:`DivergenceError`.
     """
     n = tracks.frame_count
     j = s.joint_count
@@ -630,6 +634,8 @@ def optimize(
             best_x = x.copy()
         trace.append(best_value)
 
+        if not np.isfinite(value):
+            raise DivergenceError(f"objective is {value} at iteration {it}")
         if (
             it >= config.divergence_warmup
             and value > config.divergence_factor * max(initial, 1e-12)

@@ -20,10 +20,12 @@ from . import animate, codec, gradcheck
 from .core import (
     InvalidSkeletonError,
     Mesh,
+    NonFiniteError,
     Rig,
     canonical_json,
     hierarchical_order,
     load_rig,
+    require_valid,
     save_rig,
     spatial_order,
     validate_skeleton,
@@ -72,6 +74,8 @@ def _load(path: str | Path, loader, kind: str):
         raise InputError(
             f"{path}: line {e.lineno}, col {e.colno}: invalid JSON: {e.msg}"
         ) from None
+    except NonFiniteError:
+        raise  # the file parsed; its values fail validation (exit 3)
     except (ValueError, KeyError, TypeError, EOFError) as e:
         raise InputError(f"{path}: not a valid {kind} file: {e}") from None
 
@@ -178,6 +182,12 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _root(s) -> int:
+    """Index of the root joint; a skeleton without a sound root exits 3."""
+    require_valid(s)
+    return int(np.flatnonzero(s.parents == -1)[0])
+
+
 def _frame_pose(anim, frame: int, joint_count: int, root: int):
     root_quats, root_trans, joint_quats = anim
     n = root_quats.shape[0]
@@ -196,7 +206,7 @@ def _cmd_deform(args) -> int:
     anim = _load(args.animation, load_animation, "animation")
     weights = _require_weights(rig, args.rig)
     s = rig.skeleton
-    root = int(np.flatnonzero(s.parents == -1)[0]) if s.joint_count else 0
+    root = _root(s)
     pose = _frame_pose(anim, args.frame, s.joint_count, root)
     transforms = forward_kinematics(s, pose)
     posed = linear_blend_skinning(mesh, s, weights, transforms)
@@ -265,6 +275,7 @@ def _cmd_animate(args) -> int:
     tracks = _load(args.tracks, animate.load_tracks, "track")
     weights = _require_weights(rig, args.rig)
     s = rig.skeleton
+    root = _root(s)
     config = animate.OptimizeConfig(
         learning_rate=args.learning_rate,
         iterations=args.iterations,
@@ -275,7 +286,6 @@ def _cmd_animate(args) -> int:
     if args.export_obj:
         out_dir = Path(args.export_obj)
         out_dir.mkdir(parents=True, exist_ok=True)
-        root = int(np.flatnonzero(s.parents == -1)[0])
         for i in range(result.params.frame_count):
             jq, rq, rt = result.params.frame(i)
             pose = fold_root_motion(rq, rt, jq, root)

@@ -26,6 +26,10 @@ class InvalidSkeletonError(ValueError):
     """Raised when an operation requires a structurally valid skeleton."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when an input holds NaN or Inf where finite values are required."""
+
+
 def _frozen(a, dtype) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     out.setflags(write=False)

@@ -1,9 +1,15 @@
-"""Mesh geometry: OBJ I/O, surface sampling, ray casting, pinhole cameras.
+"""Mesh geometry: OBJ I/O, surface sampling, ray casting, containment,
+pinhole cameras.
 
-Everything here is exact-arithmetic numpy at float64; ray queries run
-against all triangles (desk-scale meshes make an acceleration structure
-unnecessary) and intersection bookkeeping merges duplicate hits where a
-ray threads a shared edge or vertex.
+Everything here is plain numpy at float64, and every query runs against
+all triangles (desk-scale meshes make an acceleration structure
+unnecessary).  Two ray queries share one Moller-Trumbore test:
+:func:`ray_mesh_intersections` lists every hit of one ray and merges
+duplicates where it threads a shared edge or vertex, so crossings can be
+counted; :func:`first_hit_distances` casts many rays from one origin in
+fixed-size chunks of rays x triangles and keeps only the nearest hit,
+which merging never changes.  Containment is the generalized winding
+number, so it depends on no probe direction.
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ from .core import Mesh, SkinWeights
 RAY_T_EPS = 1e-9
 RAY_MERGE_EPS = 1e-9
 _BARY_EPS = 1e-12
+_DET_EPS = 1e-14
 CAMERA_Z_EPS = 1e-9
+# Ray x triangle pairs per chunk of a first-hit query: 128 KiB per float64
+# temporary, small enough to stay in cache and to leave peak memory where
+# one ray at a time had it.
+_FIRST_HIT_PAIRS = 1 << 14
 
 
 class ObjParseError(ValueError):
@@ -263,6 +274,53 @@ def point_segment_distance(
 # ---------------------------------------------------------------------------
 
 
+def _hit_terms(mesh: Mesh, origin: np.ndarray):
+    """Moller-Trumbore terms fixed by the triangles and a shared ray origin.
+
+    With s = o - a and q = s x e1, a ray d has det = d.n, u*det = d.m and
+    v*det = d.q for n = e2 x e1 and m = e2 x s, while t*det = e2.q does not
+    depend on d at all.
+    """
+    a = mesh.vertices[mesh.triangles[:, 0]]
+    e1 = mesh.vertices[mesh.triangles[:, 1]] - a
+    e2 = mesh.vertices[mesh.triangles[:, 2]] - a
+    s = origin - a
+    q = np.cross(s, e1)
+    return np.cross(e2, e1), np.cross(e2, s), q, np.sum(e2 * q, axis=1)
+
+
+def _hit_t(terms, d: np.ndarray) -> np.ndarray:
+    """Hit t of rays d (k, 3) against every triangle, (k, tris); inf on a miss.
+
+    Each dot product is an explicit three-term sum rather than a BLAS
+    product, so a ray's row is bitwise the same whatever rays share the
+    call.  Updates run in place to keep few (k, tris) arrays alive.
+    """
+    n, m, q, t_det = terms
+
+    def dots(w):
+        return d[:, 0:1] * w[:, 0] + d[:, 1:2] * w[:, 1] + d[:, 2:3] * w[:, 2]
+
+    det = dots(n)
+    hit = np.abs(det) > _DET_EPS
+    inv = np.divide(1.0, det, out=np.zeros_like(det), where=hit)
+    del det
+    u = dots(m)
+    u *= inv
+    hit &= u >= -_BARY_EPS
+    v = dots(q)
+    v *= inv
+    hit &= v >= -_BARY_EPS
+    u += v
+    hit &= u <= 1.0 + _BARY_EPS
+    del u, v
+    t = inv
+    t *= t_det
+    hit &= t > RAY_T_EPS
+    t[~hit] = np.inf
+    return t
+
+
 def ray_mesh_intersections(
     mesh: Mesh, origin: np.ndarray, direction: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,27 +339,8 @@ def ray_mesh_intersections(
     if not np.linalg.norm(direction) > 0:
         raise ValueError("ray direction must be non-zero")
 
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    e1 = b - a
-    e2 = c - a
-    h = np.cross(direction[None, :], e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(det) > 1e-14
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    s = origin[None, :] - a
-    u = np.einsum("ij,ij->i", s, h) * inv
-    q = np.cross(s, e1)
-    v = np.einsum("j,ij->i", direction, q) * inv
-    t = np.einsum("ij,ij->i", e2, q) * inv
-    hit = (
-        ok
-        & (u >= -_BARY_EPS)
-        & (v >= -_BARY_EPS)
-        & (u + v <= 1.0 + _BARY_EPS)
-        & (t > RAY_T_EPS)
-    )
+    t = _hit_t(_hit_terms(mesh, origin), direction[None, :])[0]
+    hit = np.isfinite(t)
     ts = t[hit]
     tris = np.flatnonzero(hit)
     order = np.argsort(ts, kind="stable")
@@ -351,11 +390,54 @@ def ray_mesh_intersections(
     return np.asarray(keep_t)[order], np.asarray(keep_tri, dtype=np.int64)[order]
 
 
+def first_hit_distances(
+    mesh: Mesh, origin: np.ndarray, directions: np.ndarray
+) -> np.ndarray:
+    """Nearest hit of each ray from a shared origin: t per ray, inf on a miss.
+
+    t is in units of each row of ``directions``.  Equals the first t of
+    :func:`ray_mesh_intersections` bitwise (merging never changes the
+    smallest t), and a ray's answer does not depend on the other rays.
+    Rays are processed in chunks of about _FIRST_HIT_PAIRS ray x triangle
+    pairs, with the per-triangle terms computed once per call.
+    """
+    origin = np.asarray(origin, dtype=np.float64)
+    directions = np.asarray(directions, dtype=np.float64)
+    if origin.shape != (3,) or directions.ndim != 2 or directions.shape[1] != 3:
+        raise ValueError("origin must be (3,) and directions (r, 3)")
+    if not np.all(np.linalg.norm(directions, axis=1) > 0):
+        raise ValueError("ray directions must be non-zero")
+
+    terms = _hit_terms(mesh, origin)
+    out = np.empty(directions.shape[0])
+    step = max(1, _FIRST_HIT_PAIRS // max(mesh.triangle_count, 1))
+    for lo in range(0, directions.shape[0], step):
+        t = _hit_t(terms, directions[lo : lo + step])
+        out[lo : lo + step] = np.min(t, axis=1, initial=np.inf)
+    return out
+
+
 def point_inside_mesh(mesh: Mesh, point: np.ndarray) -> bool:
-    """Crossing-parity containment test for closed meshes."""
-    probe = np.array([0.5773502691896258, 0.5773502691896257, 0.5773502691896256])
-    ts, _ = ray_mesh_intersections(mesh, np.asarray(point, dtype=np.float64), probe)
-    return ts.size % 2 == 1
+    """Generalized-winding-number containment test for closed meshes.
+
+    Sums the signed solid angle every triangle subtends at the point (Van
+    Oosterom & Strackee 1983) over 4 pi: about +-1 inside a closed,
+    consistently oriented mesh and about 0 outside (Jacobson, Kavan &
+    Sorkine-Hornung 2013), so no probe ray can graze an edge or vertex.
+    The sign only tells the winding direction, so either orientation works.
+    """
+    p = np.asarray(point, dtype=np.float64)
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]] - p for k in range(3))
+    la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
+    det = np.sum(a * np.cross(b, c), axis=1)
+    den = (
+        la * lb * lc
+        + np.sum(a * b, axis=1) * lc
+        + np.sum(b * c, axis=1) * la
+        + np.sum(c * a, axis=1) * lb
+    )
+    winding = np.sum(np.arctan2(det, den)) / (2.0 * np.pi)
+    return bool(abs(winding) > 0.5)
 
 
 # ---------------------------------------------------------------------------

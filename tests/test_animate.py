@@ -1,5 +1,7 @@
 """Clip parameters, visibility, track synthesis, losses, optimizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rigkit import (
     AnimParams,
     Camera,
     DivergenceError,
+    NonFiniteError,
     OptimizeConfig,
     Skeleton,
     SkinWeights,
@@ -23,8 +26,16 @@ from rigkit import (
 )
 from rigkit import quat
 from rigkit.animate import params_from_animation, params_to_animation
+from rigkit.deform import fk_forward, lbs_apply, posed_joint_positions
+from rigkit.geometry import project
 
-from helpers import icosphere, random_unit_quats, subdivided_cube, tube_mesh
+from helpers import (
+    icosphere,
+    random_unit_quats,
+    star_mesh,
+    subdivided_cube,
+    tube_mesh,
+)
 
 
 def chain3() -> Skeleton:
@@ -198,6 +209,17 @@ class TestVertexVisibility:
         subset = np.array([int(np.argmax(z)), int(np.argmin(z))])
         assert vertex_visibility(mesh, cam, subset).tolist() == [True, False]
 
+    def test_subset_matches_full_mask(self):
+        # A vertex's answer does not depend on which others share the query.
+        mesh = star_mesh(np.random.default_rng(40), subdivisions=3)
+        cam = Camera.look_at(eye=(0.1, 0.12, 3.0), target=(0.0, 0.0, 0.0))
+        full = vertex_visibility(mesh, cam)
+        assert 0 < full.sum() < mesh.vertex_count
+        rng = np.random.default_rng(41)
+        for size in (1, 7, 100, 400, mesh.vertex_count):
+            subset = rng.choice(mesh.vertex_count, size=size, replace=False)
+            assert np.array_equal(vertex_visibility(mesh, cam, subset), full[subset])
+
 
 class TestTrackSet:
     def _tracks(self):
@@ -239,6 +261,16 @@ class TestTrackSet:
                 joint_visibility=np.ones(3, dtype=bool),
                 vertex_visibility=np.ones(4, dtype=bool),
             )
+
+    def test_rejects_non_finite(self):
+        tracks = self._tracks()
+        jt = np.array(tracks.joint_tracks)
+        jt[2, 1, 0] = np.inf
+        vt = np.array(tracks.vertex_tracks)
+        vt[1, 0, 1] = np.nan
+        for bad in ({"joint_tracks": jt}, {"vertex_tracks": vt}):
+            with pytest.raises(NonFiniteError):
+                replace(tracks, **bad)
 
     def test_missing_field(self):
         from rigkit.animate import track_set_from_dict
@@ -312,6 +344,29 @@ class TestSynthesizeTracks:
             noisy.vertex_tracks[1:] - clean.vertex_tracks[1:], axis=2
         )
         assert np.mean(offsets) == pytest.approx(2.0 * np.sqrt(np.pi / 2), rel=0.05)
+
+    def test_matches_per_frame_loop(self):
+        # All frames are posed and projected in one batched pass; each
+        # frame's tracks equal posing that frame alone, bit for bit.
+        mesh, s, weights = self._scene()
+        rng = np.random.default_rng(9)
+        m = 5
+        params = AnimParams(
+            random_unit_quats(rng, (m,)),
+            rng.normal(0.0, 0.05, (m, 3)),
+            random_unit_quats(rng, (m, 3)),
+        )
+        cam = front_camera()
+        tracks = synthesize_tracks(mesh, s, weights, params, cam, vertex_count=30)
+        sub = tracks.vertex_subset
+        for i in range(params.frame_count):
+            jq, rq, rt = params.frame(i)
+            cache = fk_forward(s.joints, s.parents, jq, rq, rt)
+            verts = lbs_apply(mesh.vertices[sub], weights.matrix[sub], cache.globals_)
+            joints_uv, _, _ = project(cam, posed_joint_positions(cache))
+            verts_uv, _, _ = project(cam, verts)
+            assert np.array_equal(tracks.joint_tracks[i], joints_uv)
+            assert np.array_equal(tracks.vertex_tracks[i], verts_uv)
 
     def test_rejections(self):
         mesh, s, weights = self._scene()
@@ -492,6 +547,14 @@ class TestOptimize:
         )
         with pytest.raises(DivergenceError):
             optimize(mesh, s, weights, tracks, config)
+
+    def test_non_finite_objective_raises(self):
+        # Finite tracks whose squared residuals overflow: the objective is
+        # inf from the first step, which no ratio guard can catch.
+        mesh, s, weights, _, tracks = self._scene()
+        huge = replace(tracks, vertex_tracks=tracks.vertex_tracks * 1e200)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            optimize(mesh, s, weights, huge, OptimizeConfig(iterations=5))
 
     def test_single_frame_returns_identity(self):
         mesh = tube_mesh(length=1.4, rings=6, sides=6)

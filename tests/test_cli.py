@@ -261,6 +261,20 @@ class TestSkinAndDeform:
         assert main(["deform", str(rig_path), str(mesh_path), str(anim_path),
                      "-o", str(tmp_path / "x.obj")]) == 3
 
+    def test_deform_rig_without_root(self, scene, capsys):
+        tmp_path, rig_path, mesh_path, anim_path, _ = scene
+        skinned = tmp_path / "skinned.json"
+        main(["skin-heuristic", str(rig_path), str(mesh_path), "-o", str(skinned)])
+        rig = load_rig(skinned)
+        rootless = tmp_path / "rootless.json"
+        save_rig(rootless, Rig(Skeleton(rig.skeleton.joints, np.array([1, 2, 0])),
+                               rig.weights))
+        posed = tmp_path / "x.obj"
+        assert main(["deform", str(rootless), str(mesh_path), str(anim_path),
+                     "-o", str(posed)]) == 3
+        assert "no-root" in capsys.readouterr().err
+        assert not posed.exists()
+
     def test_bad_obj_is_parse_error(self, scene, capsys):
         tmp_path, rig_path, _, anim_path, _ = scene
         bad = tmp_path / "bad.obj"
@@ -335,6 +349,64 @@ class TestTrackPipeline:
         assert sorted(p.name for p in frames_dir.iterdir()) == [
             f"frame_{i:04d}.obj" for i in range(4)
         ]
+
+    def test_animate_export_rig_without_root(self, scene, capsys):
+        # A one-frame clip skips optimization, so the export is the first
+        # place the rig's root is needed.
+        tmp_path, skinned, mesh_path, _, cam_path = self._skinned(scene)
+        rig = load_rig(skinned)
+        still = tmp_path / "still.json"
+        save_animation(still, np.array([[1.0, 0, 0, 0]]), np.zeros((1, 3)),
+                       np.tile([1.0, 0, 0, 0], (1, 3, 1)))
+        tracks = tmp_path / "tracks.json"
+        assert main(["synth-tracks", str(skinned), str(mesh_path), str(still),
+                     "--camera", str(cam_path), "-o", str(tracks)]) == 0
+        rootless = tmp_path / "rootless.json"
+        save_rig(rootless, Rig(Skeleton(rig.skeleton.joints, np.array([1, 2, 0])),
+                               rig.weights))
+        capsys.readouterr()
+        fitted = tmp_path / "fit.json"
+        assert main(["animate", str(rootless), str(mesh_path), str(tracks),
+                     "-o", str(fitted), "--export-obj", str(tmp_path / "frames")]) == 3
+        assert "no-root" in capsys.readouterr().err
+        assert not fitted.exists()
+
+    def _tracks_with(self, scene, edit):
+        tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)
+        tracks = tmp_path / "tracks.json"
+        main(["synth-tracks", str(skinned), str(mesh_path), str(anim_path),
+              "--camera", str(cam_path), "-o", str(tracks), "--vertex-count", "20"])
+        data = json.loads(tracks.read_text())
+        edit(data)
+        tracks.write_text(json.dumps(data))
+        return tmp_path, skinned, mesh_path, tracks
+
+    def test_animate_nan_track_rejected(self, scene, capsys):
+        def poison(data):
+            data["vertex_tracks"][2][5][0] = float("nan")
+
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, poison)
+        assert "NaN" in tracks.read_text()
+        fitted = tmp_path / "fit.json"
+        code, out = run(capsys, "animate", skinned, mesh_path, tracks,
+                        "-o", fitted, "--iterations", "5")
+        assert code == 3
+        assert out == ""
+        assert not fitted.exists()
+
+    def test_animate_overflowing_objective_diverges(self, scene, capsys):
+        # Finite tracks far off-screen: the squared residuals overflow.
+        def scale(data):
+            data["vertex_tracks"] = (np.array(data["vertex_tracks"]) * 1e200).tolist()
+
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, scale)
+        fitted = tmp_path / "fit.json"
+        with np.errstate(over="ignore"):
+            code, out = run(capsys, "animate", skinned, mesh_path, tracks,
+                            "-o", fitted, "--iterations", "5")
+        assert code == 4
+        assert out == ""
+        assert not fitted.exists()
 
     def test_animate_rerun_identical(self, scene, capsys):
         tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)

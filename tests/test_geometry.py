@@ -18,7 +18,8 @@ from rigkit import (
     save_obj,
     write_obj,
 )
-from rigkit.geometry import project_vjp, triangle_areas
+from rigkit import geometry
+from rigkit.geometry import first_hit_distances, project_vjp, triangle_areas
 
 from helpers import icosphere, scalar_ray_hits, star_mesh, subdivided_cube
 
@@ -269,6 +270,81 @@ class TestRayCasting:
             ray_mesh_intersections(m, np.zeros(3), np.zeros(3))
 
 
+def _aimed_rays(m, origin):
+    """Rays from origin at every vertex and every edge midpoint of m."""
+    edges = np.concatenate([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
+                            m.triangles[:, [2, 0]]])
+    mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+    targets = np.concatenate([m.vertices, mids])
+    return targets - origin
+
+
+class TestFirstHit:
+    def _cases(self):
+        rng = np.random.default_rng(11)
+        meshes = [star_mesh(np.random.default_rng(300 + k)) for k in range(3)]
+        meshes.append(subdivided_cube(3))
+        for m in meshes:
+            for origin in (np.zeros(3), np.array([0.1, 0.12, 3.0]),
+                           rng.uniform(-0.3, 0.3, 3)):
+                dirs = np.concatenate(
+                    [_aimed_rays(m, origin), rng.standard_normal((40, 3))]
+                )
+                yield m, origin, dirs
+
+    def test_equals_first_scalar_hit(self):
+        # Bitwise: both queries share one intersection test, and merging
+        # duplicate hits never changes the smallest t.  Rays aimed exactly
+        # at vertices and edge midpoints thread shared edges and fans.
+        for m, origin, dirs in self._cases():
+            got = first_hit_distances(m, origin, dirs)
+            want = [
+                ts[0] if ts.size else np.inf
+                for ts, _ in (ray_mesh_intersections(m, origin, d) for d in dirs)
+            ]
+            assert got.tolist() == want
+
+    def test_miss_is_inf(self):
+        m = icosphere(1)
+        origin = np.array([0.0, 0.0, 3.0])
+        dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        got = first_hit_distances(m, origin, dirs)
+        assert ray_mesh_intersections(m, origin, dirs[0])[0].size == 0
+        assert ray_mesh_intersections(m, origin, dirs[1])[0].size == 0
+        assert got[:2].tolist() == [np.inf, np.inf]
+        assert got[2] == pytest.approx(2.0, abs=0.05)
+        empty = Mesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=np.int64))
+        assert first_hit_distances(empty, origin, dirs).tolist() == [np.inf] * 3
+        assert first_hit_distances(m, origin, np.zeros((0, 3))).shape == (0,)
+
+    def test_independent_of_chunk_split(self, monkeypatch):
+        m = star_mesh(np.random.default_rng(17))
+        origin = np.array([0.1, 0.12, 3.0])
+        dirs = _aimed_rays(m, origin)[:60]
+        whole = first_hit_distances(m, origin, dirs)
+        for rays_per_chunk in range(1, dirs.shape[0] + 1):
+            monkeypatch.setattr(
+                geometry, "_FIRST_HIT_PAIRS", rays_per_chunk * m.triangle_count
+            )
+            got = first_hit_distances(m, origin, dirs)
+            assert np.array_equal(got, whole), rays_per_chunk
+        monkeypatch.undo()
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            cuts = np.sort(rng.choice(np.arange(1, 60), size=4, replace=False))
+            parts = [first_hit_distances(m, origin, d) for d in np.split(dirs, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_rejects_bad_rays(self):
+        m = icosphere(0)
+        with pytest.raises(ValueError):
+            first_hit_distances(m, np.zeros(3), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            first_hit_distances(m, np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError):
+            first_hit_distances(m, np.zeros(2), np.ones((1, 3)))
+
+
 class TestContainment:
     def test_sphere(self):
         m = icosphere(2)
@@ -280,6 +356,44 @@ class TestContainment:
         m = subdivided_cube(3)
         assert point_inside_mesh(m, np.array([0.9, -0.9, 0.9]))
         assert not point_inside_mesh(m, np.array([1.1, 0.0, 0.0]))
+
+    def test_random_points_sphere(self):
+        # The faceted icosphere-2 lies between radii 0.98 and 1; keep clear
+        # of that shell, where the analytic sphere and the mesh disagree.
+        m = icosphere(2)
+        rng = np.random.default_rng(21)
+        dirs = rng.standard_normal((200, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = np.concatenate([rng.uniform(0.0, 0.9, 100), rng.uniform(1.05, 3.0, 100)])
+        for p, r in zip(dirs * radii[:, None], radii):
+            assert point_inside_mesh(m, p) == (r < 1.0)
+
+    def test_random_points_cube(self):
+        m = subdivided_cube(3)
+        rng = np.random.default_rng(22)
+        pts = rng.uniform(-2.0, 2.0, (400, 3))
+        box = np.max(np.abs(pts), axis=1)
+        pts, box = pts[np.abs(box - 1.0) > 0.01], box[np.abs(box - 1.0) > 0.01]
+        for p, b in zip(pts, box):
+            assert point_inside_mesh(m, p) == (b < 1.0)
+
+    def test_no_probe_direction_to_graze(self):
+        # Outside points whose ray along the former fixed probe direction
+        # only touches the cube at a corner vertex: one merged hit there
+        # made crossing parity call them inside.
+        probe = np.array([0.5773502691896258, 0.5773502691896257, 0.5773502691896256])
+        m = subdivided_cube(3)
+        for corner in ([1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]):
+            for lam in (0.25, 0.5, 1.0):
+                p = np.array(corner) - lam * probe
+                assert not point_inside_mesh(m, p)
+        assert point_inside_mesh(m, np.array([1.0, 1.0, 1.0]) - 0.5 * probe)
+
+    def test_either_orientation(self):
+        m = icosphere(2)
+        flipped = Mesh(m.vertices, m.triangles[:, ::-1])
+        assert point_inside_mesh(flipped, np.array([0.1, 0.2, 0.3]))
+        assert not point_inside_mesh(flipped, np.array([1.5, 0.0, 0.0]))
 
 
 class TestCamera:
