@@ -20,7 +20,7 @@ is enforced by the test-suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .core import (
     require_valid,
 )
 from .deform import (
+    FkCache,
     fk_backward,
     fk_forward,
     lbs_apply,
@@ -245,6 +246,34 @@ def vertex_visibility(
 
 
 # ---------------------------------------------------------------------------
+# Posing
+# ---------------------------------------------------------------------------
+
+
+def pose_clip(
+    s: Skeleton,
+    vertices: np.ndarray,
+    weight_rows: np.ndarray,
+    root_quats: np.ndarray,
+    root_trans: np.ndarray,
+    joint_quats: np.ndarray,
+) -> tuple[FkCache, np.ndarray]:
+    """Pose every frame of a clip in one pass.
+
+    Takes the raw core's arrays with any leading frame axes (quaternions
+    may be unnormalized) and the rows of the weight matrix that belong to
+    ``vertices``.  Returns the FK cache and the posed joints followed by
+    the posed vertices, shape (..., j + v, 3).
+    """
+    cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
+    points = np.concatenate(
+        [posed_joint_positions(cache), lbs_apply(vertices, weight_rows, cache.globals_)],
+        axis=-2,
+    )
+    return cache, points
+
+
+# ---------------------------------------------------------------------------
 # Tracks
 # ---------------------------------------------------------------------------
 
@@ -356,17 +385,10 @@ def synthesize_tracks(
     count = min(int(vertex_count), candidates.size)
     subset = np.sort(rng.choice(candidates, size=count, replace=False))
 
-    rq, rt, jq = params_to_animation(params)
-    cache = fk_forward(s.joints, s.parents, jq, rq, rt)
-    points = np.concatenate(
-        [
-            posed_joint_positions(cache),
-            lbs_apply(mesh.vertices[subset], weights.matrix[subset], cache.globals_),
-        ],
-        axis=1,
+    _, points = pose_clip(
+        s, mesh.vertices[subset], weights.matrix[subset], *params_to_animation(params)
     )
-    uv, _, _ = project(camera, points.reshape(-1, 3))
-    uv = uv.reshape(*points.shape[:2], 2)
+    uv, _, _ = project(camera, points)
     joint_tracks, vertex_tracks = uv[:, : s.joint_count], uv[:, s.joint_count :]
     if noise_px > 0:
         joint_tracks[1:] += rng.normal(0.0, noise_px, joint_tracks[1:].shape)
@@ -433,26 +455,18 @@ def tracking_loss(
         [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
     )
 
-    # All free frames at once: points are (frames - 1, joints + subset, 3).
-    cache = fk_forward(
-        s.joints, s.parents, params.joint_quats, params.root_quats, params.root_trans
+    cache, points = pose_clip(
+        s, sub_verts, sub_w, params.root_quats, params.root_trans, params.joint_quats
     )
-    points = np.concatenate(
-        [posed_joint_positions(cache), lbs_apply(sub_verts, sub_w, cache.globals_)],
-        axis=1,
-    )
-    uv, _, valid = project(cam, points.reshape(-1, 3))
-    valid = valid.reshape(points.shape[:2])
+    uv, _, valid = project(cam, points)
     use = mask & valid
     dropped = int(np.sum(mask & ~valid))
-    res = (uv.reshape(observed.shape) - observed) * use[..., None]
+    res = (uv - observed) * use[..., None]
     total = float(np.sum(res**2))
     if not with_grad:
         return LossResult(total, None, dropped)
 
-    d_points = project_vjp(
-        cam, points.reshape(-1, 3), 2.0 * res.reshape(-1, 2)
-    ).reshape(points.shape)
+    d_points = project_vjp(cam, points, 2.0 * res)
     j = s.joint_count
     dG = posed_joint_positions_vjp(cache, d_points[:, :j])
     dG += lbs_vjp(sub_verts, sub_w, d_points[:, j:])

@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import animate, codec, gradcheck
 from .core import (
     InvalidSkeletonError,
@@ -31,10 +29,9 @@ from .core import (
     validate_skeleton,
 )
 from .deform import (
-    fold_root_motion,
-    forward_kinematics,
+    fk_forward,
     heuristic_skin_weights,
-    linear_blend_skinning,
+    lbs_apply,
     load_animation,
     save_animation,
 )
@@ -182,34 +179,24 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _root(s) -> int:
-    """Index of the root joint; a skeleton without a sound root exits 3."""
-    require_valid(s)
-    return int(np.flatnonzero(s.parents == -1)[0])
-
-
-def _frame_pose(anim, frame: int, joint_count: int, root: int):
-    root_quats, root_trans, joint_quats = anim
-    n = root_quats.shape[0]
-    if not -n <= frame < n:
-        raise ValueError(f"frame {frame} outside clip of {n} frames")
-    if joint_quats.shape[1] != joint_count:
-        raise ValueError("animation joint count does not match rig")
-    return fold_root_motion(
-        root_quats[frame], root_trans[frame], joint_quats[frame], root
-    )
-
-
 def _cmd_deform(args) -> int:
     rig = _load(args.rig, load_rig, "rig")
     mesh = _load(args.mesh, load_obj, "OBJ")
-    anim = _load(args.animation, load_animation, "animation")
+    root_quats, root_trans, joint_quats = _load(
+        args.animation, load_animation, "animation"
+    )
     weights = _require_weights(rig, args.rig)
     s = rig.skeleton
-    root = _root(s)
-    pose = _frame_pose(anim, args.frame, s.joint_count, root)
-    transforms = forward_kinematics(s, pose)
-    posed = linear_blend_skinning(mesh, s, weights, transforms)
+    require_valid(s)
+    n, f = root_quats.shape[0], args.frame
+    if not -n <= f < n:
+        raise ValueError(f"frame {f} outside clip of {n} frames")
+    if joint_quats.shape[1] != s.joint_count:
+        raise ValueError("animation joint count does not match rig")
+    if weights.vertex_count != mesh.vertex_count:
+        raise ValueError("weight rows must match mesh vertices")
+    cache = fk_forward(s.joints, s.parents, joint_quats[f], root_quats[f], root_trans[f])
+    posed = lbs_apply(mesh.vertices, weights.matrix, cache.globals_)
     save_obj(args.output, Mesh(posed, mesh.triangles))
     return EXIT_OK
 
@@ -275,23 +262,23 @@ def _cmd_animate(args) -> int:
     tracks = _load(args.tracks, animate.load_tracks, "track")
     weights = _require_weights(rig, args.rig)
     s = rig.skeleton
-    root = _root(s)
+    require_valid(s)
     config = animate.OptimizeConfig(
         learning_rate=args.learning_rate,
         iterations=args.iterations,
         reg_weight=args.reg_weight,
     )
     result = animate.optimize(mesh, s, weights, tracks, config)
-    save_animation(args.output, *animate.params_to_animation(result.params))
+    root_quats, root_trans, joint_quats = animate.params_to_animation(result.params)
+    save_animation(args.output, root_quats, root_trans, joint_quats)
     if args.export_obj:
         out_dir = Path(args.export_obj)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(result.params.frame_count):
-            jq, rq, rt = result.params.frame(i)
-            pose = fold_root_motion(rq, rt, jq, root)
-            posed = linear_blend_skinning(
-                mesh, s, weights, forward_kinematics(s, pose)
-            )
+        # FK for every frame at once; LBS one frame at a time keeps memory
+        # at one posed mesh.
+        cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
+        for i, globals_ in enumerate(cache.globals_):
+            posed = lbs_apply(mesh.vertices, weights.matrix, globals_)
             save_obj(out_dir / f"frame_{i:04d}.obj", Mesh(posed, mesh.triangles))
     sys.stdout.write(
         canonical_json(

@@ -51,10 +51,6 @@ VOCAB_SIZE = PARENT_BASE + PARENT_SLOTS  # 203
 
 NO_INDICATOR = -1
 
-# Sequence count used when mimicking a conditioned generation layout; the
-# placeholders themselves are opaque and carry no geometry.
-DEFAULT_SHAPE_TOKENS = 257
-
 SCHEME_JOINT = "joint_based"
 SCHEME_BONE = "bone_based"
 _SCHEME_IDS = {SCHEME_JOINT: 0, SCHEME_BONE: 1}

@@ -25,6 +25,7 @@ from . import quat
 from .core import (
     ROOT_PARENT,
     Mesh,
+    NonFiniteError,
     Pose,
     Skeleton,
     SkinWeights,
@@ -84,7 +85,6 @@ def topological_order(parents: np.ndarray) -> np.ndarray:
 @dataclass
 class FkCache:
     rest: np.ndarray
-    parents: np.ndarray
     levels: list  # (joints, their parents) per depth, root level first
     root: int
     joint_quats: np.ndarray
@@ -148,7 +148,6 @@ def fk_forward(
         globals_[..., idx, :, :] = globals_[..., par, :, :] @ locals_[..., idx, :, :]
     return FkCache(
         rest=rest,
-        parents=parents,
         levels=levels,
         root=root,
         joint_quats=joint_quats,
@@ -220,7 +219,12 @@ def lbs_apply(
     rows = globals_[..., :3, :].reshape(lead + (j, 12))
     b = (weight_matrix @ rows).reshape(lead + (v, 3, 4))
     x, y, z = vertices[:, 0, None], vertices[:, 1, None], vertices[:, 2, None]
-    return b[..., 0] * x + b[..., 1] * y + b[..., 2] * z + b[..., 3]
+    # In place, to spare (..., v, 3) temporaries; the sums keep their order.
+    out = b[..., 0] * x
+    out += b[..., 1] * y
+    out += b[..., 2] * z
+    out += b[..., 3]
+    return out
 
 
 def lbs_vjp(
@@ -410,6 +414,8 @@ def animation_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise ValueError("root_quat must be length 4 and root_trans length 3")
     if joint_quats.ndim != 3 or joint_quats.shape[2] != 4:
         raise ValueError("joint_quats must be (joints, 4) per frame")
+    if not all(np.all(np.isfinite(a)) for a in (root_quats, root_trans, joint_quats)):
+        raise NonFiniteError("animation contains NaN or Inf")
     return root_quats, root_trans, joint_quats
 
 

@@ -14,12 +14,13 @@ number, so it depends on no probe direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Mesh, SkinWeights
+from .core import Mesh, NonFiniteError, SkinWeights
 
 RAY_T_EPS = 1e-9
 RAY_MERGE_EPS = 1e-9
@@ -66,7 +67,8 @@ def parse_obj(text: str | bytes) -> Mesh:
     """Parse v/vn/f records; polygons are fan-triangulated.
 
     Indices are 1-based; negative indices count back from the vertices
-    defined so far.  Errors carry the offending line and column.  Normals
+    defined so far.  Errors carry the offending line and column; a NaN or
+    Inf vertex coordinate raises :class:`NonFiniteError` instead.  Normals
     are kept only when they pair 1:1 with vertices.
     """
     if isinstance(text, bytes):
@@ -93,6 +95,8 @@ def parse_obj(text: str | bytes) -> Mesh:
                     raise ObjParseError(
                         f"bad coordinate {a!r}", lineno, _token_col(raw, i + 1)
                     ) from None
+            if not all(map(math.isfinite, coords)):
+                raise NonFiniteError(f"line {lineno}: vertex coordinates must be finite")
             vertices.append(coords)
         elif rec == "vn":
             if len(args) < 3:
@@ -550,46 +554,41 @@ class Camera:
 def project(
     camera: Camera, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project world points: returns (pixels (n, 2), depth (n,), valid (n,)).
+    """Project world points (..., 3): returns (pixels (..., 2), depth (...),
+    valid (...)), over any leading axes.
 
     Points at or behind the camera plane (z <= CAMERA_Z_EPS) are flagged
     invalid; their pixel entries are zero, never NaN.
     """
-    points = np.asarray(points, dtype=np.float64)
-    squeeze = points.ndim == 1
-    pts = np.atleast_2d(points)
-    cam = camera.world_to_camera(pts)
-    z = cam[:, 2]
+    cam = camera.world_to_camera(points)
+    z = cam[..., 2]
     valid = z > CAMERA_Z_EPS
     safe_z = np.where(valid, z, 1.0)
-    u = camera.fx * cam[:, 0] / safe_z + camera.cx
-    v = camera.fy * cam[:, 1] / safe_z + camera.cy
-    uv = np.stack([u, v], axis=1)
+    u = camera.fx * cam[..., 0] / safe_z + camera.cx
+    v = camera.fy * cam[..., 1] / safe_z + camera.cy
+    uv = np.stack([u, v], axis=-1)
     uv[~valid] = 0.0
-    if squeeze:
-        return uv[0], z[0], valid[0]
     return uv, z, valid
 
 
 def project_vjp(camera: Camera, points: np.ndarray, grad_uv: np.ndarray) -> np.ndarray:
-    """Exact gradient of :func:`project` pixels wrt world points.
+    """Exact gradient of :func:`project` pixels wrt world points (..., 3).
 
     Invalid (behind-camera) points contribute zero gradient, mirroring the
     forward clamp.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    grad_uv = np.atleast_2d(np.asarray(grad_uv, dtype=np.float64))
+    grad_uv = np.asarray(grad_uv, dtype=np.float64)
     cam = camera.world_to_camera(points)
-    z = cam[:, 2]
+    z = cam[..., 2]
     valid = z > CAMERA_Z_EPS
     safe_z = np.where(valid, z, 1.0)
-    gu = np.where(valid, grad_uv[:, 0], 0.0)
-    gv = np.where(valid, grad_uv[:, 1], 0.0)
+    gu = np.where(valid, grad_uv[..., 0], 0.0)
+    gv = np.where(valid, grad_uv[..., 1], 0.0)
     d_cam = np.zeros_like(cam)
-    d_cam[:, 0] = camera.fx * gu / safe_z
-    d_cam[:, 1] = camera.fy * gv / safe_z
-    d_cam[:, 2] = -(
-        camera.fx * cam[:, 0] * gu + camera.fy * cam[:, 1] * gv
+    d_cam[..., 0] = camera.fx * gu / safe_z
+    d_cam[..., 1] = camera.fy * gv / safe_z
+    d_cam[..., 2] = -(
+        camera.fx * cam[..., 0] * gu + camera.fy * cam[..., 1] * gv
     ) / (safe_z * safe_z)
     d_cam[~valid] = 0.0
     return d_cam @ camera.rotation

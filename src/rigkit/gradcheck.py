@@ -17,7 +17,6 @@ import numpy as np
 from . import animate, kernels
 from .codec import VOCAB_SIZE
 from .core import Mesh, Skeleton, SkinWeights
-from .deform import fk_forward, lbs_apply, posed_joint_positions
 from .geometry import Camera, project
 from .quat import normalize as quat_normalize
 
@@ -208,16 +207,11 @@ def _random_scene(rng: np.random.Generator):
 
 
 def _render_uv(mesh, s, weights, params, camera):
-    n = params.frame_count
-    jt = np.zeros((n, s.joint_count, 2))
-    vt = np.zeros((n, mesh.vertex_count, 2))
-    for i in range(n):
-        jq, rq, rt = params.frame(i)
-        cache = fk_forward(s.joints, s.parents, jq, rq, rt)
-        jt[i], _, _ = project(camera, posed_joint_positions(cache))
-        verts = lbs_apply(mesh.vertices, weights.matrix, cache.globals_)
-        vt[i], _, _ = project(camera, verts)
-    return jt, vt
+    _, points = animate.pose_clip(
+        s, mesh.vertices, weights.matrix, *animate.params_to_animation(params)
+    )
+    uv, _, _ = project(camera, points)
+    return uv[:, : s.joint_count], uv[:, s.joint_count :]
 
 
 def _near_identity_quats(rng: np.random.Generator, shape) -> np.ndarray:

@@ -25,11 +25,6 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([w, v], axis=-1)
 
 
-def conjugate(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64)
     axis = axis / np.linalg.norm(axis)
@@ -44,12 +39,6 @@ def from_euler_xyz(angles: np.ndarray) -> np.ndarray:
     qy = axis_angle(np.array([0.0, 1.0, 0.0]), ay)
     qz = axis_angle(np.array([0.0, 0.0, 1.0]), az)
     return multiply(multiply(qx, qy), qz)
-
-
-def rotation_angle(q: np.ndarray) -> np.ndarray:
-    """Magnitude of the rotation encoded by q, in [0, pi]."""
-    q = normalize(q)
-    return 2.0 * np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), np.abs(q[..., 0]))
 
 
 def geodesic_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,11 +59,6 @@ def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     sa = np.sin((1.0 - t) * theta) / np.sin(theta)
     sb = np.sin(t * theta) / np.sin(theta)
     return sa * a + sb * b
-
-
-def random_unit(rng: np.random.Generator, shape=()) -> np.ndarray:
-    q = rng.normal(size=tuple(shape) + (4,))
-    return normalize(q)
 
 
 def to_matrix(q: np.ndarray) -> np.ndarray:

@@ -46,8 +46,9 @@ from rigkit import (
     vertex_visibility,
 )
 from rigkit import codec, gradcheck, quat
+from rigkit.animate import pose_clip
 from rigkit.cli import main as cli_main
-from rigkit.deform import fk_forward, lbs_apply, posed_joint_positions, save_animation
+from rigkit.deform import save_animation
 from rigkit.geometry import project, write_obj
 from rigkit.kernels import reference_attention, topology_aware_attention
 
@@ -459,23 +460,19 @@ def _mean_geodesic_deg(rec: AnimParams, gt: AnimParams) -> float:
 
 
 def _mean_reprojection_px(params, mesh, s, weights, clean_tracks) -> float:
-    sub_verts = mesh.vertices[clean_tracks.vertex_subset]
-    sub_w = weights.matrix[clean_tracks.vertex_subset]
-    jmask = clean_tracks.joint_visibility
-    vmask = clean_tracks.vertex_visibility
-    cam = clean_tracks.camera
-    errs = []
-    for i in range(1, params.frame_count):
-        jq, rq, rt = params.frame(i)
-        cache = fk_forward(s.joints, s.parents, jq, rq, rt)
-        uv_j, _, valid_j = project(cam, posed_joint_positions(cache))
-        uv_v, _, valid_v = project(cam, lbs_apply(sub_verts, sub_w, cache.globals_))
-        use_j = jmask & valid_j
-        use_v = vmask & valid_v
-        d_j = np.linalg.norm(uv_j - clean_tracks.joint_tracks[i], axis=1)[use_j]
-        d_v = np.linalg.norm(uv_v - clean_tracks.vertex_tracks[i], axis=1)[use_v]
-        errs.append(np.concatenate([d_j, d_v]))
-    return float(np.mean(np.concatenate(errs)))
+    sub = clean_tracks.vertex_subset
+    _, points = pose_clip(
+        s, mesh.vertices[sub], weights.matrix[sub],
+        params.root_quats, params.root_trans, params.joint_quats,
+    )
+    uv, _, valid = project(clean_tracks.camera, points)
+    observed = np.concatenate(
+        [clean_tracks.joint_tracks[1:], clean_tracks.vertex_tracks[1:]], axis=1
+    )
+    mask = np.concatenate(
+        [clean_tracks.joint_visibility, clean_tracks.vertex_visibility]
+    )
+    return float(np.mean(np.linalg.norm(uv - observed, axis=-1)[mask & valid]))
 
 
 def _fit(mesh, s, weights, tracks):

@@ -275,6 +275,30 @@ class TestSkinAndDeform:
         assert "no-root" in capsys.readouterr().err
         assert not posed.exists()
 
+    def test_deform_nan_vertex_rejected(self, scene, capsys):
+        tmp_path, rig_path, mesh_path, anim_path, _ = scene
+        skinned = tmp_path / "skinned.json"
+        main(["skin-heuristic", str(rig_path), str(mesh_path), "-o", str(skinned)])
+        lines = mesh_path.read_text().splitlines()
+        lines[0] = "v nan 0.0 0.0"
+        mesh_path.write_text("\n".join(lines) + "\n")
+        posed = tmp_path / "x.obj"
+        assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
+                     "-o", str(posed)]) == 3
+        assert not posed.exists()
+
+    def test_deform_nan_quaternion_rejected(self, scene, capsys):
+        tmp_path, rig_path, mesh_path, anim_path, _ = scene
+        skinned = tmp_path / "skinned.json"
+        main(["skin-heuristic", str(rig_path), str(mesh_path), "-o", str(skinned)])
+        data = json.loads(anim_path.read_text())
+        data["frames"][2]["joint_quats"][1][0] = float("nan")
+        anim_path.write_text(json.dumps(data))
+        posed = tmp_path / "x.obj"
+        assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
+                     "-o", str(posed), "--frame", "2"]) == 3
+        assert not posed.exists()
+
     def test_bad_obj_is_parse_error(self, scene, capsys):
         tmp_path, rig_path, _, anim_path, _ = scene
         bad = tmp_path / "bad.obj"
@@ -349,6 +373,22 @@ class TestTrackPipeline:
         assert sorted(p.name for p in frames_dir.iterdir()) == [
             f"frame_{i:04d}.obj" for i in range(4)
         ]
+
+    def test_deform_matches_export(self, scene, capsys):
+        tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)
+        tracks = tmp_path / "tracks.json"
+        main(["synth-tracks", str(skinned), str(mesh_path), str(anim_path),
+              "--camera", str(cam_path), "-o", str(tracks), "--noise-px", "0.5"])
+        fitted = tmp_path / "fit.json"
+        frames_dir = tmp_path / "frames"
+        assert main(["animate", str(skinned), str(mesh_path), str(tracks),
+                     "-o", str(fitted), "--iterations", "40",
+                     "--learning-rate", "0.03", "--export-obj", str(frames_dir)]) == 0
+        for i in range(4):
+            posed = tmp_path / f"deform_{i}.obj"
+            assert main(["deform", str(skinned), str(mesh_path), str(fitted),
+                         "-o", str(posed), "--frame", str(i)]) == 0
+            assert posed.read_bytes() == (frames_dir / f"frame_{i:04d}.obj").read_bytes()
 
     def test_animate_export_rig_without_root(self, scene, capsys):
         # A one-frame clip skips optimization, so the export is the first

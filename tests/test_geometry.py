@@ -422,6 +422,15 @@ class TestCamera:
         assert not valid
         assert np.all(uv == 0.0)
         assert np.all(np.isfinite(uv))
+        # Leading axes: (frames, n, 3) equals the flat call bitwise.
+        pts = np.random.default_rng(4).uniform(-0.5, 0.5, (5, 7, 3))
+        pts[1, 2] = pts[3, :3] = [0.0, 0.0, 5.0]
+        uv, depth, valid = project(cam, pts)
+        flat_uv, flat_depth, flat_valid = project(cam, pts.reshape(-1, 3))
+        assert valid.sum() == 5 * 7 - 4
+        assert np.array_equal(uv, flat_uv.reshape(5, 7, 2))
+        assert np.array_equal(depth, flat_depth.reshape(5, 7))
+        assert np.array_equal(valid, flat_valid.reshape(5, 7))
 
     def test_center_round_trip(self):
         cam = Camera.look_at(eye=(1.0, 2.0, 3.0), target=(0.0, 0.0, 0.0))
@@ -471,3 +480,13 @@ class TestCamera:
         cam = Camera.look_at(eye=(0.0, 0.0, 2.0), target=(0.0, 0.0, 0.0))
         g = np.ones((1, 2))
         assert np.all(project_vjp(cam, np.array([[0.0, 0.0, 9.0]]), g) == 0.0)
+        # Leading axes: (frames, n, 3) equals the flat call bitwise.
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-0.5, 0.5, (5, 7, 3))
+        pts[1, 2] = pts[3, :3] = [0.0, 0.0, 9.0]
+        g = rng.standard_normal((5, 7, 2))
+        grad = project_vjp(cam, pts, g)
+        flat = project_vjp(cam, pts.reshape(-1, 3), g.reshape(-1, 2))
+        assert np.array_equal(grad, flat.reshape(5, 7, 3))
+        assert np.all(grad[1, 2] == 0.0) and np.all(grad[3, :3] == 0.0)
+        assert np.all(grad[0] != 0.0)
