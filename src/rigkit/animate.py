@@ -149,14 +149,6 @@ class AnimParams:
         )
 
 
-def _quat_slices(frame_count: int, joint_count: int) -> np.ndarray:
-    """Start offsets of every quaternion inside the flat parameter vector."""
-    per = 7 + 4 * joint_count
-    within = np.concatenate([[0], 7 + 4 * np.arange(joint_count)])
-    bases = per * np.arange(frame_count - 1)
-    return (bases[:, None] + within[None, :]).ravel().astype(np.int64)
-
-
 def params_to_animation(params: AnimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand to explicit per-frame arrays including the identity frame 0."""
     n = params.frame_count
@@ -513,16 +505,6 @@ def smoothness_regularizer(
     """
     rq, rt, jq = params_to_animation(params)
     n = params.frame_count
-    if n < 2:
-        grads = None
-        if with_grad:
-            grads = AnimParams(
-                np.zeros((0, 4)),
-                np.zeros((0, 3)),
-                np.zeros((0, params.joint_count, 4)),
-            )
-        return LossResult(0.0, grads, 0)
-
     tw = float(translation_weight)
     jt_sq, g_ja, g_jb = _geo_sq_pair_grads(jq[:-1], jq[1:])
     rt_sq, g_ra, g_rb = _geo_sq_pair_grads(rq[:-1], rq[1:])
@@ -624,8 +606,6 @@ def optimize(
         return OptimizeResult(params, np.zeros(0), 0, True, 0)
 
     x = params.flatten()
-    qs = _quat_slices(n, j)
-    q_idx = (qs[:, None] + np.arange(4)[None, :]).ravel()
     m1 = np.zeros_like(x)
     m2 = np.zeros_like(x)
     best_value = np.inf
@@ -676,9 +656,11 @@ def optimize(
         hat1 = m1 / (1.0 - config.beta1 ** (it + 1))
         hat2 = m2 / (1.0 - config.beta2 ** (it + 1))
         x = x - lr * hat1 / (np.sqrt(hat2) + config.adam_eps)
-        # Project every quaternion back onto the unit sphere.
-        q = x[q_idx].reshape(-1, 4)
-        x[q_idx] = (q / np.linalg.norm(q, axis=1, keepdims=True)).ravel()
+        # Project every quaternion back onto the unit sphere, in place
+        # through views of the per-frame rows.
+        rows = x.reshape(n - 1, 7 + 4 * j)
+        for q in (rows[:, :4], rows[:, 7:].reshape(n - 1, j, 4)):
+            q /= np.linalg.norm(q, axis=-1, keepdims=True)
 
     return OptimizeResult(
         params=AnimParams.from_flat(best_x, n, j).normalized(),

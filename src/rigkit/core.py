@@ -120,6 +120,8 @@ class SkinWeights:
         m = _frozen(self.matrix, np.float64)
         if m.ndim != 2:
             raise ValueError(f"weights must be 2-d, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteError("weights contain NaN or Inf")
         if m.size:
             if m.min() < -self.ROW_SUM_TOL or m.max() > 1.0 + self.ROW_SUM_TOL:
                 raise ValueError("weights must lie in [0, 1]")
@@ -291,31 +293,19 @@ def joint_depths(parents: np.ndarray) -> np.ndarray:
 def graph_distance_matrix(s: Skeleton) -> np.ndarray:
     """Pairwise hop counts (bone counts) along the joint tree.
 
-    Uses depths and lowest common ancestors:
-    d(a, b) = depth(a) + depth(b) - 2 * depth(lca(a, b)).
+    With anc[a, c] = 1 when c is a or one of its ancestors, anc @ anc.T
+    counts the common ancestors of a and b, which is depth(lca(a, b)) + 1,
+    so d(a, b) = depth(a) + depth(b) - 2 * depth(lca(a, b)).
     """
     require_valid(s)
-    parents = s.parents
-    j = s.joint_count
-    depths = joint_depths(parents)
-    # Ancestor chains, root-last, for LCA lookups.  j <= 70 keeps this cheap.
-    chains: list[list[int]] = []
-    for k in range(j):
-        chain = [k]
-        while parents[chain[-1]] != ROOT_PARENT:
-            chain.append(int(parents[chain[-1]]))
-        chains.append(chain)
-    chain_sets = [set(c) for c in chains]
-    d = np.zeros((j, j), dtype=np.int64)
-    for a in range(j):
-        for b in range(a + 1, j):
-            anc = chain_sets[b]
-            for node in chains[a]:
-                if node in anc:
-                    hops = depths[a] + depths[b] - 2 * depths[node]
-                    break
-            d[a, b] = d[b, a] = hops
-    return d
+    depths = joint_depths(s.parents)
+    anc = np.zeros((s.joint_count, s.joint_count), dtype=np.int64)
+    for k in np.argsort(depths, kind="stable"):  # parents before children
+        p = s.parents[k]
+        if p != ROOT_PARENT:
+            anc[k] = anc[p]
+        anc[k, k] = 1
+    return depths[:, None] + depths[None, :] - 2 * (anc @ anc.T - 1)
 
 
 def spatial_order(s: Skeleton) -> np.ndarray:

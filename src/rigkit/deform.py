@@ -3,8 +3,9 @@
 Conventions: a joint's local rotation acts about its own rest position, so
 the identity pose maps every joint and vertex onto itself exactly and each
 global transform is directly the rest-to-posed map its vertices blend.
-The root composes an extra rigid motion (quaternion + translation, also
-anchored at the root's rest position) on top of its local rotation.
+The root motion (quaternion + translation) is joint j of a j-joint
+skeleton, a virtual parent of the root whose rotation also acts about the
+root's rest position, so FK and its VJP treat it like any other joint.
 
 The module keeps two layers: typed public entry points that validate
 their inputs, and a raw differentiable core (`fk_forward` / `fk_backward`
@@ -68,11 +69,6 @@ class JointTransforms:
         return self.matrices.shape[0]
 
 
-def topological_order(parents: np.ndarray) -> np.ndarray:
-    """Joint indices sorted parents-first (stable by index within a depth)."""
-    return np.argsort(joint_depths(parents), kind="stable")
-
-
 # ---------------------------------------------------------------------------
 # Differentiable core
 # ---------------------------------------------------------------------------
@@ -80,18 +76,24 @@ def topological_order(parents: np.ndarray) -> np.ndarray:
 # Every function below takes any leading frame axes in front of the joint
 # axis: joint_quats (..., j, 4), root_quat (..., 4), root_trans (..., 3),
 # matrices (..., j, 4, 4), points (..., n, 3).  A single pose has none.
+#
+# The root motion is joint j, a virtual parent of the root: like every
+# joint it rotates about a centre (the root's rest position), and its
+# local transform also carries root_trans.
 
 
 @dataclass
 class FkCache:
-    rest: np.ndarray
-    levels: list  # (joints, their parents) per depth, root level first
-    root: int
-    joint_quats: np.ndarray
-    root_quat: np.ndarray | None
-    locals_: np.ndarray  # (..., j, 4, 4)
-    root_motion: np.ndarray  # (..., 4, 4)
-    globals_: np.ndarray  # (..., j, 4, 4)
+    centres: np.ndarray  # (j + 1, 3): rest joints, then the root's rest position
+    levels: list  # (joints, their parents) per depth, joint j alone first
+    quats: np.ndarray  # (..., j + 1, 4): joint quats, then the root quat
+    locals_: np.ndarray  # (..., j + 1, 4, 4)
+    transforms: np.ndarray  # (..., j + 1, 4, 4)
+
+    @property
+    def globals_(self) -> np.ndarray:
+        """The joints' global transforms (..., j, 4, 4), without joint j."""
+        return self.transforms[..., :-1, :, :]
 
 
 def _depth_levels(parents: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -112,7 +114,7 @@ def fk_forward(
     rest: np.ndarray,
     parents: np.ndarray,
     joint_quats: np.ndarray,
-    root_quat: np.ndarray | None,
+    root_quat: np.ndarray,
     root_trans: np.ndarray,
 ) -> FkCache:
     """Raw forward kinematics; quaternions may be unnormalized.
@@ -122,86 +124,69 @@ def fk_forward(
     """
     rest = np.asarray(rest, dtype=np.float64)
     parents = np.asarray(parents)
-    joint_quats = np.asarray(joint_quats, dtype=np.float64)
-    levels = _depth_levels(parents)
+    j = parents.shape[0]
     root = int(np.flatnonzero(parents == ROOT_PARENT)[0])
+    centres = np.concatenate([rest, rest[root, None]])
+    levels = _depth_levels(
+        np.append(np.where(parents == ROOT_PARENT, j, parents), ROOT_PARENT)
+    )
+    joint_quats = np.asarray(joint_quats, dtype=np.float64)
+    root_quat = np.broadcast_to(root_quat, joint_quats.shape[:-2] + (4,))
+    quats = np.concatenate([joint_quats, root_quat[..., None, :]], axis=-2)
 
-    rots = quat.to_matrix(joint_quats)  # (..., j, 3, 3)
+    rots = quat.to_matrix(quats)  # (..., j + 1, 3, 3)
     locals_ = np.zeros(rots.shape[:-2] + (4, 4))
     locals_[..., :3, :3] = rots
-    locals_[..., :3, 3] = rest - (rots @ rest[:, :, None])[..., 0]
+    locals_[..., :3, 3] = centres - (rots @ centres[:, :, None])[..., 0]
+    locals_[..., j, :3, 3] += np.asarray(root_trans, dtype=np.float64)
     locals_[..., 3, 3] = 1.0
 
-    root_motion = np.zeros(joint_quats.shape[:-2] + (4, 4))
-    root_motion[...] = np.eye(4)
-    if root_quat is not None:
-        root_quat = np.asarray(root_quat, dtype=np.float64)
-        rot = quat.to_matrix(root_quat)
-        root_motion[..., :3, :3] = rot
-        root_motion[..., :3, 3] = rest[root] - rot @ rest[root]
-    root_motion[..., :3, 3] += np.asarray(root_trans, dtype=np.float64)
-
-    globals_ = np.empty_like(locals_)
-    (top, _), *deeper = levels
-    globals_[..., top, :, :] = root_motion[..., None, :, :] @ locals_[..., top, :, :]
-    for idx, par in deeper:
-        globals_[..., idx, :, :] = globals_[..., par, :, :] @ locals_[..., idx, :, :]
-    return FkCache(
-        rest=rest,
-        levels=levels,
-        root=root,
-        joint_quats=joint_quats,
-        root_quat=root_quat,
-        locals_=locals_,
-        root_motion=root_motion,
-        globals_=globals_,
-    )
+    transforms = locals_.copy()
+    for idx, par in levels[1:]:
+        transforms[..., idx, :, :] = (
+            transforms[..., par, :, :] @ locals_[..., idx, :, :]
+        )
+    return FkCache(centres, levels, quats, locals_, transforms)
 
 
 def fk_backward(
     cache: FkCache, grad_globals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pull gradients on the global matrices back to the raw parameters.
 
-    Returns (grad joint_quats (..., j, 4), grad root_quat (..., 4) or None,
-    grad root_trans (..., 3)).  grad_globals may have non-zero entries only
-    in the top three rows (the bottom row is structural).
+    Returns (grad joint_quats (..., j, 4), grad root_quat (..., 4),
+    grad root_trans (..., 3)).  grad_globals (..., j, 4, 4) may have
+    non-zero entries only in the top three rows (the bottom row is
+    structural).
     """
-    g, loc = cache.globals_, cache.locals_
-    dG = np.array(grad_globals, dtype=np.float64, copy=True)
-    dL = np.empty_like(loc)
-    (top, _), *deeper = cache.levels
-    for idx, par in reversed(deeper):
-        d = dG[..., idx, :, :]
-        dL[..., idx, :, :] = _transpose(g[..., par, :, :]) @ d
-        d_parent = d @ _transpose(loc[..., idx, :, :])
+    g, loc = cache.transforms, cache.locals_
+    d_mats = np.zeros(loc.shape)
+    d_mats[..., :-1, :, :] = grad_globals
+    # Children before parents.  Once a level has passed its gradient up,
+    # its slot turns from d global into d local (joint j's global is its
+    # local already).
+    for idx, par in reversed(cache.levels[1:]):
+        d = d_mats[..., idx, :, :]
         # add.at, not +=, because siblings share a parent
-        np.add.at(dG, (..., par, slice(None), slice(None)), d_parent)
-    d = dG[..., top, :, :]
-    dL[..., top, :, :] = _transpose(cache.root_motion)[..., None, :, :] @ d
-    dM = np.sum(d @ _transpose(loc[..., top, :, :]), axis=-3)
+        d_parent = d @ _transpose(loc[..., idx, :, :])
+        np.add.at(d_mats, (..., par, slice(None), slice(None)), d_parent)
+        d_mats[..., idx, :, :] = _transpose(g[..., par, :, :]) @ d
 
-    # local = rotation about the joint's rest position
-    d_rots = dL[..., :3, :3] - dL[..., :3, 3, None] * cache.rest[:, None, :]
-    grad_joint_quats = quat.to_matrix_vjp(cache.joint_quats, d_rots)
-
-    grad_root_trans = dM[..., :3, 3].copy()
-    grad_root_quat = None
-    if cache.root_quat is not None:
-        d_rot_m = dM[..., :3, :3] - dM[..., :3, 3, None] * cache.rest[cache.root]
-        grad_root_quat = quat.to_matrix_vjp(cache.root_quat, d_rot_m)
-    return grad_joint_quats, grad_root_quat, grad_root_trans
+    # local = rotation about the joint's centre
+    d_rots = d_mats[..., :3, :3] - d_mats[..., :3, 3, None] * cache.centres[:, None, :]
+    grad_quats = quat.to_matrix_vjp(cache.quats, d_rots)
+    return grad_quats[..., :-1, :], grad_quats[..., -1, :], d_mats[..., -1, :3, 3].copy()
 
 
 def posed_joint_positions(cache: FkCache) -> np.ndarray:
     """Joint positions under the cached pose: G_k applied to rest_k."""
-    g = cache.globals_
-    return (g[..., :3, :3] @ cache.rest[:, :, None])[..., 0] + g[..., :3, 3]
+    g, rest = cache.globals_, cache.centres[:-1]
+    return (g[..., :3, :3] @ rest[:, :, None])[..., 0] + g[..., :3, 3]
 
 
 def posed_joint_positions_vjp(cache: FkCache, grad_positions: np.ndarray) -> np.ndarray:
     dG = np.zeros_like(cache.globals_)
-    dG[..., :3, :3] = grad_positions[..., :, None] * cache.rest[:, None, :]
+    dG[..., :3, :3] = grad_positions[..., :, None] * cache.centres[:-1, None, :]
     dG[..., :3, 3] = grad_positions
     return dG
 
@@ -256,7 +241,7 @@ def forward_kinematics(s: Skeleton, pose: Pose) -> JointTransforms:
     if pose.joint_quats.shape[0] != s.joint_count:
         raise ValueError("pose joint count does not match skeleton")
     cache = fk_forward(
-        s.joints, s.parents, pose.joint_quats, None, pose.root_translation
+        s.joints, s.parents, pose.joint_quats, quat.IDENTITY, pose.root_translation
     )
     return JointTransforms(cache.globals_)
 
@@ -282,19 +267,6 @@ def linear_blend_skinning(
     if transforms.joint_count != s.joint_count:
         raise ValueError("transforms must match skeleton joints")
     return lbs_apply(mesh.vertices, weights.matrix, transforms.matrices)
-
-
-def fold_root_motion(
-    root_quat: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray, root: int
-) -> Pose:
-    """Fold an extra root rigid motion into a plain pose.
-
-    Both the root motion and the root joint's local rotation act about the
-    root's rest position, so they compose into a single quaternion.
-    """
-    q = np.array(joint_quats, dtype=np.float64, copy=True)
-    q[root] = quat.multiply(quat.normalize(root_quat), quat.normalize(q[root]))
-    return Pose(quat.normalize(q), root_trans)
 
 
 def sample_augmented_pose(

@@ -471,6 +471,11 @@ class Camera:
         t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
+        values = np.concatenate([r.ravel(), t, [self.fx, self.fy, self.cx, self.cy]])
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError("camera contains NaN or Inf")
+        if not (self.fx > 0 and self.fy > 0):
+            raise ValueError("focal lengths fx and fy must be positive")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
             raise ValueError("rotation must be orthonormal with det +1")
         r.setflags(write=False)

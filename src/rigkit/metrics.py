@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quat
 from .core import Mesh, Skeleton, SkinWeights, bone_segments, require_valid
-from .deform import forward_kinematics, linear_blend_skinning, sample_augmented_pose
+from .deform import fk_forward, lbs_apply, sample_augmented_pose
 from .geometry import point_segment_distance
 
 SIGNIFICANT_WEIGHT = 1e-4
@@ -150,16 +151,24 @@ def deformation_error(
     """Mean vertex displacement between the two skinnings over sampled poses.
 
     Draws ``config.pose_count`` augmented poses from one seeded stream,
-    deforms the mesh under both weight maps, and averages the per-vertex
-    distance across poses.
+    deforms the mesh under both weight maps in one batched pass, and
+    averages the per-vertex distance across poses.
     """
+    require_valid(s)
+    for w in (pred, gt):
+        if w.joint_count != s.joint_count:
+            raise ValueError("weight columns must match skeleton joints")
+        if w.vertex_count != mesh.vertex_count:
+            raise ValueError("weight rows must match mesh vertices")
     rng = np.random.default_rng(seed)
+    joint_quats = np.stack(
+        [sample_augmented_pose(s, rng).joint_quats for _ in range(config.pose_count)]
+    )
+    cache = fk_forward(s.joints, s.parents, joint_quats, quat.IDENTITY, np.zeros(3))
+    posed_pred = lbs_apply(mesh.vertices, pred.matrix, cache.globals_)
+    posed_gt = lbs_apply(mesh.vertices, gt.matrix, cache.globals_)
     total = 0.0
-    for _ in range(config.pose_count):
-        pose = sample_augmented_pose(s, rng)
-        transforms = forward_kinematics(s, pose)
-        dp = linear_blend_skinning(mesh, s, pred, transforms)
-        dg = linear_blend_skinning(mesh, s, gt, transforms)
+    for dp, dg in zip(posed_pred, posed_gt):
         total += float(np.mean(np.linalg.norm(dp - dg, axis=1)))
     return total / config.pose_count
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rigkit import Rig, Skeleton, load_rig, save_rig
+from rigkit import Mesh, Rig, Skeleton, SkinWeights, load_rig, save_rig
 from rigkit.cli import main
 from rigkit.deform import save_animation
 from rigkit.geometry import load_obj, write_obj
@@ -221,6 +221,21 @@ class TestMetricsCommand:
         _, raw = run(capsys, "metrics", big, rig_path, "--no-normalize")
         assert json.loads(raw)["cd_j2j"] > json.loads(normed)["cd_j2j"]
 
+    def test_one_row_weights_rejected_with_mesh(self, scene, capsys):
+        # 1-row weights would broadcast over the 8-vertex mesh if nothing
+        # checked them against it.
+        tmp_path, rig_path, *_ = scene
+        one_row = tmp_path / "one_row.json"
+        save_rig(one_row, Rig(load_rig(rig_path).skeleton,
+                              SkinWeights(np.array([[1.0, 0.0, 0.0]]))))
+        corners = np.array([[x, y, z] for x in (-0.5, 0.5)
+                            for y in (-0.5, 0.5) for z in (-0.5, 0.5)])
+        cube = tmp_path / "cube.obj"
+        cube.write_text(write_obj(Mesh(corners, np.zeros((0, 3), dtype=np.int64))))
+        code, out = run(capsys, "metrics", one_row, one_row, "--mesh", cube)
+        assert code == 3
+        assert out == ""
+
 
 class TestSkinAndDeform:
     def test_skin_then_deform(self, scene, capsys):
@@ -297,6 +312,18 @@ class TestSkinAndDeform:
         posed = tmp_path / "x.obj"
         assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
                      "-o", str(posed), "--frame", "2"]) == 3
+        assert not posed.exists()
+
+    def test_deform_nan_weight_rejected(self, scene, capsys):
+        tmp_path, rig_path, mesh_path, anim_path, _ = scene
+        skinned = tmp_path / "skinned.json"
+        main(["skin-heuristic", str(rig_path), str(mesh_path), "-o", str(skinned)])
+        data = json.loads(skinned.read_text())
+        data["weights"][4][0] = float("nan")
+        skinned.write_text(json.dumps(data))
+        posed = tmp_path / "x.obj"
+        assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
+                     "-o", str(posed)]) == 3
         assert not posed.exists()
 
     def test_bad_obj_is_parse_error(self, scene, capsys):
@@ -427,6 +454,18 @@ class TestTrackPipeline:
 
         tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, poison)
         assert "NaN" in tracks.read_text()
+        fitted = tmp_path / "fit.json"
+        code, out = run(capsys, "animate", skinned, mesh_path, tracks,
+                        "-o", fitted, "--iterations", "5")
+        assert code == 3
+        assert out == ""
+        assert not fitted.exists()
+
+    def test_animate_nan_camera_rejected(self, scene, capsys):
+        def poison(data):
+            data["camera"]["rotation"][1][2] = float("nan")
+
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, poison)
         fitted = tmp_path / "fit.json"
         code, out = run(capsys, "animate", skinned, mesh_path, tracks,
                         "-o", fitted, "--iterations", "5")

@@ -12,6 +12,7 @@ from rigkit import (
     ROOT_PARENT,
     InvalidSkeletonError,
     Mesh,
+    NonFiniteError,
     Pose,
     Rig,
     Skeleton,
@@ -142,6 +143,11 @@ class TestSkinWeights:
         SkinWeights(np.array([[0.5, 0.5 + 5e-7]]))
         with pytest.raises(ValueError):
             SkinWeights(np.array([[0.5, 0.5 + 5e-6]]))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError):
+                SkinWeights(np.array([[0.5, 0.5], [bad, 1.0]]))
 
 
 class TestPose:

@@ -9,7 +9,6 @@ from rigkit import (
     Pose,
     Skeleton,
     SkinWeights,
-    fold_root_motion,
     forward_kinematics,
     heuristic_skin_weights,
     linear_blend_skinning,
@@ -17,7 +16,6 @@ from rigkit import (
     posed_joints,
     sample_augmented_pose,
     save_animation,
-    topological_order,
 )
 from rigkit import quat
 from rigkit.deform import fk_backward, fk_forward, lbs_apply, posed_joint_positions
@@ -38,24 +36,6 @@ def identity_pose(j: int) -> Pose:
     q = np.zeros((j, 4))
     q[:, 0] = 1.0
     return Pose(q, np.zeros(3))
-
-
-class TestTopologicalOrder:
-    def test_parents_first(self):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            s = random_tree(rng, int(rng.integers(1, 40)))
-            order = topological_order(s.parents)
-            position = np.empty(s.joint_count, dtype=np.int64)
-            position[order] = np.arange(s.joint_count)
-            for k in range(s.joint_count):
-                p = int(s.parents[k])
-                if p != -1:
-                    assert position[p] < position[k]
-
-    def test_stable_within_depth(self):
-        parents = np.array([-1, 0, 0, 0])
-        assert topological_order(parents).tolist() == [0, 1, 2, 3]
 
 
 class TestJointTransforms:
@@ -176,7 +156,7 @@ class TestForwardKinematics:
         rng = np.random.default_rng(4)
         s = random_tree(rng, 12)
         jq = random_unit_quats(rng, (12,))
-        cache = fk_forward(s.joints, s.parents, jq, None, np.zeros(3))
+        cache = fk_forward(s.joints, s.parents, jq, quat.IDENTITY, np.zeros(3))
         t = forward_kinematics(s, Pose(jq, np.zeros(3)))
         assert np.allclose(posed_joint_positions(cache), posed_joints(s, t))
 
@@ -194,31 +174,6 @@ class TestForwardKinematics:
             s, forward_kinematics(s, Pose(identity_pose(9).joint_quats, shift))
         )
         assert np.allclose(moved, base + shift)
-
-
-class TestFoldRootMotion:
-    def test_equivalent_to_raw_root_motion(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            s = random_tree(rng, int(rng.integers(2, 20)))
-            root = int(np.flatnonzero(s.parents == -1)[0])
-            jq = random_unit_quats(rng, (s.joint_count,))
-            root_q = random_unit_quats(rng, ())
-            trans = rng.standard_normal(3)
-            raw = fk_forward(s.joints, s.parents, jq, root_q, trans)
-            pose = fold_root_motion(root_q, trans, jq, root)
-            folded = forward_kinematics(s, pose)
-            assert np.allclose(folded.matrices, raw.globals_, atol=1e-12)
-
-    def test_unit_output(self):
-        rng = np.random.default_rng(8)
-        pose = fold_root_motion(
-            3.0 * random_unit_quats(rng, ()),
-            np.zeros(3),
-            0.5 * random_unit_quats(rng, (5,)),
-            0,
-        )
-        assert np.allclose(np.linalg.norm(pose.joint_quats, axis=1), 1.0)
 
 
 class TestLinearBlendSkinning:

@@ -6,6 +6,7 @@ import pytest
 from rigkit import (
     Camera,
     Mesh,
+    NonFiniteError,
     ObjParseError,
     load_obj,
     nearest_vertex_transfer,
@@ -397,6 +398,24 @@ class TestContainment:
 
 
 class TestCamera:
+    def test_rejects_non_finite_and_bad_focal(self):
+        good = Camera.look_at(eye=(0.0, 0.0, 2.0), target=(0.0, 0.0, 0.0)).to_dict()
+        rotation = np.array(good["rotation"])
+        rotation[1, 2] = np.nan
+        translation = np.array(good["translation"])
+        translation[0] = np.inf
+        for bad in (
+            {"rotation": rotation.tolist()},
+            {"translation": translation.tolist()},
+            {"cx": np.nan},
+            {"fy": np.inf},
+        ):
+            with pytest.raises(NonFiniteError):
+                Camera.from_dict({**good, **bad})
+        for bad in ({"fx": -5.0}, {"fy": 0.0}):
+            with pytest.raises(ValueError):
+                Camera.from_dict({**good, **bad})
+
     def test_look_at_target_hits_center(self):
         cam = Camera.look_at(eye=(0.0, 0.0, 2.0), target=(0.0, 0.0, 0.0))
         uv, depth, valid = project(cam, np.zeros(3))
