@@ -17,8 +17,8 @@ from pathlib import Path
 from . import animate, codec, gradcheck
 from .core import (
     InvalidSkeletonError,
+    InvalidValueError,
     Mesh,
-    NonFiniteError,
     Rig,
     canonical_json,
     hierarchical_order,
@@ -71,9 +71,9 @@ def _load(path: str | Path, loader, kind: str):
         raise InputError(
             f"{path}: line {e.lineno}, col {e.colno}: invalid JSON: {e.msg}"
         ) from None
-    except NonFiniteError:
+    except InvalidValueError:
         raise  # the file parsed; its values fail validation (exit 3)
-    except (ValueError, KeyError, TypeError, EOFError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, EOFError) as e:
         raise InputError(f"{path}: not a valid {kind} file: {e}") from None
 
 

@@ -26,7 +26,11 @@ class InvalidSkeletonError(ValueError):
     """Raised when an operation requires a structurally valid skeleton."""
 
 
-class NonFiniteError(ValueError):
+class InvalidValueError(ValueError):
+    """Raised when well-formed input breaks a value rule (the CLI exits 3)."""
+
+
+class NonFiniteError(InvalidValueError):
     """Raised when an input holds NaN or Inf where finite values are required."""
 
 
@@ -124,10 +128,10 @@ class SkinWeights:
             raise NonFiniteError("weights contain NaN or Inf")
         if m.size:
             if m.min() < -self.ROW_SUM_TOL or m.max() > 1.0 + self.ROW_SUM_TOL:
-                raise ValueError("weights must lie in [0, 1]")
+                raise InvalidValueError("weights must lie in [0, 1]")
             sums = m.sum(axis=1)
             if np.max(np.abs(sums - 1.0)) > self.ROW_SUM_TOL:
-                raise ValueError("weight rows must sum to 1 within 1e-6")
+                raise InvalidValueError("weight rows must sum to 1 within 1e-6")
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -4,9 +4,10 @@ pinhole cameras.
 Everything here is plain numpy at float64, and every query runs against
 all triangles (desk-scale meshes make an acceleration structure
 unnecessary).  Two ray queries share one Moller-Trumbore test:
-:func:`ray_mesh_intersections` lists every hit of one ray and merges
-duplicates where it threads a shared edge or vertex, so crossings can be
-counted; :func:`first_hit_distances` casts many rays from one origin in
+:func:`ray_mesh_intersections` lists the hits of one ray and counts
+each run of nearly equal t once, so a ray through an edge or vertex is
+one crossing whether or not the mesh is welded there;
+:func:`first_hit_distances` casts many rays from one origin in
 fixed-size chunks of rays x triangles and keeps only the nearest hit,
 which merging never changes.  Containment is the generalized winding
 number, so it depends on no probe direction.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Mesh, NonFiniteError, SkinWeights
+from .core import InvalidValueError, Mesh, NonFiniteError, SkinWeights
 
 RAY_T_EPS = 1e-9
 RAY_MERGE_EPS = 1e-9
@@ -331,10 +332,11 @@ def ray_mesh_intersections(
     """All ray hits (t ascending) as (t values, triangle ids).
 
     t is measured in units of ``direction`` (not normalized).  Hits closer
-    than RAY_T_EPS are discarded; hits within RAY_MERGE_EPS of each other
-    whose triangles share an edge count once (a ray through a shared edge
-    or vertex would otherwise double-count), keeping the lowest t and
-    triangle id of each merged cluster.
+    than RAY_T_EPS are discarded.  Hits are sorted by t (ties by triangle
+    id), and a hit within RAY_MERGE_EPS of the previous one is dropped, so
+    each run of nearly equal t counts as one crossing, kept as its lowest
+    (t, triangle).  A ray through an edge or vertex thus counts once
+    whether or not the mesh is welded there.
     """
     origin = np.asarray(origin, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -350,48 +352,9 @@ def ray_mesh_intersections(
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     tris = tris[order]
-    if ts.size == 0:
-        return ts, tris
-
-    # Merge clusters of nearly equal t whose triangles are edge-connected.
-    keep_t: list[float] = []
-    keep_tri: list[int] = []
-    i = 0
-    tri_verts = mesh.triangles
-    while i < ts.size:
-        j = i + 1
-        while j < ts.size and ts[j] - ts[j - 1] < RAY_MERGE_EPS:
-            j += 1
-        cluster = list(range(i, j))
-        if len(cluster) == 1:
-            keep_t.append(float(ts[i]))
-            keep_tri.append(int(tris[i]))
-        else:
-            comp = {k: k for k in cluster}
-
-            def find(x):
-                while comp[x] != x:
-                    comp[x] = comp[comp[x]]
-                    x = comp[x]
-                return x
-
-            for x in cluster:
-                vx = set(tri_verts[tris[x]].tolist())
-                for y in cluster:
-                    if y <= x:
-                        continue
-                    if len(vx & set(tri_verts[tris[y]].tolist())) >= 2:
-                        comp[find(x)] = find(y)
-            groups: dict[int, list[int]] = {}
-            for x in cluster:
-                groups.setdefault(find(x), []).append(x)
-            for members in groups.values():
-                best = min(members, key=lambda x: (ts[x], tris[x]))
-                keep_t.append(float(ts[best]))
-                keep_tri.append(int(tris[best]))
-        i = j
-    order = np.argsort(keep_t, kind="stable")
-    return np.asarray(keep_t)[order], np.asarray(keep_tri, dtype=np.int64)[order]
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:] = np.diff(ts) >= RAY_MERGE_EPS
+    return ts[keep], tris[keep]
 
 
 def first_hit_distances(
@@ -475,9 +438,9 @@ class Camera:
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("camera contains NaN or Inf")
         if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths fx and fy must be positive")
+            raise InvalidValueError("focal lengths fx and fy must be positive")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
-            raise ValueError("rotation must be orthonormal with det +1")
+            raise InvalidValueError("rotation must be orthonormal with det +1")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
@@ -507,6 +470,8 @@ class Camera:
         eye = np.asarray(eye, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         up = np.asarray(up, dtype=np.float64)
+        if not all(np.all(np.isfinite(a)) for a in (eye, target, up)):
+            raise NonFiniteError("camera contains NaN or Inf")
         z = target - eye
         nz = np.linalg.norm(z)
         if not nz > 0:

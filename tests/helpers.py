@@ -181,6 +181,13 @@ def star_mesh(rng: np.random.Generator, subdivisions: int = 2) -> Mesh:
     return Mesh(dirs * radii[:, None], base.triangles)
 
 
+def unweld(mesh: Mesh) -> Mesh:
+    """The same surface as a triangle soup: three own vertices per triangle."""
+    verts = mesh.vertices[mesh.triangles].reshape(-1, 3)
+    tris = np.arange(verts.shape[0], dtype=np.int64).reshape(-1, 3)
+    return Mesh(verts, tris)
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from helpers import (
     star_mesh,
     subdivided_cube,
     tube_mesh,
+    unweld,
 )
 
 
@@ -155,9 +156,9 @@ class TestParamsAnimation:
 
 class TestJointVisibility:
     def test_sphere_cases(self):
-        mesh = icosphere(2)
+        welded = icosphere(2)
         cam = Camera.look_at(eye=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0))
-        front_vertex = mesh.vertices[int(np.argmax(mesh.vertices[:, 2]))]
+        front_vertex = welded.vertices[int(np.argmax(welded.vertices[:, 2]))]
         joints = np.array(
             [
                 [0.0, 0.0, 0.0],     # center: one crossing on the way in
@@ -167,7 +168,10 @@ class TestJointVisibility:
             ]
         )
         s = Skeleton(joints, np.array([-1, 0, 0, 0]))
-        assert joint_visibility(mesh, s, cam).tolist() == [True, False, False, True]
+        # A triangle soup must see the same: seam hits count once.
+        for mesh in (welded, unweld(welded)):
+            vis = joint_visibility(mesh, s, cam)
+            assert vis.tolist() == [True, False, False, True]
 
     def test_cube_cases(self):
         mesh = subdivided_cube(4)

@@ -326,6 +326,19 @@ class TestSkinAndDeform:
                      "-o", str(posed)]) == 3
         assert not posed.exists()
 
+    def test_deform_out_of_range_weight_rejected(self, scene, capsys):
+        # The file parses; a weight above 1 breaks a value rule (exit 3).
+        tmp_path, rig_path, mesh_path, anim_path, _ = scene
+        skinned = tmp_path / "skinned.json"
+        main(["skin-heuristic", str(rig_path), str(mesh_path), "-o", str(skinned)])
+        data = json.loads(skinned.read_text())
+        data["weights"][0] = [1.5, 0.0, 0.0]
+        skinned.write_text(json.dumps(data))
+        posed = tmp_path / "x.obj"
+        assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
+                     "-o", str(posed)]) == 3
+        assert not posed.exists()
+
     def test_bad_obj_is_parse_error(self, scene, capsys):
         tmp_path, rig_path, _, anim_path, _ = scene
         bad = tmp_path / "bad.obj"
@@ -464,6 +477,18 @@ class TestTrackPipeline:
     def test_animate_nan_camera_rejected(self, scene, capsys):
         def poison(data):
             data["camera"]["rotation"][1][2] = float("nan")
+
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, poison)
+        fitted = tmp_path / "fit.json"
+        code, out = run(capsys, "animate", skinned, mesh_path, tracks,
+                        "-o", fitted, "--iterations", "5")
+        assert code == 3
+        assert out == ""
+        assert not fitted.exists()
+
+    def test_animate_negative_focal_rejected(self, scene, capsys):
+        def poison(data):
+            data["camera"]["fx"] = -5.0
 
         tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, poison)
         fitted = tmp_path / "fit.json"

@@ -5,6 +5,7 @@ import pytest
 
 from rigkit import (
     Camera,
+    InvalidValueError,
     Mesh,
     NonFiniteError,
     ObjParseError,
@@ -22,7 +23,13 @@ from rigkit import (
 from rigkit import geometry
 from rigkit.geometry import first_hit_distances, project_vjp, triangle_areas
 
-from helpers import icosphere, scalar_ray_hits, star_mesh, subdivided_cube
+from helpers import (
+    icosphere,
+    scalar_ray_hits,
+    star_mesh,
+    subdivided_cube,
+    unweld,
+)
 
 
 class TestObjParse:
@@ -222,15 +229,18 @@ class TestRayCasting:
         assert ts.size == 0
 
     def test_shared_edge_counts_once(self):
-        # Quad split into two triangles; the ray passes through the diagonal.
-        m = Mesh(
-            np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0]]),
-            np.array([[0, 1, 2], [0, 2, 3]]),
+        # Quad split into two triangles; the ray passes through the diagonal,
+        # welded or with the diagonal's vertices duplicated.
+        corners = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0]])
+        welded = Mesh(corners, np.array([[0, 1, 2], [0, 2, 3]]))
+        split = Mesh(
+            np.vstack([corners, corners[[0, 2]]]), np.array([[0, 1, 2], [4, 5, 3]])
         )
-        ts, _ = ray_mesh_intersections(
-            m, np.array([0.5, 0.5, -1.0]), np.array([0.0, 0, 1.0])
-        )
-        assert ts.size == 1
+        for m in (welded, split):
+            ts, _ = ray_mesh_intersections(
+                m, np.array([0.5, 0.5, -1.0]), np.array([0.0, 0, 1.0])
+            )
+            assert ts.size == 1
 
     def test_shared_vertex_fan_counts_once(self):
         # Icosphere apex: the ray hits the exact shared vertex of a fan.
@@ -254,8 +264,9 @@ class TestRayCasting:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
-        for seed in range(4):
-            m = star_mesh(np.random.default_rng(100 + seed))
+        meshes = [star_mesh(np.random.default_rng(100 + seed)) for seed in range(4)]
+        meshes.append(unweld(star_mesh(np.random.default_rng(104))))
+        for m in meshes:
             for _ in range(25):
                 origin = rng.uniform(-2, 2, 3)
                 direction = rng.standard_normal(3)
@@ -413,8 +424,16 @@ class TestCamera:
             with pytest.raises(NonFiniteError):
                 Camera.from_dict({**good, **bad})
         for bad in ({"fx": -5.0}, {"fy": 0.0}):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidValueError):
                 Camera.from_dict({**good, **bad})
+        view = {"eye": (0.0, 0.0, 2.0), "target": (0.0, 0.0, 0.0)}
+        for bad in (
+            {"eye": (np.nan, 0.0, 2.0)},
+            {"target": (0.0, np.inf, 0.0)},
+            {"up": (0.0, np.nan, 0.0)},
+        ):
+            with pytest.raises(NonFiniteError):
+                Camera.look_at(**{**view, **bad})
 
     def test_look_at_target_hits_center(self):
         cam = Camera.look_at(eye=(0.0, 0.0, 2.0), target=(0.0, 0.0, 0.0))
