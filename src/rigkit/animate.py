@@ -54,6 +54,9 @@ from .geometry import (
 
 EPS_BAND = 1e-6
 EPS_GEO = 1e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -187,12 +190,10 @@ def params_from_animation(
 # ---------------------------------------------------------------------------
 
 
-def joint_visibility(
-    mesh: Mesh, s: Skeleton, camera: Camera, *, eps_band: float = EPS_BAND
-) -> np.ndarray:
+def joint_visibility(mesh: Mesh, s: Skeleton, camera: Camera) -> np.ndarray:
     """Mask of joints whose camera segment crosses the mesh exactly once.
 
-    Hits are counted for ray parameters t in (0, 1 + eps_band] with t = 1
+    Hits are counted for ray parameters t in (0, 1 + EPS_BAND] with t = 1
     at the joint, so a joint lying on the surface counts its own surface
     crossing.  0 crossings (joint floating in front of the mesh) and 2+
     crossings (occluded) are both invisible under this rule.
@@ -207,18 +208,14 @@ def joint_visibility(
         if not np.linalg.norm(direction) > 0:
             continue
         ts, _ = ray_mesh_intersections(mesh, origin, direction)
-        visible[k] = int(np.sum(ts <= 1.0 + eps_band)) == 1
+        visible[k] = int(np.sum(ts <= 1.0 + EPS_BAND)) == 1
     return visible
 
 
 def vertex_visibility(
-    mesh: Mesh,
-    camera: Camera,
-    subset: np.ndarray | None = None,
-    *,
-    eps_geo: float = EPS_GEO,
+    mesh: Mesh, camera: Camera, subset: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mask of vertices whose first camera hit lies within eps_geo of them.
+    """Mask of vertices whose first camera hit lies within EPS_GEO of them.
 
     One unit-length ray per vertex from the camera centre; a vertex at the
     centre itself is invisible.  Each vertex's answer is independent of
@@ -233,7 +230,7 @@ def vertex_visibility(
     cast = dist > 0
     visible = np.zeros(targets.shape[0], dtype=bool)
     t = first_hit_distances(mesh, origin, directions[cast] / dist[cast, None])
-    visible[cast] = np.abs(t - dist[cast]) <= eps_geo
+    visible[cast] = np.abs(t - dist[cast]) <= EPS_GEO
     return visible
 
 
@@ -313,7 +310,6 @@ class TrackSet:
 def track_set_to_dict(tracks: TrackSet) -> dict:
     return {
         "camera": tracks.camera.to_dict(),
-        "image_size": [tracks.camera.width, tracks.camera.height],
         "joint_tracks": tracks.joint_tracks.tolist(),
         "vertex_tracks": tracks.vertex_tracks.tolist(),
         "vertex_subset": tracks.vertex_subset.tolist(),
@@ -364,6 +360,7 @@ def synthesize_tracks(
     frame-0-visible vertices only.
     """
     require_valid(s)
+    weights.require_fits(mesh, s)
     if params.joint_count != s.joint_count:
         raise ValueError("params joint count does not match skeleton")
     if noise_px < 0:
@@ -415,10 +412,10 @@ def _check_scene(params, mesh, s, weights, tracks):
         raise ValueError("tracks and params must cover the same frames")
     if tracks.joint_tracks.shape[1] != s.joint_count:
         raise ValueError("joint tracks do not match skeleton")
-    if weights.vertex_count != mesh.vertex_count or weights.joint_count != s.joint_count:
-        raise ValueError("weights must match mesh and skeleton")
-    if tracks.vertex_subset.size and tracks.vertex_subset.max() >= mesh.vertex_count:
-        raise ValueError("vertex subset exceeds mesh")
+    weights.require_fits(mesh, s)
+    subset = tracks.vertex_subset
+    if subset.size and (subset.min() < 0 or subset.max() >= mesh.vertex_count):
+        raise ValueError("vertex subset indices must lie in [0, mesh vertex count)")
 
 
 def tracking_loss(
@@ -537,19 +534,13 @@ class OptimizeConfig:
     """Adam-style optimization settings.
 
     ``reg_weight`` scales the smoothness regularizer against the tracking
-    loss (the tracking term dominates by design);
-    ``reg_translation_weight`` additionally scales the root-translation
-    term inside the regularizer.  ``lr_floor`` enables cosine decay of the
-    learning rate down to that floor when set.
+    loss (the tracking term dominates by design).  ``lr_floor`` enables
+    cosine decay of the learning rate down to that floor when set.
     """
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     iterations: int = 1000
     reg_weight: float = 1e-3
-    reg_translation_weight: float = 1.0
     plateau_window: int = 50
     plateau_rtol: float = 1e-6
     divergence_factor: float = 1e3
@@ -559,10 +550,8 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("betas must lie in [0, 1)")
-        if self.reg_weight < 0 or self.reg_translation_weight < 0:
-            raise ValueError("regularizer weights must be non-negative")
+        if self.reg_weight < 0:
+            raise ValueError("reg_weight must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -576,9 +565,7 @@ class OptimizeResult:
 
 def _objective(params, mesh, s, weights, tracks, config):
     track = tracking_loss(params, mesh, s, weights, tracks, with_grad=True)
-    reg = smoothness_regularizer(
-        params, translation_weight=config.reg_translation_weight, with_grad=True
-    )
+    reg = smoothness_regularizer(params, with_grad=True)
     value = track.value + config.reg_weight * reg.value
     grad = track.grads.flatten() + config.reg_weight * reg.grads.flatten()
     return value, grad, track.dropped_terms
@@ -651,11 +638,11 @@ def optimize(
             lr = config.lr_floor + 0.5 * span * (
                 1.0 + np.cos(np.pi * it / (config.iterations - 1))
             )
-        m1 = config.beta1 * m1 + (1.0 - config.beta1) * grad
-        m2 = config.beta2 * m2 + (1.0 - config.beta2) * grad * grad
-        hat1 = m1 / (1.0 - config.beta1 ** (it + 1))
-        hat2 = m2 / (1.0 - config.beta2 ** (it + 1))
-        x = x - lr * hat1 / (np.sqrt(hat2) + config.adam_eps)
+        m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
+        m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
+        hat1 = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
+        hat2 = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
+        x = x - lr * hat1 / (np.sqrt(hat2) + ADAM_EPS)
         # Project every quaternion back onto the unit sphere, in place
         # through views of the per-frame rows.
         rows = x.reshape(n - 1, 7 + 4 * j)

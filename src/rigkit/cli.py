@@ -193,8 +193,7 @@ def _cmd_deform(args) -> int:
         raise ValueError(f"frame {f} outside clip of {n} frames")
     if joint_quats.shape[1] != s.joint_count:
         raise ValueError("animation joint count does not match rig")
-    if weights.vertex_count != mesh.vertex_count:
-        raise ValueError("weight rows must match mesh vertices")
+    weights.require_fits(mesh, s)
     cache = fk_forward(s.joints, s.parents, joint_quats[f], root_quats[f], root_trans[f])
     posed = lbs_apply(mesh.vertices, weights.matrix, cache.globals_)
     save_obj(args.output, Mesh(posed, mesh.triangles))

@@ -126,6 +126,13 @@ def _check_order(s: Skeleton, order) -> np.ndarray:
     return order
 
 
+def _header(shape_tokens: int) -> list[int]:
+    """BOS followed by ``shape_tokens`` shape placeholders."""
+    if shape_tokens < 0:
+        raise ValueError("shape_tokens must be non-negative")
+    return [BOS] + [SHAPE_PLACEHOLDER] * int(shape_tokens)
+
+
 def tokenize_joint_based(
     s: Skeleton,
     order: np.ndarray | None = None,
@@ -148,8 +155,7 @@ def tokenize_joint_based(
     position[order] = np.arange(s.joint_count)
 
     coords = quantize_coords(s.joints[order])
-    tokens: list[int] = [BOS]
-    tokens.extend([SHAPE_PLACEHOLDER] * int(shape_tokens))
+    tokens = _header(shape_tokens)
     for m, orig in enumerate(order):
         p = int(s.parents[orig])
         if p == ROOT_PARENT:
@@ -178,8 +184,7 @@ def tokenize_bone_based(
     """
     require_valid(s)
     order = _check_order(s, order)
-    tokens: list[int] = [BOS]
-    tokens.extend([SHAPE_PLACEHOLDER] * int(shape_tokens))
+    tokens = _header(shape_tokens)
     for orig in order:
         p = int(s.parents[orig])
         if p == ROOT_PARENT:
@@ -337,13 +342,7 @@ def _parent_offsets(groups: np.ndarray) -> np.ndarray:
     return offs
 
 
-def randomize_groups(
-    t: TokenSequence,
-    seed: int,
-    r: float,
-    *,
-    parent_ref: str = "emission",
-) -> TokenSequence:
+def randomize_groups(t: TokenSequence, seed: int, r: float) -> TokenSequence:
     """With probability ``r``, shuffle whole joint groups; assign indicators.
 
     Every token before the first group (BOS plus any shape placeholders)
@@ -354,15 +353,11 @@ def randomize_groups(
     1, 2, ..., and de-shuffling by indicators is always the identity on
     the payload.
 
-    ``parent_ref`` picks how parent tokens read after a shuffle:
-    "emission" rewrites them against the new group positions (forward
-    references allowed), "original" leaves them against hierarchical
-    positions.  :func:`unshuffle_groups` must be called with the same mode.
+    Parent tokens are rewritten against the new emission positions, so a
+    shuffled payload may refer forward to a parent emitted later.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
-    if parent_ref not in ("emission", "original"):
-        raise ValueError("parent_ref must be 'emission' or 'original'")
     start, n_groups, end = _payload_groups(t)
     groups = t.tokens[start:end].reshape(n_groups, 4)
 
@@ -373,13 +368,11 @@ def randomize_groups(
         perm = np.arange(n_groups)
 
     new_groups = groups[perm].copy()
-    if parent_ref == "emission":
-        inverse = np.empty(n_groups, dtype=np.int64)
-        inverse[perm] = np.arange(n_groups)
-        offs = _parent_offsets(new_groups)
-        nonroot = offs > 0
-        parent_orig = offs[nonroot] - 1
-        new_groups[nonroot, 3] = PARENT_BASE + inverse[parent_orig] + 1
+    inverse = np.empty(n_groups, dtype=np.int64)
+    inverse[perm] = np.arange(n_groups)
+    offs = _parent_offsets(new_groups)
+    nonroot = offs > 0
+    new_groups[nonroot, 3] = PARENT_BASE + inverse[offs[nonroot] - 1] + 1
 
     tokens = t.tokens.copy()
     tokens[start:end] = new_groups.reshape(-1)
@@ -390,12 +383,8 @@ def randomize_groups(
     return TokenSequence(tokens, indicators, t.scheme)
 
 
-def unshuffle_groups(
-    t: TokenSequence, *, parent_ref: str = "emission"
-) -> TokenSequence:
+def unshuffle_groups(t: TokenSequence) -> TokenSequence:
     """Invert :func:`randomize_groups` using the indicator stream."""
-    if parent_ref not in ("emission", "original"):
-        raise ValueError("parent_ref must be 'emission' or 'original'")
     start, n_groups, end = _payload_groups(t)
     groups = t.tokens[start:end].reshape(n_groups, 4)
 
@@ -410,11 +399,9 @@ def unshuffle_groups(
 
     restored = np.empty_like(groups)
     restored[perm] = groups
-    if parent_ref == "emission":
-        offs = _parent_offsets(restored)
-        nonroot = offs > 0
-        parent_emitted = offs[nonroot] - 1
-        restored[nonroot, 3] = PARENT_BASE + perm[parent_emitted] + 1
+    offs = _parent_offsets(restored)
+    nonroot = offs > 0
+    restored[nonroot, 3] = PARENT_BASE + perm[offs[nonroot] - 1] + 1
 
     tokens = t.tokens.copy()
     tokens[start:end] = restored.reshape(-1)

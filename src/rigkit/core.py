@@ -142,6 +142,14 @@ class SkinWeights:
     def joint_count(self) -> int:
         return self.matrix.shape[1]
 
+    def require_fits(self, mesh: Mesh, s: Skeleton) -> None:
+        """Raise ValueError unless rows are mesh vertices and columns joints."""
+        want = (mesh.vertex_count, s.joint_count)
+        if self.matrix.shape != want:
+            raise ValueError(
+                f"weights are {self.matrix.shape}, not (mesh vertices, joints) = {want}"
+            )
+
 
 @dataclass(frozen=True)
 class Pose:
@@ -352,19 +360,6 @@ def permute_joints(s: Skeleton, order: np.ndarray) -> Skeleton:
     )
     names = tuple(s.names[o] for o in order) if s.names is not None else None
     return Skeleton(s.joints[order], parents, names)
-
-
-def bone_coordinates(s: Skeleton) -> np.ndarray:
-    """(j, 6) rows of [parent position, own position]; the root row
-    duplicates its own position in both halves."""
-    require_valid(s)
-    out = np.empty((s.joint_count, 6))
-    for k in range(s.joint_count):
-        p = int(s.parents[k])
-        head = s.joints[k] if p == ROOT_PARENT else s.joints[p]
-        out[k, :3] = head
-        out[k, 3:] = s.joints[k]
-    return out
 
 
 def bone_segments(s: Skeleton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

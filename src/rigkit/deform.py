@@ -260,10 +260,7 @@ def linear_blend_skinning(
     One-hot weight rows reproduce the joint's rigid transform exactly.
     """
     require_valid(s)
-    if weights.joint_count != s.joint_count:
-        raise ValueError("weight columns must match skeleton joints")
-    if weights.vertex_count != mesh.vertex_count:
-        raise ValueError("weight rows must match mesh vertices")
+    weights.require_fits(mesh, s)
     if transforms.joint_count != s.joint_count:
         raise ValueError("transforms must match skeleton joints")
     return lbs_apply(mesh.vertices, weights.matrix, transforms.matrices)
@@ -273,7 +270,6 @@ def sample_augmented_pose(
     s: Skeleton,
     rng: int | np.random.Generator,
     *,
-    rotate_probability: float = ROTATE_PROBABILITY,
     max_euler_deg: float = MAX_EULER_DEG,
 ) -> Pose:
     """Random training pose: each joint independently rotates with
@@ -286,7 +282,7 @@ def sample_augmented_pose(
     quats = np.zeros((s.joint_count, 4))
     quats[:, 0] = 1.0
     for k in range(s.joint_count):
-        if gen.random() < rotate_probability:
+        if gen.random() < ROTATE_PROBABILITY:
             quats[k] = quat.from_euler_xyz(gen.uniform(-bound, bound, 3))
     return Pose(quats, np.zeros(3))
 

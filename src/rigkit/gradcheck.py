@@ -271,6 +271,8 @@ def run_all(
     tolerance: float = REL_TOL,
 ) -> list[GradCheckResult]:
     """Run every gradient check ``instances`` times; worst error per kernel."""
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     results = []
     for name, check in _CHECKS.items():
         rng = np.random.default_rng(seed)

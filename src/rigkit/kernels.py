@@ -83,9 +83,8 @@ class DistanceEmbeddingTable:
         rng: np.random.Generator,
         heads: int,
         max_level: int = DEFAULT_MAX_LEVEL,
-        scale: float = 0.1,
     ) -> "DistanceEmbeddingTable":
-        return cls(scale * rng.standard_normal((max_level + 1, heads)))
+        return cls(0.1 * rng.standard_normal((max_level + 1, heads)))
 
 
 def _clamped_levels(distances: np.ndarray, table: DistanceEmbeddingTable):

@@ -26,15 +26,12 @@ SIGNIFICANT_WEIGHT = 1e-4
 @dataclass(frozen=True)
 class MetricConfig:
     bone_samples: int = 32
-    significance_threshold: float = SIGNIFICANT_WEIGHT
     pose_count: int = 10
     normalize: bool = True
 
     def __post_init__(self):
         if self.bone_samples < 2:
             raise ValueError("bone_samples must be >= 2 (endpoints included)")
-        if not self.significance_threshold > 0:
-            raise ValueError("significance_threshold must be positive")
         if self.pose_count < 1:
             raise ValueError("pose_count must be >= 1")
 
@@ -155,11 +152,8 @@ def deformation_error(
     averages the per-vertex distance across poses.
     """
     require_valid(s)
-    for w in (pred, gt):
-        if w.joint_count != s.joint_count:
-            raise ValueError("weight columns must match skeleton joints")
-        if w.vertex_count != mesh.vertex_count:
-            raise ValueError("weight rows must match mesh vertices")
+    pred.require_fits(mesh, s)
+    gt.require_fits(mesh, s)
     rng = np.random.default_rng(seed)
     joint_quats = np.stack(
         [sample_augmented_pose(s, rng).joint_quats for _ in range(config.pose_count)]
@@ -202,9 +196,7 @@ def metrics_report(
         "deformation_error": None,
     }
     if pred_weights is not None and gt_weights is not None:
-        precision, recall = skinning_precision_recall(
-            pred_weights, gt_weights, config.significance_threshold
-        )
+        precision, recall = skinning_precision_recall(pred_weights, gt_weights)
         report["precision"] = 100.0 * precision
         report["recall"] = 100.0 * recall
         report["skinning_l1"] = skinning_l1(pred_weights, gt_weights)

@@ -1,5 +1,6 @@
 """Clip parameters, visibility, track synthesis, losses, optimizer."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,14 @@ class TestTrackSet:
         assert np.array_equal(back.vertex_subset, tracks.vertex_subset)
         assert np.array_equal(back.joint_visibility, tracks.joint_visibility)
         assert np.array_equal(back.vertex_visibility, tracks.vertex_visibility)
+        # Older track files also carry the camera's size as "image_size".
+        data = json.loads(path.read_text())
+        assert "image_size" not in data
+        data["image_size"] = [tracks.camera.width, tracks.camera.height]
+        path.write_text(json.dumps(data))
+        older = load_tracks(path)
+        assert np.array_equal(older.joint_tracks, tracks.joint_tracks)
+        assert np.array_equal(older.vertex_subset, tracks.vertex_subset)
 
     def test_shape_validation(self):
         cam = front_camera()
@@ -584,7 +593,5 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizeConfig(iterations=0)
-        with pytest.raises(ValueError):
-            OptimizeConfig(beta1=1.0)
         with pytest.raises(ValueError):
             OptimizeConfig(reg_weight=-0.1)

@@ -170,6 +170,16 @@ class TestTokenizePipeline:
             "--scheme", "bone", "--permute-prob", "0.5",
         ]) == 3
 
+    @pytest.mark.parametrize("scheme", ["joint", "bone"])
+    def test_negative_shape_tokens_rejected(self, scene, capsys, scheme):
+        tmp_path, rig_path, *_ = scene
+        tok = tmp_path / "neg.tok"
+        code, out = run(capsys, "tokenize", rig_path, "-o", tok,
+                        "--scheme", scheme, "--shape-tokens", "-3")
+        assert code == 3
+        assert out == ""
+        assert not tok.exists()
+
     def test_spatial_hazard(self, tmp_path, capsys):
         # Spatial ordering puts the low-z child before its parent.
         rig = tmp_path / "hazard.json"
@@ -379,6 +389,22 @@ class TestTrackPipeline:
         main(args)
         assert tracks.read_bytes() == first
 
+    @pytest.mark.parametrize("rows", [10, 164])
+    def test_synth_tracks_weight_rows_must_match_mesh(self, scene, capsys, rows):
+        # The tube has 82 vertices: with 10 rows the tracked subset indexes
+        # past the matrix, with 164 the first 82 rows would pass as the mesh's.
+        tmp_path, rig_path, mesh_path, anim_path, cam_path = scene
+        w = np.zeros((rows, 3))
+        w[:, 0] = 1.0
+        bad = tmp_path / "bad_rows.json"
+        save_rig(bad, Rig(load_rig(rig_path).skeleton, SkinWeights(w)))
+        tracks = tmp_path / "tracks.json"
+        code, out = run(capsys, "synth-tracks", bad, mesh_path, anim_path,
+                        "--camera", cam_path, "-o", tracks)
+        assert code == 3
+        assert out == ""
+        assert not tracks.exists()
+
     def test_full_camera_dict(self, scene, capsys):
         tmp_path, skinned, mesh_path, anim_path, _ = self._skinned(scene)
         from rigkit.geometry import Camera
@@ -498,6 +524,18 @@ class TestTrackPipeline:
         assert out == ""
         assert not fitted.exists()
 
+    def test_animate_negative_vertex_index_rejected(self, scene, capsys):
+        def wrap(data):
+            data["vertex_subset"][0] = -1
+
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, wrap)
+        fitted = tmp_path / "fit.json"
+        code, out = run(capsys, "animate", skinned, mesh_path, tracks,
+                        "-o", fitted, "--iterations", "5")
+        assert code == 3
+        assert out == ""
+        assert not fitted.exists()
+
     def test_animate_overflowing_objective_diverges(self, scene, capsys):
         # Finite tracks far off-screen: the squared residuals overflow.
         def scale(data):
@@ -556,3 +594,8 @@ class TestGradCheckCommand:
         assert len(lines) == 5
         assert all(line.endswith("PASS") for line in lines)
         assert all("instances=2" in line for line in lines)
+
+    def test_zero_instances_rejected(self, capsys):
+        code, out = run(capsys, "grad-check", "--instances", "0")
+        assert code == 3
+        assert out == ""

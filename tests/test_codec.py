@@ -276,23 +276,11 @@ class TestGroupShuffle:
     def test_emission_mode_decodes_with_forward_refs(self):
         s = random_tree(np.random.default_rng(8), 10)
         t = tokenize_joint_based(s, hierarchical_order(s))
-        shuffled = randomize_groups(t, seed=2, r=1.0, parent_ref="emission")
+        shuffled = randomize_groups(t, seed=2, r=1.0)
         decoded, diags = detokenize_joint_based(shuffled)
         # A shuffled stream decoded without unshuffling generally has
         # forward references; the decoder must flag, not crash.
         assert decoded.joint_count == 10
-
-    def test_original_mode_keeps_parent_tokens(self):
-        s = random_tree(np.random.default_rng(9), 10)
-        t = tokenize_joint_based(s, hierarchical_order(s))
-        shuffled = randomize_groups(t, seed=2, r=1.0, parent_ref="original")
-        orig_groups = t.tokens[1:-1].reshape(-1, 4)
-        new_groups = shuffled.tokens[1:-1].reshape(-1, 4)
-        # Every shuffled group is byte-identical to its source group.
-        src = {tuple(g) for g in orig_groups}
-        assert {tuple(g) for g in new_groups} == src
-        restored = unshuffle_groups(shuffled, parent_ref="original")
-        assert np.array_equal(restored.tokens, t.tokens)
 
     def test_same_seed_same_shuffle(self):
         s = random_tree(np.random.default_rng(10), 9)

@@ -1,12 +1,14 @@
 """Data model, structure validation, joint orders, and rig JSON."""
 
 import json
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigkit
 from rigkit import (
     MAX_JOINTS,
     ROOT_PARENT,
@@ -17,7 +19,6 @@ from rigkit import (
     Rig,
     Skeleton,
     SkinWeights,
-    bone_coordinates,
     bone_segments,
     canonical_json,
     graph_distance_matrix,
@@ -263,13 +264,6 @@ class TestBones:
         assert np.array_equal(starts[0], [0, 0, 0])
         assert np.array_equal(ends[0], [1, 0, 0])
 
-    def test_bone_coordinates_root_row(self):
-        s = chain([0.5, 0, 0], [1, 0, 0])
-        bc = bone_coordinates(s)
-        assert bc.shape == (2, 6)
-        # Root row duplicates the joint's own position.
-        assert np.array_equal(bc[0, :3], bc[0, 3:])
-
 
 class TestRigJson:
     def test_round_trip(self, tmp_path):
@@ -300,3 +294,12 @@ class TestRigJson:
         b = canonical_json({"a": [1, 2], "b": 1.5})
         assert a == b
         assert a.endswith("\n")
+
+
+def test_all_lists_every_public_name_once():
+    public = {
+        name for name, value in vars(rigkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(rigkit.__all__) == len(set(rigkit.__all__))
+    assert set(rigkit.__all__) == public | {"__version__"}

@@ -25,10 +25,9 @@ from helpers import tube_mesh
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=120)
 
-# Keys the CLI may go without (look_at camera defaults, joint names) or
-# never reads (the track file's image size): breaking them proves nothing.
+# Keys the CLI may go without (look_at camera defaults, joint names):
+# breaking them proves nothing.
 _OPTIONAL_KEYS = {"fx", "fy", "up", "width", "height", "names"}
-_UNREAD_KEYS = {"image_size"}
 _BAD_SCALARS = [math.nan, math.inf, -math.inf, "x", None, {}, [1.0, 2.0]]
 
 
@@ -95,10 +94,10 @@ def _assert_rejected(scene, name: str, data: bytes) -> None:
 
 
 def _nodes(tree, path=()):
-    """(path, node) for every node of a JSON tree, skipping unread keys."""
+    """(path, node) for every node of a JSON tree."""
     yield path, tree
     if isinstance(tree, dict):
-        children = [(k, v) for k, v in tree.items() if k not in _UNREAD_KEYS]
+        children = list(tree.items())
     elif isinstance(tree, list):
         children = list(enumerate(tree))
     else:

@@ -264,6 +264,4 @@ class TestMetricConfig:
         with pytest.raises(ValueError):
             MetricConfig(bone_samples=1)
         with pytest.raises(ValueError):
-            MetricConfig(significance_threshold=0.0)
-        with pytest.raises(ValueError):
             MetricConfig(pose_count=0)
