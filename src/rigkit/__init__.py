@@ -1,12 +1,12 @@
 """Rigging toolkit: skeleton codecs, skinning, deformation, and track fitting.
 
 The package is organized around a small frozen data model (`Skeleton`,
-`Mesh`, `SkinWeights`, `Pose`, `Rig`) with pure functions layered on top:
+`Mesh`, `SkinWeights`, `Rig`) with pure functions layered on top:
 
 - `codec`: quantized token sequences for skeletons, group shuffling.
 - `kernels`: attention with topology bias, skinning head, cross entropy,
   all with hand-derived gradients.
-- `geometry`: OBJ I/O, surface sampling, ray casting, pinhole cameras.
+- `geometry`: OBJ I/O, ray casting, pinhole cameras.
 - `deform`: forward kinematics, linear blend skinning, heuristic weights.
 - `metrics`: chamfer-style skeleton metrics and skinning quality scores.
 - `animate`: visibility-aware 2D track synthesis and pose optimization.
@@ -37,7 +37,6 @@ from .core import (
     InvalidValueError,
     NonFiniteError,
     Mesh,
-    Pose,
     Rig,
     Skeleton,
     SkinWeights,
@@ -88,27 +87,20 @@ from .kernels import (
 from .geometry import (
     Camera,
     ObjParseError,
-    SurfaceSamples,
     first_hit_distances,
     load_obj,
-    nearest_vertex_transfer,
     parse_obj,
     point_inside_mesh,
     point_segment_distance,
     project,
     ray_mesh_intersections,
-    sample_surface,
     save_obj,
     write_obj,
 )
 from .deform import (
     FkCache,
-    JointTransforms,
-    forward_kinematics,
     heuristic_skin_weights,
-    linear_blend_skinning,
     load_animation,
-    posed_joints,
     sample_augmented_pose,
     save_animation,
 )
@@ -149,7 +141,6 @@ __all__ = [
     "InvalidValueError",
     "NonFiniteError",
     "Mesh",
-    "Pose",
     "Rig",
     "Skeleton",
     "SkinWeights",
@@ -194,25 +185,18 @@ __all__ = [
     "topology_aware_attention",
     "Camera",
     "ObjParseError",
-    "SurfaceSamples",
     "first_hit_distances",
     "load_obj",
-    "nearest_vertex_transfer",
     "parse_obj",
     "point_inside_mesh",
     "point_segment_distance",
     "project",
     "ray_mesh_intersections",
-    "sample_surface",
     "save_obj",
     "write_obj",
     "FkCache",
-    "JointTransforms",
-    "forward_kinematics",
     "heuristic_skin_weights",
-    "linear_blend_skinning",
     "load_animation",
-    "posed_joints",
     "sample_augmented_pose",
     "save_animation",
     "MetricConfig",

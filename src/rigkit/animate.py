@@ -31,6 +31,7 @@ from .core import (
     NonFiniteError,
     Skeleton,
     SkinWeights,
+    _frozen,
     canonical_json,
     require_valid,
 )
@@ -70,7 +71,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnimParams:
-    """Pose parameters for frames 1 .. n-1 of an n-frame clip.
+    """Per-frame pose parameters for frames 1 .. n-1 of an n-frame clip.
 
     Arrays: root_quats (n-1, 4), root_trans (n-1, 3),
     joint_quats (n-1, j, 4); quaternions w-first.  Frame 0 is implicit
@@ -82,9 +83,9 @@ class AnimParams:
     joint_quats: np.ndarray
 
     def __post_init__(self):
-        rq = np.ascontiguousarray(np.asarray(self.root_quats, dtype=np.float64))
-        rt = np.ascontiguousarray(np.asarray(self.root_trans, dtype=np.float64))
-        jq = np.ascontiguousarray(np.asarray(self.joint_quats, dtype=np.float64))
+        rq = _frozen(self.root_quats, np.float64)
+        rt = _frozen(self.root_trans, np.float64)
+        jq = _frozen(self.joint_quats, np.float64)
         if rq.ndim != 2 or rq.shape[1] != 4:
             raise ValueError("root_quats must be (frames-1, 4)")
         n = rq.shape[0]
@@ -92,8 +93,6 @@ class AnimParams:
             raise ValueError("root_trans must be (frames-1, 3)")
         if jq.ndim != 3 or jq.shape[0] != n or jq.shape[2] != 4:
             raise ValueError("joint_quats must be (frames-1, joints, 4)")
-        for a in (rq, rt, jq):
-            a.setflags(write=False)
         object.__setattr__(self, "root_quats", rq)
         object.__setattr__(self, "root_trans", rt)
         object.__setattr__(self, "joint_quats", jq)
@@ -138,7 +137,7 @@ class AnimParams:
     def from_flat(cls, vec: np.ndarray, frame_count: int, joint_count: int) -> "AnimParams":
         m = frame_count - 1
         per = 7 + 4 * joint_count
-        vec = np.array(vec, dtype=np.float64)  # a copy: params never alias vec
+        vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (m * per,):
             raise ValueError(f"flat vector must have length {m * per}")
         rows = vec.reshape(m, per)
@@ -247,7 +246,7 @@ def pose_clip(
     root_trans: np.ndarray,
     joint_quats: np.ndarray,
 ) -> tuple[FkCache, np.ndarray]:
-    """Pose every frame of a clip in one pass.
+    """Posed joints and vertices of every frame of a clip, in one pass.
 
     Takes the raw core's arrays with any leading frame axes (quaternions
     may be unnormalized) and the rows of the weight matrix that belong to
@@ -279,11 +278,11 @@ class TrackSet:
     vertex_visibility: np.ndarray  # (v_s,) bool
 
     def __post_init__(self):
-        jt = np.ascontiguousarray(np.asarray(self.joint_tracks, dtype=np.float64))
-        vt = np.ascontiguousarray(np.asarray(self.vertex_tracks, dtype=np.float64))
-        vs = np.ascontiguousarray(np.asarray(self.vertex_subset, dtype=np.int64))
-        jv = np.ascontiguousarray(np.asarray(self.joint_visibility, dtype=bool))
-        vv = np.ascontiguousarray(np.asarray(self.vertex_visibility, dtype=bool))
+        jt = _frozen(self.joint_tracks, np.float64)
+        vt = _frozen(self.vertex_tracks, np.float64)
+        vs = _frozen(self.vertex_subset, np.int64)
+        jv = _frozen(self.joint_visibility, bool)
+        vv = _frozen(self.vertex_visibility, bool)
         if jt.ndim != 3 or jt.shape[2] != 2:
             raise ValueError("joint_tracks must be (frames, joints, 2)")
         if vt.ndim != 3 or vt.shape[2] != 2 or vt.shape[0] != jt.shape[0]:
@@ -294,8 +293,6 @@ class TrackSet:
             raise ValueError("visibility masks must align with tracks")
         if not (np.all(np.isfinite(jt)) and np.all(np.isfinite(vt))):
             raise NonFiniteError("tracks contain NaN or Inf")
-        for a in (jt, vt, vs, jv, vv):
-            a.setflags(write=False)
         object.__setattr__(self, "joint_tracks", jt)
         object.__setattr__(self, "vertex_tracks", vt)
         object.__setattr__(self, "vertex_subset", vs)
@@ -363,7 +360,7 @@ def synthesize_tracks(
     weights.require_fits(mesh, s)
     if params.joint_count != s.joint_count:
         raise ValueError("params joint count does not match skeleton")
-    if noise_px < 0:
+    if not noise_px >= 0:
         raise ValueError("noise_px must be non-negative")
     jvis = joint_visibility(mesh, s, camera)
     vvis_all = vertex_visibility(mesh, camera)
@@ -550,8 +547,10 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be non-negative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (np.isfinite(self.reg_weight) and self.reg_weight >= 0):
+            raise ValueError("reg_weight must be finite and non-negative")
 
 
 @dataclass(frozen=True)

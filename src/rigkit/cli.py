@@ -124,6 +124,8 @@ def _cmd_tokenize(args) -> int:
     rig = _load(args.rig, load_rig, "rig")
     s = rig.skeleton
     order = _ORDERS[args.order](s)
+    if not 0.0 <= args.permute_prob <= 1.0:
+        raise ValueError("--permute-prob must lie in [0, 1]")
     if args.scheme == "joint":
         t = codec.tokenize_joint_based(
             s, order,

@@ -34,8 +34,8 @@ import numpy as np
 from .core import (
     MAX_JOINTS,
     ROOT_PARENT,
-    InvalidSkeletonError,
     Skeleton,
+    _frozen,
     hierarchical_order,
     require_valid,
 )
@@ -75,23 +75,19 @@ class TokenSequence:
     scheme: str
 
     def __post_init__(self):
-        tokens = np.ascontiguousarray(np.asarray(self.tokens, dtype=np.int64))
+        tokens = _frozen(self.tokens, np.int64)
         if tokens.ndim != 1:
             raise ValueError("tokens must be 1-d")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= VOCAB_SIZE):
             raise ValueError(f"token ids must lie in [0, {VOCAB_SIZE})")
-        if self.indicators is None:
-            indicators = np.full(tokens.shape, NO_INDICATOR, dtype=np.int64)
-        else:
-            indicators = np.ascontiguousarray(
-                np.asarray(self.indicators, dtype=np.int64)
-            )
+        indicators = _frozen(
+            np.full(tokens.shape, NO_INDICATOR) if self.indicators is None else self.indicators,
+            np.int64,
+        )
         if indicators.shape != tokens.shape:
             raise ValueError("indicators must align 1:1 with tokens")
         if self.scheme not in _SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        tokens.setflags(write=False)
-        indicators.setflags(write=False)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "indicators", indicators)
 

@@ -1,12 +1,13 @@
-"""Rig data model: skeletons, meshes, skinning weights, poses.
+"""Rig data model: skeletons, meshes, skinning weights.
 
 Coordinates live in normalized object units; a well-formed asset fits in the
 [-0.5, 0.5]^3 cube.  Parent links use ``ROOT_PARENT`` (-1) as the root
 sentinel everywhere in the library; the +1 offset used by the token format
 is confined to the codec module.
 
-All value types are immutable after construction (arrays are marked
-read-only), so they can be shared freely across threads.
+All value types are immutable after construction (each keeps a read-only
+copy of the arrays it is given), so they can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class NonFiniteError(InvalidValueError):
 
 
 def _frozen(a, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
+    """A read-only C-contiguous copy, so the caller's array stays theirs."""
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -149,35 +151,6 @@ class SkinWeights:
             raise ValueError(
                 f"weights are {self.matrix.shape}, not (mesh vertices, joints) = {want}"
             )
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Per-joint local rotations (unit quaternions, w-first) + root translation."""
-
-    joint_quats: np.ndarray
-    root_translation: np.ndarray
-
-    UNIT_TOL = 1e-6
-
-    def __post_init__(self):
-        q = _frozen(self.joint_quats, np.float64)
-        t = _frozen(self.root_translation, np.float64)
-        if q.ndim != 2 or q.shape[1] != 4:
-            raise ValueError(f"joint_quats must be (j, 4), got {q.shape}")
-        if t.shape != (3,):
-            raise ValueError(f"root_translation must be (3,), got {t.shape}")
-        norms = np.linalg.norm(q, axis=1)
-        if q.size and np.max(np.abs(norms - 1.0)) > self.UNIT_TOL:
-            raise ValueError("joint quaternions must be unit within 1e-6")
-        object.__setattr__(self, "joint_quats", q)
-        object.__setattr__(self, "root_translation", t)
-
-    @classmethod
-    def identity(cls, joint_count: int) -> "Pose":
-        q = np.zeros((joint_count, 4))
-        q[:, 0] = 1.0
-        return cls(q, np.zeros(3))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ The root motion (quaternion + translation) is joint j of a j-joint
 skeleton, a virtual parent of the root whose rotation also acts about the
 root's rest position, so FK and its VJP treat it like any other joint.
 
-The module keeps two layers: typed public entry points that validate
-their inputs, and a raw differentiable core (`fk_forward` / `fk_backward`
-and friends) that treats quaternions as free 4-vectors, normalizing them
+Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`,
+`lbs_apply` / `lbs_vjp`) over any number of frames; a single pose has no
+leading axes.  It treats quaternions as free 4-vectors, normalizing them
 inside the computation so gradients stay exact under finite-difference
-probing.  The core takes any number of frames in one call.
+probing, and checks nothing: its callers validate the skeleton, weights
+and animation they load before they pose anything.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     ROOT_PARENT,
     Mesh,
     NonFiniteError,
-    Pose,
     Skeleton,
     SkinWeights,
     bone_segments,
@@ -39,34 +39,6 @@ from .geometry import point_segment_distance
 
 ROTATE_PROBABILITY = 0.3
 MAX_EULER_DEG = 60.0
-
-
-@dataclass(frozen=True)
-class JointTransforms:
-    """Per-joint rest-to-posed rigid transforms as (j, 4, 4) matrices."""
-
-    matrices: np.ndarray
-
-    ORTHO_TOL = 1e-6
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrices, dtype=np.float64))
-        if m.ndim != 3 or m.shape[1:] != (4, 4):
-            raise ValueError(f"matrices must be (j, 4, 4), got {m.shape}")
-        r = m[:, :3, :3]
-        gram = np.einsum("kab,kcb->kac", r, r)
-        if np.max(np.abs(gram - np.eye(3))) > self.ORTHO_TOL:
-            raise ValueError("rotation blocks must be orthonormal within 1e-6")
-        if np.any(np.linalg.det(r) < 0):
-            raise ValueError("rotation blocks must preserve orientation")
-        if np.max(np.abs(m[:, 3, :] - np.array([0.0, 0.0, 0.0, 1.0]))) > 0:
-            raise ValueError("bottom rows must be [0, 0, 0, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
-
-    @property
-    def joint_count(self) -> int:
-        return self.matrices.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,42 +200,8 @@ def lbs_vjp(
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Augmented poses and heuristic weights
 # ---------------------------------------------------------------------------
-
-
-def forward_kinematics(s: Skeleton, pose: Pose) -> JointTransforms:
-    """Global rest-to-posed transforms, parents composed before children.
-
-    The identity pose returns j identity matrices exactly.
-    """
-    require_valid(s)
-    if pose.joint_quats.shape[0] != s.joint_count:
-        raise ValueError("pose joint count does not match skeleton")
-    cache = fk_forward(
-        s.joints, s.parents, pose.joint_quats, quat.IDENTITY, pose.root_translation
-    )
-    return JointTransforms(cache.globals_)
-
-
-def posed_joints(s: Skeleton, transforms: JointTransforms) -> np.ndarray:
-    """Apply each joint's global transform to its rest position."""
-    g = transforms.matrices
-    return np.einsum("kab,kb->ka", g[:, :3, :3], s.joints) + g[:, :3, 3]
-
-
-def linear_blend_skinning(
-    mesh: Mesh, s: Skeleton, weights: SkinWeights, transforms: JointTransforms
-) -> np.ndarray:
-    """Deformed vertex positions (v, 3) under blended joint transforms.
-
-    One-hot weight rows reproduce the joint's rigid transform exactly.
-    """
-    require_valid(s)
-    weights.require_fits(mesh, s)
-    if transforms.joint_count != s.joint_count:
-        raise ValueError("transforms must match skeleton joints")
-    return lbs_apply(mesh.vertices, weights.matrix, transforms.matrices)
 
 
 def sample_augmented_pose(
@@ -271,11 +209,11 @@ def sample_augmented_pose(
     rng: int | np.random.Generator,
     *,
     max_euler_deg: float = MAX_EULER_DEG,
-) -> Pose:
-    """Random training pose: each joint independently rotates with
-    probability 0.3, Euler components uniform in [-60, 60] degrees, axes
-    local to the joint; root translation stays zero.  Deterministic per
-    seed."""
+) -> np.ndarray:
+    """Random training pose as (j, 4) joint quaternions: each joint
+    independently rotates with probability 0.3, Euler components uniform in
+    [-60, 60] degrees, axes local to the joint; the root does not move.
+    Deterministic per seed."""
     require_valid(s)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     bound = np.deg2rad(max_euler_deg)
@@ -284,7 +222,7 @@ def sample_augmented_pose(
     for k in range(s.joint_count):
         if gen.random() < ROTATE_PROBABILITY:
             quats[k] = quat.from_euler_xyz(gen.uniform(-bound, bound, 3))
-    return Pose(quats, np.zeros(3))
+    return quats
 
 
 def heuristic_skin_weights(

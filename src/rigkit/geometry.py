@@ -1,5 +1,4 @@
-"""Mesh geometry: OBJ I/O, surface sampling, ray casting, containment,
-pinhole cameras.
+"""Mesh geometry: OBJ I/O, ray casting, containment, pinhole cameras.
 
 Everything here is plain numpy at float64, and every query runs against
 all triangles (desk-scale meshes make an acceleration structure
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidValueError, Mesh, NonFiniteError, SkinWeights
+from .core import InvalidValueError, Mesh, NonFiniteError, _frozen
 
 RAY_T_EPS = 1e-9
 RAY_MERGE_EPS = 1e-9
@@ -181,80 +180,6 @@ def write_obj(mesh: Mesh) -> str:
 
 def save_obj(path: str | Path, mesh: Mesh) -> None:
     Path(path).write_text(write_obj(mesh))
-
-
-# ---------------------------------------------------------------------------
-# Surface sampling and attribute transfer
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurfaceSamples:
-    points: np.ndarray
-    normals: np.ndarray
-    triangles: np.ndarray  # source triangle per sample
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-
-def sample_surface(
-    mesh: Mesh, n: int = 8192, seed: int | np.random.Generator = 0
-) -> SurfaceSamples:
-    """Area-weighted uniform samples with face normals; seeded and
-    deterministic."""
-    if n <= 0:
-        raise ValueError("sample count must be positive")
-    areas = triangle_areas(mesh)
-    total = areas.sum()
-    if not total > 0:
-        raise ValueError("mesh has zero surface area")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    tri = rng.choice(mesh.triangle_count, size=n, p=areas / total)
-    u = rng.random(n)
-    v = rng.random(n)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    a = mesh.vertices[mesh.triangles[tri, 0]]
-    b = mesh.vertices[mesh.triangles[tri, 1]]
-    c = mesh.vertices[mesh.triangles[tri, 2]]
-    points = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    face_n = np.cross(
-        mesh.vertices[mesh.triangles[:, 1]] - mesh.vertices[mesh.triangles[:, 0]],
-        mesh.vertices[mesh.triangles[:, 2]] - mesh.vertices[mesh.triangles[:, 0]],
-    )
-    norms = np.linalg.norm(face_n, axis=1, keepdims=True)
-    face_n = np.divide(face_n, norms, out=np.zeros_like(face_n), where=norms > 0)
-    return SurfaceSamples(points, face_n[tri], tri)
-
-
-def nearest_vertex_transfer(
-    points: np.ndarray, point_weights: np.ndarray, mesh: Mesh
-) -> SkinWeights:
-    """Give each mesh vertex the weight row of its nearest sample point.
-
-    Exact nearest neighbour; distance ties resolve to the lowest point
-    index (argmin keeps the first minimum).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    pw = np.asarray(point_weights, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty (n, 3) array")
-    if pw.ndim != 2 or pw.shape[0] != points.shape[0]:
-        raise ValueError("point_weights must align with points")
-    verts = mesh.vertices
-    nearest = np.empty(verts.shape[0], dtype=np.int64)
-    chunk = max(1, int(2e7) // max(points.shape[0], 1))
-    for lo in range(0, verts.shape[0], chunk):
-        hi = min(lo + chunk, verts.shape[0])
-        d2 = np.sum((verts[lo:hi, None, :] - points[None, :, :]) ** 2, axis=2)
-        nearest[lo:hi] = np.argmin(d2, axis=1)
-    return SkinWeights(pw[nearest])
 
 
 def point_segment_distance(
@@ -430,8 +355,8 @@ class Camera:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.ascontiguousarray(np.asarray(self.rotation, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64))
+        r = _frozen(self.rotation, np.float64)
+        t = _frozen(self.translation, np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
         values = np.concatenate([r.ravel(), t, [self.fx, self.fy, self.cx, self.cy]])
@@ -441,8 +366,6 @@ class Camera:
             raise InvalidValueError("focal lengths fx and fy must be positive")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
             raise InvalidValueError("rotation must be orthonormal with det +1")
-        r.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 

@@ -273,6 +273,8 @@ def run_all(
     """Run every gradient check ``instances`` times; worst error per kernel."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
     results = []
     for name, check in _CHECKS.items():
         rng = np.random.default_rng(seed)

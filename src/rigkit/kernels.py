@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import VOCAB_SIZE
+from .core import _frozen
 
 COSINE_NORM_EPS = 1e-12
 DEFAULT_MAX_LEVEL = 16
@@ -62,11 +63,10 @@ class DistanceEmbeddingTable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        v = _frozen(self.values, np.float64)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("table values must be (levels, heads)")
         _require_finite("distance table", v)
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property

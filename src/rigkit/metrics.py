@@ -155,9 +155,7 @@ def deformation_error(
     pred.require_fits(mesh, s)
     gt.require_fits(mesh, s)
     rng = np.random.default_rng(seed)
-    joint_quats = np.stack(
-        [sample_augmented_pose(s, rng).joint_quats for _ in range(config.pose_count)]
-    )
+    joint_quats = np.stack([sample_augmented_pose(s, rng) for _ in range(config.pose_count)])
     cache = fk_forward(s.joints, s.parents, joint_quats, quat.IDENTITY, np.zeros(3))
     posed_pred = lbs_apply(mesh.vertices, pred.matrix, cache.globals_)
     posed_gt = lbs_apply(mesh.vertices, gt.matrix, cache.globals_)

@@ -19,7 +19,6 @@ from rigkit import (
     Mesh,
     MetricConfig,
     OptimizeConfig,
-    Pose,
     Skeleton,
     SkinWeights,
     Rig,
@@ -28,10 +27,8 @@ from rigkit import (
     chamfer_j2b,
     chamfer_j2j,
     deformation_error,
-    forward_kinematics,
     heuristic_skin_weights,
     joint_visibility,
-    linear_blend_skinning,
     hierarchical_order,
     optimize,
     permutation_probability,
@@ -48,7 +45,7 @@ from rigkit import (
 from rigkit import codec, gradcheck, quat
 from rigkit.animate import pose_clip
 from rigkit.cli import main as cli_main
-from rigkit.deform import save_animation
+from rigkit.deform import fk_forward, lbs_apply, save_animation
 from rigkit.geometry import project, write_obj
 from rigkit.kernels import reference_attention, topology_aware_attention
 
@@ -289,27 +286,23 @@ def test_08_fk_lbs_oracles_500_rigs():
         s = random_tree(rng, j)
         jq = random_unit_quats(rng, (j,))
         trans = rng.standard_normal(3)
-        t = forward_kinematics(s, Pose(jq, trans))
+        g = fk_forward(s.joints, s.parents, jq, quat.IDENTITY, trans).globals_
         want = path_product_fk(s, jq, None, trans)
-        worst_fk = max(worst_fk, float(np.max(np.abs(t.matrices - want))))
+        worst_fk = max(worst_fk, float(np.max(np.abs(g - want))))
 
         verts = rng.uniform(-1.0, 1.0, (8, 3))
-        w = SkinWeights(random_simplex_weights(rng, 8, j))
-        mesh = Mesh(verts, np.zeros((0, 3), dtype=np.int64))
-        got = linear_blend_skinning(mesh, s, w, t)
-        want_v = naive_lbs(verts, w.matrix, t.matrices)
+        w = random_simplex_weights(rng, 8, j)
+        got = lbs_apply(verts, w, g)
+        want_v = naive_lbs(verts, w, g)
         worst_lbs = max(worst_lbs, float(np.max(np.abs(got - want_v))))
 
-        ident = Pose.identity(j)
-        ti = forward_kinematics(s, ident)
-        identity_exact = identity_exact and np.array_equal(
-            ti.matrices, np.tile(np.eye(4), (j, 1, 1))
-        )
+        gi = fk_forward(
+            s.joints, s.parents, np.tile(quat.IDENTITY, (j, 1)), quat.IDENTITY, np.zeros(3)
+        ).globals_
+        identity_exact = identity_exact and np.array_equal(gi, np.tile(np.eye(4), (j, 1, 1)))
         onehot = np.zeros((8, j))
         onehot[:, 0] = 1.0
-        identity_exact = identity_exact and np.array_equal(
-            linear_blend_skinning(mesh, s, SkinWeights(onehot), ti), verts
-        )
+        identity_exact = identity_exact and np.array_equal(lbs_apply(verts, onehot, gi), verts)
     ok = worst_fk <= 1e-9 and worst_lbs <= 1e-9 and identity_exact
     report(
         8,
@@ -385,8 +378,7 @@ def test_09_metric_oracles():
         pose_rng = np.random.default_rng(3)
         total = 0.0
         for _k in range(config.pose_count):
-            pose = sample_augmented_pose(s, pose_rng)
-            g = path_product_fk(s, pose.joint_quats, None, pose.root_translation)
+            g = path_product_fk(s, sample_augmented_pose(s, pose_rng), None, np.zeros(3))
             dp = naive_lbs(mesh.vertices, pred.matrix, g)
             dg = naive_lbs(mesh.vertices, gt.matrix, g)
             total += float(np.mean(np.linalg.norm(dp - dg, axis=1)))

@@ -116,6 +116,16 @@ class TestAnimParams:
         with pytest.raises(ValueError):
             AnimParams(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 1, 3)))
 
+    def test_copies_caller_arrays(self):
+        rq = np.tile(quat.IDENTITY, (2, 1))
+        params = AnimParams(rq, np.zeros((2, 3)), np.zeros((2, 1, 4)))
+        rq[0, 0] = 5.0
+        vec = params.flatten()
+        back = AnimParams.from_flat(vec, 3, 1)
+        vec[0] = 5.0
+        assert params.root_quats[0, 0] == 1.0
+        assert back.root_quats[0, 0] == 1.0
+
     def test_flat_length_validation(self):
         with pytest.raises(ValueError):
             AnimParams.from_flat(np.zeros(10), 2, 1)
@@ -593,5 +603,8 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizeConfig(iterations=0)
-        with pytest.raises(ValueError):
-            OptimizeConfig(reg_weight=-0.1)
+        for bad in ({"reg_weight": -0.1}, {"reg_weight": np.nan},
+                    {"learning_rate": 0.0}, {"learning_rate": -1.0},
+                    {"learning_rate": np.nan}, {"learning_rate": np.inf}):
+            with pytest.raises(ValueError):
+                OptimizeConfig(**bad)

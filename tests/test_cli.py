@@ -170,6 +170,17 @@ class TestTokenizePipeline:
             "--scheme", "bone", "--permute-prob", "0.5",
         ]) == 3
 
+    @pytest.mark.parametrize("prob", ["-0.5", "nan"])
+    @pytest.mark.parametrize("scheme", ["joint", "bone"])
+    def test_permute_prob_outside_unit_interval_rejected(self, scene, capsys, scheme, prob):
+        tmp_path, rig_path, *_ = scene
+        tok = tmp_path / "p.tok"
+        code, out = run(capsys, "tokenize", rig_path, "-o", tok,
+                        "--scheme", scheme, "--permute-prob", prob)
+        assert code == 3
+        assert out == ""
+        assert not tok.exists()
+
     @pytest.mark.parametrize("scheme", ["joint", "bone"])
     def test_negative_shape_tokens_rejected(self, scene, capsys, scheme):
         tmp_path, rig_path, *_ = scene
@@ -405,6 +416,15 @@ class TestTrackPipeline:
         assert out == ""
         assert not tracks.exists()
 
+    def test_synth_tracks_nan_noise_rejected(self, scene, capsys):
+        tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)
+        tracks = tmp_path / "tracks.json"
+        code, out = run(capsys, "synth-tracks", skinned, mesh_path, anim_path,
+                        "--camera", cam_path, "-o", tracks, "--noise-px", "nan")
+        assert code == 3
+        assert out == ""
+        assert not tracks.exists()
+
     def test_full_camera_dict(self, scene, capsys):
         tmp_path, skinned, mesh_path, anim_path, _ = self._skinned(scene)
         from rigkit.geometry import Camera
@@ -536,6 +556,21 @@ class TestTrackPipeline:
         assert out == ""
         assert not fitted.exists()
 
+    @pytest.mark.parametrize("flag", [
+        ("--learning-rate", "0"),
+        ("--learning-rate", "-1"),
+        ("--learning-rate", "nan"),
+        ("--reg-weight", "nan"),
+    ])
+    def test_animate_bad_optimizer_settings_rejected(self, scene, capsys, flag):
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, lambda data: None)
+        fitted = tmp_path / "fit.json"
+        code, out = run(capsys, "animate", skinned, mesh_path, tracks,
+                        "-o", fitted, "--iterations", "5", *flag)
+        assert code == 3
+        assert out == ""
+        assert not fitted.exists()
+
     def test_animate_overflowing_objective_diverges(self, scene, capsys):
         # Finite tracks far off-screen: the squared residuals overflow.
         def scale(data):
@@ -597,5 +632,11 @@ class TestGradCheckCommand:
 
     def test_zero_instances_rejected(self, capsys):
         code, out = run(capsys, "grad-check", "--instances", "0")
+        assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_rejected(self, capsys, tolerance):
+        code, out = run(capsys, "grad-check", "--instances", "1", "--tolerance", tolerance)
         assert code == 3
         assert out == ""

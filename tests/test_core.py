@@ -1,7 +1,9 @@
 """Data model, structure validation, joint orders, and rig JSON."""
 
+import ast
 import json
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from rigkit import (
     InvalidSkeletonError,
     Mesh,
     NonFiniteError,
-    Pose,
     Rig,
     Skeleton,
     SkinWeights,
@@ -130,6 +131,14 @@ class TestMesh:
         m = Mesh(v, t, normals=np.ones((3, 3)))
         assert m.normals.shape == (3, 3)
 
+    def test_copies_caller_arrays(self):
+        v = np.zeros((3, 3))
+        column = v[:, 0]
+        m = Mesh(v, np.array([[0, 1, 2]]))
+        v[0, 0] = 1.0
+        column[1] = 2.0
+        assert np.array_equal(m.vertices, np.zeros((3, 3)))
+
 
 class TestSkinWeights:
     def test_rows_must_be_simplex(self):
@@ -149,20 +158,6 @@ class TestSkinWeights:
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteError):
                 SkinWeights(np.array([[0.5, 0.5], [bad, 1.0]]))
-
-
-class TestPose:
-    def test_identity(self):
-        p = Pose.identity(4)
-        assert np.array_equal(p.joint_quats[:, 0], np.ones(4))
-        assert np.array_equal(p.root_translation, np.zeros(3))
-
-    def test_unit_norm_required(self):
-        q = np.zeros((2, 4))
-        q[:, 0] = 1.0
-        q[1] = [2.0, 0, 0, 0]
-        with pytest.raises(ValueError):
-            Pose(q, np.zeros(3))
 
 
 class TestGraphDistances:
@@ -303,3 +298,23 @@ def test_all_lists_every_public_name_once():
     }
     assert len(rigkit.__all__) == len(set(rigkit.__all__))
     assert set(rigkit.__all__) == public | {"__version__"}
+
+
+def test_no_unused_module_imports():
+    # No linter ships with the package, so this is the unused-import check.
+    package = Path(rigkit.__file__).parent
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{imported[n]} {n}" for n in sorted(imported.keys() - read)]
+    assert unused == []

@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from rigkit import (
-    JointTransforms,
-    Mesh,
-    Pose,
     Skeleton,
-    SkinWeights,
-    forward_kinematics,
     heuristic_skin_weights,
-    linear_blend_skinning,
     load_animation,
-    posed_joints,
     sample_augmented_pose,
     save_animation,
 )
@@ -32,34 +25,12 @@ from helpers import (
 )
 
 
-def identity_pose(j: int) -> Pose:
-    q = np.zeros((j, 4))
-    q[:, 0] = 1.0
-    return Pose(q, np.zeros(3))
+def fk(s, jq, trans):
+    return fk_forward(s.joints, s.parents, jq, quat.IDENTITY, trans)
 
 
-class TestJointTransforms:
-    def test_accepts_rigid(self):
-        m = np.tile(np.eye(4), (3, 1, 1))
-        assert JointTransforms(m).joint_count == 3
-
-    def test_rejects_scaled_rotation(self):
-        m = np.tile(np.eye(4), (1, 1, 1))
-        m[0, :3, :3] *= 1.001
-        with pytest.raises(ValueError):
-            JointTransforms(m)
-
-    def test_rejects_reflection(self):
-        m = np.tile(np.eye(4), (1, 1, 1))
-        m[0, :3, :3] = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            JointTransforms(m)
-
-    def test_rejects_bad_bottom_row(self):
-        m = np.tile(np.eye(4), (1, 1, 1))
-        m[0, 3, 0] = 0.1
-        with pytest.raises(ValueError):
-            JointTransforms(m)
+def identity_quats(j: int) -> np.ndarray:
+    return np.tile(quat.IDENTITY, (j, 1))
 
 
 class TestForwardKinematics:
@@ -67,9 +38,9 @@ class TestForwardKinematics:
         rng = np.random.default_rng(1)
         for _ in range(10):
             s = random_tree(rng, int(rng.integers(1, 25)))
-            t = forward_kinematics(s, identity_pose(s.joint_count))
-            assert np.array_equal(t.matrices, np.tile(np.eye(4), (s.joint_count, 1, 1)))
-            assert np.array_equal(posed_joints(s, t), s.joints)
+            cache = fk(s, identity_quats(s.joint_count), np.zeros(3))
+            assert np.array_equal(cache.globals_, np.tile(np.eye(4), (s.joint_count, 1, 1)))
+            assert np.array_equal(posed_joint_positions(cache), s.joints)
 
     def test_rotation_acts_about_rest_position(self):
         s = Skeleton(
@@ -79,8 +50,7 @@ class TestForwardKinematics:
         q = np.zeros((2, 4))
         q[:, 0] = 1.0
         q[0] = quat.from_euler_xyz(np.array([0.0, 0.0, np.pi / 2]))
-        t = forward_kinematics(s, Pose(q, np.zeros(3)))
-        p = posed_joints(s, t)
+        p = posed_joint_positions(fk(s, q, np.zeros(3)))
         assert p[0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
         assert p[1] == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
@@ -90,9 +60,8 @@ class TestForwardKinematics:
             s = random_tree(rng, int(rng.integers(2, 30)))
             jq = random_unit_quats(rng, (s.joint_count,))
             trans = rng.standard_normal(3)
-            t = forward_kinematics(s, Pose(jq, trans))
             want = path_product_fk(s, jq, None, trans)
-            assert np.allclose(t.matrices, want, atol=1e-12)
+            assert np.allclose(fk(s, jq, trans).globals_, want, atol=1e-12)
 
     def test_raw_core_with_root_motion_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -152,82 +121,46 @@ class TestForwardKinematics:
             for analytic, numeric in zip((g_jq, g_rq, g_t), fd):
                 assert max_relative_error(analytic, numeric) < 1e-6
 
-    def test_posed_joint_positions_matches_public(self):
-        rng = np.random.default_rng(4)
-        s = random_tree(rng, 12)
-        jq = random_unit_quats(rng, (12,))
-        cache = fk_forward(s.joints, s.parents, jq, quat.IDENTITY, np.zeros(3))
-        t = forward_kinematics(s, Pose(jq, np.zeros(3)))
-        assert np.allclose(posed_joint_positions(cache), posed_joints(s, t))
-
-    def test_pose_count_mismatch(self):
-        s = random_chain(np.random.default_rng(5), 4)
-        with pytest.raises(ValueError):
-            forward_kinematics(s, identity_pose(3))
-
     def test_root_translation_shifts_everything(self):
         rng = np.random.default_rng(6)
         s = random_tree(rng, 9)
-        base = posed_joints(s, forward_kinematics(s, identity_pose(9)))
+        base = posed_joint_positions(fk(s, identity_quats(9), np.zeros(3)))
         shift = np.array([0.3, -0.1, 0.7])
-        moved = posed_joints(
-            s, forward_kinematics(s, Pose(identity_pose(9).joint_quats, shift))
-        )
+        moved = posed_joint_positions(fk(s, identity_quats(9), shift))
         assert np.allclose(moved, base + shift)
 
 
 class TestLinearBlendSkinning:
     def _scene(self, rng, v=40, j=6):
         s = random_tree(rng, j)
-        mesh = Mesh(rng.uniform(-1, 1, (v, 3)), np.zeros((0, 3), dtype=np.int64))
+        verts = rng.uniform(-1, 1, (v, 3))
         w = rng.random((v, j)) + 0.01
-        weights = SkinWeights(w / w.sum(axis=1, keepdims=True))
-        return s, mesh, weights
+        return s, verts, w / w.sum(axis=1, keepdims=True)
 
     def test_identity_is_exact(self):
         rng = np.random.default_rng(9)
-        s, mesh, weights = self._scene(rng)
-        t = forward_kinematics(s, identity_pose(s.joint_count))
-        out = linear_blend_skinning(mesh, s, weights, t)
-        assert np.allclose(out, mesh.vertices, atol=1e-15)
+        s, verts, w = self._scene(rng)
+        g = fk(s, identity_quats(s.joint_count), np.zeros(3)).globals_
+        assert np.allclose(lbs_apply(verts, w, g), verts, atol=1e-15)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            s, mesh, weights = self._scene(rng, v=25, j=5)
+            s, verts, w = self._scene(rng, v=25, j=5)
             jq = random_unit_quats(rng, (5,))
-            t = forward_kinematics(s, Pose(jq, rng.standard_normal(3)))
-            got = linear_blend_skinning(mesh, s, weights, t)
-            want = naive_lbs(mesh.vertices, weights.matrix, t.matrices)
-            assert np.allclose(got, want, atol=1e-12)
+            g = fk(s, jq, rng.standard_normal(3)).globals_
+            assert np.allclose(lbs_apply(verts, w, g), naive_lbs(verts, w, g), atol=1e-12)
 
     def test_one_hot_weights_are_rigid(self):
         rng = np.random.default_rng(11)
         s = random_tree(rng, 4)
-        mesh = Mesh(rng.uniform(-1, 1, (12, 3)), np.zeros((0, 3), dtype=np.int64))
+        verts = rng.uniform(-1, 1, (12, 3))
         w = np.zeros((12, 4))
         w[:, 2] = 1.0
         jq = random_unit_quats(rng, (4,))
-        t = forward_kinematics(s, Pose(jq, np.zeros(3)))
-        got = linear_blend_skinning(mesh, s, SkinWeights(w), t)
-        g = t.matrices[2]
-        want = mesh.vertices @ g[:3, :3].T + g[:3, 3]
-        assert np.allclose(got, want, atol=1e-13)
-
-    def test_shape_rejections(self):
-        rng = np.random.default_rng(12)
-        s, mesh, weights = self._scene(rng)
-        t = forward_kinematics(s, identity_pose(s.joint_count))
-        other = random_tree(rng, s.joint_count + 1)
-        with pytest.raises(ValueError):
-            linear_blend_skinning(mesh, other, weights, t)
-        small = Mesh(mesh.vertices[:-1], np.zeros((0, 3), dtype=np.int64))
-        with pytest.raises(ValueError):
-            linear_blend_skinning(small, s, weights, t)
-        with pytest.raises(ValueError):
-            linear_blend_skinning(
-                mesh, s, weights, JointTransforms(np.tile(np.eye(4), (2, 1, 1)))
-            )
+        g = fk(s, jq, np.zeros(3)).globals_
+        want = verts @ g[2, :3, :3].T + g[2, :3, 3]
+        assert np.allclose(lbs_apply(verts, w, g), want, atol=1e-13)
 
     def test_raw_kernel_partition_free(self):
         # Splitting the vertex set and concatenating must be identical.
@@ -248,19 +181,14 @@ class TestSampleAugmentedPose:
         s = random_chain(np.random.default_rng(14), 8)
         a = sample_augmented_pose(s, 123)
         b = sample_augmented_pose(s, 123)
-        assert np.array_equal(a.joint_quats, b.joint_quats)
-
-    def test_root_translation_zero(self):
-        s = random_chain(np.random.default_rng(15), 5)
-        pose = sample_augmented_pose(s, 0)
-        assert np.array_equal(pose.root_translation, np.zeros(3))
+        assert np.array_equal(a, b)
 
     def test_unit_quaternions(self):
         s = random_chain(np.random.default_rng(16), 20)
         rng = np.random.default_rng(17)
         for _ in range(20):
             pose = sample_augmented_pose(s, rng)
-            assert np.allclose(np.linalg.norm(pose.joint_quats, axis=1), 1.0)
+            assert np.allclose(np.linalg.norm(pose, axis=1), 1.0)
 
     def test_rotation_probability(self):
         s = random_chain(np.random.default_rng(18), 50)
@@ -270,16 +198,14 @@ class TestSampleAugmentedPose:
         draws = 0
         for _ in range(2000):
             pose = sample_augmented_pose(s, rng)
-            rotated += int(np.sum(~np.all(pose.joint_quats == identity, axis=1)))
+            rotated += int(np.sum(~np.all(pose == identity, axis=1)))
             draws += 50
         assert abs(rotated / draws - 0.3) < 0.01
 
     def test_zero_bound_gives_identity(self):
         s = random_chain(np.random.default_rng(20), 30)
         pose = sample_augmented_pose(s, 21, max_euler_deg=0.0)
-        assert np.array_equal(
-            pose.joint_quats, np.tile([1.0, 0.0, 0.0, 0.0], (30, 1))
-        )
+        assert np.array_equal(pose, np.tile([1.0, 0.0, 0.0, 0.0], (30, 1)))
 
     def test_angles_respect_bound(self):
         # Tiny bound: every quaternion stays within the cap implied by
@@ -289,7 +215,7 @@ class TestSampleAugmentedPose:
         bound = np.deg2rad(2.0)
         for _ in range(50):
             pose = sample_augmented_pose(s, rng, max_euler_deg=2.0)
-            angles = 2 * np.arccos(np.clip(np.abs(pose.joint_quats[:, 0]), -1, 1))
+            angles = 2 * np.arccos(np.clip(np.abs(pose[:, 0]), -1, 1))
             assert np.all(angles <= 3 * bound + 1e-12)
 
 

@@ -1,4 +1,4 @@
-"""OBJ I/O, sampling, distance queries, ray casting, cameras."""
+"""OBJ I/O, distance queries, ray casting, cameras."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,16 @@ from rigkit import (
     NonFiniteError,
     ObjParseError,
     load_obj,
-    nearest_vertex_transfer,
     parse_obj,
     point_inside_mesh,
     point_segment_distance,
     project,
     ray_mesh_intersections,
-    sample_surface,
     save_obj,
     write_obj,
 )
 from rigkit import geometry
-from rigkit.geometry import first_hit_distances, project_vjp, triangle_areas
+from rigkit.geometry import first_hit_distances, project_vjp
 
 from helpers import (
     icosphere,
@@ -99,66 +97,6 @@ class TestObjParse:
         assert np.array_equal(back.triangles, m.triangles)
         # Round-trip precision implies byte-identical rewrite.
         assert write_obj(back) == write_obj(m)
-
-
-class TestSampling:
-    def test_points_on_surface(self):
-        m = icosphere(1, radius=2.0)
-        samples = sample_surface(m, 500, seed=1)
-        # Icosphere faces are chords, so sampled radii sit just under 2.
-        r = np.linalg.norm(samples.points, axis=1)
-        assert np.all(r <= 2.0 + 1e-12)
-        assert np.all(r >= 1.7)
-        assert np.allclose(np.linalg.norm(samples.normals, axis=1), 1.0)
-
-    def test_deterministic(self):
-        m = icosphere(1)
-        a = sample_surface(m, 100, seed=5)
-        b = sample_surface(m, 100, seed=5)
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.triangles, b.triangles)
-
-    def test_area_weighting(self):
-        # Two triangles, one with 4x the area; picks should follow 4:1.
-        verts = np.array([
-            [0, 0, 0], [1, 0, 0], [0, 1, 0],
-            [10, 0, 0], [12, 0, 0], [10, 2, 0],
-        ], dtype=np.float64)
-        tris = np.array([[0, 1, 2], [3, 4, 5]])
-        m = Mesh(verts, tris)
-        areas = triangle_areas(m)
-        assert areas[1] == pytest.approx(4 * areas[0])
-        samples = sample_surface(m, 20000, seed=2)
-        counts = np.bincount(samples.triangles, minlength=2)
-        from scipy import stats
-
-        chi = stats.chisquare(counts, f_exp=np.array([0.2, 0.8]) * 20000)
-        assert chi.pvalue > 1e-3
-
-    def test_zero_area_rejected(self):
-        m = Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
-        with pytest.raises(ValueError):
-            sample_surface(m, 10)
-
-
-class TestNearestTransfer:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        m = icosphere(1)
-        points = rng.uniform(-1, 1, (50, 3))
-        pw = rng.random((50, 4))
-        pw /= pw.sum(axis=1, keepdims=True)
-        got = nearest_vertex_transfer(points, pw, m)
-        for i in range(m.vertex_count):
-            d = np.linalg.norm(points - m.vertices[i], axis=1)
-            assert np.array_equal(got.matrix[i], pw[np.argmin(d)])
-
-    def test_tie_takes_lowest_index(self):
-        m = Mesh(np.zeros((1, 3)), np.zeros((0, 3), dtype=np.int64))
-        points = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-        pw = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = nearest_vertex_transfer(points, pw, m)
-        assert np.array_equal(got.matrix[0], [1.0, 0.0])
 
 
 class TestSegmentDistance:

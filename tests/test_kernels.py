@@ -5,7 +5,6 @@ import pytest
 
 from rigkit import (
     DistanceEmbeddingTable,
-    Skeleton,
     VOCAB_SIZE,
     distance_embedding,
     graph_distance_matrix,
@@ -134,6 +133,8 @@ class TestAttention:
         from rigkit.gradcheck import _check_attention
 
         assert _check_attention(np.random.default_rng(6)) < 1e-4
+        # Tolerance 0 sends every operand through the h/2 Richardson pass.
+        assert np.isfinite(_check_attention(np.random.default_rng(0), 0.0))
 
 
 class TestSkinningHead:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rigkit import (
-    Mesh,
     MetricConfig,
     Skeleton,
     SkinWeights,
