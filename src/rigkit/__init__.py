@@ -87,13 +87,13 @@ from .kernels import (
 from .geometry import (
     Camera,
     ObjParseError,
+    crossing_counts,
     first_hit_distances,
     load_obj,
     parse_obj,
     point_inside_mesh,
     point_segment_distance,
     project,
-    ray_mesh_intersections,
     save_obj,
     write_obj,
 )
@@ -185,13 +185,13 @@ __all__ = [
     "topology_aware_attention",
     "Camera",
     "ObjParseError",
+    "crossing_counts",
     "first_hit_distances",
     "load_obj",
     "parse_obj",
     "point_inside_mesh",
     "point_segment_distance",
     "project",
-    "ray_mesh_intersections",
     "save_obj",
     "write_obj",
     "FkCache",

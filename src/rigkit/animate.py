@@ -46,11 +46,11 @@ from .deform import (
 )
 from .geometry import (
     Camera,
+    crossing_counts,
     first_hit_distances,
     point_inside_mesh,
     project,
     project_vjp,
-    ray_mesh_intersections,
 )
 
 EPS_BAND = 1e-6
@@ -115,18 +115,6 @@ class AnimParams:
         jq = np.zeros((m, joint_count, 4))
         jq[:, :, 0] = 1.0
         return cls(rq, np.zeros((m, 3)), jq)
-
-    def frame(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(joint_quats (j,4), root_quat (4,), root_trans (3,)) for frame i."""
-        if i == 0:
-            jq = np.zeros((self.joint_count, 4))
-            jq[:, 0] = 1.0
-            return jq, quat.IDENTITY.copy(), np.zeros(3)
-        return (
-            np.array(self.joint_quats[i - 1]),
-            np.array(self.root_quats[i - 1]),
-            np.array(self.root_trans[i - 1]),
-        )
 
     def flatten(self) -> np.ndarray:
         """Per frame: root quat, root translation, then the joint quats."""
@@ -195,19 +183,18 @@ def joint_visibility(mesh: Mesh, s: Skeleton, camera: Camera) -> np.ndarray:
     Hits are counted for ray parameters t in (0, 1 + EPS_BAND] with t = 1
     at the joint, so a joint lying on the surface counts its own surface
     crossing.  0 crossings (joint floating in front of the mesh) and 2+
-    crossings (occluded) are both invisible under this rule.
+    crossings (occluded) are both invisible under this rule.  All joints
+    go in one crossing count; a joint at the camera centre is invisible.
     """
     require_valid(s)
     origin = camera.center
     if point_inside_mesh(mesh, origin):
         raise ValueError("camera center lies inside the mesh")
+    directions = s.joints - origin
+    cast = np.linalg.norm(directions, axis=1) > 0
     visible = np.zeros(s.joint_count, dtype=bool)
-    for k in range(s.joint_count):
-        direction = s.joints[k] - origin
-        if not np.linalg.norm(direction) > 0:
-            continue
-        ts, _ = ray_mesh_intersections(mesh, origin, direction)
-        visible[k] = int(np.sum(ts <= 1.0 + EPS_BAND)) == 1
+    counts = crossing_counts(mesh, origin, directions[cast], 1.0 + EPS_BAND)
+    visible[cast] = counts == 1
     return visible
 
 
@@ -362,6 +349,8 @@ def synthesize_tracks(
         raise ValueError("params joint count does not match skeleton")
     if not noise_px >= 0:
         raise ValueError("noise_px must be non-negative")
+    if not vertex_count >= 1:
+        raise ValueError("vertex_count must be at least 1")
     jvis = joint_visibility(mesh, s, camera)
     vvis_all = vertex_visibility(mesh, camera)
     candidates = np.flatnonzero(vvis_all)
@@ -485,25 +474,19 @@ def _geo_sq_pair_grads(a: np.ndarray, b: np.ndarray):
     return theta * theta, g_a, g_b
 
 
-def smoothness_regularizer(
-    params: AnimParams,
-    *,
-    translation_weight: float = 1.0,
-    with_grad: bool = True,
-) -> LossResult:
+def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> LossResult:
     """Frame-to-frame smoothness penalty over the whole clip.
 
     Sums squared geodesic angles between consecutive quaternions (per
-    joint and for the root motion) plus weighted squared root-translation
-    steps; the identity frame 0 anchors the first pair.
+    joint and for the root motion) plus squared root-translation steps;
+    the identity frame 0 anchors the first pair.
     """
     rq, rt, jq = params_to_animation(params)
     n = params.frame_count
-    tw = float(translation_weight)
     jt_sq, g_ja, g_jb = _geo_sq_pair_grads(jq[:-1], jq[1:])
     rt_sq, g_ra, g_rb = _geo_sq_pair_grads(rq[:-1], rq[1:])
     t_diff = rt[1:] - rt[:-1]
-    value = float(np.sum(jt_sq) + np.sum(rt_sq) + tw * np.sum(t_diff**2))
+    value = float(np.sum(jt_sq) + np.sum(rt_sq) + np.sum(t_diff**2))
     if not with_grad:
         return LossResult(value, None, 0)
 
@@ -516,8 +499,8 @@ def smoothness_regularizer(
     g_rq += g_rb
     g_jq[: m - 1] += g_ja[1:]  # frames 1..n-2 also appear as the 'a' of pair f
     g_rq[: m - 1] += g_ra[1:]
-    g_rt += 2.0 * tw * t_diff
-    g_rt[: m - 1] -= 2.0 * tw * t_diff[1:]
+    g_rt += 2.0 * t_diff
+    g_rt[: m - 1] -= 2.0 * t_diff[1:]
     return LossResult(value, AnimParams(g_rq, g_rt, g_jq), 0)
 
 

@@ -1,15 +1,17 @@
 """Mesh geometry: OBJ I/O, ray casting, containment, pinhole cameras.
 
-Everything here is plain numpy at float64, and every query runs against
-all triangles (desk-scale meshes make an acceleration structure
-unnecessary).  Two ray queries share one Moller-Trumbore test:
-:func:`ray_mesh_intersections` lists the hits of one ray and counts
-each run of nearly equal t once, so a ray through an edge or vertex is
-one crossing whether or not the mesh is welded there;
-:func:`first_hit_distances` casts many rays from one origin in
-fixed-size chunks of rays x triangles and keeps only the nearest hit,
-which merging never changes.  Containment is the generalized winding
-number, so it depends on no probe direction.
+Everything here is plain numpy at float64.  Ray queries share one engine:
+rays from a shared origin are tested against every triangle with one
+Moller-Trumbore test whose per-triangle terms are computed once per call,
+in fixed-size chunks of rays x triangles, and each chunk's rows go
+through one of two reductions.  :func:`first_hit_distances` keeps the
+nearest hit; :func:`crossing_counts` counts the distinct t up to a limit,
+counting each run of nearly equal t once, so a ray through an edge or
+vertex is one crossing whether or not the mesh is welded there.  An
+acceleration structure (say, binning rays and triangles by direction
+from the origin) would replace the all-pairs chunk in ``_cast`` and
+leave both reductions as they are.  Containment is the generalized
+winding number, so it depends on no probe direction.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ RAY_MERGE_EPS = 1e-9
 _BARY_EPS = 1e-12
 _DET_EPS = 1e-14
 CAMERA_Z_EPS = 1e-9
-# Ray x triangle pairs per chunk of a first-hit query: 128 KiB per float64
-# temporary, small enough to stay in cache and to leave peak memory where
-# one ray at a time had it.
-_FIRST_HIT_PAIRS = 1 << 14
+# Ray x triangle pairs per chunk of a ray query: 128 KiB per float64
+# temporary, small enough to stay in cache and to keep peak memory flat.
+_CHUNK_PAIRS = 1 << 14
 
 
 class ObjParseError(ValueError):
@@ -251,47 +252,13 @@ def _hit_t(terms, d: np.ndarray) -> np.ndarray:
     return t
 
 
-def ray_mesh_intersections(
-    mesh: Mesh, origin: np.ndarray, direction: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All ray hits (t ascending) as (t values, triangle ids).
+def _cast(mesh: Mesh, origin, directions, reduce, dtype) -> np.ndarray:
+    """Reduce each ray's row of hit t from a shared origin to one value.
 
-    t is measured in units of ``direction`` (not normalized).  Hits closer
-    than RAY_T_EPS are discarded.  Hits are sorted by t (ties by triangle
-    id), and a hit within RAY_MERGE_EPS of the previous one is dropped, so
-    each run of nearly equal t counts as one crossing, kept as its lowest
-    (t, triangle).  A ray through an edge or vertex thus counts once
-    whether or not the mesh is welded there.
-    """
-    origin = np.asarray(origin, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    if origin.shape != (3,) or direction.shape != (3,):
-        raise ValueError("origin and direction must be (3,)")
-    if not np.linalg.norm(direction) > 0:
-        raise ValueError("ray direction must be non-zero")
-
-    t = _hit_t(_hit_terms(mesh, origin), direction[None, :])[0]
-    hit = np.isfinite(t)
-    ts = t[hit]
-    tris = np.flatnonzero(hit)
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    tris = tris[order]
-    keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = np.diff(ts) >= RAY_MERGE_EPS
-    return ts[keep], tris[keep]
-
-
-def first_hit_distances(
-    mesh: Mesh, origin: np.ndarray, directions: np.ndarray
-) -> np.ndarray:
-    """Nearest hit of each ray from a shared origin: t per ray, inf on a miss.
-
-    t is in units of each row of ``directions``.  Equals the first t of
-    :func:`ray_mesh_intersections` bitwise (merging never changes the
-    smallest t), and a ray's answer does not depend on the other rays.
-    Rays are processed in chunks of about _FIRST_HIT_PAIRS ray x triangle
-    pairs, with the per-triangle terms computed once per call.
+    Rays go through :func:`_hit_t` in chunks of about _CHUNK_PAIRS
+    ray x triangle pairs, with the per-triangle terms computed once per
+    call; ``reduce`` maps a chunk's (rays, triangles) rows, which it may
+    overwrite, to one ``dtype`` value per ray.
     """
     origin = np.asarray(origin, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
@@ -301,12 +268,50 @@ def first_hit_distances(
         raise ValueError("ray directions must be non-zero")
 
     terms = _hit_terms(mesh, origin)
-    out = np.empty(directions.shape[0])
-    step = max(1, _FIRST_HIT_PAIRS // max(mesh.triangle_count, 1))
+    out = np.empty(directions.shape[0], dtype=dtype)
+    step = max(1, _CHUNK_PAIRS // max(mesh.triangle_count, 1))
     for lo in range(0, directions.shape[0], step):
-        t = _hit_t(terms, directions[lo : lo + step])
-        out[lo : lo + step] = np.min(t, axis=1, initial=np.inf)
+        out[lo : lo + step] = reduce(_hit_t(terms, directions[lo : lo + step]))
     return out
+
+
+def first_hit_distances(
+    mesh: Mesh, origin: np.ndarray, directions: np.ndarray
+) -> np.ndarray:
+    """Nearest hit of each ray from a shared origin: t per ray, inf on a miss.
+
+    t is in units of each row of ``directions``, and a ray's answer does
+    not depend on the other rays.
+    """
+    return _cast(
+        mesh, origin, directions,
+        lambda t: np.min(t, axis=1, initial=np.inf), np.float64,
+    )
+
+
+def crossing_counts(
+    mesh: Mesh, origin: np.ndarray, directions: np.ndarray, t_max: float
+) -> np.ndarray:
+    """Crossings with t <= t_max of each ray from a shared origin, as ints.
+
+    t is in units of each row of ``directions``.  A ray's hits are sorted
+    by t and a hit within RAY_MERGE_EPS of the previous one is dropped, so
+    each run of nearly equal t counts as one crossing: a ray through an
+    edge or vertex counts once whether or not the mesh is welded there.
+    ``t_max`` may be inf; misses never count.
+    """
+
+    def count(t):
+        t.sort(axis=1)
+        kept = np.isfinite(t) & (t <= t_max)
+        # A finite t is preceded only by finite ones, so no inf - inf.
+        gap = np.subtract(
+            t[:, 1:], t[:, :-1], out=np.full_like(t[:, 1:], np.inf), where=kept[:, 1:]
+        )
+        kept[:, 1:] &= gap >= RAY_MERGE_EPS
+        return np.count_nonzero(kept, axis=1)
+
+    return _cast(mesh, origin, directions, count, np.int64)
 
 
 def point_inside_mesh(mesh: Mesh, point: np.ndarray) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import animate, kernels
 from .codec import VOCAB_SIZE
-from .core import Mesh, Skeleton, SkinWeights
+from .core import Mesh, Skeleton, SkinWeights, graph_distance_matrix
 from .geometry import Camera, project
 from .quat import normalize as quat_normalize
 
@@ -85,10 +85,11 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     q = rng.standard_normal((h, n, d))
     k = rng.standard_normal((h, n, d))
     v = rng.standard_normal((h, n, d))
-    table = kernels.DistanceEmbeddingTable.random(rng, heads=h, max_level=6)
-    dist = rng.integers(0, 10, size=(n, n))
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0)
+    # The paper's bias: hop counts on a random n-joint tree, reaching past
+    # max_level so that clamped levels are exercised too.
+    table = kernels.DistanceEmbeddingTable.random(rng, heads=h, max_level=2)
+    parents = np.concatenate([[-1], rng.integers(0, np.arange(1, n))])
+    dist = graph_distance_matrix(Skeleton(np.zeros((n, 3)), parents))
     lam = float(rng.uniform(0.2, 1.5))
     probe = rng.standard_normal((h, n, d))
 
@@ -243,13 +244,11 @@ def _check_smoothness(rng: np.random.Generator, tol: float = REL_TOL) -> float:
         root_trans=0.2 * rng.standard_normal((n - 1, 3)),
         joint_quats=_near_identity_quats(rng, (n - 1, j)),
     )
-    tw = float(rng.uniform(0.3, 2.0))
-    res = animate.smoothness_regularizer(params, translation_weight=tw, with_grad=True)
+    res = animate.smoothness_regularizer(params, with_grad=True)
     return fd_relative_error(
         res.grads.flatten(),
         lambda vec: animate.smoothness_regularizer(
-            animate.AnimParams.from_flat(vec, n, j),
-            translation_weight=tw, with_grad=False,
+            animate.AnimParams.from_flat(vec, n, j), with_grad=False
         ).value,
         params.flatten(),
         tol,

@@ -425,6 +425,17 @@ class TestTrackPipeline:
         assert out == ""
         assert not tracks.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_synth_tracks_vertex_count_below_one_rejected(self, scene, capsys, count):
+        # An empty subset would write a track file that animate rejects.
+        tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)
+        tracks = tmp_path / "tracks.json"
+        code, out = run(capsys, "synth-tracks", skinned, mesh_path, anim_path,
+                        "--camera", cam_path, "-o", tracks, "--vertex-count", count)
+        assert code == 3
+        assert out == ""
+        assert not tracks.exists()
+
     def test_full_camera_dict(self, scene, capsys):
         tmp_path, skinned, mesh_path, anim_path, _ = self._skinned(scene)
         from rigkit.geometry import Camera

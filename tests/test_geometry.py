@@ -14,12 +14,11 @@ from rigkit import (
     point_inside_mesh,
     point_segment_distance,
     project,
-    ray_mesh_intersections,
     save_obj,
     write_obj,
 )
 from rigkit import geometry
-from rigkit.geometry import first_hit_distances, project_vjp
+from rigkit.geometry import crossing_counts, first_hit_distances, project_vjp
 
 from helpers import (
     icosphere,
@@ -134,37 +133,43 @@ class TestSegmentDistance:
                 assert d[i, j] == pytest.approx(want, abs=1e-12)
 
 
+def _one_ray(m, origin, direction):
+    """(crossings up to inf, first hit t) of a single ray."""
+    d = np.asarray(direction, dtype=np.float64)[None, :]
+    return (
+        int(crossing_counts(m, origin, d, np.inf)[0]),
+        float(first_hit_distances(m, origin, d)[0]),
+    )
+
+
+def _aimed_rays(m, origin):
+    """Rays from origin at every vertex and every edge midpoint of m."""
+    edges = np.concatenate([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
+                            m.triangles[:, [2, 0]]])
+    mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+    targets = np.concatenate([m.vertices, mids])
+    return targets - origin
+
+
+_TRIANGLE = Mesh(
+    np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]])
+)
+
+
 class TestRayCasting:
     def test_single_triangle(self):
-        m = Mesh(
-            np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]),
-            np.array([[0, 1, 2]]),
-        )
-        ts, tris = ray_mesh_intersections(
-            m, np.array([0.2, 0.2, -1.0]), np.array([0.0, 0, 1.0])
-        )
-        assert ts.tolist() == [1.0]
-        assert tris.tolist() == [0]
+        assert _one_ray(_TRIANGLE, np.array([0.2, 0.2, -1.0]), [0.0, 0, 1.0]) == (1, 1.0)
 
     def test_t_in_direction_units(self):
-        m = Mesh(
-            np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]),
-            np.array([[0, 1, 2]]),
-        )
-        ts, _ = ray_mesh_intersections(
-            m, np.array([0.2, 0.2, -1.0]), np.array([0.0, 0, 2.0])
-        )
-        assert ts.tolist() == [0.5]
+        origin = np.array([0.2, 0.2, -1.0])
+        assert _one_ray(_TRIANGLE, origin, [0.0, 0, 2.0]) == (1, 0.5)
+        # The count limit is in direction units too: the hit sits at t = 0.5.
+        d = np.array([[0.0, 0, 2.0]])
+        assert crossing_counts(_TRIANGLE, origin, d, 0.5).tolist() == [1]
+        assert crossing_counts(_TRIANGLE, origin, d, 0.4999).tolist() == [0]
 
     def test_miss(self):
-        m = Mesh(
-            np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]),
-            np.array([[0, 1, 2]]),
-        )
-        ts, _ = ray_mesh_intersections(
-            m, np.array([5.0, 5.0, -1.0]), np.array([0.0, 0, 1.0])
-        )
-        assert ts.size == 0
+        assert _one_ray(_TRIANGLE, np.array([5.0, 5.0, -1.0]), [0.0, 0, 1.0]) == (0, np.inf)
 
     def test_shared_edge_counts_once(self):
         # Quad split into two triangles; the ray passes through the diagonal,
@@ -175,58 +180,73 @@ class TestRayCasting:
             np.vstack([corners, corners[[0, 2]]]), np.array([[0, 1, 2], [4, 5, 3]])
         )
         for m in (welded, split):
-            ts, _ = ray_mesh_intersections(
-                m, np.array([0.5, 0.5, -1.0]), np.array([0.0, 0, 1.0])
-            )
-            assert ts.size == 1
+            assert _one_ray(m, np.array([0.5, 0.5, -1.0]), [0.0, 0, 1.0]) == (1, 1.0)
 
     def test_shared_vertex_fan_counts_once(self):
         # Icosphere apex: the ray hits the exact shared vertex of a fan.
         m = icosphere(0)
         apex = m.vertices[np.argmax(m.vertices[:, 1])]
         origin = apex + np.array([0.0, 2.0, 0.0])
-        ts, _ = ray_mesh_intersections(m, origin, np.array([0.0, -1.0, 0.0]))
+        count, first = _one_ray(m, origin, [0.0, -1.0, 0.0])
         # One hit at the apex and one leaving through the bottom.
-        assert ts.size == 2
+        assert count == 2
+        assert first == pytest.approx(2.0, abs=1e-12)
 
     def test_closed_mesh_parity(self):
         m = star_mesh(np.random.default_rng(5))
         rng = np.random.default_rng(6)
+        directions = []
         for _ in range(40):
             direction = rng.standard_normal(3)
-            ts, _ = ray_mesh_intersections(m, np.zeros(3), direction)
-            assert ts.size % 2 == 1  # origin is inside: odd crossings
+            directions.append(direction)
             outside = 5.0 * direction / np.linalg.norm(direction)
-            ts, _ = ray_mesh_intersections(m, outside, rng.standard_normal(3))
-            assert ts.size % 2 == 0
+            count, _ = _one_ray(m, outside, rng.standard_normal(3))
+            assert count % 2 == 0
+        # Origin inside: odd crossings on every ray, counted in one call.
+        counts = crossing_counts(m, np.zeros(3), np.array(directions), np.inf)
+        assert np.all(counts % 2 == 1)
+
+    def test_t_max_limits_count(self):
+        # Three parallel triangles at z = 1, 2, 3 and a ray up the z axis;
+        # t_max = inf counts every hit but never the misses after them.
+        tri = _TRIANGLE.vertices
+        m = Mesh(
+            np.concatenate([tri + [0.0, 0.0, z] for z in (1.0, 2.0, 3.0)]),
+            np.arange(9).reshape(3, 3),
+        )
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        origin = np.array([0.2, 0.2, 0.0])
+        for t_max, want in ((0.5, 0), (1.0, 1), (2.5, 2), (3.0, 3), (np.inf, 3)):
+            got = crossing_counts(m, origin, dirs, t_max)
+            assert got.tolist() == [want, 0], t_max
+            assert got.dtype == np.int64
+        assert crossing_counts(m, origin, np.zeros((0, 3)), np.inf).dtype == np.int64
 
     def test_matches_scalar_oracle(self):
+        # Random rays plus a sample of rays aimed at vertices and edge
+        # midpoints (the oracle costs tens of ms per ray).
         rng = np.random.default_rng(7)
         meshes = [star_mesh(np.random.default_rng(100 + seed)) for seed in range(4)]
         meshes.append(unweld(star_mesh(np.random.default_rng(104))))
         for m in meshes:
-            for _ in range(25):
-                origin = rng.uniform(-2, 2, 3)
-                direction = rng.standard_normal(3)
-                ts, tris = ray_mesh_intersections(m, origin, direction)
-                oracle = scalar_ray_hits(m, origin, direction)
-                assert len(ts) == len(oracle)
-                for (t_got, tri_got), (t_want, _) in zip(zip(ts, tris), oracle):
-                    assert t_got == pytest.approx(t_want, abs=1e-7)
+            origin = rng.uniform(-2, 2, 3)
+            aimed = _aimed_rays(m, origin)
+            aimed = aimed[rng.choice(len(aimed), size=15, replace=False)]
+            dirs = np.concatenate([rng.standard_normal((15, 3)), aimed])
+            counts = crossing_counts(m, origin, dirs, np.inf)
+            first = first_hit_distances(m, origin, dirs)
+            for d, count, t in zip(dirs, counts, first):
+                oracle = scalar_ray_hits(m, origin, d)
+                assert count == len(oracle)
+                want = oracle[0][0] if oracle else np.inf
+                assert t == pytest.approx(want, abs=1e-7)
 
     def test_rejects_zero_direction(self):
         m = icosphere(0)
         with pytest.raises(ValueError):
-            ray_mesh_intersections(m, np.zeros(3), np.zeros(3))
-
-
-def _aimed_rays(m, origin):
-    """Rays from origin at every vertex and every edge midpoint of m."""
-    edges = np.concatenate([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
-                            m.triangles[:, [2, 0]]])
-    mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
-    targets = np.concatenate([m.vertices, mids])
-    return targets - origin
+            crossing_counts(m, np.zeros(3), np.zeros((1, 3)), np.inf)
+        with pytest.raises(ValueError):
+            first_hit_distances(m, np.zeros(3), np.zeros((1, 3)))
 
 
 class TestFirstHit:
@@ -243,56 +263,71 @@ class TestFirstHit:
                 yield m, origin, dirs
 
     def test_equals_first_scalar_hit(self):
-        # Bitwise: both queries share one intersection test, and merging
-        # duplicate hits never changes the smallest t.  Rays aimed exactly
-        # at vertices and edge midpoints thread shared edges and fans.
+        # Bitwise: the nearest hit of a ray is its first crossing.  A miss
+        # has no crossing at all, and on a sample of hit rays, counted one
+        # ray at a time, exactly one crossing lies at t <= first hit and
+        # none below it.  Rays aimed exactly at vertices and edge midpoints
+        # thread shared edges and fans.
+        rng = np.random.default_rng(12)
         for m, origin, dirs in self._cases():
             got = first_hit_distances(m, origin, dirs)
-            want = [
-                ts[0] if ts.size else np.inf
-                for ts, _ in (ray_mesh_intersections(m, origin, d) for d in dirs)
-            ]
-            assert got.tolist() == want
+            hit = np.isfinite(got)
+            assert np.array_equal(hit, crossing_counts(m, origin, dirs, np.inf) > 0)
+            sample = rng.choice(np.flatnonzero(hit), size=60, replace=False)
+            for d, t in zip(dirs[sample], got[sample]):
+                assert crossing_counts(m, origin, d[None], t).tolist() == [1]
+                below = np.nextafter(t, 0.0)
+                assert crossing_counts(m, origin, d[None], below).tolist() == [0]
 
     def test_miss_is_inf(self):
         m = icosphere(1)
         origin = np.array([0.0, 0.0, 3.0])
         dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         got = first_hit_distances(m, origin, dirs)
-        assert ray_mesh_intersections(m, origin, dirs[0])[0].size == 0
-        assert ray_mesh_intersections(m, origin, dirs[1])[0].size == 0
+        assert crossing_counts(m, origin, dirs, np.inf).tolist() == [0, 0, 2]
         assert got[:2].tolist() == [np.inf, np.inf]
         assert got[2] == pytest.approx(2.0, abs=0.05)
         empty = Mesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=np.int64))
         assert first_hit_distances(empty, origin, dirs).tolist() == [np.inf] * 3
+        assert crossing_counts(empty, origin, dirs, np.inf).tolist() == [0] * 3
         assert first_hit_distances(m, origin, np.zeros((0, 3))).shape == (0,)
 
     def test_independent_of_chunk_split(self, monkeypatch):
+        # Both reductions: nearest hit, and crossing counts with a finite
+        # and an infinite limit.
         m = star_mesh(np.random.default_rng(17))
         origin = np.array([0.1, 0.12, 3.0])
         dirs = _aimed_rays(m, origin)[:60]
-        whole = first_hit_distances(m, origin, dirs)
-        for rays_per_chunk in range(1, dirs.shape[0] + 1):
-            monkeypatch.setattr(
-                geometry, "_FIRST_HIT_PAIRS", rays_per_chunk * m.triangle_count
-            )
-            got = first_hit_distances(m, origin, dirs)
-            assert np.array_equal(got, whole), rays_per_chunk
-        monkeypatch.undo()
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            cuts = np.sort(rng.choice(np.arange(1, 60), size=4, replace=False))
-            parts = [first_hit_distances(m, origin, d) for d in np.split(dirs, cuts)]
-            assert np.array_equal(np.concatenate(parts), whole)
+        queries = (
+            first_hit_distances,
+            lambda m, o, d: crossing_counts(m, o, d, 1.0),
+            lambda m, o, d: crossing_counts(m, o, d, np.inf),
+        )
+        for query in queries:
+            whole = query(m, origin, dirs)
+            for rays_per_chunk in range(1, dirs.shape[0] + 1):
+                monkeypatch.setattr(
+                    geometry, "_CHUNK_PAIRS", rays_per_chunk * m.triangle_count
+                )
+                got = query(m, origin, dirs)
+                assert np.array_equal(got, whole), rays_per_chunk
+            monkeypatch.undo()
+            rng = np.random.default_rng(4)
+            for _ in range(10):
+                cuts = np.sort(rng.choice(np.arange(1, 60), size=4, replace=False))
+                parts = [query(m, origin, d) for d in np.split(dirs, cuts)]
+                assert np.array_equal(np.concatenate(parts), whole)
 
     def test_rejects_bad_rays(self):
         m = icosphere(0)
-        with pytest.raises(ValueError):
-            first_hit_distances(m, np.zeros(3), np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            first_hit_distances(m, np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError):
-            first_hit_distances(m, np.zeros(2), np.ones((1, 3)))
+        for query in (first_hit_distances,
+                      lambda m, o, d: crossing_counts(m, o, d, np.inf)):
+            with pytest.raises(ValueError):
+                query(m, np.zeros(3), np.zeros((2, 3)))
+            with pytest.raises(ValueError):
+                query(m, np.zeros(3), np.ones(3))
+            with pytest.raises(ValueError):
+                query(m, np.zeros(2), np.ones((1, 3)))
 
 
 class TestContainment:
