@@ -1,17 +1,20 @@
 """Mesh geometry: OBJ I/O, ray casting, containment, pinhole cameras.
 
 Everything here is plain numpy at float64.  Ray queries share one engine:
-rays from a shared origin are tested against every triangle with one
-Moller-Trumbore test whose per-triangle terms are computed once per call,
-in fixed-size chunks of rays x triangles, and each chunk's rows go
-through one of two reductions.  :func:`first_hit_distances` keeps the
-nearest hit; :func:`crossing_counts` counts the distinct t up to a limit,
-counting each run of nearly equal t once, so a ray through an edge or
-vertex is one crossing whether or not the mesh is welded there.  An
-acceleration structure (say, binning rays and triangles by direction
-from the origin) would replace the all-pairs chunk in ``_cast`` and
-leave both reductions as they are.  Containment is the generalized
-winding number, so it depends on no probe direction.
+rays from a shared origin go through one Moller-Trumbore test whose
+per-triangle terms are computed once per call.  The engine bins the rays
+by direction (a gnomonic grid about their mean direction) and tests each
+cell's rays only against the triangles whose padded footprint reaches
+the cell; a ray it cannot bin meets every triangle, and a triangle it
+cannot bin meets every ray.  A non-finite origin or direction raises
+:class:`NonFiniteError`.  Each block of hit t goes through one of two
+reductions.  :func:`first_hit_distances` keeps the nearest hit;
+:func:`crossing_counts` counts the distinct t up to a limit, counting
+each run of nearly equal t once, so a ray through an edge or vertex is
+one crossing whether or not the mesh is welded there.  A pair's t does
+not depend on what else is tested with it, so binning changes no result
+bit.  Containment is the generalized winding number, so it depends on
+no probe direction.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ CAMERA_Z_EPS = 1e-9
 # Ray x triangle pairs per chunk of a ray query: 128 KiB per float64
 # temporary, small enough to stay in cache and to keep peak memory flat.
 _CHUNK_PAIRS = 1 << 14
+# Ray binning (see _cast): front rays per grid cell on average, the least
+# cosine of a binned ray to the mean direction, and the least length of the
+# mean unit direction.
+_BIN_RAYS = 16
+_BIN_RAY_COS = 0.05
+_BIN_MEAN = 1e-3
+_MACHINE_EPS = np.finfo(np.float64).eps
 
 
 class ObjParseError(ValueError):
@@ -252,26 +262,167 @@ def _hit_t(terms, d: np.ndarray) -> np.ndarray:
     return t
 
 
+def _reduce_rows(terms, d: np.ndarray, reduce, dtype) -> np.ndarray:
+    """``reduce`` of the hit t of rays d against the triangles of ``terms``,
+    in blocks of about _CHUNK_PAIRS ray x triangle pairs."""
+    out = np.empty(d.shape[0], dtype=dtype)
+    step = max(1, _CHUNK_PAIRS // max(terms[3].shape[0], 1))
+    for lo in range(0, d.shape[0], step):
+        out[lo : lo + step] = reduce(_hit_t(terms, d[lo : lo + step]))
+    return out
+
+
+def _footprints(mesh: Mesh, origin: np.ndarray, frame: np.ndarray, t_det: np.ndarray):
+    """The triangles :func:`_cast` can bin, as (ids, box_lo, box_hi): their
+    padded footprint boxes in the gnomonic plane of ``frame``'s last column,
+    each (len(ids), 2).  Every other triangle is wide."""
+    rel = mesh.vertices - origin
+    dist = np.linalg.norm(rel, axis=1)
+    tri = mesh.triangles
+    edge = np.maximum(np.linalg.norm(rel[tri[:, 1]] - rel[tri[:, 0]], axis=1),
+                      np.linalg.norm(rel[tri[:, 2]] - rel[tri[:, 0]], axis=1))
+    reach = dist[tri].max(axis=1)
+    graze = 32.0 * _MACHINE_EPS * edge * np.maximum(dist[tri[:, 0]], edge) * reach
+    ids = np.flatnonzero(8.0 * graze < np.abs(t_det))
+    eta = 2.0 * _BARY_EPS + graze[ids] / np.abs(t_det[ids])
+    r = 4.0 * eta * edge[ids]
+    r += 8.0 * _MACHINE_EPS * (np.linalg.norm(origin) + reach[ids])
+    local = rel @ frame
+    z = local[tri[ids], 2].min(axis=1)
+    near = r < z / 2
+    ids, r, z = ids[near], r[near], z[near]
+    # Corners of the binned triangles lie in front, so only their
+    # projections are read.
+    proj = np.divide(local[:, :2], local[:, 2:], out=np.zeros((len(local), 2)),
+                     where=local[:, 2:] > 0)[tri[ids]]
+    box_lo, box_hi = proj.min(axis=1), proj.max(axis=1)
+    pad = 4.0 * r * (z + 3.0 * reach[ids]) / z**2
+    pad += 1e-12 * (1.0 + np.maximum(-box_lo, box_hi).max(axis=1))
+    return ids, box_lo - pad[:, None], box_hi + pad[:, None]
+
+
+def _by_cell(items: np.ndarray, first: np.ndarray, last: np.ndarray, g: int):
+    """List each item in every cell of its box of (row, column) cells from
+    ``first`` to ``last`` on a g x g grid, grouped by cell: returns the
+    listing and the (g * g + 1,) starts, cell c's items being
+    listing[start[c] : start[c + 1]]."""
+    width = last - first + 1
+    n = width[:, 0] * width[:, 1]
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    w = np.repeat(width[:, 1], n)
+    cell = np.repeat(first[:, 0] * g + first[:, 1], n) + k // w * g + k % w
+    start = np.zeros(g * g + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=g * g), out=start[1:])
+    return np.repeat(items, n)[np.argsort(cell, kind="stable")], start
+
+
+def _grid(mesh: Mesh, origin: np.ndarray, unit: np.ndarray, t_det: np.ndarray):
+    """The gnomonic ray grid of :func:`_cast`, or None for a query that does
+    not bin.
+
+    Returns (rays, ray_start, listed, listed_start, wide): the front rays
+    and the listed triangles, each sorted by cell, with cell i's entries
+    at [start[i], start[i + 1]), and the wide triangles.
+    """
+    if unit.shape[0] <= _BIN_RAYS:
+        return None
+    mean = unit.mean(axis=0)
+    length = np.linalg.norm(mean)
+    if length < _BIN_MEAN:
+        return None
+    c = mean / length
+    a = np.cross(c, np.eye(3)[np.argmin(np.abs(c))])
+    a /= np.linalg.norm(a)
+    frame = np.stack([a, np.cross(c, a), c], axis=1)
+    ray = unit @ frame
+    front = np.flatnonzero(ray[:, 2] > _BIN_RAY_COS)
+    g = math.ceil(math.sqrt(front.size / _BIN_RAYS))
+    if g <= 1:
+        return None
+    p = ray[front, :2] / ray[front, 2:]
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    size = np.where(hi - lo > 1e-9, (hi - lo) / g, 1.0)  # unit cells at zero span
+
+    def cell(x):
+        return np.clip(np.floor((x - lo) / size), 0, g - 1).astype(np.int64)
+
+    ids, box_lo, box_hi = _footprints(mesh, origin, frame, t_det)
+    seen = np.all((box_hi >= lo) & (box_lo <= hi), axis=1)
+    first, last = cell(box_lo[seen]), cell(box_hi[seen])
+    listed, listed_start = _by_cell(ids[seen], first, last, g)
+    ij = cell(p)
+    rays, ray_start = _by_cell(front, ij, ij, g)
+    # A binned triangle outside every cell meets no front ray at all.
+    wide = np.ones(mesh.triangle_count, dtype=bool)
+    wide[ids] = False
+    return rays, ray_start, listed, listed_start, np.flatnonzero(wide)
+
+
 def _cast(mesh: Mesh, origin, directions, reduce, dtype) -> np.ndarray:
     """Reduce each ray's row of hit t from a shared origin to one value.
 
-    Rays go through :func:`_hit_t` in chunks of about _CHUNK_PAIRS
-    ray x triangle pairs, with the per-triangle terms computed once per
-    call; ``reduce`` maps a chunk's (rays, triangles) rows, which it may
-    overwrite, to one ``dtype`` value per ray.
+    ``reduce`` maps a block of (rays, triangles) hit t from :func:`_hit_t`,
+    which it may overwrite, to one ``dtype`` value per ray; blocks hold
+    about _CHUNK_PAIRS pairs, and the per-triangle terms are computed once
+    per call.  Nothing is kept between calls.
+
+    Binning.  Let c be the normalized mean of the unit ray directions and
+    a, b an orthonormal pair across it.  A front ray (unit d with
+    d.c > _BIN_RAY_COS) maps to the gnomonic point p = (d.a, d.b) / d.c.
+    Great circles map to lines, so a triangle whose corners V (relative to
+    the origin) all lie in front, V.c > 0, is hit only by rays whose p
+    lies in the triangle of its projected corners.  The front rays
+    are binned into a g x g grid over their bounding box, g = ceil(sqrt(
+    front rays / _BIN_RAYS)), and each triangle in front that meets the
+    bounds below is listed in every cell its padded footprint box covers.
+    A cell's rays are tested against its listed triangles and every
+    triangle that is not listed anywhere ("wide"); back rays are tested
+    against all triangles.  A query with g = 1, or whose mean unit
+    direction is shorter than _BIN_MEAN (say, an origin inside a closed
+    mesh), runs all pairs.
+
+    Why this is exact.  A pair's t comes from elementwise three-term dots,
+    so it is bitwise the same whatever rays or triangles share the block;
+    the min or distinct-t count over a candidate set therefore equals the
+    all-pairs one as long as the set holds every triangle that
+    :func:`_hit_t` can report, _BARY_EPS grazes included.  Let s = o - a,
+    e the longer edge from a, R the largest |V|, z the least V.c, eps the
+    machine epsilon and kappa = |e| max(|s|, |e|) R / |t_det|.  Each dot
+    is off by less than 8 eps times the lengths of its two vectors, so
+    when 256 eps kappa < 1 a reported hit point has exact barycentrics
+    above -eta = -(2 _BARY_EPS + 32 eps kappa) and lies within
+    r = 4 eta |e| + 8 eps (|o| + R) of the triangle, the last term for
+    rounding the corners.  The gnomonic map moves a point by at most
+    (1 + |p|) / (z - r) per unit step, so the footprint box is padded by
+    twice that bound, 4 r (z + 3 R) / z^2, plus 1e-12 (1 + max |p|) for
+    rounding the projected corners and rays.  A triangle outside these
+    bounds (256 eps kappa >= 1 or r >= z / 2: behind or across the plane
+    through the origin, degenerate, a sliver, or edge-on to the origin)
+    is wide.
     """
     origin = np.asarray(origin, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     if origin.shape != (3,) or directions.ndim != 2 or directions.shape[1] != 3:
         raise ValueError("origin must be (3,) and directions (r, 3)")
-    if not np.all(np.linalg.norm(directions, axis=1) > 0):
+    if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(directions))):
+        raise NonFiniteError("ray origin and directions must be finite")
+    norms = np.linalg.norm(directions, axis=1)
+    if not np.all(norms > 0):
         raise ValueError("ray directions must be non-zero")
 
     terms = _hit_terms(mesh, origin)
     out = np.empty(directions.shape[0], dtype=dtype)
-    step = max(1, _CHUNK_PAIRS // max(mesh.triangle_count, 1))
-    for lo in range(0, directions.shape[0], step):
-        out[lo : lo + step] = reduce(_hit_t(terms, directions[lo : lo + step]))
+    rest = np.ones(directions.shape[0], dtype=bool)
+    grid = _grid(mesh, origin, directions / norms[:, None], terms[3])
+    if grid is not None:
+        rays, ray_start, listed, listed_start, wide = grid
+        for i in np.flatnonzero(np.diff(ray_start)):
+            cell = rays[ray_start[i] : ray_start[i + 1]]
+            tris = np.concatenate([wide, listed[listed_start[i] : listed_start[i + 1]]])
+            cell_terms = [w[tris] for w in terms]
+            out[cell] = _reduce_rows(cell_terms, directions[cell], reduce, dtype)
+        rest[rays] = False
+    out[rest] = _reduce_rows(terms, directions[rest], reduce, dtype)
     return out
 
 

@@ -1,6 +1,7 @@
 """Clip parameters, visibility, track synthesis, losses, optimizer."""
 
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -215,6 +216,18 @@ class TestVertexVisibility:
         for size in (1, 7, 100, 400, mesh.vertex_count):
             subset = rng.choice(mesh.vertex_count, size=size, replace=False)
             assert np.array_equal(vertex_visibility(mesh, cam, subset), full[subset])
+
+    def test_icosphere_5_scale(self):
+        # 10242 rays x 20480 triangles; testing every pair takes about 6 s,
+        # the binned engine about 0.15 s.
+        mesh = icosphere(5, radius=0.45)
+        cam = Camera.look_at((0.1, 0.3, 2.5), (0.0, 0.0, 0.0))
+        start = time.perf_counter()
+        full = vertex_visibility(mesh, cam)
+        assert time.perf_counter() - start < 2.0
+        assert 0 < full.sum() < mesh.vertex_count
+        subset = np.random.default_rng(42).choice(mesh.vertex_count, 1500, replace=False)
+        assert np.array_equal(vertex_visibility(mesh, cam, subset), full[subset])
 
 
 class TestTrackSet:

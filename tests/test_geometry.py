@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigkit import (
     Camera,
@@ -328,6 +330,159 @@ class TestFirstHit:
                 query(m, np.zeros(3), np.ones(3))
             with pytest.raises(ValueError):
                 query(m, np.zeros(2), np.ones((1, 3)))
+            # Non-finite rays are rejected before the zero-length check.
+            for origin, bad in ((0, [np.nan, 0.0, 1.0]), (0, [np.inf, 0.0, 1.0]),
+                                (np.nan, [0.0, 0.0, 1.0])):
+                dirs = np.concatenate([np.ones((20, 3)), [bad]])
+                with pytest.raises(NonFiniteError):
+                    query(m, np.array([origin, 0.0, 3.0]), dirs)
+
+
+def _all_pairs(m, origin, dirs):
+    """(nearest hit t, distinct-t count up to inf) of every ray, testing
+    every ray against every triangle."""
+    t = geometry._hit_t(geometry._hit_terms(m, np.asarray(origin, dtype=np.float64)),
+                        np.asarray(dirs, dtype=np.float64))
+    first = np.min(t, axis=1, initial=np.inf)
+    t.sort(axis=1)
+    t[~np.isfinite(t)] = np.nan
+    close = np.diff(t, axis=1) < geometry.RAY_MERGE_EPS
+    return first, np.count_nonzero(np.isfinite(t), axis=1) - np.count_nonzero(close, axis=1)
+
+
+def _assert_all_pairs(m, origin, dirs, binned=True):
+    """Both reductions equal the all-pairs reference bitwise; ``binned``
+    says whether the query must spread its rays over more than one cell."""
+    want_first, want_count = _all_pairs(m, origin, dirs)
+    assert np.array_equal(first_hit_distances(m, origin, dirs), want_first)
+    count = crossing_counts(m, origin, dirs, np.inf)
+    assert count.dtype == np.int64
+    assert np.array_equal(count, want_count)
+    d = np.asarray(dirs, dtype=np.float64)
+    unit = d / np.linalg.norm(d, axis=1)[:, None]
+    terms = geometry._hit_terms(m, np.asarray(origin, dtype=np.float64))
+    grid = geometry._grid(m, np.asarray(origin, dtype=np.float64), unit, terms[3])
+    cells = 0 if grid is None else np.count_nonzero(np.diff(grid[1]))
+    assert (cells > 1) == binned
+
+
+def _soup(rng, count, spread=1.0, size=0.3):
+    """Random triangles: centres in a cube of half-width spread."""
+    centres = rng.uniform(-spread, spread, (count, 1, 3))
+    verts = (centres + rng.normal(0.0, size, (count, 3, 3))).reshape(-1, 3)
+    return Mesh(verts, np.arange(3 * count).reshape(-1, 3))
+
+
+class TestBinnedEngine:
+    """The binned engine against every ray x triangle pair, bitwise."""
+
+    def test_aimed_rays(self):
+        # Rays through vertices and edge midpoints thread shared edges and
+        # fans, on welded star meshes and on triangle soups, whose every
+        # edge is a seam.
+        meshes = [star_mesh(np.random.default_rng(500 + k)) for k in range(3)]
+        meshes += [unweld(star_mesh(np.random.default_rng(500))), unweld(icosphere(3))]
+        meshes.append(star_mesh(np.random.default_rng(503), subdivisions=3))
+        for m in meshes:
+            for origin in (np.array([0.1, 0.12, 3.0]), np.array([-2.0, 0.7, -1.1])):
+                _assert_all_pairs(m, origin, _aimed_rays(m, origin))
+
+    def test_origin_inside(self):
+        # At the centre the mean direction nearly cancels and every pair
+        # is tested; off-centre, the rays span more than a hemisphere and
+        # the triangles behind the origin are tested against every ray.
+        m = star_mesh(np.random.default_rng(510), subdivisions=3)
+        _assert_all_pairs(m, np.zeros(3), m.vertices, binned=False)
+        for origin in (np.array([0.3, -0.2, 0.25]), np.array([0.0, 0.0, 0.6])):
+            assert point_inside_mesh(m, origin)
+            _assert_all_pairs(m, origin, _aimed_rays(m, origin))
+
+    def test_single_and_identical_rays(self):
+        m = star_mesh(np.random.default_rng(511))
+        origin = np.array([0.1, 0.12, 3.0])
+        aimed = _aimed_rays(m, origin)
+        _assert_all_pairs(m, origin, aimed[:1], binned=False)
+        _assert_all_pairs(m, origin, np.repeat(aimed[:1], 16, axis=0), binned=False)
+        # 300 copies of one ray: a zero-span grid, one cell.
+        for d in (aimed[0], aimed[-1], -origin):
+            _assert_all_pairs(m, origin, np.repeat(d[None], 300, axis=0), binned=False)
+        # Two bundles of identical rays: zero span along one axis.
+        two = np.repeat(aimed[[0, 7]], 200, axis=0)
+        _assert_all_pairs(m, origin, two)
+
+    def test_rays_beyond_a_hemisphere(self):
+        # Random directions biased toward the mesh: most rays are binned,
+        # the rest point back past the plane through the origin.
+        m = star_mesh(np.random.default_rng(512), subdivisions=3)
+        origin = np.array([0.2, -0.1, 2.2])
+        rng = np.random.default_rng(513)
+        dirs = rng.standard_normal((800, 3)) - 0.8 * origin / np.linalg.norm(origin)
+        assert np.any(dirs @ origin > 0) and np.any(dirs @ origin < 0)
+        _assert_all_pairs(m, origin, dirs)
+
+    def test_triangles_straddling_the_origin_plane(self):
+        # Big triangles around the origin reach behind it; rays aim at the
+        # sphere in front and at the big triangles' corners and edges.
+        rng = np.random.default_rng(514)
+        sphere = icosphere(3, radius=0.8)
+        big = _soup(rng, 40, spread=1.5, size=1.2)
+        origin = np.array([0.3, 0.2, 1.4])
+        m = Mesh(
+            np.concatenate([sphere.vertices, big.vertices + origin]),
+            np.concatenate([sphere.triangles, big.triangles + sphere.vertex_count]),
+        )
+        depth = (m.vertices[m.triangles] - origin) @ (-origin / np.linalg.norm(origin))
+        assert np.any((depth.min(axis=1) < 0) & (depth.max(axis=1) > 0))
+        dirs = np.concatenate([_aimed_rays(sphere, origin), _aimed_rays(big, np.zeros(3))])
+        _assert_all_pairs(m, origin, dirs)
+
+    def test_degenerate_triangles(self):
+        # Zero-area triangles (a repeated corner, collinear corners) among
+        # real ones; rays aim at their corners.
+        base = star_mesh(np.random.default_rng(515))
+        v = base.vertices
+        extra = np.array([[0, 0, 1], [2, 3, 2], [4, 4, 4]]) + base.vertex_count
+        line = np.array([[0.0, 0.0, 0.9], [0.1, 0.1, 0.9], [0.2, 0.2, 0.9]])
+        m = Mesh(
+            np.concatenate([v, v[[0, 5]], line, v[[9]]]),
+            np.concatenate([base.triangles, [[0, 0, 5]], extra]),
+        )
+        origin = np.array([0.1, 0.12, 3.0])
+        dirs = np.concatenate([_aimed_rays(m, origin), line - origin])
+        _assert_all_pairs(m, origin, dirs)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["soup", "sphere"]),
+        st.sampled_from(["outside", "inside", "near"]),
+        st.integers(17, 400),
+        st.floats(0.0, 3.0),
+    )
+    def test_random_meshes(self, seed, kind, where, rays, bias):
+        rng = np.random.default_rng(seed)
+        if kind == "soup":
+            m = _soup(rng, int(rng.integers(1, 120)))
+        else:
+            base = icosphere(int(rng.integers(0, 3)))
+            m = Mesh(base.vertices + rng.normal(0.0, 0.03, base.vertices.shape),
+                     base.triangles)
+        if where == "inside":
+            origin = rng.uniform(-0.3, 0.3, 3)
+        else:
+            direction = rng.standard_normal(3)
+            distance = 3.0 if where == "outside" else 1.05
+            origin = distance * direction / np.linalg.norm(direction)
+        aimed = _aimed_rays(m, origin)
+        aimed = aimed[np.linalg.norm(aimed, axis=1) > 0]
+        toward = -origin / max(np.linalg.norm(origin), 1e-9)
+        dirs = np.concatenate([
+            aimed[rng.choice(len(aimed), size=min(rays, len(aimed)), replace=False)],
+            rng.standard_normal((rays, 3)) + bias * toward,
+        ])
+        want_first, want_count = _all_pairs(m, origin, dirs)
+        assert np.array_equal(first_hit_distances(m, origin, dirs), want_first)
+        assert np.array_equal(crossing_counts(m, origin, dirs, np.inf), want_count)
 
 
 class TestContainment:
