@@ -13,14 +13,21 @@ reductions.  :func:`first_hit_distances` keeps the nearest hit;
 each run of nearly equal t once, so a ray through an edge or vertex is
 one crossing whether or not the mesh is welded there.  A pair's t does
 not depend on what else is tested with it, so binning changes no result
-bit.  Containment is the generalized winding number, so it depends on
-no probe direction.
+bit.  t is in units of each ray's direction, but ``RAY_T_EPS`` (the bound a
+hit's t must exceed) and ``RAY_MERGE_EPS`` are absolute in t, so the
+length of a direction is not only a unit: a hit at distance s along a
+direction of length L has t = s / L and is dropped once s / L <= 1e-9
+(from (0, 0, 3), a direction of length 1e10 misses a unit icosphere).
+Vertex visibility casts unit directions and joint visibility casts joint
+offsets, so neither comes near that limit.  Containment is the
+generalized winding number, so it depends on no probe direction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +49,8 @@ _BIN_RAYS = 16
 _BIN_RAY_COS = 0.05
 _BIN_MEAN = 1e-3
 _MACHINE_EPS = np.finfo(np.float64).eps
+# OBJ indices beyond int64 are clamped to this before the bulk range checks.
+_HUGE = 1 << 62
 
 
 class ObjParseError(ValueError):
@@ -74,6 +83,23 @@ def _token_col(line: str, index: int) -> int:
     return col
 
 
+# The error for a v, vn or f record with fewer than three arguments.
+_SHORT_RECORD = {
+    "v": "vertex needs 3 coordinates",
+    "vn": "normal needs 3 components",
+    "f": "face needs at least 3 vertices, got {}",
+}
+
+
+def _first_bad(convert, tokens: list[str]) -> tuple[int, ValueError]:
+    """Index of the first token ``convert`` rejects, and its error."""
+    for i, token in enumerate(tokens):
+        try:
+            convert(token)
+        except ValueError as e:
+            return i, e
+
+
 def parse_obj(text: str | bytes) -> Mesh:
     """Parse v/vn/f records; polygons are fan-triangulated.
 
@@ -81,93 +107,140 @@ def parse_obj(text: str | bytes) -> Mesh:
     defined so far.  Errors carry the offending line and column; a NaN or
     Inf vertex coordinate raises :class:`NonFiniteError` instead.  Normals
     are kept only when they pair 1:1 with vertices.
+
+    One pass splits the lines and collects each record kind's tokens; each
+    kind is then converted and checked in bulk.  Of the errors found on the
+    lines, the earliest line's is raised, and on that line the leftmost
+    token's (a v line is checked for finiteness only once its three tokens
+    parse).  No vertices, or an index past the last vertex, is reported
+    only when no line has an error.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    vertices: list[list[float]] = []
-    normals: list[list[float]] = []
-    faces: list[tuple[int, int, int]] = []
-    face_locs: list[tuple[int, int]] = []
+    comments = "#" in text
+    # Three tokens and the line number per v and per vn record; per f
+    # record its first-field tokens, line number, token count and the
+    # number of vertices defined before it.
+    v_tok: list[str] = []
+    v_line: list[int] = []
+    n_tok: list[str] = []
+    n_line: list[int] = []
+    f_tok: list[str] = []
+    f_line: list[int] = []
+    f_count: list[int] = []
+    f_seen: list[int] = []
+    # (line, token position, error); the pass stops at a short record.
+    errors: list[tuple[int, int, Exception]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        parts = line.split()
+        parts = (raw.split("#", 1)[0] if comments else raw).split()
         if not parts:
             continue
-        rec, args = parts[0], parts[1:]
+        rec = parts[0]
+        if len(parts) < 4 and rec in _SHORT_RECORD:
+            message = _SHORT_RECORD[rec].format(len(parts) - 1)
+            errors.append((lineno, 0, ObjParseError(message, lineno, 1)))
+            break
         if rec == "v":
-            if len(args) < 3:
-                raise ObjParseError("vertex needs 3 coordinates", lineno, 1)
-            coords = []
-            for i, a in enumerate(args[:3]):
-                try:
-                    coords.append(float(a))
-                except ValueError:
-                    raise ObjParseError(
-                        f"bad coordinate {a!r}", lineno, _token_col(raw, i + 1)
-                    ) from None
-            if not all(map(math.isfinite, coords)):
-                raise NonFiniteError(f"line {lineno}: vertex coordinates must be finite")
-            vertices.append(coords)
-        elif rec == "vn":
-            if len(args) < 3:
-                raise ObjParseError("normal needs 3 components", lineno, 1)
-            try:
-                normals.append([float(a) for a in args[:3]])
-            except ValueError as e:
-                raise ObjParseError(str(e), lineno, 1) from None
+            v_tok += parts[1:4]
+            v_line.append(lineno)
         elif rec == "f":
-            if len(args) < 3:
-                raise ObjParseError(
-                    f"face needs at least 3 vertices, got {len(args)}", lineno, 1
-                )
-            idx = []
-            for i, a in enumerate(args):
-                field = a.split("/")[0]
-                try:
-                    value = int(field)
-                except ValueError:
-                    raise ObjParseError(
-                        f"bad vertex index {a!r}", lineno, _token_col(raw, i + 1)
-                    ) from None
-                if value == 0:
-                    raise ObjParseError(
-                        "vertex index 0 is not allowed", lineno, _token_col(raw, i + 1)
-                    )
-                if value < 0:
-                    value = len(vertices) + value
-                    if value < 0:
-                        raise ObjParseError(
-                            f"negative index {a!r} reaches before first vertex",
-                            lineno,
-                            _token_col(raw, i + 1),
-                        )
-                    idx.append(value)
-                else:
-                    idx.append(value - 1)
-            for i in range(1, len(idx) - 1):
-                faces.append((idx[0], idx[i], idx[i + 1]))
-                face_locs.append((lineno, 1))
+            if "/" in raw:
+                f_tok += [a.split("/", 1)[0] for a in parts[1:]]
+            else:
+                f_tok += parts[1:]
+            f_line.append(lineno)
+            f_count.append(len(parts) - 1)
+            f_seen.append(len(v_line))
+        elif rec == "vn":
+            n_tok += parts[1:4]
+            n_line.append(lineno)
         # other record types (vt, o, g, s, usemtl, ...) are ignored
 
-    if not vertices:
+    try:
+        coords = list(map(float, v_tok))
+    except ValueError:
+        k, _ = _first_bad(float, v_tok)
+        lineno = v_line[k // 3]
+        errors.append((lineno, k % 3, ObjParseError(
+            f"bad coordinate {v_tok[k]!r}", lineno,
+            _token_col(text.splitlines()[lineno - 1], k % 3 + 1))))
+        coords = list(map(float, v_tok[: k - k % 3]))
+    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    # The token lists are the largest temporaries; drop each once converted.
+    del v_tok, coords
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        lineno = v_line[int(np.argmin(finite))]
+        errors.append((lineno, 3, NonFiniteError(
+            f"line {lineno}: vertex coordinates must be finite")))
+
+    try:
+        components = list(map(float, n_tok))
+    except ValueError:
+        k, e = _first_bad(float, n_tok)
+        lineno = n_line[k // 3]
+        errors.append((lineno, k % 3, ObjParseError(str(e), lineno, 1)))
+        components = []
+
+    counts = np.array(f_count, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    try:
+        ints = list(map(int, f_tok))
+    except ValueError:
+        k, _ = _first_bad(int, f_tok)
+        errors.append(_index_error(text, f_line, starts, k, "bad vertex index {!r}"))
+        ints = list(map(int, f_tok[:k]))
+    del f_tok
+    try:
+        given = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        # Past int64 an index is out of range either way; the messages
+        # quote the token or the Python int, not this array.
+        given = np.array([min(max(i, -_HUGE), _HUGE) for i in ints], dtype=np.int64)
+    seen = np.repeat(np.array(f_seen, dtype=np.int64), counts)[: given.size]
+    index = np.where(given < 0, seen + given, given - 1)
+    bad = (given == 0) | (index < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        errors.append(_index_error(
+            text, f_line, starts, k,
+            "vertex index 0 is not allowed" if given[k] == 0
+            else "negative index {!r} reaches before first vertex"))
+
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    if not v_line:
         raise ObjParseError("no vertices defined", 1, 1)
-    for (a, b, c), (lineno, col) in zip(faces, face_locs):
-        for value in (a, b, c):
-            if value >= len(vertices):
-                raise ObjParseError(
-                    f"vertex index {value + 1} exceeds {len(vertices)} vertices",
-                    lineno,
-                    col,
-                )
-    mesh_normals = None
-    if normals and len(normals) == len(vertices):
-        mesh_normals = np.asarray(normals)
-    return Mesh(
-        np.asarray(vertices),
-        np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-        mesh_normals,
-    )
+    over = index >= len(v_line)
+    if over.any():
+        k = int(np.argmax(over))
+        lineno = f_line[int(np.searchsorted(starts, k, side="right")) - 1]
+        raise ObjParseError(
+            f"vertex index {ints[k]} exceeds {len(v_line)} vertices", lineno, 1)
+
+    # Fan each polygon (a0, a1, a2, ...) into (a0, ai, ai+1).
+    inner = np.ones(index.size, dtype=bool)
+    inner[starts] = False
+    inner[starts + counts - 1] = False
+    mid = np.flatnonzero(inner)
+    triangles = np.column_stack(
+        (np.repeat(index[starts], counts - 2), index[mid], index[mid + 1]))
+    normals = None
+    if n_line and len(n_line) == len(v_line):
+        normals = np.array(components, dtype=np.float64).reshape(-1, 3)
+    return Mesh(vertices, triangles, normals)
+
+
+def _index_error(text, f_line, starts, k, message):
+    """The located error for flat f token ``k``: (line, position, error)."""
+    row = int(np.searchsorted(starts, k, side="right")) - 1
+    lineno = f_line[row]
+    pos = k - int(starts[row])
+    raw = text.splitlines()[lineno - 1]
+    token = raw.split("#", 1)[0].split()[pos + 1]
+    return lineno, pos, ObjParseError(
+        message.format(token), lineno, _token_col(raw, pos + 1))
 
 
 def load_obj(path: str | Path) -> Mesh:
@@ -175,18 +248,21 @@ def load_obj(path: str | Path) -> Mesh:
 
 
 def write_obj(mesh: Mesh) -> str:
-    """Emit v/vn/f records with full round-trip float precision."""
-    def row(tag, p):
-        # repr of the Python float, not the numpy scalar
-        return f"{tag} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
+    """Emit v/vn/f records with full round-trip float precision.
 
-    lines = [row("v", v) for v in mesh.vertices]
+    Every float is written as ``repr`` of the Python float, so the text is
+    byte-stable and parses back to the same bits.
+    """
+    chunks = [_records("v %r %r %r\n", mesh.vertices.tolist())]
     if mesh.normals is not None:
-        lines.extend(row("vn", n) for n in mesh.normals)
-    lines.extend(
-        f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in mesh.triangles
-    )
-    return "\n".join(lines) + "\n"
+        chunks.append(_records("vn %r %r %r\n", mesh.normals.tolist()))
+    chunks.append(_records("f %d %d %d\n", (mesh.triangles + 1).tolist()))
+    return "".join(chunks) or "\n"
+
+
+def _records(fmt: str, rows: list[list]) -> str:
+    """``fmt`` applied to each row, in one formatting call."""
+    return (fmt * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def save_obj(path: str | Path, mesh: Mesh) -> None:
@@ -432,7 +508,9 @@ def first_hit_distances(
     """Nearest hit of each ray from a shared origin: t per ray, inf on a miss.
 
     t is in units of each row of ``directions``, and a ray's answer does
-    not depend on the other rays.
+    not depend on the other rays.  A hit with t <= ``RAY_T_EPS`` is not a
+    hit, and that bound is absolute in t, so a direction so long that a
+    hit's t falls to 1e-9 or below misses it (see the module docstring).
     """
     return _cast(
         mesh, origin, directions,
@@ -449,7 +527,10 @@ def crossing_counts(
     by t and a hit within RAY_MERGE_EPS of the previous one is dropped, so
     each run of nearly equal t counts as one crossing: a ray through an
     edge or vertex counts once whether or not the mesh is welded there.
-    ``t_max`` may be inf; misses never count.
+    ``t_max`` may be inf; misses never count.  ``RAY_T_EPS`` and
+    ``RAY_MERGE_EPS`` are absolute in t, so scaling a direction up also
+    drops hits within 1e-9 of the origin in t and merges crossings closer
+    than 1e-9 in t (see the module docstring).
     """
 
     def count(t):

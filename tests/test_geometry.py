@@ -31,6 +31,123 @@ from helpers import (
 )
 
 
+# The OBJ error contract: (text, class, message, line, col).  Errors on the
+# lines go first, earliest line first, leftmost token first within a line
+# (except that a v line's tokens all parse before its finiteness check);
+# "no vertices defined" and "exceeds N vertices" come only after them.
+# NonFiniteError names its line in the message and has no line/col.
+_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+_BIG = "9" * 25
+OBJ_ERRORS = {
+    "bad coordinate": (
+        "v 0 0 0\nv 1 zap 0\n", ObjParseError,
+        "line 2, col 5: bad coordinate 'zap'", 2, 5),
+    "bad coordinate before a comment": (
+        "v 0 0 0 # a\nv 1\t0  x # b\n", ObjParseError,
+        "line 2, col 8: bad coordinate 'x'", 2, 8),
+    "bad normal component": (
+        _TRI + "vn 0 q 1\n", ObjParseError,
+        "line 4, col 1: could not convert string to float: 'q'", 4, 1),
+    "bad index in a slash token": (
+        _TRI + "f 1/2/3 2//2 3x/3\n", ObjParseError,
+        "line 4, col 14: bad vertex index '3x/3'", 4, 14),
+    "empty first field": (
+        _TRI + "f 1 2 /3\n", ObjParseError,
+        "line 4, col 7: bad vertex index '/3'", 4, 7),
+    "index 0": (
+        _TRI + "f 1 0 2\n", ObjParseError,
+        "line 4, col 5: vertex index 0 is not allowed", 4, 5),
+    "index 0 in a slash token": (
+        _TRI + "f 1//1 0//2 2//3\n", ObjParseError,
+        "line 4, col 8: vertex index 0 is not allowed", 4, 8),
+    "negative index before the first vertex": (
+        _TRI + "f -1 -2 -4\n", ObjParseError,
+        "line 4, col 9: negative index '-4' reaches before first vertex", 4, 9),
+    "negative index counts only the vertices so far": (
+        "v 0 0 0\nf -1 -2/1 -1\nv 1 0 0\nv 0 1 0\n", ObjParseError,
+        "line 2, col 6: negative index '-2/1' reaches before first vertex", 2, 6),
+    "huge negative index": (
+        _TRI + f"f 1 2 -{_BIG}\n", ObjParseError,
+        f"line 4, col 7: negative index '-{_BIG}' reaches before first vertex", 4, 7),
+    "out of range on a polygon": (
+        _TRI + "f 1 2 3\nf 1 2 3 7 9\n", ObjParseError,
+        "line 5, col 1: vertex index 7 exceeds 3 vertices", 5, 1),
+    "huge positive index": (
+        _TRI + f"f 1 {_BIG} 2\n", ObjParseError,
+        f"line 4, col 1: vertex index {_BIG} exceeds 3 vertices", 4, 1),
+    "short vertex": (
+        "v 0 0 0\nv 1 2\n", ObjParseError,
+        "line 2, col 1: vertex needs 3 coordinates", 2, 1),
+    "short normal": (
+        _TRI + "vn 0 1\n", ObjParseError,
+        "line 4, col 1: normal needs 3 components", 4, 1),
+    "short face": (
+        _TRI + "f 1 2 # 3\n", ObjParseError,
+        "line 4, col 1: face needs at least 3 vertices, got 2", 4, 1),
+    "no vertices": ("# nothing\nvt 0 0\n", ObjParseError,
+                    "line 1, col 1: no vertices defined", 1, 1),
+    "no vertices after faces": ("f 1 2 3\n", ObjParseError,
+                                "line 1, col 1: no vertices defined", 1, 1),
+    "NaN then a bad token later": (
+        "v nan 0 0\nv 1 0 0\nv 0 1 0\nv x 0 0\n", NonFiniteError,
+        "line 1: vertex coordinates must be finite", None, None),
+    "NaN then a short record later": (
+        "v 0 0 0\nv 0 inf 0\nf 1 2\n", NonFiniteError,
+        "line 2: vertex coordinates must be finite", None, None),
+    "short record then NaN later": (
+        "v 0 0\nv nan 0 0\n", ObjParseError,
+        "line 1, col 1: vertex needs 3 coordinates", 1, 1),
+    "index 0 then a bad token later": (
+        _TRI + "# gap\nf 1 2 3\nf 0 1 2\n# gap\nf 1 2 3\nf 1 2 x\n",
+        ObjParseError, "line 6, col 3: vertex index 0 is not allowed", 6, 3),
+    "bad normal then index 0 later": (
+        _TRI + "vn 0 0 one\nf 0 1 2\n", ObjParseError,
+        "line 4, col 1: could not convert string to float: 'one'", 4, 1),
+    "bad token then a bad normal later": (
+        _TRI + "f 1 2 a\nvn 0 0 one\n", ObjParseError,
+        "line 4, col 7: bad vertex index 'a'", 4, 7),
+    "two defects on one f line": (
+        _TRI + "f 1 0 x\n", ObjParseError,
+        "line 4, col 5: vertex index 0 is not allowed", 4, 5),
+    "two defects on one f line, parse first": (
+        _TRI + "f 1 x -9\n", ObjParseError,
+        "line 4, col 5: bad vertex index 'x'", 4, 5),
+    "two bad coordinates on one line": (
+        "v 0 y x\n", ObjParseError, "line 1, col 5: bad coordinate 'y'", 1, 5),
+    "NaN left of a bad coordinate": (
+        "v nan x 0\n", ObjParseError, "line 1, col 7: bad coordinate 'x'", 1, 7),
+    "out of range before a later bad coordinate": (
+        _TRI + "f 1 2 9\nv 1 x 0\n", ObjParseError,
+        "line 5, col 5: bad coordinate 'x'", 5, 5),
+    "out of range before a later short face": (
+        _TRI + "f 1 2 9\nf 1 2\n", ObjParseError,
+        "line 5, col 1: face needs at least 3 vertices, got 2", 5, 1),
+    "bad index with no vertices": (
+        "f 1 2 3\nf 1 2 q\n", ObjParseError,
+        "line 2, col 7: bad vertex index 'q'", 2, 7),
+}
+
+# Finite floats plus the ones a repr round trip could plausibly lose.
+_OBJ_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+     1.7976931348623157e308, 0.1]
+)
+
+
+@st.composite
+def obj_meshes(draw):
+    n = draw(st.integers(1, 6))
+    rows = st.lists(st.tuples(_OBJ_FLOAT, _OBJ_FLOAT, _OBJ_FLOAT), min_size=n, max_size=n)
+    corner = st.integers(0, n - 1)
+    triangles = draw(st.lists(st.tuples(corner, corner, corner), max_size=6))
+    normals = draw(st.none() | rows)
+    return Mesh(
+        np.array(draw(rows)),
+        np.array(triangles, dtype=np.int64).reshape(-1, 3),
+        None if normals is None else np.array(normals),
+    )
+
+
 class TestObjParse:
     def test_basic(self):
         m = parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -88,6 +205,38 @@ class TestObjParse:
     def test_no_vertices(self):
         with pytest.raises(ObjParseError):
             parse_obj("# nothing\n")
+
+    @pytest.mark.parametrize("case", OBJ_ERRORS, ids=list(OBJ_ERRORS))
+    def test_error_contract(self, case):
+        text, cls, message, line, col = OBJ_ERRORS[case]
+        with pytest.raises(ValueError) as e:
+            parse_obj(text)
+        assert type(e.value) is cls
+        assert str(e.value) == message
+        assert getattr(e.value, "line", None) == line
+        assert getattr(e.value, "col", None) == col
+
+    def test_face_before_its_vertices(self):
+        # Positive indices are checked against every vertex after the pass.
+        m = parse_obj("f 1 2/5 3//1\nv 0 0 0\nv 1 0 0\nv 0 1 0\n")
+        assert m.triangles.tolist() == [[0, 1, 2]]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(mesh=obj_meshes())
+    def test_write_parse_round_trip_property(self, mesh):
+        rows = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+        if mesh.normals is not None:
+            rows += [f"vn {x!r} {y!r} {z!r}" for x, y, z in mesh.normals.tolist()]
+        rows += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
+        text = write_obj(mesh)
+        assert text == "\n".join(rows) + "\n"
+        back = parse_obj(text)
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
+        assert back.triangles.tolist() == mesh.triangles.tolist()
+        if mesh.normals is None:
+            assert back.normals is None
+        else:
+            assert back.normals.tobytes() == mesh.normals.tobytes()
 
     def test_write_round_trip(self, tmp_path):
         m = star_mesh(np.random.default_rng(0))
