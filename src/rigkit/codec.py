@@ -36,6 +36,7 @@ from .core import (
     ROOT_PARENT,
     Skeleton,
     _frozen,
+    _require_permutation,
     hierarchical_order,
     require_valid,
 )
@@ -113,20 +114,18 @@ def dequantize_coords(bins: np.ndarray) -> np.ndarray:
 
 
 def _check_order(s: Skeleton, order) -> np.ndarray:
-    j = s.joint_count
     if order is None:
         return hierarchical_order(s)
-    order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(j)):
-        raise ValueError("order must be a permutation of all joint indices")
-    return order
+    return _require_permutation(order, s.joint_count)
 
 
-def _header(shape_tokens: int) -> list[int]:
-    """BOS followed by ``shape_tokens`` shape placeholders."""
+def _framed(payload: np.ndarray, shape_tokens: int) -> np.ndarray:
+    """BOS, ``shape_tokens`` shape placeholders, the raveled payload, EOS."""
     if shape_tokens < 0:
         raise ValueError("shape_tokens must be non-negative")
-    return [BOS] + [SHAPE_PLACEHOLDER] * int(shape_tokens)
+    return np.concatenate(
+        ([BOS], np.full(int(shape_tokens), SHAPE_PLACEHOLDER), payload.ravel(), [EOS])
+    )
 
 
 def tokenize_joint_based(
@@ -138,35 +137,30 @@ def tokenize_joint_based(
 ) -> TokenSequence:
     """Serialize joints as [BOS, shape..., (x, y, z, parent) per joint, EOS].
 
-    The parent token stores the parent's position in the emission order
-    (offset by +1; 0 means root).  With ``require_causal`` the order must
-    put every parent before its children, the property that makes the
-    stream decodable one group at a time; pass False to serialize
-    non-causal orders (e.g. a pure spatial sort) anyway and let the
-    detokenizer report the damage.
+    The payload is the (j, 4) group array: row m holds the quantized
+    coordinates of joint ``order[m]`` and its parent token.  The parent
+    token stores the parent's position in the emission order (offset by
+    +1; 0 means root).  With ``require_causal`` the order must put every
+    parent before its children, the property that makes the stream
+    decodable one group at a time; pass False to serialize non-causal
+    orders (e.g. a pure spatial sort) anyway and let the detokenizer report
+    the damage.
     """
     require_valid(s)
     order = _check_order(s, order)
-    position = np.empty(s.joint_count, dtype=np.int64)
-    position[order] = np.arange(s.joint_count)
-
-    coords = quantize_coords(s.joints[order])
-    tokens = _header(shape_tokens)
-    for m, orig in enumerate(order):
-        p = int(s.parents[orig])
-        if p == ROOT_PARENT:
-            offset = 0
-        else:
-            if require_causal and position[p] >= m:
-                raise ValueError(
-                    f"order places joint {orig} before its parent {p}; "
-                    "not causally decodable"
-                )
-            offset = int(position[p]) + 1
-        tokens.extend(int(c) for c in coords[m])
-        tokens.append(PARENT_BASE + offset)
-    tokens.append(EOS)
-    return TokenSequence(np.array(tokens), None, SCHEME_JOINT)
+    parent = s.parents[order]
+    offset = np.where(parent == ROOT_PARENT, 0, np.argsort(order)[parent] + 1)
+    groups = np.column_stack((quantize_coords(s.joints[order]), PARENT_BASE + offset))
+    tokens = _framed(groups, shape_tokens)
+    # Group m is causal when its parent's position, offset - 1, is below m.
+    late = offset > np.arange(s.joint_count)
+    if require_causal and late.any():
+        m = int(np.argmax(late))
+        raise ValueError(
+            f"order places joint {order[m]} before its parent {parent[m]}; "
+            "not causally decodable"
+        )
+    return TokenSequence(tokens, None, SCHEME_JOINT)
 
 
 def tokenize_bone_based(
@@ -180,15 +174,9 @@ def tokenize_bone_based(
     """
     require_valid(s)
     order = _check_order(s, order)
-    tokens = _header(shape_tokens)
-    for orig in order:
-        p = int(s.parents[orig])
-        if p == ROOT_PARENT:
-            continue
-        ends = quantize_coords(np.stack([s.joints[p], s.joints[orig]]))
-        tokens.extend(int(c) for c in ends.ravel())
-    tokens.append(EOS)
-    return TokenSequence(np.array(tokens), None, SCHEME_BONE)
+    child = order[s.parents[order] != ROOT_PARENT]
+    ends = np.stack((s.joints[s.parents[child]], s.joints[child]), axis=1)
+    return TokenSequence(_framed(quantize_coords(ends), shape_tokens), None, SCHEME_BONE)
 
 
 def _split_payload(t: TokenSequence) -> tuple[int, np.ndarray, list[str]]:
@@ -238,32 +226,24 @@ def detokenize_joint_based(t: TokenSequence) -> tuple[Skeleton, list[str]]:
             f"payload length {payload.size} is not a multiple of 4; "
             f"trailing {payload.size % 4} token(s) dropped"
         )
-    joints = np.zeros((n_groups, 3))
-    parents = np.full(n_groups, ROOT_PARENT, dtype=np.int64)
-    for m in range(n_groups):
-        group = payload[4 * m: 4 * m + 4]
-        coord_toks = group[:3]
-        if np.any(coord_toks >= COORD_BINS):
+    groups = payload[: 4 * n_groups].reshape(n_groups, 4)
+    offset = groups[:, 3] - PARENT_BASE
+    bad_coord = np.any(groups[:, :3] >= COORD_BINS, axis=1)
+    bad_slot = (offset < 0) | (offset >= PARENT_SLOTS)
+    late = offset > np.arange(n_groups)
+    for m in np.flatnonzero(bad_coord | bad_slot | late):
+        if bad_coord[m]:
+            diagnostics.append(f"group {m}: non-coordinate token in coordinate slot")
+        if bad_slot[m]:
+            diagnostics.append(f"group {m}: parent slot holds token {groups[m, 3]}")
+        elif late[m]:
             diagnostics.append(
-                f"group {m}: non-coordinate token in coordinate slot"
-            )
-            coord_toks = np.clip(coord_toks, 0, COORD_BINS - 1)
-        joints[m] = dequantize_coords(coord_toks)
-        ptok = int(group[3])
-        if not PARENT_BASE <= ptok < PARENT_BASE + PARENT_SLOTS:
-            diagnostics.append(f"group {m}: parent slot holds token {ptok}")
-            continue
-        offset = ptok - PARENT_BASE
-        if offset == 0:
-            continue  # root group
-        parent_pos = offset - 1
-        if parent_pos >= m:
-            diagnostics.append(
-                f"group {m}: parent reference {parent_pos} not yet emitted; "
+                f"group {m}: parent reference {offset[m] - 1} not yet emitted; "
                 "joint left disconnected"
             )
-            continue
-        parents[m] = parent_pos
+    joints = dequantize_coords(np.minimum(groups[:, :3], COORD_BINS - 1))
+    # A root's offset 0 decodes to position -1, which is ROOT_PARENT.
+    parents = np.where(bad_slot | late, ROOT_PARENT, offset - 1)
     return Skeleton(joints, parents), diagnostics
 
 
@@ -287,31 +267,28 @@ def detokenize_bone_based(t: TokenSequence) -> tuple[Skeleton, list[str]]:
     if np.any(payload >= COORD_BINS):
         raise ValueError("bone-based payload must contain only coordinate tokens")
     n_bones = payload.size // 6
+    # Joint id by quantized endpoint, in first-seen order.
     index: dict[tuple[int, int, int], int] = {}
-    joints: list[np.ndarray] = []
     parents: list[int] = []
 
-    def joint_id(bins: np.ndarray, parent: int) -> int:
-        key = (int(bins[0]), int(bins[1]), int(bins[2]))
+    def joint_id(key: tuple[int, int, int], parent: int) -> int:
         if key not in index:
-            index[key] = len(joints)
-            joints.append(dequantize_coords(bins))
+            index[key] = len(parents)
             parents.append(parent)
         return index[key]
 
-    for m in range(n_bones):
-        head = payload[6 * m: 6 * m + 3]
-        tail = payload[6 * m + 3: 6 * m + 6]
-        key = (int(head[0]), int(head[1]), int(head[2]))
-        if m > 0 and key not in index:
+    bones = payload[: 6 * n_bones].reshape(n_bones, 2, 3).tolist()
+    for m, (head, tail) in enumerate(bones):
+        head, tail = tuple(head), tuple(tail)
+        if m > 0 and head not in index:
             diagnostics.append(
                 f"bone {m}: parent endpoint unseen; attached as extra root"
             )
         h = joint_id(head, ROOT_PARENT)
-        c = joint_id(tail, h)
-        if c == h:
+        if joint_id(tail, h) == h:
             diagnostics.append(f"bone {m}: zero-length bone collapsed")
-    return Skeleton(np.array(joints), np.array(parents, dtype=np.int64)), diagnostics
+    joints = dequantize_coords(np.array(list(index)))
+    return Skeleton(joints, np.array(parents, dtype=np.int64)), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +296,8 @@ def detokenize_bone_based(t: TokenSequence) -> tuple[Skeleton, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _payload_groups(t: TokenSequence) -> tuple[int, int, int]:
-    """Locate the joint groups: returns (payload start, group count, eos index)."""
+def _payload_groups(t: TokenSequence) -> tuple[int, np.ndarray]:
+    """Locate the joint groups: returns (payload start, (n, 4) group array)."""
     if t.scheme != SCHEME_JOINT:
         raise ValueError("group shuffling applies to joint-based streams")
     start, payload, diagnostics = _split_payload(t)
@@ -328,14 +305,18 @@ def _payload_groups(t: TokenSequence) -> tuple[int, int, int]:
         raise ValueError(f"stream not shuffle-safe: {diagnostics}")
     if payload.size == 0 or payload.size % 4 != 0:
         raise ValueError("payload must be a whole number of 4-token groups")
-    return start, payload.size // 4, start + payload.size
+    return start, payload.reshape(-1, 4)
 
 
-def _parent_offsets(groups: np.ndarray) -> np.ndarray:
-    offs = groups[:, 3] - PARENT_BASE
-    if np.any(offs < 0) or np.any(offs >= PARENT_SLOTS):
+def _remap_parents(groups: np.ndarray, new_position: np.ndarray) -> np.ndarray:
+    """Rewrite ``groups``' parent tokens in place for a new emission order,
+    in which the group emitted at position p moves to ``new_position[p]``."""
+    offset = groups[:, 3] - PARENT_BASE
+    if np.any(offset < 0) or np.any(offset >= PARENT_SLOTS):
         raise ValueError("malformed parent token in joint group")
-    return offs
+    nonroot = offset > 0
+    groups[nonroot, 3] = PARENT_BASE + new_position[offset[nonroot] - 1] + 1
+    return groups
 
 
 def randomize_groups(t: TokenSequence, seed: int, r: float) -> TokenSequence:
@@ -349,58 +330,37 @@ def randomize_groups(t: TokenSequence, seed: int, r: float) -> TokenSequence:
     1, 2, ..., and de-shuffling by indicators is always the identity on
     the payload.
 
-    Parent tokens are rewritten against the new emission positions, so a
-    shuffled payload may refer forward to a parent emitted later.
+    Shuffling permutes the rows of the (j, 4) group array.  Parent tokens
+    are rewritten against the new emission positions, so a shuffled
+    payload may refer forward to a parent emitted later.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
-    start, n_groups, end = _payload_groups(t)
-    groups = t.tokens[start:end].reshape(n_groups, 4)
+    start, groups = _payload_groups(t)
+    end = start + groups.size
 
     rng = np.random.default_rng(seed)
-    if rng.random() < r:
-        perm = rng.permutation(n_groups)
-    else:
-        perm = np.arange(n_groups)
-
-    new_groups = groups[perm].copy()
-    inverse = np.empty(n_groups, dtype=np.int64)
-    inverse[perm] = np.arange(n_groups)
-    offs = _parent_offsets(new_groups)
-    nonroot = offs > 0
-    new_groups[nonroot, 3] = PARENT_BASE + inverse[offs[nonroot] - 1] + 1
+    perm = rng.permutation(len(groups)) if rng.random() < r else np.arange(len(groups))
 
     tokens = t.tokens.copy()
-    tokens[start:end] = new_groups.reshape(-1)
+    tokens[start:end] = _remap_parents(groups[perm], np.argsort(perm)).ravel()
     indicators = np.full(tokens.shape, NO_INDICATOR, dtype=np.int64)
     indicators[:start] = perm[0]
-    for m in range(n_groups - 1):
-        indicators[start + 4 * m: start + 4 * (m + 1)] = perm[m + 1]
+    indicators[start:end - 4] = np.repeat(perm[1:], 4)
     return TokenSequence(tokens, indicators, t.scheme)
 
 
 def unshuffle_groups(t: TokenSequence) -> TokenSequence:
     """Invert :func:`randomize_groups` using the indicator stream."""
-    start, n_groups, end = _payload_groups(t)
-    groups = t.tokens[start:end].reshape(n_groups, 4)
+    start, groups = _payload_groups(t)
+    end = start + groups.size
 
-    if start == 0:
-        raise ValueError("stream carries no pre-payload indicator")
-    perm = np.empty(n_groups, dtype=np.int64)
-    perm[0] = t.indicators[0]
-    for m in range(n_groups - 1):
-        perm[m + 1] = t.indicators[start + 4 * m]
-    if sorted(perm.tolist()) != list(range(n_groups)):
+    perm = np.concatenate((t.indicators[:1], t.indicators[start:end - 4:4]))
+    if sorted(perm.tolist()) != list(range(len(groups))):
         raise ValueError("indicator stream does not spell a permutation")
 
-    restored = np.empty_like(groups)
-    restored[perm] = groups
-    offs = _parent_offsets(restored)
-    nonroot = offs > 0
-    restored[nonroot, 3] = PARENT_BASE + perm[offs[nonroot] - 1] + 1
-
     tokens = t.tokens.copy()
-    tokens[start:end] = restored.reshape(-1)
+    tokens[start:end] = _remap_parents(groups[np.argsort(perm)], perm).ravel()
     return TokenSequence(tokens, None, t.scheme)
 
 

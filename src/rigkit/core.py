@@ -80,11 +80,10 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangle mesh with optional per-vertex normals."""
+    """Triangle mesh: vertex positions and vertex-index triples."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         vertices = _frozen(self.vertices, np.float64)
@@ -99,11 +98,6 @@ class Mesh:
             raise ValueError("triangle indices out of vertex range")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
-        if self.normals is not None:
-            normals = _frozen(self.normals, np.float64)
-            if normals.shape != vertices.shape:
-                raise ValueError("normals must match vertices shape")
-            object.__setattr__(self, "normals", normals)
 
     @property
     def vertex_count(self) -> int:
@@ -316,12 +310,18 @@ def hierarchical_order(s: Skeleton) -> np.ndarray:
     return np.lexsort((np.arange(s.joint_count), x, y, z, depths))
 
 
-def permute_joints(s: Skeleton, order: np.ndarray) -> Skeleton:
-    """Reindex joints so new joint i is old joint order[i]; parents remapped."""
+def _require_permutation(order, j: int) -> np.ndarray:
+    """``order`` as an int64 array; raises unless it permutes 0 .. j - 1."""
     order = np.asarray(order, dtype=np.int64)
-    j = s.joint_count
     if sorted(order.tolist()) != list(range(j)):
         raise ValueError("order must be a permutation of all joint indices")
+    return order
+
+
+def permute_joints(s: Skeleton, order: np.ndarray) -> Skeleton:
+    """Reindex joints so new joint i is old joint order[i]; parents remapped."""
+    j = s.joint_count
+    order = _require_permutation(order, j)
     inverse = np.empty(j, dtype=np.int64)
     inverse[order] = np.arange(j)
     parents = np.array(

@@ -83,30 +83,29 @@ def _token_col(line: str, index: int) -> int:
     return col
 
 
-# The error for a v, vn or f record with fewer than three arguments.
+# The error for a v or f record with fewer than three arguments.
 _SHORT_RECORD = {
     "v": "vertex needs 3 coordinates",
-    "vn": "normal needs 3 components",
     "f": "face needs at least 3 vertices, got {}",
 }
 
 
-def _first_bad(convert, tokens: list[str]) -> tuple[int, ValueError]:
-    """Index of the first token ``convert`` rejects, and its error."""
+def _first_bad(convert, tokens: list[str]) -> int:
+    """Index of the first token ``convert`` rejects."""
     for i, token in enumerate(tokens):
         try:
             convert(token)
-        except ValueError as e:
-            return i, e
+        except ValueError:
+            return i
 
 
 def parse_obj(text: str | bytes) -> Mesh:
-    """Parse v/vn/f records; polygons are fan-triangulated.
+    """Parse v/f records; polygons are fan-triangulated.
 
     Indices are 1-based; negative indices count back from the vertices
     defined so far.  Errors carry the offending line and column; a NaN or
-    Inf vertex coordinate raises :class:`NonFiniteError` instead.  Normals
-    are kept only when they pair 1:1 with vertices.
+    Inf vertex coordinate raises :class:`NonFiniteError` instead.  Every
+    other record (vn, vt, o, g, ...) is skipped unread.
 
     One pass splits the lines and collects each record kind's tokens; each
     kind is then converted and checked in bulk.  Of the errors found on the
@@ -118,13 +117,11 @@ def parse_obj(text: str | bytes) -> Mesh:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     comments = "#" in text
-    # Three tokens and the line number per v and per vn record; per f
-    # record its first-field tokens, line number, token count and the
-    # number of vertices defined before it.
+    # Three tokens and the line number per v record; per f record its
+    # first-field tokens, line number, token count and the number of
+    # vertices defined before it.
     v_tok: list[str] = []
     v_line: list[int] = []
-    n_tok: list[str] = []
-    n_line: list[int] = []
     f_tok: list[str] = []
     f_line: list[int] = []
     f_count: list[int] = []
@@ -152,15 +149,12 @@ def parse_obj(text: str | bytes) -> Mesh:
             f_line.append(lineno)
             f_count.append(len(parts) - 1)
             f_seen.append(len(v_line))
-        elif rec == "vn":
-            n_tok += parts[1:4]
-            n_line.append(lineno)
-        # other record types (vt, o, g, s, usemtl, ...) are ignored
+        # other record types (vn, vt, o, g, s, usemtl, ...) are ignored
 
     try:
         coords = list(map(float, v_tok))
     except ValueError:
-        k, _ = _first_bad(float, v_tok)
+        k = _first_bad(float, v_tok)
         lineno = v_line[k // 3]
         errors.append((lineno, k % 3, ObjParseError(
             f"bad coordinate {v_tok[k]!r}", lineno,
@@ -175,20 +169,12 @@ def parse_obj(text: str | bytes) -> Mesh:
         errors.append((lineno, 3, NonFiniteError(
             f"line {lineno}: vertex coordinates must be finite")))
 
-    try:
-        components = list(map(float, n_tok))
-    except ValueError:
-        k, e = _first_bad(float, n_tok)
-        lineno = n_line[k // 3]
-        errors.append((lineno, k % 3, ObjParseError(str(e), lineno, 1)))
-        components = []
-
     counts = np.array(f_count, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     try:
         ints = list(map(int, f_tok))
     except ValueError:
-        k, _ = _first_bad(int, f_tok)
+        k = _first_bad(int, f_tok)
         errors.append(_index_error(text, f_line, starts, k, "bad vertex index {!r}"))
         ints = list(map(int, f_tok[:k]))
     del f_tok
@@ -226,10 +212,7 @@ def parse_obj(text: str | bytes) -> Mesh:
     mid = np.flatnonzero(inner)
     triangles = np.column_stack(
         (np.repeat(index[starts], counts - 2), index[mid], index[mid + 1]))
-    normals = None
-    if n_line and len(n_line) == len(v_line):
-        normals = np.array(components, dtype=np.float64).reshape(-1, 3)
-    return Mesh(vertices, triangles, normals)
+    return Mesh(vertices, triangles)
 
 
 def _index_error(text, f_line, starts, k, message):
@@ -248,16 +231,14 @@ def load_obj(path: str | Path) -> Mesh:
 
 
 def write_obj(mesh: Mesh) -> str:
-    """Emit v/vn/f records with full round-trip float precision.
+    """Emit v/f records with full round-trip float precision.
 
     Every float is written as ``repr`` of the Python float, so the text is
     byte-stable and parses back to the same bits.
     """
-    chunks = [_records("v %r %r %r\n", mesh.vertices.tolist())]
-    if mesh.normals is not None:
-        chunks.append(_records("vn %r %r %r\n", mesh.normals.tolist()))
-    chunks.append(_records("f %d %d %d\n", (mesh.triangles + 1).tolist()))
-    return "".join(chunks) or "\n"
+    text = _records("v %r %r %r\n", mesh.vertices.tolist())
+    text += _records("f %d %d %d\n", (mesh.triangles + 1).tolist())
+    return text or "\n"
 
 
 def _records(fmt: str, rows: list[list]) -> str:

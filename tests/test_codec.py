@@ -1,5 +1,7 @@
 """Token vocabulary, tokenizers, group shuffling, schedule, token files."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,136 @@ class TestDetokenizerDiagnostics:
         t = tokenize_joint_based(s)
         with pytest.raises(ValueError):
             detokenize_bone_based(t)
+
+
+def _stream(*payload, scheme="joint_based", shape=0, tail=(EOS,), indicators=None):
+    """BOS, ``shape`` placeholders, ``payload`` and ``tail`` as one stream."""
+    tokens = [BOS] + [SHAPE_PLACEHOLDER] * shape + list(payload) + list(tail)
+    return TokenSequence(np.array(tokens), indicators, scheme)
+
+
+_P = PARENT_BASE
+_CHAIN = Skeleton(np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]]), np.array([-1, 0, 1]))
+_SHUFFLED = randomize_groups(tokenize_joint_based(_CHAIN), seed=0, r=1.0)
+_BAD_LADDER = _SHUFFLED.indicators.copy()
+_BAD_LADDER[5] = _BAD_LADDER[0]
+
+# The codec contract: (function, arguments, expected), where expected is
+# the diagnostics list a decoder returns or the (class, message) a call
+# raises.  Multi-defect rows pin the order of the diagnostics: stream-level
+# findings first, then the ragged-payload note, then group by group (or
+# bone by bone), coordinates before the parent slot within a group.
+CODEC_CONTRACT = {
+    "joint: damaged groups in order": (
+        detokenize_joint_based,
+        (_stream(64, 64, 64, _P,
+                 64, _P + 5, 64, _P + 1,
+                 1, 2, PAD, 3, 64,
+                 5, 5, 5, _P + 9,
+                 150, 0, 0, 0,
+                 7, 7, 7, _P + 2,
+                 9, 9, tail=(EOS, 64, PAD)),),
+        ["trailing tokens after EOS",
+         "padding token inside payload",
+         "payload length 26 is not a multiple of 4; trailing 2 token(s) dropped",
+         "group 1: non-coordinate token in coordinate slot",
+         "group 2: parent slot holds token 64",
+         "group 3: parent reference 8 not yet emitted; joint left disconnected",
+         "group 4: non-coordinate token in coordinate slot",
+         "group 4: parent slot holds token 0"]),
+    "joint: missing EOS with shape tokens": (
+        detokenize_joint_based,
+        (_stream(64, 64, 64, _P, 0, 0, 0, _P + 1, shape=2, tail=()),),
+        ["missing EOS"]),
+    "joint: PAD after EOS is not trailing": (
+        detokenize_joint_based, (_stream(64, 64, 64, _P, tail=(EOS, PAD, PAD)),), []),
+    "joint: no payload": (
+        detokenize_joint_based, (_stream(shape=3),),
+        (ValueError, "token stream has no joint payload")),
+    "joint: empty stream": (
+        detokenize_joint_based, (TokenSequence(np.array([], dtype=np.int64), None,
+                                               "joint_based"),),
+        (ValueError, "empty token stream")),
+    "joint: no BOS": (
+        detokenize_joint_based, (TokenSequence(np.array([64, EOS]), None, "joint_based"),),
+        (ValueError, "token stream must start with BOS")),
+    "joint: bone stream": (
+        detokenize_joint_based, (_stream(0, 0, 0, 1, 1, 1, scheme="bone_based"),),
+        (ValueError, "expected joint_based stream, got bone_based")),
+    "tokenize: non-causal order": (
+        tokenize_joint_based, (_CHAIN, [0, 2, 1]),
+        (ValueError, "order places joint 2 before its parent 1; not causally decodable")),
+    "tokenize: not a permutation": (
+        tokenize_bone_based, (_CHAIN, [0, 1, 1]),
+        (ValueError, "order must be a permutation of all joint indices")),
+    "tokenize: negative shape tokens": (
+        partial(tokenize_bone_based, shape_tokens=-1), (_CHAIN,),
+        (ValueError, "shape_tokens must be non-negative")),
+    "bone: damaged bones in order": (
+        detokenize_bone_based,
+        (_stream(0, 0, 0, 1, 1, 1,
+                 1, 1, 1, 1, 1, 1,
+                 9, 9, 9, 9, 9, 9,
+                 2, 2, 2, 3, 3, 3,
+                 1, 1, 1, 4, 4, 4,
+                 5, 5, scheme="bone_based"),),
+        ["payload length 32 is not a multiple of 6; trailing 2 token(s) dropped",
+         "bone 1: zero-length bone collapsed",
+         "bone 2: parent endpoint unseen; attached as extra root",
+         "bone 2: zero-length bone collapsed",
+         "bone 3: parent endpoint unseen; attached as extra root"]),
+    "bone: no payload": (
+        detokenize_bone_based, (_stream(shape=1, scheme="bone_based"),),
+        (ValueError, "token stream has no bone payload")),
+    "bone: payload shorter than one bone": (
+        detokenize_bone_based, (_stream(1, 2, 3, scheme="bone_based"),),
+        (ValueError, "joints must be (j, 3), got (0,)")),
+    "bone: non-coordinate token": (
+        detokenize_bone_based, (_stream(0, 0, 0, 1, 1, _P, scheme="bone_based"),),
+        (ValueError, "bone-based payload must contain only coordinate tokens")),
+    "shuffle: missing EOS": (
+        randomize_groups, (_stream(64, 64, 64, _P, tail=()), 0, 1.0),
+        (ValueError, "stream not shuffle-safe: ['missing EOS']")),
+    "shuffle: trailing tokens": (
+        randomize_groups, (_stream(64, 64, 64, _P, tail=(EOS, 1)), 0, 1.0),
+        (ValueError, "stream not shuffle-safe: ['trailing tokens after EOS']")),
+    "shuffle: ragged payload": (
+        randomize_groups, (_stream(64, 64, 64, _P, 1), 0, 1.0),
+        (ValueError, "payload must be a whole number of 4-token groups")),
+    "shuffle: malformed parent token": (
+        randomize_groups, (_stream(64, 64, 64, _P, 1, 1, 1, 9), 0, 0.0),
+        (ValueError, "malformed parent token in joint group")),
+    "shuffle: bone stream": (
+        randomize_groups, (_stream(0, 0, 0, 1, 1, 1, scheme="bone_based"), 0, 1.0),
+        (ValueError, "group shuffling applies to joint-based streams")),
+    "shuffle: rate out of range": (
+        randomize_groups, (_SHUFFLED, 0, 2.0), (ValueError, "r must lie in [0, 1]")),
+    "unshuffle: malformed parent token": (
+        unshuffle_groups,
+        (_stream(64, 64, 64, _P, 1, 1, 1, 9, indicators=[1, 0, 0, 0, 0, -1, -1, -1, -1, -1]),),
+        (ValueError, "malformed parent token in joint group")),
+    "unshuffle: no indicators": (
+        unshuffle_groups, (tokenize_joint_based(_CHAIN),),
+        (ValueError, "indicator stream does not spell a permutation")),
+    "unshuffle: repeated indicator": (
+        unshuffle_groups,
+        (TokenSequence(_SHUFFLED.tokens, _BAD_LADDER, "joint_based"),),
+        (ValueError, "indicator stream does not spell a permutation")),
+}
+
+
+@pytest.mark.parametrize("case", CODEC_CONTRACT, ids=list(CODEC_CONTRACT))
+def test_codec_contract(case):
+    function, args, expected = CODEC_CONTRACT[case]
+    if isinstance(expected, list):
+        _, diagnostics = function(*args)
+        assert diagnostics == expected
+        return
+    cls, message = expected
+    with pytest.raises(Exception) as e:
+        function(*args)
+    assert type(e.value) is cls
+    assert str(e.value) == message
 
 
 class TestGroupShuffle:

@@ -123,14 +123,6 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(np.zeros((3, 3)), np.array([[0, 1, -1]]))
 
-    def test_normals_shape(self):
-        v = np.zeros((3, 3))
-        t = np.array([[0, 1, 2]])
-        with pytest.raises(ValueError):
-            Mesh(v, t, normals=np.zeros((2, 3)))
-        m = Mesh(v, t, normals=np.ones((3, 3)))
-        assert m.normals.shape == (3, 3)
-
     def test_copies_caller_arrays(self):
         v = np.zeros((3, 3))
         column = v[:, 0]
@@ -317,4 +309,31 @@ def test_no_unused_module_imports():
                     imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{imported[n]} {n}" for n in sorted(imported.keys() - read)]
+    assert unused == []
+
+
+def test_no_unused_private_names():
+    # A module-level _name (function, class or constant) that its own module
+    # never reads is dead code left behind by a rewrite.
+    package = Path(rigkit.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in ast.walk(ast.Tuple(elts=targets)):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+        read = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in sorted(defined.items())
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
     assert unused == []

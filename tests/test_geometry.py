@@ -35,7 +35,8 @@ from helpers import (
 # lines go first, earliest line first, leftmost token first within a line
 # (except that a v line's tokens all parse before its finiteness check);
 # "no vertices defined" and "exceeds N vertices" come only after them.
-# NonFiniteError names its line in the message and has no line/col.
+# NonFiniteError names its line in the message and has no line/col.  vn
+# records are skipped unread, like vt, so the vn rows raise what follows.
 _TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 _BIG = "9" * 25
 OBJ_ERRORS = {
@@ -46,8 +47,8 @@ OBJ_ERRORS = {
         "v 0 0 0 # a\nv 1\t0  x # b\n", ObjParseError,
         "line 2, col 8: bad coordinate 'x'", 2, 8),
     "bad normal component": (
-        _TRI + "vn 0 q 1\n", ObjParseError,
-        "line 4, col 1: could not convert string to float: 'q'", 4, 1),
+        _TRI + "vn 0 q 1\nf 1 2 9\n", ObjParseError,
+        "line 5, col 1: vertex index 9 exceeds 3 vertices", 5, 1),
     "bad index in a slash token": (
         _TRI + "f 1/2/3 2//2 3x/3\n", ObjParseError,
         "line 4, col 14: bad vertex index '3x/3'", 4, 14),
@@ -79,8 +80,8 @@ OBJ_ERRORS = {
         "v 0 0 0\nv 1 2\n", ObjParseError,
         "line 2, col 1: vertex needs 3 coordinates", 2, 1),
     "short normal": (
-        _TRI + "vn 0 1\n", ObjParseError,
-        "line 4, col 1: normal needs 3 components", 4, 1),
+        "vn 0 1\nv 0 0 0\nv 1 2\n", ObjParseError,
+        "line 3, col 1: vertex needs 3 coordinates", 3, 1),
     "short face": (
         _TRI + "f 1 2 # 3\n", ObjParseError,
         "line 4, col 1: face needs at least 3 vertices, got 2", 4, 1),
@@ -102,7 +103,7 @@ OBJ_ERRORS = {
         ObjParseError, "line 6, col 3: vertex index 0 is not allowed", 6, 3),
     "bad normal then index 0 later": (
         _TRI + "vn 0 0 one\nf 0 1 2\n", ObjParseError,
-        "line 4, col 1: could not convert string to float: 'one'", 4, 1),
+        "line 5, col 3: vertex index 0 is not allowed", 5, 3),
     "bad token then a bad normal later": (
         _TRI + "f 1 2 a\nvn 0 0 one\n", ObjParseError,
         "line 4, col 7: bad vertex index 'a'", 4, 7),
@@ -140,12 +141,7 @@ def obj_meshes(draw):
     rows = st.lists(st.tuples(_OBJ_FLOAT, _OBJ_FLOAT, _OBJ_FLOAT), min_size=n, max_size=n)
     corner = st.integers(0, n - 1)
     triangles = draw(st.lists(st.tuples(corner, corner, corner), max_size=6))
-    normals = draw(st.none() | rows)
-    return Mesh(
-        np.array(draw(rows)),
-        np.array(triangles, dtype=np.int64).reshape(-1, 3),
-        None if normals is None else np.array(normals),
-    )
+    return Mesh(np.array(draw(rows)), np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 class TestObjParse:
@@ -172,16 +168,6 @@ class TestObjParse:
     def test_slash_fields(self):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2/2 3/3/3\n"
         assert parse_obj(text).triangles.tolist() == [[0, 1, 2]]
-
-    def test_normals_kept_when_aligned(self):
-        text = (
-            "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
-            "vn 0 0 1\nvn 0 0 1\nvn 0 0 1\nf 1 2 3\n"
-        )
-        m = parse_obj(text)
-        assert m.normals is not None
-        text_mismatch = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1 2 3\n"
-        assert parse_obj(text_mismatch).normals is None
 
     def test_bad_coordinate_location(self):
         with pytest.raises(ObjParseError) as e:
@@ -225,18 +211,12 @@ class TestObjParse:
     @given(mesh=obj_meshes())
     def test_write_parse_round_trip_property(self, mesh):
         rows = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
-        if mesh.normals is not None:
-            rows += [f"vn {x!r} {y!r} {z!r}" for x, y, z in mesh.normals.tolist()]
         rows += [f"f {a} {b} {c}" for a, b, c in (mesh.triangles + 1).tolist()]
         text = write_obj(mesh)
         assert text == "\n".join(rows) + "\n"
         back = parse_obj(text)
         assert back.vertices.tobytes() == mesh.vertices.tobytes()
         assert back.triangles.tolist() == mesh.triangles.tolist()
-        if mesh.normals is None:
-            assert back.normals is None
-        else:
-            assert back.normals.tobytes() == mesh.normals.tobytes()
 
     def test_write_round_trip(self, tmp_path):
         m = star_mesh(np.random.default_rng(0))
