@@ -449,11 +449,12 @@ def tracking_loss(
     return LossResult(total, AnimParams(g_rq, g_rt, g_jq), dropped)
 
 
-def _geo_sq_pair_grads(a: np.ndarray, b: np.ndarray):
+def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):
     """Squared geodesic angle between quaternion stacks plus raw-space grads.
 
-    Returns (theta^2 array, grad wrt a, grad wrt b); inputs need not be
-    normalized, gradients account for the internal normalization.
+    Returns (theta^2 array, grad wrt a, grad wrt b), the grads None without
+    ``with_grad``; inputs need not be normalized, gradients account for the
+    internal normalization.
     """
     na = np.linalg.norm(a, axis=-1, keepdims=True)
     nb = np.linalg.norm(b, axis=-1, keepdims=True)
@@ -461,8 +462,10 @@ def _geo_sq_pair_grads(a: np.ndarray, b: np.ndarray):
     ub = b / nb
     d = np.sum(ua * ub, axis=-1)
     c = np.clip(np.abs(d), 0.0, 1.0)
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
     theta = 2.0 * np.arccos(c)
+    if not with_grad:
+        return theta * theta, None, None
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
     # d(theta^2)/dc = -8 * arccos(c)/sqrt(1-c^2); the ratio tends to 1 at c=1.
     ratio = np.where(s > 1e-8, np.arccos(c) / np.where(s > 1e-8, s, 1.0), 1.0)
     dc = -8.0 * ratio
@@ -483,8 +486,8 @@ def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> Los
     """
     rq, rt, jq = params_to_animation(params)
     n = params.frame_count
-    jt_sq, g_ja, g_jb = _geo_sq_pair_grads(jq[:-1], jq[1:])
-    rt_sq, g_ra, g_rb = _geo_sq_pair_grads(rq[:-1], rq[1:])
+    jt_sq, g_ja, g_jb = _geo_sq_pairs(jq[:-1], jq[1:], with_grad)
+    rt_sq, g_ra, g_rb = _geo_sq_pairs(rq[:-1], rq[1:], with_grad)
     t_diff = rt[1:] - rt[:-1]
     value = float(np.sum(jt_sq) + np.sum(rt_sq) + np.sum(t_diff**2))
     if not with_grad:

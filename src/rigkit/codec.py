@@ -312,8 +312,10 @@ def _remap_parents(groups: np.ndarray, new_position: np.ndarray) -> np.ndarray:
     """Rewrite ``groups``' parent tokens in place for a new emission order,
     in which the group emitted at position p moves to ``new_position[p]``."""
     offset = groups[:, 3] - PARENT_BASE
-    if np.any(offset < 0) or np.any(offset >= PARENT_SLOTS):
+    if np.any(offset < 0):
         raise ValueError("malformed parent token in joint group")
+    if np.any(offset > len(groups)):
+        raise ValueError("parent token points past the last joint group")
     nonroot = offset > 0
     groups[nonroot, 3] = PARENT_BASE + new_position[offset[nonroot] - 1] + 1
     return groups

@@ -199,7 +199,8 @@ def validate_skeleton(s: Skeleton) -> ValidationReport:
             ValidationIssue("non-finite", "joint coordinates contain NaN or Inf")
         )
 
-    roots = np.flatnonzero(s.parents == ROOT_PARENT)
+    parents = s.parents
+    roots = np.flatnonzero(parents == ROOT_PARENT)
     if roots.size == 0:
         issues.append(ValidationIssue("no-root", "no joint has the root sentinel"))
     elif roots.size > 1:
@@ -211,37 +212,30 @@ def validate_skeleton(s: Skeleton) -> ValidationReport:
             )
         )
 
-    dangling = [
-        k
-        for k in range(j)
-        if s.parents[k] != ROOT_PARENT and not 0 <= s.parents[k] < j
-    ]
-    if dangling:
+    linked = (parents >= 0) & (parents < j)
+    dangling = np.flatnonzero(~linked & (parents != ROOT_PARENT))
+    if dangling.size:
         issues.append(
             ValidationIssue(
                 "dangling-parent",
-                f"joints {dangling} reference parents outside [0, {j})",
+                f"joints {dangling.tolist()} reference parents outside [0, {j})",
             )
         )
 
-    # Cycle scan: follow parent links from each joint; a walk that exceeds j
-    # steps without reaching a root (or a dangling link) is trapped in a cycle.
-    in_cycle: set[int] = set()
-    for start in range(j):
-        seen = []
-        k = start
-        while 0 <= k < j and len(seen) <= j:
-            seen.append(k)
-            p = int(s.parents[k])
-            if p == ROOT_PARENT or not 0 <= p < j:
-                break
-            k = p
-        else:
-            in_cycle.update(seen)
-    if in_cycle:
+    # Cycle scan by pointer doubling: a link to the root sentinel or out of
+    # range goes to a sink at index j.  After 2^r >= j hops every joint whose
+    # parent chain ends reaches the sink; the rest are trapped in a cycle or
+    # on a chain that leads into one.
+    hop = np.append(np.where(linked, parents, j), j)
+    reach = 1
+    while reach < j:
+        hop = hop[hop]
+        reach *= 2
+    in_cycle = np.flatnonzero(hop[:j] != j)
+    if in_cycle.size:
         issues.append(
             ValidationIssue(
-                "cycle", f"parent links of joints {sorted(in_cycle)} form a cycle"
+                "cycle", f"parent links of joints {in_cycle.tolist()} form a cycle"
             )
         )
     return ValidationReport(tuple(issues))

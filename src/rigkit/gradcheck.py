@@ -22,24 +22,35 @@ from .quat import normalize as quat_normalize
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
+# Floats in one stack of perturbed inputs handed to the function under test:
+# large enough to amortize its per-call cost, small enough to stay in cache.
+FD_CHUNK_FLOATS = 1 << 15
 
 
-def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray,
+def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                        step: float = FD_STEP) -> np.ndarray:
-    """Two-sided finite differences of a scalar function, element by element."""
+    """Two-sided finite differences of a scalar function of ``x``.
+
+    ``f`` maps a stack (m, *x.shape) to its m values.  Each element's +step
+    and -step copies of ``x`` are rows of one stack, built and evaluated in
+    chunks of at most ``FD_CHUNK_FLOATS`` floats (one pair of rows where
+    that is larger); ``x`` itself is never written.  Where ``f`` evaluates each row as it would evaluate that row
+    alone, the result is bitwise the element-by-element loop's.
+    """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
     xf = x.ravel()
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + step
-        hi = f(x)
-        xf[i] = orig - step
-        lo = f(x)
-        xf[i] = orig
-        flat[i] = (hi - lo) / (2.0 * step)
-    return grad
+    grad = np.empty(xf.size)
+    pairs = max(1, FD_CHUNK_FLOATS // max(2 * xf.size, 1))
+    for lo in range(0, xf.size, pairs):
+        idx = np.arange(lo, min(lo + pairs, xf.size))
+        rows = np.arange(idx.size)
+        stack = np.empty((2, idx.size, xf.size))
+        stack[...] = xf
+        stack[0, rows, idx] = xf[idx] + step
+        stack[1, rows, idx] = xf[idx] - step
+        values = np.asarray(f(stack.reshape((-1,) + x.shape)), dtype=np.float64)
+        grad[idx] = (values[: idx.size] - values[idx.size :]) / (2.0 * step)
+    return grad.reshape(x.shape)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
@@ -50,7 +61,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-def fd_relative_error(analytic: np.ndarray, f: Callable[[np.ndarray], float],
+def fd_relative_error(analytic: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
                       x: np.ndarray, tolerance: float = REL_TOL) -> float:
     """Max relative error of an analytic gradient of f at x against FD.
 
@@ -80,6 +91,16 @@ class GradCheckResult:
         return self.max_rel_error < self.tolerance
 
 
+def _probe_sums(out: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """sum(out * probe) for each row of a stack of kernel outputs."""
+    return (out * probe).reshape(-1, probe.size).sum(axis=1)
+
+
+def _rowwise(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a function of one input to a stack, one call per row."""
+    return lambda stack: np.array([f(row) for row in stack])
+
+
 def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     h, n, d = 2, 5, 4
     q = rng.standard_normal((h, n, d))
@@ -93,10 +114,10 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     lam = float(rng.uniform(0.2, 1.5))
     probe = rng.standard_normal((h, n, d))
 
-    def scalar(q_, k_, v_, tab_, lam_):
+    def sums(q_, k_, v_, tab_, lam_):
         bias = kernels.distance_embedding(dist, kernels.DistanceEmbeddingTable(tab_))
         out, _ = kernels.topology_aware_attention(q_, k_, v_, bias, lam_)
-        return float(np.sum(out * probe))
+        return _probe_sums(out, probe)
 
     bias = kernels.distance_embedding(dist, table)
     gq, gk, gv, gbias, glam = kernels.topology_aware_attention_vjp(
@@ -105,13 +126,16 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     gtab = kernels.distance_embedding_vjp(dist, table, gbias)
 
     errs = [
-        fd_relative_error(gq, lambda a: scalar(a, k, v, table.values, lam), q.copy(), tol),
-        fd_relative_error(gk, lambda a: scalar(q, a, v, table.values, lam), k.copy(), tol),
-        fd_relative_error(gv, lambda a: scalar(q, k, a, table.values, lam), v.copy(), tol),
-        fd_relative_error(gtab, lambda a: scalar(q, k, v, a, lam), table.values.copy(), tol),
+        fd_relative_error(gq, lambda a: sums(a, k, v, table.values, lam), q, tol),
+        fd_relative_error(gk, lambda a: sums(q, a, v, table.values, lam), k, tol),
+        fd_relative_error(gv, lambda a: sums(q, k, a, table.values, lam), v, tol),
+        fd_relative_error(
+            gtab, _rowwise(lambda a: sums(q, k, v, a, lam)[0]), table.values, tol,
+        ),
         fd_relative_error(
             np.array([glam]),
-            lambda a: scalar(q, k, v, table.values, float(a[0])), np.array([lam]), tol,
+            _rowwise(lambda a: sums(q, k, v, table.values, float(a[0]))[0]),
+            np.array([lam]), tol,
         ),
     ]
     return max(errs)
@@ -124,15 +148,16 @@ def _check_skinning_head(rng: np.random.Generator, tol: float = REL_TOL) -> floa
     alpha = float(rng.uniform(0.5, 3.0))
     probe = rng.standard_normal((n, j))
 
-    def scalar(p_, b_, a_):
-        return float(np.sum(kernels.skinning_head(p_, b_, a_) * probe))
+    def sums(p_, b_, a_):
+        return _probe_sums(kernels.skinning_head(p_, b_, a_), probe)
 
     gp, gb, ga = kernels.skinning_head_vjp(p, b, alpha, probe)
     errs = [
-        fd_relative_error(gp, lambda a: scalar(a, b, alpha), p.copy(), tol),
-        fd_relative_error(gb, lambda a: scalar(p, a, alpha), b.copy(), tol),
+        fd_relative_error(gp, lambda a: sums(a, b, alpha), p, tol),
+        fd_relative_error(gb, lambda a: sums(p, a, alpha), b, tol),
         fd_relative_error(
-            np.array([ga]), lambda a: scalar(p, b, float(a[0])), np.array([alpha]), tol,
+            np.array([ga]), _rowwise(lambda a: sums(p, b, float(a[0]))[0]),
+            np.array([alpha]), tol,
         ),
     ]
     return max(errs)
@@ -148,7 +173,7 @@ def _check_cross_entropy(rng: np.random.Generator, tol: float = REL_TOL) -> floa
 
     g = kernels.next_token_cross_entropy_grad(logits, targets, mask)
     return fd_relative_error(
-        g, lambda a: kernels.next_token_cross_entropy(a, targets, mask), logits.copy(), tol
+        g, lambda a: kernels.next_token_cross_entropy(a, targets, mask), logits, tol
     )
 
 
@@ -228,10 +253,10 @@ def _check_tracking_loss(rng: np.random.Generator, tol: float = REL_TOL) -> floa
     res = animate.tracking_loss(params, mesh, s, weights, tracks, with_grad=True)
     return fd_relative_error(
         res.grads.flatten(),
-        lambda vec: animate.tracking_loss(
+        _rowwise(lambda vec: animate.tracking_loss(
             animate.AnimParams.from_flat(vec, n, j),
             mesh, s, weights, tracks, with_grad=False,
-        ).value,
+        ).value),
         params.flatten(),
         tol,
     )
@@ -247,9 +272,9 @@ def _check_smoothness(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     res = animate.smoothness_regularizer(params, with_grad=True)
     return fd_relative_error(
         res.grads.flatten(),
-        lambda vec: animate.smoothness_regularizer(
+        _rowwise(lambda vec: animate.smoothness_regularizer(
             animate.AnimParams.from_flat(vec, n, j), with_grad=False
-        ).value,
+        ).value),
         params.flatten(),
         tol,
     )

@@ -4,6 +4,16 @@ Shape conventions: attention operands are batched per head as (h, n, d);
 the skeleton-distance bias table is (levels, h) and expands to an (n, n, h)
 bias; point/bone feature matrices are (n, d) and (j, d).
 
+Leading batch axes: ``topology_aware_attention`` and
+``reference_attention`` take q, k, v as (..., h, n, d), ``skinning_head``
+takes (..., n, d) and (..., j, d), and the cross-entropy pair takes
+(..., length, vocab) logits against one targets row and one mask; the
+leading axes broadcast, while the bias, alpha, targets and mask are
+shared.  A stack is validated once, with the unbatched checks and
+messages, and each of its rows is bitwise the unbatched call on that
+row.  The attention and skinning ``*_vjp`` routines take unbatched
+operands only.
+
 These kernels are the numeric core of a skinning predictor whose wiring
 is: bone tokens attend over themselves with the graph-distance bias, pick
 up global context from a shape encoding by cross-attention, exchange
@@ -123,11 +133,11 @@ def distance_embedding_vjp(
 
 def _attention_core(q, k, v, bias):
     d_k = q.shape[-1]
-    logits = np.einsum("hid,hjd->hij", q, k) / np.sqrt(d_k)
+    logits = np.einsum("...hid,...hjd->...hij", q, k) / np.sqrt(d_k)
     if bias is not None:
         logits = logits + bias
     attn = _softmax(logits)
-    out = np.einsum("hij,hjd->hid", attn, v)
+    out = np.einsum("...hij,...hjd->...hid", attn, v)
     return out, attn
 
 
@@ -135,7 +145,7 @@ def _check_qkv(q, k, v):
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if q.ndim < 3 or k.shape[-3:] != q.shape[-3:] or v.shape[-3:] != q.shape[-3:]:
         raise ValueError("q, k, v must share shape (heads, n, d)")
     for name, a in (("q", q), ("k", k), ("v", v)):
         _require_finite(name, a)
@@ -159,7 +169,7 @@ def topology_aware_attention(
     """
     q, k, v = _check_qkv(q, k, v)
     bias = np.asarray(bias, dtype=np.float64)
-    h, n, _ = q.shape
+    h, n, _ = q.shape[-3:]
     if bias.shape != (n, n, h):
         raise ValueError(f"bias must be (n, n, heads)=({n},{n},{h})")
     _require_finite("bias", bias)
@@ -173,6 +183,8 @@ def topology_aware_attention_vjp(
 ):
     """Gradients of the attention output wrt (q, k, v, bias, lam)."""
     q, k, v = _check_qkv(q, k, v)
+    if any(a.ndim != 3 for a in (q, k, v)):
+        raise ValueError("q, k, v must share shape (heads, n, d)")
     bias_hij = float(lam) * np.transpose(bias, (2, 0, 1))
     d_k = q.shape[-1]
     scale = 1.0 / np.sqrt(d_k)
@@ -211,7 +223,7 @@ def skinning_head(
     """
     p = np.asarray(point_features, dtype=np.float64)
     b = np.asarray(bone_features, dtype=np.float64)
-    if p.ndim != 2 or b.ndim != 2 or p.shape[1] != b.shape[1]:
+    if p.ndim < 2 or b.ndim < 2 or p.shape[-1] != b.shape[-1]:
         raise ValueError("features must be (n, d) and (j, d) with shared d")
     _require_finite("point features", p)
     _require_finite("bone features", b)
@@ -219,7 +231,7 @@ def skinning_head(
         raise ValueError("alpha must be finite")
     _, np_g = _guarded_norms(p)
     _, nb_g = _guarded_norms(b)
-    cos = (p @ b.T) / np.outer(np_g, nb_g)
+    cos = (p @ np.swapaxes(b, -1, -2)) / (np_g[..., :, None] * nb_g[..., None, :])
     return _softmax(float(alpha) * cos)
 
 
@@ -264,18 +276,19 @@ def skinning_head_vjp(
 def _check_ce(logits, targets, mask):
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[1] != VOCAB_SIZE:
+    if logits.ndim < 2 or logits.shape[-1] != VOCAB_SIZE:
         raise ValueError(f"logits must be (length, {VOCAB_SIZE})")
-    if targets.shape != (logits.shape[0],):
+    length = logits.shape[-2]
+    if targets.shape != (length,):
         raise ValueError("targets must align with logits rows")
     if targets.size and (targets.min() < 0 or targets.max() >= VOCAB_SIZE):
         raise ValueError("targets out of vocabulary range")
     _require_finite("logits", logits)
     if mask is None:
-        mask = np.ones(logits.shape[0], dtype=bool)
+        mask = np.ones(length, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (logits.shape[0],):
+        if mask.shape != (length,):
             raise ValueError("mask must align with logits rows")
     if not mask.any():
         raise ValueError("mask excludes every position")
@@ -284,17 +297,20 @@ def _check_ce(logits, targets, mask):
 
 def next_token_cross_entropy(
     logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None
-) -> float:
+) -> float | np.ndarray:
     """Mean negative log-softmax of the target token over unmasked rows.
 
     Computed through a shifted log-sum-exp, so large logits do not
-    overflow.  Uniform logits give log(vocab) = log(203) ~ 5.313.
+    overflow.  Uniform logits give log(vocab) = log(203) ~ 5.313.  A
+    (length, vocab) input gives a float; leading axes give an array of them.
     """
     logits, targets, mask = _check_ce(logits, targets, mask)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1))
-    nll = lse - shifted[np.arange(targets.size), targets]
-    return float(np.mean(nll[mask]))
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=-1))
+    nll = lse - shifted[..., np.arange(targets.size), targets]
+    # Contiguous rows, so each mean sums in the order of the 1-d case.
+    loss = np.mean(np.ascontiguousarray(nll[..., mask]), axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def next_token_cross_entropy_grad(
@@ -302,8 +318,7 @@ def next_token_cross_entropy_grad(
 ) -> np.ndarray:
     """Exact gradient wrt logits: (softmax - onehot) / count on unmasked rows."""
     logits, targets, mask = _check_ce(logits, targets, mask)
-    probs = _softmax(logits)
-    grad = probs.copy()
-    grad[np.arange(targets.size), targets] -= 1.0
-    grad[~mask] = 0.0
+    grad = _softmax(logits)
+    grad[..., np.arange(targets.size), targets] -= 1.0
+    grad[..., ~mask, :] = 0.0
     return grad / float(mask.sum())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rigkit import Mesh, Skeleton
+from rigkit import MAX_JOINTS, Mesh, Skeleton
 from rigkit import quat
 
 
@@ -215,6 +215,46 @@ def bfs_graph_distances(s: Skeleton) -> np.ndarray:
                         nxt.append(nb)
             queue = nxt
     return d
+
+
+def walk_validation_report(s: Skeleton) -> str:
+    """``str(validate_skeleton(s))`` by per-joint scans: a list comprehension
+    for dangling links and a parent-chain walk from every joint for cycles."""
+    lines = []
+    j = s.joint_count
+    if j == 0:
+        return "empty: skeleton has no joints"
+    if j > MAX_JOINTS:
+        lines.append(f"joint-cap: {j} joints exceeds cap of {MAX_JOINTS}")
+    if not np.all(np.isfinite(s.joints)):
+        lines.append("non-finite: joint coordinates contain NaN or Inf")
+    roots = [k for k in range(j) if s.parents[k] == -1]
+    if not roots:
+        lines.append("no-root: no joint has the root sentinel")
+    elif len(roots) > 1:
+        lines.append(f"multiple-roots: joints {roots} all claim to be root; "
+                     "connected single-tree skeletons are required")
+    dangling = [k for k in range(j) if s.parents[k] != -1 and not 0 <= s.parents[k] < j]
+    if dangling:
+        lines.append(f"dangling-parent: joints {dangling} reference parents "
+                     f"outside [0, {j})")
+    # A walk that exceeds j steps without reaching a root (or a dangling
+    # link) is trapped in a cycle.
+    in_cycle: set[int] = set()
+    for start in range(j):
+        seen = []
+        k = start
+        while len(seen) <= j:
+            seen.append(k)
+            p = int(s.parents[k])
+            if p == -1 or not 0 <= p < j:
+                break
+            k = p
+        else:
+            in_cycle.update(seen)
+    if in_cycle:
+        lines.append(f"cycle: parent links of joints {sorted(in_cycle)} form a cycle")
+    return "\n".join(lines) if lines else "valid"
 
 
 def path_product_fk(s: Skeleton, joint_quats: np.ndarray,

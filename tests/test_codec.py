@@ -329,6 +329,9 @@ CODEC_CONTRACT = {
     "shuffle: malformed parent token": (
         randomize_groups, (_stream(64, 64, 64, _P, 1, 1, 1, 9), 0, 0.0),
         (ValueError, "malformed parent token in joint group")),
+    "shuffle: parent past the last group": (
+        randomize_groups, (_stream(64, 64, 64, _P, 1, 1, 1, _P + 9), 0, 0.0),
+        (ValueError, "parent token points past the last joint group")),
     "shuffle: bone stream": (
         randomize_groups, (_stream(0, 0, 0, 1, 1, 1, scheme="bone_based"), 0, 1.0),
         (ValueError, "group shuffling applies to joint-based streams")),
@@ -338,6 +341,11 @@ CODEC_CONTRACT = {
         unshuffle_groups,
         (_stream(64, 64, 64, _P, 1, 1, 1, 9, indicators=[1, 0, 0, 0, 0, -1, -1, -1, -1, -1]),),
         (ValueError, "malformed parent token in joint group")),
+    "unshuffle: parent past the last group": (
+        unshuffle_groups,
+        (_stream(64, 64, 64, _P, 1, 1, 1, _P + 9,
+                 indicators=[1, 0, 0, 0, 0, -1, -1, -1, -1, -1]),),
+        (ValueError, "parent token points past the last joint group")),
     "unshuffle: no indicators": (
         unshuffle_groups, (tokenize_joint_based(_CHAIN),),
         (ValueError, "indicator stream does not spell a permutation")),

@@ -32,7 +32,7 @@ from rigkit import (
     validate_skeleton,
 )
 
-from helpers import bfs_graph_distances, random_tree
+from helpers import bfs_graph_distances, random_tree, walk_validation_report
 
 
 def chain(*points):
@@ -107,6 +107,25 @@ class TestValidation:
     def test_self_parent_is_cycle(self):
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 1]))
         assert "cycle" in validate_skeleton(s).codes()
+
+    def test_report_matches_per_joint_walk(self):
+        # Random parent arrays: cycles with tails, self-parents, dangling
+        # links, several roots and more joints than the cap.
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            j = int(rng.choice([1, 2, 3, 5, 9, 30, MAX_JOINTS + 1, MAX_JOINTS + 9]))
+            parents = rng.integers(-1, j, size=j)
+            if rng.random() < 0.5:
+                parents = np.concatenate([[-1], rng.integers(0, np.arange(1, j))])
+                bad = rng.integers(0, j, size=int(rng.integers(0, 4)))
+                parents[bad] = rng.integers(-3, j + 3, size=bad.size)
+            if rng.random() < 0.2:
+                parents[rng.integers(0, j)] = j + int(rng.integers(0, 5))
+            joints = rng.standard_normal((j, 3))
+            if rng.random() < 0.05:
+                joints[0, 0] = np.nan
+            s = Skeleton(joints, parents)
+            assert str(validate_skeleton(s)) == walk_validation_report(s)
 
     def test_operations_reject_invalid(self):
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 5]))

@@ -114,9 +114,9 @@ class TestForwardKinematics:
                 fk_forward(s.joints, s.parents, jq, root_q, trans), probe
             )
             fd = [
-                central_difference(lambda a: scalar(a, root_q, trans), jq.copy()),
-                central_difference(lambda a: scalar(jq, a, trans), root_q.copy()),
-                central_difference(lambda a: scalar(jq, root_q, a), trans.copy()),
+                central_difference(lambda st: [scalar(a, root_q, trans) for a in st], jq),
+                central_difference(lambda st: [scalar(jq, a, trans) for a in st], root_q),
+                central_difference(lambda st: [scalar(jq, root_q, a) for a in st], trans),
             ]
             for analytic, numeric in zip((g_jq, g_rq, g_t), fd):
                 assert max_relative_error(analytic, numeric) < 1e-6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rigkit import gradcheck
 from rigkit import (
     DistanceEmbeddingTable,
     VOCAB_SIZE,
@@ -252,3 +253,151 @@ class TestAttentionVjpInternals:
         # while d(out)/d(lam) generally does not.
         assert np.all(g_bias == 0.0)
         assert g_lam != 0.0
+
+
+class TestLeadingBatchAxes:
+    """A stack of inputs gives, row for row, the bits of unbatched calls."""
+
+    STACKS = (1, 2, 6, 64)
+
+    def test_cross_entropy_rows(self):
+        rng = np.random.default_rng(14)
+        length = 9
+        for unmasked in range(1, length + 1):
+            mask = np.zeros(length, dtype=bool)
+            mask[rng.choice(length, unmasked, replace=False)] = True
+            targets = rng.integers(0, VOCAB_SIZE, length)
+            for m in self.STACKS:
+                logits = rng.standard_normal((m, length, VOCAB_SIZE))
+                stacked = next_token_cross_entropy(logits, targets, mask)
+                single = [next_token_cross_entropy(row, targets, mask) for row in logits]
+                assert all(type(x) is float for x in single)
+                assert stacked.shape == (m,)
+                assert np.array_equal(stacked, single)
+                grads = next_token_cross_entropy_grad(logits, targets, mask)
+                for row, g in zip(logits, grads):
+                    assert np.array_equal(g, next_token_cross_entropy_grad(row, targets, mask))
+        logits = rng.standard_normal((2, 3, 4, VOCAB_SIZE))
+        stacked = next_token_cross_entropy(logits, np.arange(4))
+        assert stacked.shape == (2, 3)
+        assert stacked[1, 2] == next_token_cross_entropy(logits[1, 2], np.arange(4))
+
+    def test_attention_rows(self):
+        rng = np.random.default_rng(15)
+        q, k, v = rand_qkv(rng, h=2, n=5, d=4)
+        bias = rng.standard_normal((5, 5, 2))
+        for m in self.STACKS:
+            for operand in range(3):
+                args = [q, k, v]
+                args[operand] = rng.standard_normal((m,) + q.shape)
+                out, attn = topology_aware_attention(*args, bias, 0.7)
+                assert out.shape == (m,) + q.shape
+                # attention maps carry only the axes of q and k
+                attn = np.broadcast_to(attn, (m, 2, 5, 5))
+                for i in range(m):
+                    row = [a[i] if a.ndim == 4 else a for a in args]
+                    want_out, want_attn = topology_aware_attention(*row, bias, 0.7)
+                    assert np.array_equal(out[i], want_out)
+                    assert np.array_equal(attn[i], want_attn)
+
+    def test_skinning_head_rows(self):
+        rng = np.random.default_rng(16)
+        p = rng.standard_normal((7, 5))
+        b = rng.standard_normal((4, 5))
+        for m in self.STACKS:
+            ps = rng.standard_normal((m, 7, 5))
+            bs = rng.standard_normal((m, 4, 5))
+            ps[0, 2] = 0.0
+            for w, rows in ((skinning_head(ps, b, 1.3), [skinning_head(x, b, 1.3) for x in ps]),
+                            (skinning_head(p, bs, 1.3), [skinning_head(p, x, 1.3) for x in bs])):
+                assert w.shape == (m, 7, 4)
+                assert np.array_equal(w, np.stack(rows))
+
+    def test_stack_validated_as_a_whole(self):
+        rng = np.random.default_rng(17)
+        logits = rng.standard_normal((3, 2, VOCAB_SIZE))
+        logits[2, 1, 5] = np.nan
+        with pytest.raises(ValueError, match="logits contains NaN or Inf"):
+            next_token_cross_entropy(logits, np.array([0, 1]))
+        with pytest.raises(ValueError, match="targets must align with logits rows"):
+            next_token_cross_entropy(np.zeros((3, 2, VOCAB_SIZE)), np.arange(3))
+        q, k, v = rand_qkv(rng)
+        q = np.stack([q, q])
+        q[1, 0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="q contains NaN or Inf"):
+            topology_aware_attention(q, k, v, np.zeros((6, 6, 2)), 1.0)
+        with pytest.raises(ValueError, match="share shape"):
+            topology_aware_attention(q, k[:, :3], v, np.zeros((6, 6, 2)), 1.0)
+        with pytest.raises(ValueError, match="share shape"):
+            topology_aware_attention_vjp(np.stack([k, k]), k, v, np.zeros((6, 6, 2)), 1.0, v)
+        p = np.ones((2, 3, 4))
+        p[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="point features contains NaN or Inf"):
+            skinning_head(p, np.ones((2, 4)), 1.0)
+
+
+class TestCentralDifference:
+    @staticmethod
+    def element_loop(f, x, step=gradcheck.FD_STEP):
+        """One call of a scalar function per perturbed element."""
+        x = np.array(x, dtype=np.float64)
+        grad = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            orig = x[i]
+            x[i] = orig + step
+            hi = f(x)
+            x[i] = orig - step
+            lo = f(x)
+            x[i] = orig
+            grad[i] = (hi - lo) / (2.0 * step)
+        return grad
+
+    def cases(self):
+        rng = np.random.default_rng(18)
+        logits = rng.standard_normal((3, VOCAB_SIZE))
+        targets = rng.integers(0, VOCAB_SIZE, 3)
+        mask = np.array([True, False, True])
+        q, k, v = rand_qkv(rng, h=2, n=3, d=2)
+        bias = rng.standard_normal((3, 3, 2))
+        probe = rng.standard_normal(q.shape)
+        b = rng.standard_normal((3, 4))
+        w_probe = rng.standard_normal((5, 3))
+
+        def attention_sum(q_):
+            out, _ = topology_aware_attention(q_, k, v, bias, 0.9)
+            return (out * probe).reshape(-1, probe.size).sum(axis=1)
+
+        def skinning_sum(p_):
+            return (skinning_head(p_, b, 2.0) * w_probe).reshape(-1, w_probe.size).sum(axis=1)
+
+        return [
+            (lambda a: next_token_cross_entropy(a, targets, mask), logits,
+             lambda a: next_token_cross_entropy(a, targets, mask)),
+            (attention_sum, q, lambda a: float(np.sum(
+                topology_aware_attention(a, k, v, bias, 0.9)[0] * probe))),
+            (skinning_sum, rng.standard_normal((5, 4)),
+             lambda a: float(np.sum(skinning_head(a, b, 2.0) * w_probe))),
+        ]
+
+    def test_bitwise_element_loop_at_any_chunk_budget(self, monkeypatch):
+        for stacked, x, scalar in self.cases():
+            want = {step: self.element_loop(scalar, x, step)
+                    for step in (gradcheck.FD_STEP, 1e-3)}
+            x.setflags(write=False)  # the engine never writes its input
+            for budget in (1, 7, 2 * x.size, 1000, gradcheck.FD_CHUNK_FLOATS, 1 << 22):
+                monkeypatch.setattr(gradcheck, "FD_CHUNK_FLOATS", budget)
+                for step, grad in want.items():
+                    assert np.array_equal(gradcheck.central_difference(stacked, x, step), grad)
+
+    def test_chunks_bounded_by_budget(self):
+        sizes = []
+
+        def f(stack):
+            sizes.append(stack.size)
+            return stack.sum(axis=(1, 2))
+
+        x = np.arange(40.0).reshape(5, 8)
+        assert np.allclose(gradcheck.central_difference(f, x), 1.0)
+        assert max(sizes) <= max(gradcheck.FD_CHUNK_FLOATS, 2 * x.size)
+        assert sum(sizes) == 2 * x.size * x.size
+        assert gradcheck.central_difference(f, np.zeros((0, 8))).shape == (0, 8)
