@@ -390,18 +390,51 @@ class LossResult:
     dropped_terms: int = 0
 
 
-def _check_scene(params, mesh, s, weights, tracks):
-    require_valid(s)
-    if params.joint_count != s.joint_count:
-        raise ValueError("params joint count does not match skeleton")
-    if tracks.frame_count != params.frame_count:
-        raise ValueError("tracks and params must cover the same frames")
-    if tracks.joint_tracks.shape[1] != s.joint_count:
-        raise ValueError("joint tracks do not match skeleton")
-    weights.require_fits(mesh, s)
-    subset = tracks.vertex_subset
-    if subset.size and (subset.min() < 0 or subset.max() >= mesh.vertex_count):
-        raise ValueError("vertex subset indices must lie in [0, mesh vertex count)")
+class _Fit:
+    """A track fit's fixed inputs, validated and gathered once for every evaluation."""
+
+    def __init__(self, mesh: Mesh, s: Skeleton, weights: SkinWeights, tracks: TrackSet):
+        require_valid(s)
+        if tracks.joint_tracks.shape[1] != s.joint_count:
+            raise ValueError("joint tracks do not match skeleton")
+        weights.require_fits(mesh, s)
+        subset = tracks.vertex_subset
+        if subset.size and (subset.min() < 0 or subset.max() >= mesh.vertex_count):
+            raise ValueError("vertex subset indices must lie in [0, mesh vertex count)")
+        self.s = s
+        self.camera = tracks.camera
+        self.frame_count = tracks.frame_count
+        self.vertices = mesh.vertices[subset]
+        self.weight_rows = weights.matrix[subset]
+        self.mask = np.concatenate([tracks.joint_visibility, tracks.vertex_visibility])
+        self.observed = np.concatenate(
+            [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
+        )
+
+    def loss(self, params: AnimParams, with_grad: bool) -> LossResult:
+        """The tracking loss of ``params``; see :func:`tracking_loss`."""
+        if params.joint_count != self.s.joint_count:
+            raise ValueError("params joint count does not match skeleton")
+        if params.frame_count != self.frame_count:
+            raise ValueError("tracks and params must cover the same frames")
+        cache, points = pose_clip(
+            self.s, self.vertices, self.weight_rows,
+            params.root_quats, params.root_trans, params.joint_quats,
+        )
+        uv, _, valid = project(self.camera, points)
+        use = self.mask & valid
+        dropped = int(np.sum(self.mask & ~valid))
+        res = (uv - self.observed) * use[..., None]
+        total = float(np.sum(res**2))
+        if not with_grad:
+            return LossResult(total, None, dropped)
+
+        d_points = project_vjp(self.camera, points, 2.0 * res)
+        j = self.s.joint_count
+        dG = posed_joint_positions_vjp(cache, d_points[:, :j])
+        dG += lbs_vjp(self.vertices, self.weight_rows, d_points[:, j:])
+        g_jq, g_rq, g_rt = fk_backward(cache, dG)
+        return LossResult(total, AnimParams(g_rq, g_rt, g_jq), dropped)
 
 
 def tracking_loss(
@@ -421,32 +454,7 @@ def tracking_loss(
     ``dropped_terms``) instead of producing NaN.  Frame 0 is pinned and
     contributes nothing.
     """
-    _check_scene(params, mesh, s, weights, tracks)
-    cam = tracks.camera
-    sub_verts = mesh.vertices[tracks.vertex_subset]
-    sub_w = weights.matrix[tracks.vertex_subset]
-    mask = np.concatenate([tracks.joint_visibility, tracks.vertex_visibility])
-    observed = np.concatenate(
-        [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
-    )
-
-    cache, points = pose_clip(
-        s, sub_verts, sub_w, params.root_quats, params.root_trans, params.joint_quats
-    )
-    uv, _, valid = project(cam, points)
-    use = mask & valid
-    dropped = int(np.sum(mask & ~valid))
-    res = (uv - observed) * use[..., None]
-    total = float(np.sum(res**2))
-    if not with_grad:
-        return LossResult(total, None, dropped)
-
-    d_points = project_vjp(cam, points, 2.0 * res)
-    j = s.joint_count
-    dG = posed_joint_positions_vjp(cache, d_points[:, :j])
-    dG += lbs_vjp(sub_verts, sub_w, d_points[:, j:])
-    g_jq, g_rq, g_rt = fk_backward(cache, dG)
-    return LossResult(total, AnimParams(g_rq, g_rt, g_jq), dropped)
+    return _Fit(mesh, s, weights, tracks).loss(params, with_grad)
 
 
 def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):
@@ -485,7 +493,6 @@ def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> Los
     the identity frame 0 anchors the first pair.
     """
     rq, rt, jq = params_to_animation(params)
-    n = params.frame_count
     jt_sq, g_ja, g_jb = _geo_sq_pairs(jq[:-1], jq[1:], with_grad)
     rt_sq, g_ra, g_rb = _geo_sq_pairs(rq[:-1], rq[1:], with_grad)
     t_diff = rt[1:] - rt[:-1]
@@ -493,18 +500,17 @@ def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> Los
     if not with_grad:
         return LossResult(value, None, 0)
 
-    m = n - 1
-    g_jq = np.zeros((m, params.joint_count, 4))
-    g_rq = np.zeros((m, 4))
-    g_rt = np.zeros((m, 3))
-    # Pair i joins frames (i, i+1); frame f >= 1 owns parameter slot f-1.
-    g_jq += g_jb  # each frame 1..n-1 as the 'b' of pair i=f-1
-    g_rq += g_rb
-    g_jq[: m - 1] += g_ja[1:]  # frames 1..n-2 also appear as the 'a' of pair f
-    g_rq[: m - 1] += g_ra[1:]
-    g_rt += 2.0 * t_diff
-    g_rt[: m - 1] -= 2.0 * t_diff[1:]
-    return LossResult(value, AnimParams(g_rq, g_rt, g_jq), 0)
+    # Pair i joins frames (i, i+1); the pinned frame 0's row is dropped.
+    g_jq = np.zeros_like(jq)
+    g_rq = np.zeros_like(rq)
+    g_rt = np.zeros_like(rt)
+    g_jq[1:] += g_jb
+    g_jq[:-1] += g_ja
+    g_rq[1:] += g_rb
+    g_rq[:-1] += g_ra
+    g_rt[1:] += 2.0 * t_diff
+    g_rt[:-1] -= 2.0 * t_diff
+    return LossResult(value, AnimParams(g_rq[1:], g_rt[1:], g_jq[1:]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +554,6 @@ class OptimizeResult:
     dropped_terms: int
 
 
-def _objective(params, mesh, s, weights, tracks, config):
-    track = tracking_loss(params, mesh, s, weights, tracks, with_grad=True)
-    reg = smoothness_regularizer(params, with_grad=True)
-    value = track.value + config.reg_weight * reg.value
-    grad = track.grads.flatten() + config.reg_weight * reg.grads.flatten()
-    return value, grad, track.dropped_terms
-
-
 def optimize(
     mesh: Mesh,
     s: Skeleton,
@@ -571,6 +569,7 @@ def optimize(
     a non-finite loss, or one exceeding ``divergence_factor`` times the
     initial loss, raises :class:`DivergenceError`.
     """
+    fit = _Fit(mesh, s, weights, tracks)
     n = tracks.frame_count
     j = s.joint_count
     params = AnimParams.identity(n, j)
@@ -589,10 +588,12 @@ def optimize(
     it = 0
 
     for it in range(config.iterations):
-        value, grad, dropped = _objective(
-            AnimParams.from_flat(x, n, j), mesh, s, weights, tracks, config
-        )
-        dropped_total += dropped
+        params = AnimParams.from_flat(x, n, j)
+        track = fit.loss(params, True)
+        reg = smoothness_regularizer(params, with_grad=True)
+        value = track.value + config.reg_weight * reg.value
+        grad = track.grads.flatten() + config.reg_weight * reg.grads.flatten()
+        dropped_total += track.dropped_terms
         if initial is None:
             initial = value
         if value < best_value:

@@ -263,7 +263,6 @@ def _cmd_animate(args) -> int:
     tracks = _load(args.tracks, animate.load_tracks, "track")
     weights = _require_weights(rig, args.rig)
     s = rig.skeleton
-    require_valid(s)
     config = animate.OptimizeConfig(
         learning_rate=args.learning_rate,
         iterations=args.iterations,

@@ -249,14 +249,12 @@ def _near_identity_quats(rng: np.random.Generator, shape) -> np.ndarray:
 def _check_tracking_loss(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     mesh, s, weights, tracks, params = _random_scene(rng)
     n, j = params.frame_count, params.joint_count
+    fit = animate._Fit(mesh, s, weights, tracks)
 
-    res = animate.tracking_loss(params, mesh, s, weights, tracks, with_grad=True)
+    res = fit.loss(params, True)
     return fd_relative_error(
         res.grads.flatten(),
-        _rowwise(lambda vec: animate.tracking_loss(
-            animate.AnimParams.from_flat(vec, n, j),
-            mesh, s, weights, tracks, with_grad=False,
-        ).value),
+        _rowwise(lambda vec: fit.loss(animate.AnimParams.from_flat(vec, n, j), False).value),
         params.flatten(),
         tol,
     )

@@ -12,7 +12,7 @@ leading axes broadcast, while the bias, alpha, targets and mask are
 shared.  A stack is validated once, with the unbatched checks and
 messages, and each of its rows is bitwise the unbatched call on that
 row.  The attention and skinning ``*_vjp`` routines take unbatched
-operands only.
+operands only and run their forward kernel's checks.
 
 These kernels are the numeric core of a skinning predictor whose wiring
 is: bone tokens attend over themselves with the graph-distance bias, pick
@@ -182,14 +182,11 @@ def topology_aware_attention_vjp(
     q, k, v, bias: np.ndarray, lam: float, grad_out: np.ndarray
 ):
     """Gradients of the attention output wrt (q, k, v, bias, lam)."""
-    q, k, v = _check_qkv(q, k, v)
+    _, attn = topology_aware_attention(q, k, v, bias, lam)
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     if any(a.ndim != 3 for a in (q, k, v)):
         raise ValueError("q, k, v must share shape (heads, n, d)")
-    bias_hij = float(lam) * np.transpose(bias, (2, 0, 1))
-    d_k = q.shape[-1]
-    scale = 1.0 / np.sqrt(d_k)
-    logits = np.einsum("hid,hjd->hij", q, k) * scale + bias_hij
-    attn = _softmax(logits)
+    scale = 1.0 / np.sqrt(q.shape[-1])
 
     grad_out = np.asarray(grad_out, dtype=np.float64)
     grad_v = np.einsum("hij,hid->hjd", attn, grad_out)
@@ -212,6 +209,18 @@ def _guarded_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return true, true + COSINE_NORM_EPS
 
 
+def _check_skinning(point_features, bone_features, alpha):
+    p = np.asarray(point_features, dtype=np.float64)
+    b = np.asarray(bone_features, dtype=np.float64)
+    if p.ndim < 2 or b.ndim < 2 or p.shape[-1] != b.shape[-1]:
+        raise ValueError("features must be (n, d) and (j, d) with shared d")
+    _require_finite("point features", p)
+    _require_finite("bone features", b)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    return p, b
+
+
 def skinning_head(
     point_features: np.ndarray, bone_features: np.ndarray, alpha: float
 ) -> np.ndarray:
@@ -221,14 +230,7 @@ def skinning_head(
     guarded with a 1e-12 epsilon so all-zero feature rows yield a uniform
     row instead of NaN.  Every output row sums to 1.
     """
-    p = np.asarray(point_features, dtype=np.float64)
-    b = np.asarray(bone_features, dtype=np.float64)
-    if p.ndim < 2 or b.ndim < 2 or p.shape[-1] != b.shape[-1]:
-        raise ValueError("features must be (n, d) and (j, d) with shared d")
-    _require_finite("point features", p)
-    _require_finite("bone features", b)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    p, b = _check_skinning(point_features, bone_features, alpha)
     _, np_g = _guarded_norms(p)
     _, nb_g = _guarded_norms(b)
     cos = (p @ np.swapaxes(b, -1, -2)) / (np_g[..., :, None] * nb_g[..., None, :])
@@ -242,8 +244,7 @@ def skinning_head_vjp(
     grad_w: np.ndarray,
 ):
     """Gradients of the skinning distribution wrt both feature sets and alpha."""
-    p = np.asarray(point_features, dtype=np.float64)
-    b = np.asarray(bone_features, dtype=np.float64)
+    p, b = _check_skinning(point_features, bone_features, alpha)
     np_t, np_g = _guarded_norms(p)
     nb_t, nb_g = _guarded_norms(b)
     inv = 1.0 / np.outer(np_g, nb_g)

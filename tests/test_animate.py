@@ -455,6 +455,12 @@ class TestTrackingLoss:
         bad_w = SkinWeights(np.ones((3, 1)))
         with pytest.raises(ValueError):
             tracking_loss(params, mesh, s, bad_w, tracks)
+        past = replace(
+            tracks,
+            vertex_subset=np.append(tracks.vertex_subset[:-1], mesh.vertex_count),
+        )
+        with pytest.raises(ValueError, match="vertex subset indices"):
+            tracking_loss(params, mesh, s, weights, past)
 
     def test_grad_check_passes_where_plain_fd_truncates(self):
         # Instance 18 of seed 1186735208: the gradient is correct, but the
@@ -582,6 +588,41 @@ class TestOptimize:
         assert result.converged
         assert result.iterations == 0
         assert result.params.frame_count == 1
+
+    def test_single_frame_inputs_validated(self):
+        # The one-frame shortcut returns no fit, but the inputs still have
+        # to describe one.
+        mesh = tube_mesh(length=1.4, rings=6, sides=6)
+        s = chain3()
+        weights = heuristic_skin_weights(mesh, s)
+        tracks = synthesize_tracks(
+            mesh, s, weights, AnimParams.identity(1, 3), front_camera(),
+            vertex_count=10,
+        )
+        with pytest.raises(ValueError, match="weights are"):
+            optimize(mesh, s, SkinWeights(np.ones((3, 1))), tracks)
+        rootless = Skeleton(s.joints, np.array([1, 2, 0]))
+        with pytest.raises(ValueError, match="no-root"):
+            optimize(mesh, rootless, weights, tracks)
+        four = Skeleton(np.vstack([s.joints, [[1.4, 0.0, 0.0]]]), np.array([-1, 0, 1, 2]))
+        with pytest.raises(ValueError, match="joint tracks do not match skeleton"):
+            optimize(mesh, four, heuristic_skin_weights(mesh, four), tracks)
+
+    def test_skeleton_validated_once_per_fit(self, monkeypatch):
+        from rigkit import core
+
+        mesh, s, weights, _, tracks = self._scene()
+        calls = []
+        validate = core.validate_skeleton
+        monkeypatch.setattr(
+            core, "validate_skeleton", lambda s: calls.append(1) or validate(s)
+        )
+        result = optimize(
+            mesh, s, weights, tracks,
+            OptimizeConfig(iterations=20, plateau_window=100),
+        )
+        assert result.iterations == 20
+        assert len(calls) == 1
 
     def test_lr_floor_decay(self):
         mesh, s, weights, _, tracks = self._scene(frames=2)

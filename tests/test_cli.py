@@ -567,6 +567,20 @@ class TestTrackPipeline:
         assert out == ""
         assert not fitted.exists()
 
+    def test_animate_one_frame_vertex_index_past_mesh_rejected(self, scene, capsys):
+        # One frame skips optimization; the inputs are still checked.
+        def cut(data):
+            data["joint_tracks"] = data["joint_tracks"][:1]
+            data["vertex_tracks"] = data["vertex_tracks"][:1]
+            data["vertex_subset"][-1] = 82  # the tube's vertex count
+
+        tmp_path, skinned, mesh_path, tracks = self._tracks_with(scene, cut)
+        fitted = tmp_path / "fit.json"
+        code, out = run(capsys, "animate", skinned, mesh_path, tracks, "-o", fitted)
+        assert code == 3
+        assert out == ""
+        assert not fitted.exists()
+
     @pytest.mark.parametrize("flag", [
         ("--learning-rate", "0"),
         ("--learning-rate", "-1"),

@@ -255,6 +255,23 @@ class TestAttentionVjpInternals:
         assert g_lam != 0.0
 
 
+class TestVjpInputChecks:
+    def test_vjps_reject_what_the_forward_kernels_reject(self):
+        rng = np.random.default_rng(18)
+        q, k, v = rand_qkv(rng, h=2, n=3, d=2)
+        bias = rng.standard_normal((3, 3, 2))
+        bias[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="bias contains NaN or Inf"):
+            topology_aware_attention_vjp(q, k, v, bias, 0.5, np.ones((2, 3, 2)))
+        p = rng.standard_normal((4, 3))
+        b = rng.standard_normal((2, 3))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            skinning_head_vjp(p, b, np.inf, np.ones((4, 2)))
+        p[0, 0] = np.nan
+        with pytest.raises(ValueError, match="point features contains NaN or Inf"):
+            skinning_head_vjp(p, b, 2.0, np.ones((4, 2)))
+
+
 class TestLeadingBatchAxes:
     """A stack of inputs gives, row for row, the bits of unbatched calls."""
 
