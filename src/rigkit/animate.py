@@ -32,6 +32,7 @@ from .core import (
     Skeleton,
     SkinWeights,
     _frozen,
+    _require_json_type,
     canonical_json,
     require_valid,
 )
@@ -41,8 +42,6 @@ from .deform import (
     fk_forward,
     lbs_apply,
     lbs_vjp,
-    posed_joint_positions,
-    posed_joint_positions_vjp,
 )
 from .geometry import (
     Camera,
@@ -198,23 +197,17 @@ def joint_visibility(mesh: Mesh, s: Skeleton, camera: Camera) -> np.ndarray:
     return visible
 
 
-def vertex_visibility(
-    mesh: Mesh, camera: Camera, subset: np.ndarray | None = None
-) -> np.ndarray:
+def vertex_visibility(mesh: Mesh, camera: Camera) -> np.ndarray:
     """Mask of vertices whose first camera hit lies within EPS_GEO of them.
 
     One unit-length ray per vertex from the camera centre; a vertex at the
-    centre itself is invisible.  Each vertex's answer is independent of
-    which others are queried alongside it.
+    centre itself is invisible.
     """
     origin = camera.center
-    targets = mesh.vertices
-    if subset is not None:
-        targets = targets[np.asarray(subset, dtype=np.int64)]
-    directions = targets - origin
+    directions = mesh.vertices - origin
     dist = np.linalg.norm(directions, axis=1)
     cast = dist > 0
-    visible = np.zeros(targets.shape[0], dtype=bool)
+    visible = np.zeros(mesh.vertex_count, dtype=bool)
     t = first_hit_distances(mesh, origin, directions[cast] / dist[cast, None])
     visible[cast] = np.abs(t - dist[cast]) <= EPS_GEO
     return visible
@@ -225,27 +218,37 @@ def vertex_visibility(
 # ---------------------------------------------------------------------------
 
 
+def _tracked_points(
+    s: Skeleton, mesh: Mesh, weights: SkinWeights, subset: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rest positions and weight rows of a clip's tracked points.
+
+    The joints come first, each an LBS point whose weight row is all on
+    its own joint, so G_k maps it to its posed position; the ``subset``
+    vertices follow with their rows of the weight matrix.
+    """
+    points = np.concatenate([s.joints, mesh.vertices[subset]])
+    rows = np.concatenate([np.eye(s.joint_count), weights.matrix[subset]])
+    return points, rows
+
+
 def pose_clip(
     s: Skeleton,
-    vertices: np.ndarray,
+    points: np.ndarray,
     weight_rows: np.ndarray,
     root_quats: np.ndarray,
     root_trans: np.ndarray,
     joint_quats: np.ndarray,
 ) -> tuple[FkCache, np.ndarray]:
-    """Posed joints and vertices of every frame of a clip, in one pass.
+    """Posed points of every frame of a clip, in one pass.
 
     Takes the raw core's arrays with any leading frame axes (quaternions
-    may be unnormalized) and the rows of the weight matrix that belong to
-    ``vertices``.  Returns the FK cache and the posed joints followed by
-    the posed vertices, shape (..., j + v, 3).
+    may be unnormalized), rest ``points`` (p, 3) and their weight rows
+    (p, j), such as :func:`_tracked_points` gives.  Returns the FK cache
+    and the posed points, shape (..., p, 3).
     """
     cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
-    points = np.concatenate(
-        [posed_joint_positions(cache), lbs_apply(vertices, weight_rows, cache.globals_)],
-        axis=-2,
-    )
-    return cache, points
+    return cache, lbs_apply(points, weight_rows, cache.globals_)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +306,19 @@ def track_set_to_dict(tracks: TrackSet) -> dict:
 
 
 def track_set_from_dict(data: dict) -> TrackSet:
+    """The tracks a parsed track JSON holds; the subset and masks must be JSON lists."""
     try:
         return TrackSet(
             camera=Camera.from_dict(data["camera"]),
             joint_tracks=np.asarray(data["joint_tracks"], dtype=np.float64),
             vertex_tracks=np.asarray(data["vertex_tracks"], dtype=np.float64),
-            vertex_subset=np.asarray(data["vertex_subset"], dtype=np.int64),
-            joint_visibility=np.asarray(data["joint_visibility"], dtype=bool),
-            vertex_visibility=np.asarray(data["vertex_visibility"], dtype=bool),
+            vertex_subset=_require_json_type(data["vertex_subset"], int, "vertex_subset"),
+            joint_visibility=_require_json_type(
+                data["joint_visibility"], bool, "joint_visibility"
+            ),
+            vertex_visibility=_require_json_type(
+                data["vertex_visibility"], bool, "vertex_visibility"
+            ),
         )
     except KeyError as e:
         raise ValueError(f"track JSON missing field {e}") from None
@@ -360,10 +368,10 @@ def synthesize_tracks(
     count = min(int(vertex_count), candidates.size)
     subset = np.sort(rng.choice(candidates, size=count, replace=False))
 
-    _, points = pose_clip(
-        s, mesh.vertices[subset], weights.matrix[subset], *params_to_animation(params)
+    _, posed = pose_clip(
+        s, *_tracked_points(s, mesh, weights, subset), *params_to_animation(params)
     )
-    uv, _, _ = project(camera, points)
+    uv, _, _ = project(camera, posed)
     joint_tracks, vertex_tracks = uv[:, : s.joint_count], uv[:, s.joint_count :]
     if noise_px > 0:
         joint_tracks[1:] += rng.normal(0.0, noise_px, joint_tracks[1:].shape)
@@ -404,8 +412,7 @@ class _Fit:
         self.s = s
         self.camera = tracks.camera
         self.frame_count = tracks.frame_count
-        self.vertices = mesh.vertices[subset]
-        self.weight_rows = weights.matrix[subset]
+        self.points, self.weight_rows = _tracked_points(s, mesh, weights, subset)
         self.mask = np.concatenate([tracks.joint_visibility, tracks.vertex_visibility])
         self.observed = np.concatenate(
             [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
@@ -417,11 +424,11 @@ class _Fit:
             raise ValueError("params joint count does not match skeleton")
         if params.frame_count != self.frame_count:
             raise ValueError("tracks and params must cover the same frames")
-        cache, points = pose_clip(
-            self.s, self.vertices, self.weight_rows,
+        cache, posed = pose_clip(
+            self.s, self.points, self.weight_rows,
             params.root_quats, params.root_trans, params.joint_quats,
         )
-        uv, _, valid = project(self.camera, points)
+        uv, _, valid = project(self.camera, posed)
         use = self.mask & valid
         dropped = int(np.sum(self.mask & ~valid))
         res = (uv - self.observed) * use[..., None]
@@ -429,10 +436,8 @@ class _Fit:
         if not with_grad:
             return LossResult(total, None, dropped)
 
-        d_points = project_vjp(self.camera, points, 2.0 * res)
-        j = self.s.joint_count
-        dG = posed_joint_positions_vjp(cache, d_points[:, :j])
-        dG += lbs_vjp(self.vertices, self.weight_rows, d_points[:, j:])
+        d_posed = project_vjp(self.camera, posed, 2.0 * res)
+        dG = lbs_vjp(self.points, self.weight_rows, d_posed)
         g_jq, g_rq, g_rt = fk_backward(cache, dG)
         return LossResult(total, AnimParams(g_rq, g_rt, g_jq), dropped)
 

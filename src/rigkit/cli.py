@@ -88,8 +88,8 @@ def _load_camera(path: str | Path) -> Camera:
             up=data.get("up", (0.0, 1.0, 0.0)),
             fx=float(data.get("fx", 1000.0)),
             fy=data.get("fy"),
-            width=int(data.get("width", 1024)),
-            height=int(data.get("height", 1024)),
+            width=data.get("width", 1024),
+            height=data.get("height", 1024),
         )
 
     return _load(path, loader, "camera")

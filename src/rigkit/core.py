@@ -304,6 +304,20 @@ def hierarchical_order(s: Skeleton) -> np.ndarray:
     return np.lexsort((np.arange(s.joint_count), x, y, z, depths))
 
 
+def _require_json_type(value, kind: type, what: str) -> list:
+    """``value`` unchanged if it is a list of ``kind`` (int or bool).
+
+    JSON parses to exact Python types, so a 0.9, a "1" or a true read where
+    an integer belongs, a 0.3 where a boolean belongs, or a scalar where a
+    list belongs, raises ValueError instead of being cast.  An empty list
+    passes.
+    """
+    if not (isinstance(value, list) and all(type(x) is kind for x in value)):
+        noun = "integers" if kind is int else "booleans"
+        raise ValueError(f"{what} must be a list of JSON {noun}")
+    return value
+
+
 def _require_permutation(order, j: int) -> np.ndarray:
     """``order`` as an int64 array; raises unless it permutes 0 .. j - 1."""
     order = np.asarray(order, dtype=np.int64)
@@ -358,11 +372,12 @@ def rig_to_dict(rig: Rig) -> dict:
 
 
 def rig_from_dict(data: dict) -> Rig:
+    """The rig a parsed rig JSON holds; ``parents`` must be a JSON list."""
     if not isinstance(data, dict) or "joints" not in data or "parents" not in data:
         raise ValueError("rig JSON requires 'joints' and 'parents'")
     names = tuple(data["names"]) if "names" in data else None
     skeleton = Skeleton(np.asarray(data["joints"], dtype=np.float64),
-                        np.asarray(data["parents"], dtype=np.int64),
+                        _require_json_type(data["parents"], int, "parents"),
                         names)
     weights = None
     if "weights" in data and data["weights"] is not None:

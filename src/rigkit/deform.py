@@ -150,19 +150,6 @@ def fk_backward(
     return grad_quats[..., :-1, :], grad_quats[..., -1, :], d_mats[..., -1, :3, 3].copy()
 
 
-def posed_joint_positions(cache: FkCache) -> np.ndarray:
-    """Joint positions under the cached pose: G_k applied to rest_k."""
-    g, rest = cache.globals_, cache.centres[:-1]
-    return (g[..., :3, :3] @ rest[:, :, None])[..., 0] + g[..., :3, 3]
-
-
-def posed_joint_positions_vjp(cache: FkCache, grad_positions: np.ndarray) -> np.ndarray:
-    dG = np.zeros_like(cache.globals_)
-    dG[..., :3, :3] = grad_positions[..., :, None] * cache.centres[:-1, None, :]
-    dG[..., :3, 3] = grad_positions
-    return dG
-
-
 def lbs_apply(
     vertices: np.ndarray, weight_matrix: np.ndarray, globals_: np.ndarray
 ) -> np.ndarray:
@@ -204,19 +191,14 @@ def lbs_vjp(
 # ---------------------------------------------------------------------------
 
 
-def sample_augmented_pose(
-    s: Skeleton,
-    rng: int | np.random.Generator,
-    *,
-    max_euler_deg: float = MAX_EULER_DEG,
-) -> np.ndarray:
+def sample_augmented_pose(s: Skeleton, rng: int | np.random.Generator) -> np.ndarray:
     """Random training pose as (j, 4) joint quaternions: each joint
     independently rotates with probability 0.3, Euler components uniform in
     [-60, 60] degrees, axes local to the joint; the root does not move.
     Deterministic per seed."""
     require_valid(s)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    bound = np.deg2rad(max_euler_deg)
+    bound = np.deg2rad(MAX_EULER_DEG)
     quats = np.zeros((s.joint_count, 4))
     quats[:, 0] = 1.0
     for k in range(s.joint_count):

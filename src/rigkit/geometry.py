@@ -573,6 +573,13 @@ class Camera:
     translation: np.ndarray
 
     def __post_init__(self):
+        # The image size is kept as Python ints, so to_dict writes JSON
+        # integers; a float, string, bool or list is refused, not cast.
+        for name in ("width", "height"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"camera {name} must be an integer")
+            object.__setattr__(self, name, int(size))
         r = _frozen(self.rotation, np.float64)
         t = _frozen(self.translation, np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
@@ -630,8 +637,8 @@ class Camera:
             fy=float(fx if fy is None else fy),
             cx=width / 2.0,
             cy=height / 2.0,
-            width=int(width),
-            height=int(height),
+            width=width,
+            height=height,
             rotation=rotation,
             translation=-rotation @ eye,
         )
@@ -655,8 +662,8 @@ class Camera:
             fy=float(data["fy"]),
             cx=float(data["cx"]),
             cy=float(data["cy"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
+            width=data["width"],
+            height=data["height"],
             rotation=np.asarray(data["rotation"], dtype=np.float64),
             translation=np.asarray(data["translation"], dtype=np.float64),
         )

@@ -22,6 +22,8 @@ from .quat import normalize as quat_normalize
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
+# Magnitude below which an error counts as absolute rather than relative.
+REL_FLOOR = 1e-6
 # Floats in one stack of perturbed inputs handed to the function under test:
 # large enough to amortize its per-call cost, small enough to stay in cache.
 FD_CHUNK_FLOATS = 1 << 15
@@ -53,11 +55,10 @@ def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return grad.reshape(x.shape)
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                       floor: float = 1e-6) -> float:
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
@@ -233,10 +234,9 @@ def _random_scene(rng: np.random.Generator):
 
 
 def _render_uv(mesh, s, weights, params, camera):
-    _, points = animate.pose_clip(
-        s, mesh.vertices, weights.matrix, *animate.params_to_animation(params)
-    )
-    uv, _, _ = project(camera, points)
+    points, rows = animate._tracked_points(s, mesh, weights, np.arange(mesh.vertex_count))
+    _, posed = animate.pose_clip(s, points, rows, *animate.params_to_animation(params))
+    uv, _, _ = project(camera, posed)
     return uv[:, : s.joint_count], uv[:, s.joint_count :]
 
 

@@ -288,6 +288,13 @@ def path_product_fk(s: Skeleton, joint_quats: np.ndarray,
     return out
 
 
+def posed_joints(globals_: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """G_k applied to rest_k for every joint, over any leading frame axes."""
+    g = globals_[..., :3, :]
+    x, y, z = rest[:, 0, None], rest[:, 1, None], rest[:, 2, None]
+    return g[..., 0] * x + g[..., 1] * y + g[..., 2] * z + g[..., 3]
+
+
 def naive_lbs(vertices: np.ndarray, weights: np.ndarray,
               transforms: np.ndarray) -> np.ndarray:
     """Per-vertex, per-joint python loops; no einsum anywhere."""

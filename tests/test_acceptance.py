@@ -43,7 +43,7 @@ from rigkit import (
     vertex_visibility,
 )
 from rigkit import codec, gradcheck, quat
-from rigkit.animate import pose_clip
+from rigkit.animate import _tracked_points, pose_clip
 from rigkit.cli import main as cli_main
 from rigkit.deform import fk_forward, lbs_apply, save_animation
 from rigkit.geometry import project, write_obj
@@ -452,12 +452,11 @@ def _mean_geodesic_deg(rec: AnimParams, gt: AnimParams) -> float:
 
 
 def _mean_reprojection_px(params, mesh, s, weights, clean_tracks) -> float:
-    sub = clean_tracks.vertex_subset
-    _, points = pose_clip(
-        s, mesh.vertices[sub], weights.matrix[sub],
-        params.root_quats, params.root_trans, params.joint_quats,
+    points, rows = _tracked_points(s, mesh, weights, clean_tracks.vertex_subset)
+    _, posed = pose_clip(
+        s, points, rows, params.root_quats, params.root_trans, params.joint_quats
     )
-    uv, _, valid = project(clean_tracks.camera, points)
+    uv, _, valid = project(clean_tracks.camera, posed)
     observed = np.concatenate(
         [clean_tracks.joint_tracks[1:], clean_tracks.vertex_tracks[1:]], axis=1
     )

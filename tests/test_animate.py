@@ -11,6 +11,7 @@ from rigkit import (
     AnimParams,
     Camera,
     DivergenceError,
+    Mesh,
     NonFiniteError,
     OptimizeConfig,
     Skeleton,
@@ -27,14 +28,21 @@ from rigkit import (
     vertex_visibility,
 )
 from rigkit import quat
-from rigkit.animate import params_from_animation, params_to_animation
-from rigkit.deform import fk_forward, lbs_apply, posed_joint_positions
+from rigkit.animate import (
+    _tracked_points,
+    params_from_animation,
+    params_to_animation,
+    pose_clip,
+)
+from rigkit.deform import fk_forward, lbs_apply
 from rigkit.geometry import project
 
 from helpers import (
     icosphere,
+    posed_joints,
+    random_simplex_weights,
+    random_tree,
     random_unit_quats,
-    star_mesh,
     subdivided_cube,
     tube_mesh,
     unweld,
@@ -204,18 +212,7 @@ class TestVertexVisibility:
         cam = Camera.look_at(eye=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0))
         z = mesh.vertices[:, 2]
         subset = np.array([int(np.argmax(z)), int(np.argmin(z))])
-        assert vertex_visibility(mesh, cam, subset).tolist() == [True, False]
-
-    def test_subset_matches_full_mask(self):
-        # A vertex's answer does not depend on which others share the query.
-        mesh = star_mesh(np.random.default_rng(40), subdivisions=3)
-        cam = Camera.look_at(eye=(0.1, 0.12, 3.0), target=(0.0, 0.0, 0.0))
-        full = vertex_visibility(mesh, cam)
-        assert 0 < full.sum() < mesh.vertex_count
-        rng = np.random.default_rng(41)
-        for size in (1, 7, 100, 400, mesh.vertex_count):
-            subset = rng.choice(mesh.vertex_count, size=size, replace=False)
-            assert np.array_equal(vertex_visibility(mesh, cam, subset), full[subset])
+        assert vertex_visibility(mesh, cam)[subset].tolist() == [True, False]
 
     def test_icosphere_5_scale(self):
         # 10242 rays x 20480 triangles; testing every pair takes about 6 s,
@@ -226,8 +223,36 @@ class TestVertexVisibility:
         full = vertex_visibility(mesh, cam)
         assert time.perf_counter() - start < 2.0
         assert 0 < full.sum() < mesh.vertex_count
-        subset = np.random.default_rng(42).choice(mesh.vertex_count, 1500, replace=False)
-        assert np.array_equal(vertex_visibility(mesh, cam, subset), full[subset])
+
+
+class TestPoseClip:
+    def test_joints_are_one_hot_points(self):
+        # A joint is the LBS point at its rest position whose weight row is
+        # all on its own joint, so the first j posed points are G_k rest_k.
+        rng = np.random.default_rng(43)
+        for lead in ((), (3,), (2, 3)):
+            for _ in range(5):
+                s = random_tree(rng, int(rng.integers(1, 12)))
+                j = s.joint_count
+                mesh = Mesh(rng.uniform(-0.5, 0.5, (9, 3)), np.zeros((0, 3)))
+                weights = SkinWeights(random_simplex_weights(rng, 9, j))
+                points, rows = _tracked_points(s, mesh, weights, np.array([2, 5, 7]))
+                assert points.shape == (j + 3, 3) and rows.shape == (j + 3, j)
+                rq = rng.standard_normal(lead + (4,))
+                rt = rng.standard_normal(lead + (3,))
+                jq = rng.standard_normal(lead + (j, 4))
+                cache, posed = pose_clip(s, points, rows, rq, rt, jq)
+                assert posed.shape == lead + (j + 3, 3)
+                want = posed_joints(cache.globals_, s.joints)
+                assert np.allclose(posed[..., :j, :], want, rtol=0.0, atol=1e-12)
+
+                identity = np.zeros(lead + (j, 4))
+                identity[..., 0] = 1.0
+                _, rest = pose_clip(
+                    s, points, rows, identity[..., 0, :], np.zeros(lead + (3,)), identity
+                )
+                joints = rest[..., :j, :]
+                assert np.array_equal(joints, np.broadcast_to(s.joints, joints.shape))
 
 
 class TestTrackSet:
@@ -380,7 +405,7 @@ class TestSynthesizeTracks:
         for i in range(params.frame_count):
             cache = fk_forward(s.joints, s.parents, jq[i], rq[i], rt[i])
             verts = lbs_apply(mesh.vertices[sub], weights.matrix[sub], cache.globals_)
-            joints_uv, _, _ = project(cam, posed_joint_positions(cache))
+            joints_uv, _, _ = project(cam, posed_joints(cache.globals_, s.joints))
             verts_uv, _, _ = project(cam, verts)
             assert np.array_equal(tracks.joint_tracks[i], joints_uv)
             assert np.array_equal(tracks.vertex_tracks[i], verts_uv)

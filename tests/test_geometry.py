@@ -739,6 +739,18 @@ class TestCamera:
         assert (back.fx, back.fy, back.cx, back.cy) == (cam.fx, cam.fy, cam.cx, cam.cy)
         assert (back.width, back.height) == (cam.width, cam.height)
 
+    def test_image_size_is_an_int_never_cast(self):
+        good = Camera.look_at(eye=(1.0, 2.0, 3.0), target=(0.0, 0.0, 0.0)).to_dict()
+        sized = Camera.from_dict(
+            {**good, "width": np.int64(640), "height": np.int32(480)})
+        assert (type(sized.width), type(sized.height)) == (int, int)
+        assert Camera.from_dict(sized.to_dict()).to_dict() == sized.to_dict()
+        for bad in (512.9, 512.0, "512", True, np.bool_(True), [512], [], None):
+            with pytest.raises(ValueError):
+                Camera.from_dict({**good, "width": bad})
+            with pytest.raises(ValueError):
+                Camera.from_dict({**good, "height": bad})
+
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Camera(

@@ -212,6 +212,45 @@ def broken_tokens(draw, raw: bytes):
     return struct.pack("<4sHBI", magic, version, scheme, count) + raw[_HEADER:]
 
 
+@pytest.mark.parametrize("name, keys, head", [
+    ("rig.json", ("parents",), [-1, 0.9, 1.2]),
+    ("rig.json", ("parents",), ["-1"]),
+    ("rig.json", ("parents",), [-1, True]),
+    ("rig.json", ("parents",), 0),
+    ("tracks.json", ("vertex_subset",), [1.5, "2"]),
+    ("tracks.json", ("joint_visibility",), [0.3]),
+    ("tracks.json", ("camera", "width"), 512.9),
+    ("tracks.json", ("camera", "height"), [512]),
+    ("camera.json", ("width",), 512.9),
+    ("camera.json", ("height",), [512]),
+    ("camera.json", ("width",), True),
+], ids=["float-parents", "string-parents", "bool-parents", "scalar-parents",
+        "float-and-string-subset", "float-visibility", "tracks-float-width",
+        "tracks-list-height", "float-width", "list-height", "bool-width"])
+def test_json_types_are_not_cast(scene, name, keys, head):
+    # Integer and boolean fields take JSON integers and booleans only: a
+    # float, string, boolean or list stand-in for an integer, or a scalar
+    # where a list belongs, is unparseable (exit 2), not cast.  A list
+    # ``head`` replaces the front of the field's list.
+    d, readers, _ = scene
+    path = d / name
+    original = path.read_bytes()
+    data = json.loads(original)
+    *outer, key = keys
+    parent = data
+    for k in outer:
+        parent = parent[k]
+    if isinstance(head, list) and isinstance(parent[key], list):
+        head = head + parent[key][len(head):]
+    parent[key] = head
+    path.write_text(json.dumps(data))
+    try:
+        code = main(readers.get(name, ["validate", str(path)]))
+    finally:
+        path.write_bytes(original)
+    assert code == 2
+
+
 @PROPERTY
 @given(st.data())
 def test_malformed_rig(scene, data):
