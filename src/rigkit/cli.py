@@ -28,13 +28,7 @@ from .core import (
     spatial_order,
     validate_skeleton,
 )
-from .deform import (
-    fk_forward,
-    heuristic_skin_weights,
-    lbs_apply,
-    load_animation,
-    save_animation,
-)
+from .deform import heuristic_skin_weights, load_animation, save_animation
 from .geometry import Camera, ObjParseError, load_obj, save_obj
 from .metrics import MetricConfig, metrics_report
 
@@ -196,8 +190,9 @@ def _cmd_deform(args) -> int:
     if joint_quats.shape[1] != s.joint_count:
         raise ValueError("animation joint count does not match rig")
     weights.require_fits(mesh, s)
-    cache = fk_forward(s.joints, s.parents, joint_quats[f], root_quats[f], root_trans[f])
-    posed = lbs_apply(mesh.vertices, weights.matrix, cache.globals_)
+    _, posed = animate.pose_clip(
+        s, mesh.vertices, weights.matrix, root_quats[f], root_trans[f], joint_quats[f]
+    )
     save_obj(args.output, Mesh(posed, mesh.triangles))
     return EXIT_OK
 
@@ -274,11 +269,9 @@ def _cmd_animate(args) -> int:
     if args.export_obj:
         out_dir = Path(args.export_obj)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # FK for every frame at once; LBS one frame at a time keeps memory
-        # at one posed mesh.
-        cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
-        for i, globals_ in enumerate(cache.globals_):
-            posed = lbs_apply(mesh.vertices, weights.matrix, globals_)
+        # One frame at a time keeps memory at one posed mesh.
+        for i, frame in enumerate(zip(root_quats, root_trans, joint_quats)):
+            _, posed = animate.pose_clip(s, mesh.vertices, weights.matrix, *frame)
             save_obj(out_dir / f"frame_{i:04d}.obj", Mesh(posed, mesh.triangles))
     sys.stdout.write(
         canonical_json(

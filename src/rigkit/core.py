@@ -222,15 +222,9 @@ def validate_skeleton(s: Skeleton) -> ValidationReport:
             )
         )
 
-    # Cycle scan by pointer doubling: a link to the root sentinel or out of
-    # range goes to a sink at index j.  After 2^r >= j hops every joint whose
-    # parent chain ends reaches the sink; the rest are trapped in a cycle or
-    # on a chain that leads into one.
-    hop = np.append(np.where(linked, parents, j), j)
-    reach = 1
-    while reach < j:
-        hop = hop[hop]
-        reach *= 2
+    # Every joint whose parent chain ends reaches the sink; the rest are
+    # trapped in a cycle or on a chain that leads into one.
+    hop, _ = _climb(parents)
     in_cycle = np.flatnonzero(hop[:j] != j)
     if in_cycle.size:
         issues.append(
@@ -247,20 +241,29 @@ def require_valid(s: Skeleton) -> None:
         raise InvalidSkeletonError(str(report))
 
 
+def _climb(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling up the parent links: (hop, dist), length j + 1.
+
+    A link to the root sentinel or out of range goes to a sink at index j
+    and counts 0 hops, any other link 1.  After 2^r >= j rounds, hop[k] is
+    the sink for every joint k whose parent chain ends, and dist[k] is its
+    hop count to the root.
+    """
+    j = parents.shape[0]
+    linked = (parents >= 0) & (parents < j)
+    hop = np.append(np.where(linked, parents, j), j)
+    dist = np.append(linked, False).astype(np.int64)
+    reach = 1
+    while reach < j:
+        dist += dist[hop]
+        hop = hop[hop]
+        reach *= 2
+    return hop, dist
+
+
 def joint_depths(parents: np.ndarray) -> np.ndarray:
     """Hops from the root for every joint; assumes parents form a tree."""
-    j = parents.shape[0]
-    depths = np.full(j, -1, dtype=np.int64)
-    for k in range(j):
-        chain = []
-        c = k
-        while c != ROOT_PARENT and depths[c] < 0:
-            chain.append(c)
-            c = int(parents[c])
-        base = 0 if c == ROOT_PARENT else int(depths[c]) + 1
-        for i, node in enumerate(reversed(chain)):
-            depths[node] = base + i
-    return depths
+    return _climb(parents)[1][:-1]
 
 
 def graph_distance_matrix(s: Skeleton) -> np.ndarray:

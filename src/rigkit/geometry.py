@@ -579,6 +579,8 @@ class Camera:
             size = getattr(self, name)
             if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
                 raise ValueError(f"camera {name} must be an integer")
+            if size < 1:
+                raise InvalidValueError(f"camera {name} must be at least 1")
             object.__setattr__(self, name, int(size))
         r = _frozen(self.rotation, np.float64)
         t = _frozen(self.translation, np.float64)

@@ -61,21 +61,28 @@ def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return sa * a + sb * b
 
 
+# R(u) p is the vector part of u (0, p) u*, which is bilinear in the two u
+# factors, so R(u)[i, k] = sum_cd T[3 i + k, 4 c + d] u_c u_d for one
+# constant table T whose column (c, d) holds the vector part of
+# e_c (0, e_k) conj(e_d) for basis quaternions e, built here by multiply.
+# Every entry is -1, 0 or 1; "+ 0.0" clears the sign of zero, so the
+# identity maps to exactly I.  The contractions run in einsum, not BLAS, so
+# a row's sums are the same whether it is stacked or called alone.
+_E = np.eye(4)
+_T = multiply(
+    multiply(_E[:, None, None], _E[None, None, 1:]), _E[None, :, None] * [1, -1, -1, -1]
+)[..., 1:].transpose(3, 2, 0, 1).reshape(9, 4, 4) + 0.0
+_ROTATION = _T.reshape(9, 16)
+# d/du_c of sum_m D_m R_m is sum_dm (T[m, c, d] + T[m, d, c]) u_d D_m.
+_ROTATION_ADJOINT = (_T + _T.transpose(0, 2, 1)).transpose(1, 2, 0).reshape(4, 36)
+
+
 def to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3); input normalized defensively."""
-    q = normalize(q)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3))
-    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[..., 0, 1] = 2.0 * (x * y - w * z)
-    out[..., 0, 2] = 2.0 * (x * z + w * y)
-    out[..., 1, 0] = 2.0 * (x * y + w * z)
-    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[..., 1, 2] = 2.0 * (y * z - w * x)
-    out[..., 2, 0] = 2.0 * (x * z - w * y)
-    out[..., 2, 1] = 2.0 * (y * z + w * x)
-    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
+    u = normalize(q)
+    lead = u.shape[:-1]
+    uu = (u[..., :, None] * u[..., None, :]).reshape(lead + (16,))
+    return np.einsum("...a,ma->...m", uu, _ROTATION).reshape(lead + (3, 3))
 
 
 def to_matrix_vjp(q: np.ndarray, grad_matrix: np.ndarray) -> np.ndarray:
@@ -87,29 +94,8 @@ def to_matrix_vjp(q: np.ndarray, grad_matrix: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     u = q / n
-    w, x, y, z = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-    d = grad_matrix
-
-    gw = 2.0 * (
-        -z * d[..., 0, 1] + y * d[..., 0, 2]
-        + z * d[..., 1, 0] - x * d[..., 1, 2]
-        - y * d[..., 2, 0] + x * d[..., 2, 1]
-    )
-    gx = 2.0 * (
-        y * d[..., 0, 1] + z * d[..., 0, 2]
-        + y * d[..., 1, 0] - 2.0 * x * d[..., 1, 1] - w * d[..., 1, 2]
-        + z * d[..., 2, 0] + w * d[..., 2, 1] - 2.0 * x * d[..., 2, 2]
-    )
-    gy = 2.0 * (
-        -2.0 * y * d[..., 0, 0] + x * d[..., 0, 1] + w * d[..., 0, 2]
-        + x * d[..., 1, 0] + z * d[..., 1, 2]
-        - w * d[..., 2, 0] + z * d[..., 2, 1] - 2.0 * y * d[..., 2, 2]
-    )
-    gz = 2.0 * (
-        -2.0 * z * d[..., 0, 0] - w * d[..., 0, 1] + x * d[..., 0, 2]
-        + w * d[..., 1, 0] - 2.0 * z * d[..., 1, 1] + y * d[..., 1, 2]
-        + x * d[..., 2, 0] + y * d[..., 2, 1]
-    )
-    gu = np.stack([gw, gx, gy, gz], axis=-1)
+    lead = u.shape[:-1]
+    ud = (u[..., :, None] * grad_matrix.reshape(lead + (1, 9))).reshape(lead + (36,))
+    gu = np.einsum("...a,ca->...c", ud, _ROTATION_ADJOINT)
     # Through u = q / |q|:  g_q = (g_u - u (u . g_u)) / |q|
     return (gu - u * np.sum(u * gu, axis=-1, keepdims=True)) / n

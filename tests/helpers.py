@@ -1,11 +1,12 @@
 """Shared scene builders and independent oracles for the test suite.
 
 The oracles here deliberately use different algorithms than the library:
-graph distances by BFS instead of LCA chains, FK by explicit root-to-node
-path products, LBS by per-vertex loops, chamfer by O(n^2) scans, ray hits
-by a scalar-arithmetic intersector, and visibility by a z-buffer
-rasterizer.  Agreement between two routes is the point; do not "simplify"
-one into the other.
+graph distances by BFS instead of LCA chains, rotation matrices by the
+expanded quaternion formula instead of a contraction table, FK by explicit
+root-to-node path products, LBS by per-vertex loops, chamfer by O(n^2)
+scans, ray hits by a scalar-arithmetic intersector, and visibility by a
+z-buffer rasterizer.  Agreement between two routes is the point; do not
+"simplify" one into the other.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from rigkit import MAX_JOINTS, Mesh, Skeleton
-from rigkit import quat
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +257,31 @@ def walk_validation_report(s: Skeleton) -> str:
     return "\n".join(lines) if lines else "valid"
 
 
+def rotation_matrix(q) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of quaternions (..., 4), w first,
+    normalized here, written out entry by entry."""
+    q = np.asarray(q, dtype=np.float64)
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(q.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[..., 0, 1] = 2.0 * (x * y - w * z)
+    out[..., 0, 2] = 2.0 * (x * z + w * y)
+    out[..., 1, 0] = 2.0 * (x * y + w * z)
+    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[..., 1, 2] = 2.0 * (y * z - w * x)
+    out[..., 2, 0] = 2.0 * (x * z - w * y)
+    out[..., 2, 1] = 2.0 * (y * z + w * x)
+    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
+
+
 def path_product_fk(s: Skeleton, joint_quats: np.ndarray,
                     root_quat, root_trans) -> np.ndarray:
     """Global transforms by multiplying explicit root-to-joint paths."""
 
     def local(k):
-        r = quat.to_matrix(quat.normalize(np.asarray(joint_quats[k])))
+        r = rotation_matrix(joint_quats[k])
         m = np.eye(4)
         m[:3, :3] = r
         m[:3, 3] = s.joints[k] - r @ s.joints[k]
@@ -271,7 +290,7 @@ def path_product_fk(s: Skeleton, joint_quats: np.ndarray,
     root = int(np.flatnonzero(s.parents == -1)[0])
     motion = np.eye(4)
     if root_quat is not None:
-        rm = quat.to_matrix(quat.normalize(np.asarray(root_quat)))
+        rm = rotation_matrix(root_quat)
         motion[:3, :3] = rm
         motion[:3, 3] = s.joints[root] - rm @ s.joints[root]
     motion[:3, 3] += np.asarray(root_trans, dtype=np.float64)

@@ -482,10 +482,13 @@ class TestTrackPipeline:
                      "-o", str(fitted), "--iterations", "40",
                      "--learning-rate", "0.03", "--export-obj", str(frames_dir)]) == 0
         for i in range(4):
-            posed = tmp_path / f"deform_{i}.obj"
-            assert main(["deform", str(skinned), str(mesh_path), str(fitted),
-                         "-o", str(posed), "--frame", str(i)]) == 0
-            assert posed.read_bytes() == (frames_dir / f"frame_{i:04d}.obj").read_bytes()
+            # A negative --frame counts from the clip's end.
+            for frame in (i, i - 4):
+                posed = tmp_path / f"deform_{frame}.obj"
+                assert main(["deform", str(skinned), str(mesh_path), str(fitted),
+                             "-o", str(posed), "--frame", str(frame)]) == 0
+                assert posed.read_bytes() == (
+                    frames_dir / f"frame_{i:04d}.obj").read_bytes()
 
     def test_animate_export_rig_without_root(self, scene, capsys):
         # A one-frame clip skips optimization, so the export is the first

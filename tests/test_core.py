@@ -32,7 +32,12 @@ from rigkit import (
     validate_skeleton,
 )
 
-from helpers import bfs_graph_distances, random_tree, walk_validation_report
+from helpers import (
+    bfs_graph_distances,
+    random_chain,
+    random_tree,
+    walk_validation_report,
+)
 
 
 def chain(*points):
@@ -191,6 +196,14 @@ class TestOrders:
     def test_joint_depths(self):
         s = Skeleton(np.zeros((5, 3)), np.array([-1, 0, 0, 1, 3]))
         assert joint_depths(s.parents).tolist() == [0, 1, 1, 2, 3]
+        # Random trees and chains, shuffled so children may precede parents.
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            j = int(rng.integers(1, MAX_JOINTS + 1))
+            s = random_chain(rng, j) if rng.random() < 0.3 else random_tree(rng, j)
+            s = permute_joints(s, rng.permutation(j))
+            root = int(np.flatnonzero(s.parents == ROOT_PARENT)[0])
+            assert np.array_equal(joint_depths(s.parents), bfs_graph_distances(s)[root])
 
     def test_spatial_order_sorts_zyx(self):
         joints = np.array([

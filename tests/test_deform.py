@@ -22,6 +22,7 @@ from helpers import (
     random_chain,
     random_tree,
     random_unit_quats,
+    rotation_matrix,
     tube_mesh,
 )
 
@@ -32,6 +33,50 @@ def fk(s, jq, trans):
 
 def identity_quats(j: int) -> np.ndarray:
     return np.tile(quat.IDENTITY, (j, 1))
+
+
+class TestRotationTable:
+    """quat.to_matrix and its VJP against the expanded formula, finite
+    differences and their own unstacked calls."""
+
+    def test_matches_expanded_oracle(self):
+        rng = np.random.default_rng(30)
+        for shape in [(), (7,), (5, 6)]:
+            q = 3.0 * rng.standard_normal(shape + (4,))
+            got = quat.to_matrix(q)
+            assert got.shape == shape + (3, 3)
+            assert np.max(np.abs(got - rotation_matrix(q))) <= 1e-15
+
+    def test_identity_is_exact(self):
+        for q in [quat.IDENTITY, np.tile([2.5, 0.0, 0.0, 0.0], (3, 4, 1))]:
+            r = quat.to_matrix(q)
+            assert np.array_equal(r, np.broadcast_to(np.eye(3), r.shape))
+            assert not np.any(np.signbit(r))
+
+    def test_vjp_matches_central_difference(self):
+        rng = np.random.default_rng(31)
+        for shape in [(), (6,), (2, 3)]:
+            q = 2.0 * rng.standard_normal(shape + (4,))
+            d = rng.standard_normal(shape + (3, 3))
+            axes = tuple(range(1, len(shape) + 3))
+            numeric = central_difference(
+                lambda st: np.sum(quat.to_matrix(st) * d, axis=axes), q
+            )
+            analytic = quat.to_matrix_vjp(q, d)
+            assert max_relative_error(analytic, numeric) < 1e-6
+            assert np.max(np.abs(np.sum(analytic * q, axis=-1))) <= 1e-14
+
+    def test_stacked_rows_equal_single_calls(self):
+        # Through a BLAS matmul a row's last bit depends on what it is
+        # stacked with; fk_forward over frames relies on it not doing so.
+        rng = np.random.default_rng(32)
+        for shape in [(1,), (9,), (4, 3), (29, 11), (60, 30)]:
+            q = rng.standard_normal(shape + (4,))
+            d = rng.standard_normal(shape + (3, 3))
+            r, g = quat.to_matrix(q), quat.to_matrix_vjp(q, d)
+            for idx in np.ndindex(shape):
+                assert np.array_equal(quat.to_matrix(q[idx]), r[idx])
+                assert np.array_equal(quat.to_matrix_vjp(q[idx], d[idx]), g[idx])
 
 
 class TestForwardKinematics:

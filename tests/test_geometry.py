@@ -751,6 +751,17 @@ class TestCamera:
             with pytest.raises(ValueError):
                 Camera.from_dict({**good, "height": bad})
 
+    def test_image_size_below_one_is_refused(self):
+        good = Camera.look_at(eye=(1.0, 2.0, 3.0), target=(0.0, 0.0, 0.0)).to_dict()
+        view = {"eye": (0.0, 0.0, 3.0), "target": (0.0, 0.0, 0.0)}
+        for bad in (0, -5):
+            for name in ("width", "height"):
+                with pytest.raises(InvalidValueError):
+                    Camera.from_dict({**good, name: bad})
+                with pytest.raises(InvalidValueError):
+                    Camera.look_at(**view, **{name: bad})
+        assert Camera.from_dict({**good, "width": 1, "height": 1}).width == 1
+
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             Camera(

@@ -212,6 +212,27 @@ def broken_tokens(draw, raw: bytes):
     return struct.pack("<4sHBI", magic, version, scheme, count) + raw[_HEADER:]
 
 
+def _run_with_field(scene, name, keys, head) -> int:
+    """Exit code of the file's reader with the field at ``keys`` set to
+    ``head``; a list ``head`` replaces the front of the field's list."""
+    d, readers, _ = scene
+    path = d / name
+    original = path.read_bytes()
+    data = json.loads(original)
+    *outer, key = keys
+    parent = data
+    for k in outer:
+        parent = parent[k]
+    if isinstance(head, list) and isinstance(parent[key], list):
+        head = head + parent[key][len(head):]
+    parent[key] = head
+    path.write_text(json.dumps(data))
+    try:
+        return main(readers.get(name, ["validate", str(path)]))
+    finally:
+        path.write_bytes(original)
+
+
 @pytest.mark.parametrize("name, keys, head", [
     ("rig.json", ("parents",), [-1, 0.9, 1.2]),
     ("rig.json", ("parents",), ["-1"]),
@@ -230,25 +251,17 @@ def broken_tokens(draw, raw: bytes):
 def test_json_types_are_not_cast(scene, name, keys, head):
     # Integer and boolean fields take JSON integers and booleans only: a
     # float, string, boolean or list stand-in for an integer, or a scalar
-    # where a list belongs, is unparseable (exit 2), not cast.  A list
-    # ``head`` replaces the front of the field's list.
-    d, readers, _ = scene
-    path = d / name
-    original = path.read_bytes()
-    data = json.loads(original)
-    *outer, key = keys
-    parent = data
-    for k in outer:
-        parent = parent[k]
-    if isinstance(head, list) and isinstance(parent[key], list):
-        head = head + parent[key][len(head):]
-    parent[key] = head
-    path.write_text(json.dumps(data))
-    try:
-        code = main(readers.get(name, ["validate", str(path)]))
-    finally:
-        path.write_bytes(original)
-    assert code == 2
+    # where a list belongs, is unparseable (exit 2), not cast.
+    assert _run_with_field(scene, name, keys, head) == 2
+
+
+@pytest.mark.parametrize("name, keys, size", [
+    ("tracks.json", ("camera", "width"), 0),
+    ("camera.json", ("height",), -5),
+], ids=["tracks-zero-width", "negative-height"])
+def test_camera_size_below_one_is_invalid(scene, name, keys, size):
+    # A JSON integer image size parses; below 1 it fails validation.
+    assert _run_with_field(scene, name, keys, size) == 3
 
 
 @PROPERTY
