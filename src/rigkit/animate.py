@@ -122,13 +122,7 @@ class AnimParams:
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, frame_count: int, joint_count: int) -> "AnimParams":
-        m = frame_count - 1
-        per = 7 + 4 * joint_count
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (m * per,):
-            raise ValueError(f"flat vector must have length {m * per}")
-        rows = vec.reshape(m, per)
-        return cls(rows[:, :4], rows[:, 4:7], rows[:, 7:].reshape(m, joint_count, 4))
+        return cls(*_unflatten(vec, frame_count, joint_count))
 
     def normalized(self) -> "AnimParams":
         return AnimParams(
@@ -138,19 +132,43 @@ class AnimParams:
         )
 
 
+def _unflatten(
+    vec: np.ndarray, frame_count: int, joint_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views (root_quats, root_trans, joint_quats) of flat parameter vectors.
+
+    ``vec`` is (..., (n - 1) * (7 + 4 j)) in :meth:`AnimParams.flatten`'s
+    layout; the leading axes carry through to every array.
+    """
+    m = frame_count - 1
+    per = 7 + 4 * joint_count
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape[-1:] != (m * per,):
+        raise ValueError(f"flat vector must have length {m * per}")
+    rows = vec.reshape(vec.shape[:-1] + (m, per))
+    jq = rows[..., 7:].reshape(rows.shape[:-1] + (joint_count, 4))
+    return rows[..., :4], rows[..., 4:7], jq
+
+
+def _with_rest_frame(
+    root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames 1 .. n-1 with any leading axes, preceded by the identity frame 0."""
+    lead, (m, j) = joint_quats.shape[:-3], joint_quats.shape[-3:-1]
+    rq = np.zeros(lead + (m + 1, 4))
+    rq[..., 0] = 1.0
+    rt = np.zeros(lead + (m + 1, 3))
+    jq = np.zeros(lead + (m + 1, j, 4))
+    jq[..., 0] = 1.0
+    rq[..., 1:, :] = root_quats
+    rt[..., 1:, :] = root_trans
+    jq[..., 1:, :, :] = joint_quats
+    return rq, rt, jq
+
+
 def params_to_animation(params: AnimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand to explicit per-frame arrays including the identity frame 0."""
-    n = params.frame_count
-    j = params.joint_count
-    rq = np.zeros((n, 4))
-    rq[:, 0] = 1.0
-    rt = np.zeros((n, 3))
-    jq = np.zeros((n, j, 4))
-    jq[:, :, 0] = 1.0
-    rq[1:] = params.root_quats
-    rt[1:] = params.root_trans
-    jq[1:] = params.joint_quats
-    return rq, rt, jq
+    return _with_rest_frame(params.root_quats, params.root_trans, params.joint_quats)
 
 
 def params_from_animation(
@@ -418,28 +436,52 @@ class _Fit:
             [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
         )
 
-    def loss(self, params: AnimParams, with_grad: bool) -> LossResult:
-        """The tracking loss of ``params``; see :func:`tracking_loss`."""
-        if params.joint_count != self.s.joint_count:
+    def evaluate(
+        self,
+        root_quats: np.ndarray,
+        root_trans: np.ndarray,
+        joint_quats: np.ndarray,
+        with_grad: bool,
+    ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        """Tracking loss of clips given as raw arrays with any leading axes.
+
+        The arrays hold frames 1 .. n-1 as :class:`AnimParams` does, with
+        leading axes in front (quaternions may be unnormalized).  Returns
+        the loss values (...), the dropped-term counts (...) and, with
+        ``with_grad``, the gradients (root quats, root trans, joint quats)
+        shaped like the inputs, else None.
+        """
+        shape = joint_quats.shape
+        if len(shape) < 3 or shape[-2:] != (self.s.joint_count, 4):
             raise ValueError("params joint count does not match skeleton")
-        if params.frame_count != self.frame_count:
+        if shape[-3] != self.frame_count - 1:
             raise ValueError("tracks and params must cover the same frames")
+        if root_quats.shape != shape[:-2] + (4,) or root_trans.shape != shape[:-2] + (3,):
+            raise ValueError("root motion must match the joint quats' frames")
         cache, posed = pose_clip(
-            self.s, self.points, self.weight_rows,
-            params.root_quats, params.root_trans, params.joint_quats,
+            self.s, self.points, self.weight_rows, root_quats, root_trans, joint_quats
         )
         uv, _, valid = project(self.camera, posed)
         use = self.mask & valid
-        dropped = int(np.sum(self.mask & ~valid))
+        dropped = np.sum(self.mask & ~valid, axis=(-2, -1))
         res = (uv - self.observed) * use[..., None]
-        total = float(np.sum(res**2))
+        values = np.sum(res**2, axis=(-3, -2, -1))
         if not with_grad:
-            return LossResult(total, None, dropped)
+            return values, dropped, None
 
         d_posed = project_vjp(self.camera, posed, 2.0 * res)
         dG = lbs_vjp(self.points, self.weight_rows, d_posed)
         g_jq, g_rq, g_rt = fk_backward(cache, dG)
-        return LossResult(total, AnimParams(g_rq, g_rt, g_jq), dropped)
+        return values, dropped, (g_rq, g_rt, g_jq)
+
+    def loss(self, params: AnimParams, with_grad: bool) -> LossResult:
+        """The tracking loss of ``params``; see :func:`tracking_loss`."""
+        value, dropped, grads = self.evaluate(
+            params.root_quats, params.root_trans, params.joint_quats, with_grad
+        )
+        return LossResult(
+            float(value), None if grads is None else AnimParams(*grads), int(dropped)
+        )
 
 
 def tracking_loss(
@@ -490,6 +532,39 @@ def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):
     return theta * theta, g_a, g_b
 
 
+def _smoothness(
+    root_quats: np.ndarray,
+    root_trans: np.ndarray,
+    joint_quats: np.ndarray,
+    with_grad: bool,
+) -> tuple[np.ndarray, tuple | None]:
+    """Smoothness values (...) of clips given as raw arrays with any leading
+    axes, as :meth:`_Fit.evaluate` takes them, plus the gradients shaped like
+    the inputs with ``with_grad`` (else None)."""
+    rq, rt, jq = _with_rest_frame(root_quats, root_trans, joint_quats)
+    jt_sq, g_ja, g_jb = _geo_sq_pairs(jq[..., :-1, :, :], jq[..., 1:, :, :], with_grad)
+    rt_sq, g_ra, g_rb = _geo_sq_pairs(rq[..., :-1, :], rq[..., 1:, :], with_grad)
+    t_diff = rt[..., 1:, :] - rt[..., :-1, :]
+    values = (
+        np.sum(jt_sq, axis=(-2, -1)) + np.sum(rt_sq, axis=-1)
+        + np.sum(t_diff**2, axis=(-2, -1))
+    )
+    if not with_grad:
+        return values, None
+
+    # Pair i joins frames (i, i+1); the pinned frame 0's row is dropped.
+    g_jq = np.zeros_like(jq)
+    g_rq = np.zeros_like(rq)
+    g_rt = np.zeros_like(rt)
+    g_jq[..., 1:, :, :] += g_jb
+    g_jq[..., :-1, :, :] += g_ja
+    g_rq[..., 1:, :] += g_rb
+    g_rq[..., :-1, :] += g_ra
+    g_rt[..., 1:, :] += 2.0 * t_diff
+    g_rt[..., :-1, :] -= 2.0 * t_diff
+    return values, (g_rq[..., 1:, :], g_rt[..., 1:, :], g_jq[..., 1:, :, :])
+
+
 def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> LossResult:
     """Frame-to-frame smoothness penalty over the whole clip.
 
@@ -497,25 +572,10 @@ def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> Los
     joint and for the root motion) plus squared root-translation steps;
     the identity frame 0 anchors the first pair.
     """
-    rq, rt, jq = params_to_animation(params)
-    jt_sq, g_ja, g_jb = _geo_sq_pairs(jq[:-1], jq[1:], with_grad)
-    rt_sq, g_ra, g_rb = _geo_sq_pairs(rq[:-1], rq[1:], with_grad)
-    t_diff = rt[1:] - rt[:-1]
-    value = float(np.sum(jt_sq) + np.sum(rt_sq) + np.sum(t_diff**2))
-    if not with_grad:
-        return LossResult(value, None, 0)
-
-    # Pair i joins frames (i, i+1); the pinned frame 0's row is dropped.
-    g_jq = np.zeros_like(jq)
-    g_rq = np.zeros_like(rq)
-    g_rt = np.zeros_like(rt)
-    g_jq[1:] += g_jb
-    g_jq[:-1] += g_ja
-    g_rq[1:] += g_rb
-    g_rq[:-1] += g_ra
-    g_rt[1:] += 2.0 * t_diff
-    g_rt[:-1] -= 2.0 * t_diff
-    return LossResult(value, AnimParams(g_rq[1:], g_rt[1:], g_jq[1:]), 0)
+    value, grads = _smoothness(
+        params.root_quats, params.root_trans, params.joint_quats, with_grad
+    )
+    return LossResult(float(value), None if grads is None else AnimParams(*grads), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,12 @@ from rigkit import (
     tracking_loss,
     vertex_visibility,
 )
-from rigkit import quat
+from rigkit import gradcheck, quat
 from rigkit.animate import (
+    _Fit,
+    _smoothness,
     _tracked_points,
+    _unflatten,
     params_from_animation,
     params_to_animation,
     pose_clip,
@@ -497,7 +500,105 @@ class TestTrackingLoss:
         assert max(errs) < REL_TOL
 
 
+class TestStackedTrackingLoss:
+    """A stack of clips through one ``_Fit.evaluate`` gives each clip's loss
+    bitwise as ``tracking_loss`` gives it alone; ``lbs_apply``'s BLAS
+    blocking is not split-invariant in general, so this is pinned per scene."""
+
+    @staticmethod
+    def perturbed_rows(rng, params, rows):
+        """Perturbed flat clips; every third pushes one frame's root toward and
+        past the camera, so some or all of that frame's terms drop out."""
+        n, j = params.frame_count, params.joint_count
+        stack = params.flatten() + 0.05 * rng.standard_normal((rows, params.flatten().size))
+        for r in range(0, rows, 3):
+            _, root_trans, _ = _unflatten(stack[r], n, j)  # views into the stack
+            root_trans[rng.integers(n - 1), 2] += rng.uniform(1.0, 6.0)
+        return stack
+
+    @staticmethod
+    def assert_rows_match(fit, scene, stack, n, j):
+        values, dropped, grads = fit.evaluate(*_unflatten(stack, n, j), True)
+        assert values.shape == dropped.shape == (stack.shape[0],)
+        for r, row in enumerate(stack):
+            alone = tracking_loss(AnimParams.from_flat(row, n, j), *scene)
+            assert values[r] == alone.value
+            assert dropped[r] == alone.dropped_terms
+            for got, want in zip(grads, (alone.grads.root_quats, alone.grads.root_trans,
+                                         alone.grads.joint_quats)):
+                assert np.allclose(got[r], want, rtol=1e-12, atol=1e-9)
+        return int(np.sum(dropped > 0))
+
+    def test_grad_check_scenes(self):
+        rows_dropping = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mesh, s, weights, tracks, params = gradcheck._random_scene(rng)
+            fit = _Fit(mesh, s, weights, tracks)
+            stack = self.perturbed_rows(rng, params, 60)
+            rows_dropping += self.assert_rows_match(
+                fit, (mesh, s, weights, tracks), stack,
+                params.frame_count, params.joint_count,
+            )
+        assert rows_dropping >= 20 * 10
+
+    def test_pose_recovery_scene(self):
+        from test_acceptance import _recovery_scene
+
+        mesh, s, weights, params, tracks = _recovery_scene(noise_px=1.0)
+        fit = _Fit(mesh, s, weights, tracks)
+        stack = self.perturbed_rows(np.random.default_rng(10), params, 50)
+        rows_dropping = 0
+        for lo in range(0, 50, 10):  # (10, 29, 310, 3) posed points per call
+            rows_dropping += self.assert_rows_match(
+                fit, (mesh, s, weights, tracks), stack[lo : lo + 10],
+                params.frame_count, params.joint_count,
+            )
+        assert rows_dropping >= 10
+
+    def test_wrong_counts_raise(self):
+        mesh, s, weights, tracks, params = gradcheck._random_scene(
+            np.random.default_rng(0)
+        )
+        fit = _Fit(mesh, s, weights, tracks)
+        n, j = params.frame_count, params.joint_count
+        rq, rt, jq = _unflatten(np.tile(params.flatten(), (3, 1)), n, j)
+        with pytest.raises(ValueError, match="joint count"):
+            fit.evaluate(rq, rt, np.concatenate([jq, jq[..., :1, :]], axis=-2), False)
+        with pytest.raises(ValueError, match="same frames"):
+            fit.evaluate(rq[:, 1:], rt[:, 1:], jq[:, 1:], False)
+        with pytest.raises(ValueError, match="root motion"):
+            fit.evaluate(rq[:2], rt, jq, False)
+        with pytest.raises(ValueError, match="root motion"):
+            fit.evaluate(rq, rt[..., :2], jq, False)
+        with pytest.raises(ValueError, match="length"):
+            _unflatten(np.zeros((3, params.flatten().size + 1)), n, j)
+
+
 class TestSmoothness:
+    def test_stacked_matches_single_clips(self):
+        rng = np.random.default_rng(19)
+        for frames in range(1, 8):
+            for joints in (1, 3, 5):
+                rows = 12
+                rq = rng.standard_normal((rows, frames - 1, 4))
+                rt = rng.standard_normal((rows, frames - 1, 3))
+                jq = rng.standard_normal((rows, frames - 1, joints, 4))
+                values, grads = _smoothness(rq, rt, jq, True)
+                assert values.shape == (rows,)
+                for r in range(rows):
+                    alone = smoothness_regularizer(AnimParams(rq[r], rt[r], jq[r]))
+                    assert values[r] == alone.value
+                    for got, want in zip(grads, (alone.grads.root_quats,
+                                                 alone.grads.root_trans,
+                                                 alone.grads.joint_quats)):
+                        assert np.array_equal(got[r], want)
+
+    def test_stacked_inconsistent_frames_raise(self):
+        rq, rt, jq = np.ones((2, 3, 4)), np.zeros((2, 3, 3)), np.ones((2, 4, 2, 4))
+        with pytest.raises(ValueError):
+            _smoothness(rq, rt, jq, False)
+
     def test_zero_at_identity(self):
         result = smoothness_regularizer(AnimParams.identity(6, 4))
         assert result.value == 0.0
