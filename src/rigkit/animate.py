@@ -5,6 +5,15 @@ pinned to the identity (rest) pose and never enters the parameter vector,
 so it stays bitwise fixed through optimization.  Each frame carries a root
 motion (quaternion + translation) and one local quaternion per joint.
 
+A fit poses its tracked points (the joints, then a vertex subset) straight
+into camera space: one `fk_forward`, the camera rotation folded into the
+joint transforms, one blend through a basis w (x) [x, 1] that the fit
+builds once, then the camera translation.  The pinhole, the residuals and
+their VJP work on the three coordinate arrays directly, and the backward
+runs the blend's VJP, the rotation's transpose and `fk_backward`.  Track
+synthesis renders through the same map, so a fit at the ground truth
+reads exactly zero.  `pose_clip` remains the world-space mesh path.
+
 Visibility is decided once, on frame-0 geometry, and the resulting masks
 gate the tracking loss for the whole clip: a joint is visible when the
 camera-to-joint segment crosses the mesh exactly once (the crossing may be
@@ -38,18 +47,18 @@ from .core import (
 )
 from .deform import (
     FkCache,
+    _BlendBasis,
     fk_backward,
     fk_forward,
     lbs_apply,
-    lbs_vjp,
 )
 from .geometry import (
     Camera,
+    _pinhole,
+    _pinhole_vjp,
     crossing_counts,
     first_hit_distances,
     point_inside_mesh,
-    project,
-    project_vjp,
 )
 
 EPS_BAND = 1e-6
@@ -117,8 +126,7 @@ class AnimParams:
 
     def flatten(self) -> np.ndarray:
         """Per frame: root quat, root translation, then the joint quats."""
-        jq = self.joint_quats.reshape(self.frame_count - 1, 4 * self.joint_count)
-        return np.concatenate([self.root_quats, self.root_trans, jq], axis=1).ravel()
+        return _flatten(self.root_quats, self.root_trans, self.joint_quats)
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, frame_count: int, joint_count: int) -> "AnimParams":
@@ -130,6 +138,17 @@ class AnimParams:
             self.root_trans,
             quat.normalize(self.joint_quats),
         )
+
+
+def _flatten(
+    root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
+) -> np.ndarray:
+    """Flat vectors (..., (n - 1) * (7 + 4 j)) in :meth:`AnimParams.flatten`'s
+    layout from frames 1 .. n-1 with any leading axes; :func:`_unflatten`'s
+    inverse."""
+    lead = root_quats.shape[:-2]
+    jq = joint_quats.reshape(joint_quats.shape[:-2] + (-1,))
+    return np.concatenate([root_quats, root_trans, jq], axis=-1).reshape(lead + (-1,))
 
 
 def _unflatten(
@@ -258,7 +277,12 @@ def pose_clip(
     root_trans: np.ndarray,
     joint_quats: np.ndarray,
 ) -> tuple[FkCache, np.ndarray]:
-    """Posed points of every frame of a clip, in one pass.
+    """Posed points of every frame of a clip in world space, in one pass.
+
+    The mesh path: ``rigkit deform``, ``animate --export-obj`` and the
+    test-suite's reprojection checks pose whole meshes or clips with it.
+    A fit poses its tracked points straight into camera space instead
+    (:func:`_pose_in_camera`), blending with the same basis.
 
     Takes the raw core's arrays with any leading frame axes (quaternions
     may be unnormalized), rest ``points`` (p, 3) and their weight rows
@@ -267,6 +291,49 @@ def pose_clip(
     """
     cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
     return cache, lbs_apply(points, weight_rows, cache.globals_)
+
+
+def _pose_in_camera(
+    s: Skeleton,
+    basis: _BlendBasis,
+    camera: Camera,
+    root_quats: np.ndarray,
+    root_trans: np.ndarray,
+    joint_quats: np.ndarray,
+) -> tuple[FkCache, np.ndarray]:
+    """Posed tracked points of every frame, straight in camera space.
+
+    The camera rotation R is folded into the joint transforms, so the
+    basis blends R G_k and the camera translation is added once:
+    sum_k w_k R G_k [x, 1] + t.  Only the rotation is folded, so weight
+    rows need not sum to 1.  Takes the raw arrays as :func:`pose_clip`
+    does; returns the FK cache and the points coordinate-major,
+    (..., 3, p).
+    """
+    cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
+    cam = basis.apply(camera.rotation @ cache.globals_[..., :3, :])
+    cam += camera.translation[:, None]
+    return cache, cam
+
+
+def _render_tracks(
+    s: Skeleton,
+    points: np.ndarray,
+    weight_rows: np.ndarray,
+    camera: Camera,
+    root_quats: np.ndarray,
+    root_trans: np.ndarray,
+    joint_quats: np.ndarray,
+) -> np.ndarray:
+    """Pixel tracks (..., p, 2) of points posed as a fit poses them; a point
+    behind the camera gets (0, 0)."""
+    _, cam = _pose_in_camera(
+        s, _BlendBasis(points, weight_rows), camera, root_quats, root_trans, joint_quats
+    )
+    u, v, valid, _ = _pinhole(camera, *np.moveaxis(cam, -2, 0))
+    uv = np.stack([u, v], axis=-1)
+    uv[~valid] = 0.0
+    return uv
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +453,9 @@ def synthesize_tracks(
     count = min(int(vertex_count), candidates.size)
     subset = np.sort(rng.choice(candidates, size=count, replace=False))
 
-    _, posed = pose_clip(
-        s, *_tracked_points(s, mesh, weights, subset), *params_to_animation(params)
+    uv = _render_tracks(
+        s, *_tracked_points(s, mesh, weights, subset), camera, *params_to_animation(params)
     )
-    uv, _, _ = project(camera, posed)
     joint_tracks, vertex_tracks = uv[:, : s.joint_count], uv[:, s.joint_count :]
     if noise_px > 0:
         joint_tracks[1:] += rng.normal(0.0, noise_px, joint_tracks[1:].shape)
@@ -430,11 +496,12 @@ class _Fit:
         self.s = s
         self.camera = tracks.camera
         self.frame_count = tracks.frame_count
-        self.points, self.weight_rows = _tracked_points(s, mesh, weights, subset)
+        self.basis = _BlendBasis(*_tracked_points(s, mesh, weights, subset))
         self.mask = np.concatenate([tracks.joint_visibility, tracks.vertex_visibility])
-        self.observed = np.concatenate(
+        observed = np.concatenate(
             [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
         )
+        self.observed_u, self.observed_v = np.moveaxis(observed, -1, 0).copy()
 
     def evaluate(
         self,
@@ -458,19 +525,27 @@ class _Fit:
             raise ValueError("tracks and params must cover the same frames")
         if root_quats.shape != shape[:-2] + (4,) or root_trans.shape != shape[:-2] + (3,):
             raise ValueError("root motion must match the joint quats' frames")
-        cache, posed = pose_clip(
-            self.s, self.points, self.weight_rows, root_quats, root_trans, joint_quats
+        cache, cam = _pose_in_camera(
+            self.s, self.basis, self.camera, root_quats, root_trans, joint_quats
         )
-        uv, _, valid = project(self.camera, posed)
+        x, y, z = np.moveaxis(cam, -2, 0)
+        u, v, valid, safe_z = _pinhole(self.camera, x, y, z)
         use = self.mask & valid
         dropped = np.sum(self.mask & ~valid, axis=(-2, -1))
-        res = (uv - self.observed) * use[..., None]
-        values = np.sum(res**2, axis=(-3, -2, -1))
+        # In place, to spare temporaries: the pixels become the residuals
+        # (zero for unused terms), then the gradients 2 r of the values.
+        for r, observed in ((u, self.observed_u), (v, self.observed_v)):
+            r -= observed
+            r *= use
+        values = np.sum(u * u + v * v, axis=(-2, -1))
         if not with_grad:
             return values, dropped, None
 
-        d_posed = project_vjp(self.camera, posed, 2.0 * res)
-        dG = lbs_vjp(self.points, self.weight_rows, d_posed)
+        u *= 2.0
+        v *= 2.0
+        d_cam = _pinhole_vjp(self.camera, x, y, safe_z, u, v)
+        dG = np.zeros(cache.globals_.shape)
+        dG[..., :3, :] = self.camera.rotation.T @ self.basis.vjp(*d_cam)
         g_jq, g_rq, g_rt = fk_backward(cache, dG)
         return values, dropped, (g_rq, g_rt, g_jq)
 
@@ -653,12 +728,12 @@ def optimize(
     it = 0
 
     for it in range(config.iterations):
-        params = AnimParams.from_flat(x, n, j)
-        track = fit.loss(params, True)
-        reg = smoothness_regularizer(params, with_grad=True)
-        value = track.value + config.reg_weight * reg.value
-        grad = track.grads.flatten() + config.reg_weight * reg.grads.flatten()
-        dropped_total += track.dropped_terms
+        frames = _unflatten(x, n, j)  # views into x
+        track, dropped, track_grads = fit.evaluate(*frames, True)
+        reg, reg_grads = _smoothness(*frames, True)
+        value = float(track) + config.reg_weight * float(reg)
+        grad = _flatten(*track_grads) + config.reg_weight * _flatten(*reg_grads)
+        dropped_total += int(dropped)
         if initial is None:
             initial = value
         if value < best_value:

@@ -9,7 +9,9 @@ root's rest position, so FK and its VJP treat it like any other joint.
 
 Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`,
 `lbs_apply` / `lbs_vjp`) over any number of frames; a single pose has no
-leading axes.  It treats quaternions as free 4-vectors, normalizing them
+leading axes.  Skinning is one formula: the points' blend basis
+(`_BlendBasis`), which a caller posing the same points many times, such
+as a fit, builds once.  It treats quaternions as free 4-vectors, normalizing them
 inside the computation so gradients stay exact under finite-difference
 probing, and checks nothing: its callers validate the skeleton, weights
 and animation they load before they pose anything.
@@ -150,39 +152,64 @@ def fk_backward(
     return grad_quats[..., :-1, :], grad_quats[..., -1, :], d_mats[..., -1, :3, 3].copy()
 
 
+# A blend basis is zero-padded to a multiple of this many points, so that
+# a point's blended position does not depend on how many points share the
+# call: OpenBLAS runs a tail of fewer output columns through other
+# kernels, whose last bits differ.  With OpenBLAS 0.3.31 (Haswell
+# kernels), about 2 in 3 random vertex splits differed unpadded; padded,
+# none of 600 random splits of up to 2,500 vertices and 40 joints did,
+# nor 7 of up to 20,000 vertices and 70 joints.
+_BASIS_ROW_BLOCK = 16
+
+
+class _BlendBasis:
+    """The blend basis B = w (x) [x, 1] of fixed points and weight rows.
+
+    Row i of B (p, 4 j) holds w[i, k] (x_i, 1) in columns 4k .. 4k + 3, so
+    blending (..., j, 3, 4) transforms, sum_k w[i, k] T_k [x_i, 1], is one
+    matmul per frame, rows(T) @ B^T, and its VJP is grad @ B.  B^T is
+    kept contiguous and points come out coordinate-major, (..., 3, p).
+    """
+
+    def __init__(self, points: np.ndarray, weight_rows: np.ndarray):
+        p, j = weight_rows.shape
+        padded = -(-p // _BASIS_ROW_BLOCK) * _BASIS_ROW_BLOCK
+        homogeneous = np.ones((4, p))
+        homogeneous[:3] = points.T
+        columns = np.zeros((j, 4, padded))
+        np.multiply(weight_rows.T[:, None, :], homogeneous, out=columns[..., :p])
+        self.count = p
+        self.columns = columns.reshape(4 * j, padded)
+
+    def apply(self, transforms: np.ndarray) -> np.ndarray:
+        """Blended points (..., 3, p) of (..., j, 3, 4) transforms."""
+        lead, j = transforms.shape[:-3], transforms.shape[-3]
+        rows = np.swapaxes(transforms, -3, -2).reshape(lead + (3, 4 * j))
+        return (rows @ self.columns)[..., : self.count]
+
+    def vjp(self, grad_x: np.ndarray, grad_y: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
+        """Gradient wrt the (..., j, 3, 4) transforms for the gradients
+        (..., p) on the blended points' three coordinates."""
+        basis = self.columns[:, : self.count].T
+        d = np.stack([g @ basis for g in (grad_x, grad_y, grad_z)], axis=-2)
+        return np.swapaxes(d.reshape(d.shape[:-1] + (-1, 4)), -3, -2)
+
+
 def lbs_apply(
     vertices: np.ndarray, weight_matrix: np.ndarray, globals_: np.ndarray
 ) -> np.ndarray:
-    """Blend per-joint rigid transforms: v' = sum_k w[v,k] (G_k v).
-
-    The weights blend the top three rows of the G_k (one matmul per
-    frame), then each vertex goes through its own blended 3x4 transform.
-    """
-    lead = globals_.shape[:-3]
-    v, j = weight_matrix.shape
-    rows = globals_[..., :3, :].reshape(lead + (j, 12))
-    b = (weight_matrix @ rows).reshape(lead + (v, 3, 4))
-    x, y, z = vertices[:, 0, None], vertices[:, 1, None], vertices[:, 2, None]
-    # In place, to spare (..., v, 3) temporaries; the sums keep their order.
-    out = b[..., 0] * x
-    out += b[..., 1] * y
-    out += b[..., 2] * z
-    out += b[..., 3]
-    return out
+    """Blend per-joint rigid transforms: v' = sum_k w[v,k] (G_k v), through
+    the blend basis of the vertices (one matmul per frame)."""
+    return _transpose(_BlendBasis(vertices, weight_matrix).apply(globals_[..., :3, :]))
 
 
 def lbs_vjp(
     vertices: np.ndarray, weight_matrix: np.ndarray, grad_deformed: np.ndarray
 ) -> np.ndarray:
     """Gradient wrt the global matrices for fixed vertices and weights."""
-    lead = grad_deformed.shape[:-2]
-    v, j = weight_matrix.shape
-    homogeneous = np.concatenate([vertices, np.ones((v, 1))], axis=1)
-    # dG[k, a, b] = sum_v grad[v, a] * w[v, k] * homogeneous[v, b]
-    weighted = (weight_matrix[:, :, None] * homogeneous[:, None, :]).reshape(v, 4 * j)
-    d = (_transpose(grad_deformed) @ weighted).reshape(lead + (3, j, 4))
-    dG = np.zeros(lead + (j, 4, 4))
-    dG[..., :3, :] = np.swapaxes(d, -3, -2)
+    d = _BlendBasis(vertices, weight_matrix).vjp(*np.moveaxis(grad_deformed, -1, 0))
+    dG = np.zeros(d.shape[:-2] + (4, 4))
+    dG[..., :3, :] = d
     return dG
 
 

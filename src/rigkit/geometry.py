@@ -671,6 +671,34 @@ class Camera:
         )
 
 
+def _pinhole(
+    camera: Camera, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pixels of camera-space points given by their coordinate arrays:
+    u, v, valid and safe z, each shaped like ``x``.
+
+    A point at or behind the camera plane (z <= CAMERA_Z_EPS) is invalid;
+    its safe z is 1, so its u and v are finite but mean nothing.
+    """
+    valid = z > CAMERA_Z_EPS
+    safe_z = np.where(valid, z, 1.0)
+    u = camera.fx * x / safe_z + camera.cx
+    v = camera.fy * y / safe_z + camera.cy
+    return u, v, valid, safe_z
+
+
+def _pinhole_vjp(
+    camera: Camera, x: np.ndarray, y: np.ndarray, safe_z: np.ndarray,
+    grad_u: np.ndarray, grad_v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients wrt x, y and z of :func:`_pinhole`'s u and v; ``grad_u``
+    and ``grad_v`` must be zero where a point is invalid."""
+    d_x = camera.fx * grad_u / safe_z
+    d_y = camera.fy * grad_v / safe_z
+    d_z = -(camera.fx * x * grad_u + camera.fy * y * grad_v) / (safe_z * safe_z)
+    return d_x, d_y, d_z
+
+
 def project(
     camera: Camera, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -680,12 +708,8 @@ def project(
     Points at or behind the camera plane (z <= CAMERA_Z_EPS) are flagged
     invalid; their pixel entries are zero, never NaN.
     """
-    cam = camera.world_to_camera(points)
-    z = cam[..., 2]
-    valid = z > CAMERA_Z_EPS
-    safe_z = np.where(valid, z, 1.0)
-    u = camera.fx * cam[..., 0] / safe_z + camera.cx
-    v = camera.fy * cam[..., 1] / safe_z + camera.cy
+    x, y, z = np.moveaxis(camera.world_to_camera(points), -1, 0)
+    u, v, valid, _ = _pinhole(camera, x, y, z)
     uv = np.stack([u, v], axis=-1)
     uv[~valid] = 0.0
     return uv, z, valid
@@ -698,17 +722,9 @@ def project_vjp(camera: Camera, points: np.ndarray, grad_uv: np.ndarray) -> np.n
     forward clamp.
     """
     grad_uv = np.asarray(grad_uv, dtype=np.float64)
-    cam = camera.world_to_camera(points)
-    z = cam[..., 2]
-    valid = z > CAMERA_Z_EPS
-    safe_z = np.where(valid, z, 1.0)
+    x, y, z = np.moveaxis(camera.world_to_camera(points), -1, 0)
+    _, _, valid, safe_z = _pinhole(camera, x, y, z)
     gu = np.where(valid, grad_uv[..., 0], 0.0)
     gv = np.where(valid, grad_uv[..., 1], 0.0)
-    d_cam = np.zeros_like(cam)
-    d_cam[..., 0] = camera.fx * gu / safe_z
-    d_cam[..., 1] = camera.fy * gv / safe_z
-    d_cam[..., 2] = -(
-        camera.fx * cam[..., 0] * gu + camera.fy * cam[..., 1] * gv
-    ) / (safe_z * safe_z)
-    d_cam[~valid] = 0.0
+    d_cam = np.stack(_pinhole_vjp(camera, x, y, safe_z, gu, gv), axis=-1)
     return d_cam @ camera.rotation

@@ -17,7 +17,7 @@ import numpy as np
 from . import animate, kernels
 from .codec import VOCAB_SIZE
 from .core import Mesh, Skeleton, SkinWeights, graph_distance_matrix
-from .geometry import Camera, project
+from .geometry import Camera
 from .quat import normalize as quat_normalize
 
 FD_STEP = 1e-5
@@ -243,8 +243,7 @@ def _random_scene(rng: np.random.Generator):
 
 def _render_uv(mesh, s, weights, params, camera):
     points, rows = animate._tracked_points(s, mesh, weights, np.arange(mesh.vertex_count))
-    _, posed = animate.pose_clip(s, points, rows, *animate.params_to_animation(params))
-    uv, _, _ = project(camera, posed)
+    uv = animate._render_tracks(s, points, rows, camera, *animate.params_to_animation(params))
     return uv[:, : s.joint_count], uv[:, s.joint_count :]
 
 

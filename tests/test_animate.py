@@ -29,7 +29,12 @@ from rigkit import (
 )
 from rigkit import gradcheck, quat
 from rigkit.animate import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     _Fit,
+    _pose_in_camera,
+    _render_tracks,
     _smoothness,
     _tracked_points,
     _unflatten,
@@ -37,8 +42,8 @@ from rigkit.animate import (
     params_to_animation,
     pose_clip,
 )
-from rigkit.deform import fk_forward, lbs_apply
-from rigkit.geometry import project
+from rigkit.deform import _BlendBasis
+from rigkit.geometry import _pinhole, project
 
 from helpers import (
     icosphere,
@@ -258,6 +263,60 @@ class TestPoseClip:
                 assert np.array_equal(joints, np.broadcast_to(s.joints, joints.shape))
 
 
+class TestCameraSpaceMap:
+    """The fit poses its tracked points straight into camera space; their
+    pixels agree with posing in world space and then projecting."""
+
+    @staticmethod
+    def assert_matches_world_path(s, points, rows, camera, rq, rt, jq):
+        """Pixels agree within 1e-9 px, masks exactly; returns how many
+        points land behind the camera.  A point closer than 0.1 to the
+        camera plane lands up to millions of pixels out, where rounding
+        in its depth grows as 1/z^2, so its pixels agree to 1e-9 relative."""
+        _, cam = _pose_in_camera(s, _BlendBasis(points, rows), camera, rq, rt, jq)
+        u, v, valid, _ = _pinhole(camera, *np.moveaxis(cam, -2, 0))
+        _, posed = pose_clip(s, points, rows, rq, rt, jq)
+        uv, depth, want_valid = project(camera, posed)
+        assert np.array_equal(valid, want_valid)
+        for got, want in ((u, uv[..., 0]), (v, uv[..., 1])):
+            scale = np.where(depth < 0.1, np.abs(want), 1.0)
+            assert np.all((np.abs(got - want) <= 1e-9 * scale)[valid])
+        return int(np.sum(~valid))
+
+    @staticmethod
+    def push_behind(rng, rt, frames):
+        """Root translations with ``frames`` random frames moved 1-6 units
+        along +z, which carries some or all of their points past a camera
+        on the +z side of the scene."""
+        rt = rt.copy()
+        picked = rng.choice(rt.shape[0], size=frames, replace=False)
+        rt[picked, 2] += rng.uniform(1.0, 6.0, frames)
+        return rt
+
+    def test_pose_recovery_scene(self):
+        from test_acceptance import _recovery_scene
+
+        mesh, s, weights, params, tracks = _recovery_scene(noise_px=0.0)
+        points, rows = _tracked_points(s, mesh, weights, tracks.vertex_subset)
+        rq, rt, jq = params_to_animation(params)
+        rt = self.push_behind(np.random.default_rng(20), rt, 10)
+        behind = self.assert_matches_world_path(s, points, rows, tracks.camera, rq, rt, jq)
+        assert behind > 0
+
+    def test_grad_check_scenes(self):
+        behind = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mesh, s, weights, tracks, params = gradcheck._random_scene(rng)
+            points, rows = _tracked_points(s, mesh, weights, tracks.vertex_subset)
+            rq, rt, jq = params_to_animation(params)
+            rt = self.push_behind(rng, rt, 2)
+            behind += self.assert_matches_world_path(
+                s, points, rows, tracks.camera, rq, rt, jq
+            )
+        assert behind > 0
+
+
 class TestTrackSet:
     def _tracks(self):
         mesh = tube_mesh(length=1.4, rings=8, sides=8)
@@ -392,7 +451,8 @@ class TestSynthesizeTracks:
 
     def test_matches_per_frame_loop(self):
         # All frames are posed and projected in one batched pass; each
-        # frame's tracks equal posing that frame alone, bit for bit.
+        # frame's tracks equal posing that frame alone through the same
+        # camera-space map, bit for bit.
         mesh, s, weights = self._scene()
         rng = np.random.default_rng(9)
         m = 5
@@ -403,15 +463,12 @@ class TestSynthesizeTracks:
         )
         cam = front_camera()
         tracks = synthesize_tracks(mesh, s, weights, params, cam, vertex_count=30)
-        sub = tracks.vertex_subset
+        points, rows = _tracked_points(s, mesh, weights, tracks.vertex_subset)
         rq, rt, jq = params_to_animation(params)
         for i in range(params.frame_count):
-            cache = fk_forward(s.joints, s.parents, jq[i], rq[i], rt[i])
-            verts = lbs_apply(mesh.vertices[sub], weights.matrix[sub], cache.globals_)
-            joints_uv, _, _ = project(cam, posed_joints(cache.globals_, s.joints))
-            verts_uv, _, _ = project(cam, verts)
-            assert np.array_equal(tracks.joint_tracks[i], joints_uv)
-            assert np.array_equal(tracks.vertex_tracks[i], verts_uv)
+            uv = _render_tracks(s, points, rows, cam, rq[i], rt[i], jq[i])
+            assert np.array_equal(tracks.joint_tracks[i], uv[: s.joint_count])
+            assert np.array_equal(tracks.vertex_tracks[i], uv[s.joint_count :])
 
     def test_rejections(self):
         mesh, s, weights = self._scene()
@@ -749,6 +806,39 @@ class TestOptimize:
         )
         assert result.iterations == 20
         assert len(calls) == 1
+
+    def test_steps_match_public_losses(self):
+        # optimize evaluates both terms on views of its flat vector; plain
+        # Adam over the public losses gives the same trace and fit, bit for bit.
+        mesh, s, weights, params, tracks = self._scene(frames=5, noise=0.5)
+        config = OptimizeConfig(
+            iterations=25, learning_rate=0.02, reg_weight=1e-2, plateau_window=100
+        )
+        result = optimize(mesh, s, weights, tracks, config)
+
+        n, j = params.frame_count, params.joint_count
+        x = AnimParams.identity(n, j).flatten()
+        m1 = np.zeros_like(x)
+        m2 = np.zeros_like(x)
+        trace, best, best_x = [], np.inf, x
+        for it in range(config.iterations):
+            p = AnimParams.from_flat(x, n, j)
+            track = tracking_loss(p, mesh, s, weights, tracks)
+            reg = smoothness_regularizer(p)
+            value = track.value + config.reg_weight * reg.value
+            grad = track.grads.flatten() + config.reg_weight * reg.grads.flatten()
+            if value < best:
+                best, best_x = value, x
+            trace.append(best)
+            m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
+            m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
+            hat1 = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
+            hat2 = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
+            x = x - config.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+            x = AnimParams.from_flat(x, n, j).normalized().flatten()
+        assert np.array_equal(result.trace, trace)
+        want = AnimParams.from_flat(best_x, n, j).normalized().flatten()
+        assert np.array_equal(result.params.flatten(), want)
 
     def test_lr_floor_decay(self):
         mesh, s, weights, _, tracks = self._scene(frames=2)

@@ -11,7 +11,7 @@ from rigkit import (
     save_animation,
 )
 from rigkit import quat
-from rigkit.deform import fk_backward, fk_forward, lbs_apply
+from rigkit.deform import fk_backward, fk_forward, lbs_apply, lbs_vjp
 from rigkit.gradcheck import central_difference, max_relative_error
 
 from helpers import (
@@ -20,6 +20,7 @@ from helpers import (
     path_product_fk,
     posed_joints,
     random_chain,
+    random_simplex_weights,
     random_tree,
     random_unit_quats,
     rotation_matrix,
@@ -220,6 +221,48 @@ class TestLinearBlendSkinning:
         full = lbs_apply(verts, w, g)
         split = np.vstack([lbs_apply(verts[:11], w[:11], g), lbs_apply(verts[11:], w[11:], g)])
         assert np.array_equal(full, split)
+
+    def test_random_splits_are_bitwise(self):
+        # Any cut of the vertex set, and any single frame of a stack, poses
+        # bit for bit as the whole call does.
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            v, j, f = int(rng.integers(2, 401)), int(rng.integers(1, 21)), int(rng.integers(1, 5))
+            verts = rng.uniform(-1, 1, (v, 3))
+            w = random_simplex_weights(rng, v, j)
+            s = random_tree(rng, j)
+            g = fk_forward(
+                s.joints, s.parents, random_unit_quats(rng, (f, j)),
+                random_unit_quats(rng, (f,)), rng.standard_normal((f, 3)),
+            ).globals_
+            cut = int(rng.integers(1, v))
+            full = lbs_apply(verts, w, g)
+            split = np.concatenate(
+                [lbs_apply(verts[:cut], w[:cut], g), lbs_apply(verts[cut:], w[cut:], g)],
+                axis=-2,
+            )
+            assert np.array_equal(full, split)
+            k = int(rng.integers(f))
+            assert np.array_equal(full[k], lbs_apply(verts, w, g[k]))
+
+    def test_vjp_matches_central_difference(self):
+        rng = np.random.default_rng(17)
+        for lead in ((), (3,)):
+            s, verts, w = self._scene(rng, v=9, j=4)
+            g = fk(s, random_unit_quats(rng, lead + (4,)), np.zeros(3)).globals_
+            probe = rng.standard_normal(lead + (9, 3))
+            top = g[..., :3, :]
+
+            def sums(stack):
+                rows = np.broadcast_to(g, stack.shape[:1] + g.shape).copy()
+                rows[..., :3, :] = stack
+                posed = lbs_apply(verts, w, rows)
+                return (posed * probe).reshape(len(stack), -1).sum(axis=1)
+
+            d = lbs_vjp(verts, w, probe)
+            assert np.all(d[..., 3, :] == 0.0)
+            numeric = central_difference(sums, top)
+            assert max_relative_error(d[..., :3, :], numeric) < 1e-7
 
 
 class TestSampleAugmentedPose:
