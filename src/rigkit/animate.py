@@ -12,7 +12,8 @@ builds once, then the camera translation.  The pinhole, the residuals and
 their VJP work on the three coordinate arrays directly, and the backward
 runs the blend's VJP, the rotation's transpose and `fk_backward`.  Track
 synthesis renders through the same map, so a fit at the ground truth
-reads exactly zero.  `pose_clip` remains the world-space mesh path.
+reads exactly zero.  World-space posing of whole meshes is
+`deform.pose_clip`, through the same blend.
 
 Visibility is decided once, on frame-0 geometry, and the resulting masks
 gate the tracking loss for the whole clip: a joint is visible when the
@@ -45,17 +46,10 @@ from .core import (
     canonical_json,
     require_valid,
 )
-from .deform import (
-    FkCache,
-    _BlendBasis,
-    fk_backward,
-    fk_forward,
-    lbs_apply,
-)
+from .deform import FkCache, _BlendBasis, fk_backward, fk_forward
 from .geometry import (
     Camera,
     _pinhole,
-    _pinhole_vjp,
     crossing_counts,
     first_hit_distances,
     point_inside_mesh,
@@ -82,8 +76,8 @@ class AnimParams:
     """Per-frame pose parameters for frames 1 .. n-1 of an n-frame clip.
 
     Arrays: root_quats (n-1, 4), root_trans (n-1, 3),
-    joint_quats (n-1, j, 4); quaternions w-first.  Frame 0 is implicit
-    identity.
+    joint_quats (n-1, j, 4); quaternions w-first, every entry finite.
+    Frame 0 is implicit identity.
     """
 
     root_quats: np.ndarray
@@ -101,6 +95,8 @@ class AnimParams:
             raise ValueError("root_trans must be (frames-1, 3)")
         if jq.ndim != 3 or jq.shape[0] != n or jq.shape[2] != 4:
             raise ValueError("joint_quats must be (frames-1, joints, 4)")
+        if not all(np.all(np.isfinite(a)) for a in (rq, rt, jq)):
+            raise NonFiniteError("animation parameters contain NaN or Inf")
         object.__setattr__(self, "root_quats", rq)
         object.__setattr__(self, "root_trans", rt)
         object.__setattr__(self, "joint_quats", jq)
@@ -269,30 +265,6 @@ def _tracked_points(
     return points, rows
 
 
-def pose_clip(
-    s: Skeleton,
-    points: np.ndarray,
-    weight_rows: np.ndarray,
-    root_quats: np.ndarray,
-    root_trans: np.ndarray,
-    joint_quats: np.ndarray,
-) -> tuple[FkCache, np.ndarray]:
-    """Posed points of every frame of a clip in world space, in one pass.
-
-    The mesh path: ``rigkit deform``, ``animate --export-obj`` and the
-    test-suite's reprojection checks pose whole meshes or clips with it.
-    A fit poses its tracked points straight into camera space instead
-    (:func:`_pose_in_camera`), blending with the same basis.
-
-    Takes the raw core's arrays with any leading frame axes (quaternions
-    may be unnormalized), rest ``points`` (p, 3) and their weight rows
-    (p, j), such as :func:`_tracked_points` gives.  Returns the FK cache
-    and the posed points, shape (..., p, 3).
-    """
-    cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
-    return cache, lbs_apply(points, weight_rows, cache.globals_)
-
-
 def _pose_in_camera(
     s: Skeleton,
     basis: _BlendBasis,
@@ -306,14 +278,26 @@ def _pose_in_camera(
     The camera rotation R is folded into the joint transforms, so the
     basis blends R G_k and the camera translation is added once:
     sum_k w_k R G_k [x, 1] + t.  Only the rotation is folded, so weight
-    rows need not sum to 1.  Takes the raw arrays as :func:`pose_clip`
-    does; returns the FK cache and the points coordinate-major,
-    (..., 3, p).
+    rows need not sum to 1.  Takes the raw arrays as
+    :func:`rigkit.deform.pose_clip` does; returns the FK cache and the
+    points coordinate-major, (..., 3, p).
     """
     cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
     cam = basis.apply(camera.rotation @ cache.globals_[..., :3, :])
     cam += camera.translation[:, None]
     return cache, cam
+
+
+def _pinhole_vjp(
+    camera: Camera, x: np.ndarray, y: np.ndarray, safe_z: np.ndarray,
+    grad_u: np.ndarray, grad_v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients wrt x, y and z of :func:`rigkit.geometry._pinhole`'s u
+    and v; ``grad_u`` and ``grad_v`` must be zero where a point is invalid."""
+    d_x = camera.fx * grad_u / safe_z
+    d_y = camera.fy * grad_v / safe_z
+    d_z = -(camera.fx * x * grad_u + camera.fy * y * grad_v) / (safe_z * safe_z)
+    return d_x, d_y, d_z
 
 
 def _render_tracks(

@@ -28,7 +28,13 @@ from .core import (
     spatial_order,
     validate_skeleton,
 )
-from .deform import heuristic_skin_weights, load_animation, save_animation
+from .deform import (
+    _BlendBasis,
+    heuristic_skin_weights,
+    load_animation,
+    pose_clip,
+    save_animation,
+)
 from .geometry import Camera, ObjParseError, load_obj, save_obj
 from .metrics import MetricConfig, metrics_report
 
@@ -190,9 +196,8 @@ def _cmd_deform(args) -> int:
     if joint_quats.shape[1] != s.joint_count:
         raise ValueError("animation joint count does not match rig")
     weights.require_fits(mesh, s)
-    _, posed = animate.pose_clip(
-        s, mesh.vertices, weights.matrix, root_quats[f], root_trans[f], joint_quats[f]
-    )
+    basis = _BlendBasis(mesh.vertices, weights.matrix)
+    _, posed = pose_clip(s, basis, root_quats[f], root_trans[f], joint_quats[f])
     save_obj(args.output, Mesh(posed, mesh.triangles))
     return EXIT_OK
 
@@ -269,9 +274,11 @@ def _cmd_animate(args) -> int:
     if args.export_obj:
         out_dir = Path(args.export_obj)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # One frame at a time keeps memory at one posed mesh.
+        # One basis for the clip, then one frame at a time, which keeps
+        # memory at one posed mesh.
+        basis = _BlendBasis(mesh.vertices, weights.matrix)
         for i, frame in enumerate(zip(root_quats, root_trans, joint_quats)):
-            _, posed = animate.pose_clip(s, mesh.vertices, weights.matrix, *frame)
+            _, posed = pose_clip(s, basis, *frame)
             save_obj(out_dir / f"frame_{i:04d}.obj", Mesh(posed, mesh.triangles))
     sys.stdout.write(
         canonical_json(

@@ -7,14 +7,16 @@ The root motion (quaternion + translation) is joint j of a j-joint
 skeleton, a virtual parent of the root whose rotation also acts about the
 root's rest position, so FK and its VJP treat it like any other joint.
 
-Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`,
-`lbs_apply` / `lbs_vjp`) over any number of frames; a single pose has no
-leading axes.  Skinning is one formula: the points' blend basis
-(`_BlendBasis`), which a caller posing the same points many times, such
-as a fit, builds once.  It treats quaternions as free 4-vectors, normalizing them
-inside the computation so gradients stay exact under finite-difference
-probing, and checks nothing: its callers validate the skeleton, weights
-and animation they load before they pose anything.
+Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`)
+over any number of frames; a single pose has no leading axes.  Skinning
+is one formula: the points' blend basis (`_BlendBasis`), which every
+caller builds once for the points it poses, then blends any number of
+frames through.  `pose_clip` is the world-space posing path, one
+`fk_forward` and one blend.  The core treats quaternions as free
+4-vectors, normalizing them inside the computation so gradients stay
+exact under finite-difference probing, and checks nothing: its callers
+validate the skeleton, weights and animation they load before they pose
+anything.
 """
 
 from __future__ import annotations
@@ -195,22 +197,27 @@ class _BlendBasis:
         return np.swapaxes(d.reshape(d.shape[:-1] + (-1, 4)), -3, -2)
 
 
-def lbs_apply(
-    vertices: np.ndarray, weight_matrix: np.ndarray, globals_: np.ndarray
-) -> np.ndarray:
-    """Blend per-joint rigid transforms: v' = sum_k w[v,k] (G_k v), through
-    the blend basis of the vertices (one matmul per frame)."""
-    return _transpose(_BlendBasis(vertices, weight_matrix).apply(globals_[..., :3, :]))
+def pose_clip(
+    s: Skeleton,
+    basis: _BlendBasis,
+    root_quats: np.ndarray,
+    root_trans: np.ndarray,
+    joint_quats: np.ndarray,
+) -> tuple[FkCache, np.ndarray]:
+    """Posed points of every frame of a clip in world space, in one pass.
 
+    The mesh path: ``rigkit deform``, ``animate --export-obj`` and
+    :func:`rigkit.metrics.deformation_error` pose whole meshes through it,
+    each with a basis of its points built once.  Takes the raw core's
+    arrays with any leading frame axes (quaternions may be unnormalized);
+    returns the FK cache and the posed points (..., p, 3).
 
-def lbs_vjp(
-    vertices: np.ndarray, weight_matrix: np.ndarray, grad_deformed: np.ndarray
-) -> np.ndarray:
-    """Gradient wrt the global matrices for fixed vertices and weights."""
-    d = _BlendBasis(vertices, weight_matrix).vjp(*np.moveaxis(grad_deformed, -1, 0))
-    dG = np.zeros(d.shape[:-2] + (4, 4))
-    dG[..., :3, :] = d
-    return dG
+    The blend is linear in the weight rows, which need not sum to 1: a
+    basis of rows A - B poses, up to rounding, to the points posed with
+    A minus those posed with B.
+    """
+    cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
+    return cache, _transpose(basis.apply(cache.globals_[..., :3, :]))
 
 
 # ---------------------------------------------------------------------------

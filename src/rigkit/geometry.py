@@ -687,18 +687,6 @@ def _pinhole(
     return u, v, valid, safe_z
 
 
-def _pinhole_vjp(
-    camera: Camera, x: np.ndarray, y: np.ndarray, safe_z: np.ndarray,
-    grad_u: np.ndarray, grad_v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients wrt x, y and z of :func:`_pinhole`'s u and v; ``grad_u``
-    and ``grad_v`` must be zero where a point is invalid."""
-    d_x = camera.fx * grad_u / safe_z
-    d_y = camera.fy * grad_v / safe_z
-    d_z = -(camera.fx * x * grad_u + camera.fy * y * grad_v) / (safe_z * safe_z)
-    return d_x, d_y, d_z
-
-
 def project(
     camera: Camera, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -713,18 +701,3 @@ def project(
     uv = np.stack([u, v], axis=-1)
     uv[~valid] = 0.0
     return uv, z, valid
-
-
-def project_vjp(camera: Camera, points: np.ndarray, grad_uv: np.ndarray) -> np.ndarray:
-    """Exact gradient of :func:`project` pixels wrt world points (..., 3).
-
-    Invalid (behind-camera) points contribute zero gradient, mirroring the
-    forward clamp.
-    """
-    grad_uv = np.asarray(grad_uv, dtype=np.float64)
-    x, y, z = np.moveaxis(camera.world_to_camera(points), -1, 0)
-    _, _, valid, safe_z = _pinhole(camera, x, y, z)
-    gu = np.where(valid, grad_uv[..., 0], 0.0)
-    gv = np.where(valid, grad_uv[..., 1], 0.0)
-    d_cam = np.stack(_pinhole_vjp(camera, x, y, safe_z, gu, gv), axis=-1)
-    return d_cam @ camera.rotation

@@ -43,9 +43,9 @@ from rigkit import (
     vertex_visibility,
 )
 from rigkit import codec, gradcheck, quat
-from rigkit.animate import _tracked_points, pose_clip
+from rigkit.animate import _tracked_points
 from rigkit.cli import main as cli_main
-from rigkit.deform import fk_forward, lbs_apply, save_animation
+from rigkit.deform import _BlendBasis, pose_clip, save_animation
 from rigkit.geometry import project, write_obj
 from rigkit.kernels import reference_attention, topology_aware_attention
 
@@ -286,23 +286,24 @@ def test_08_fk_lbs_oracles_500_rigs():
         s = random_tree(rng, j)
         jq = random_unit_quats(rng, (j,))
         trans = rng.standard_normal(3)
-        g = fk_forward(s.joints, s.parents, jq, quat.IDENTITY, trans).globals_
         want = path_product_fk(s, jq, None, trans)
-        worst_fk = max(worst_fk, float(np.max(np.abs(g - want))))
-
         verts = rng.uniform(-1.0, 1.0, (8, 3))
         w = random_simplex_weights(rng, 8, j)
-        got = lbs_apply(verts, w, g)
+        cache, got = pose_clip(s, _BlendBasis(verts, w), quat.IDENTITY, trans, jq)
+        g = cache.globals_
+        worst_fk = max(worst_fk, float(np.max(np.abs(g - want))))
         want_v = naive_lbs(verts, w, g)
         worst_lbs = max(worst_lbs, float(np.max(np.abs(got - want_v))))
 
-        gi = fk_forward(
-            s.joints, s.parents, np.tile(quat.IDENTITY, (j, 1)), quat.IDENTITY, np.zeros(3)
-        ).globals_
-        identity_exact = identity_exact and np.array_equal(gi, np.tile(np.eye(4), (j, 1, 1)))
         onehot = np.zeros((8, j))
         onehot[:, 0] = 1.0
-        identity_exact = identity_exact and np.array_equal(lbs_apply(verts, onehot, gi), verts)
+        cache, rest = pose_clip(
+            s, _BlendBasis(verts, onehot), quat.IDENTITY, np.zeros(3),
+            np.tile(quat.IDENTITY, (j, 1)),
+        )
+        gi = cache.globals_
+        identity_exact = identity_exact and np.array_equal(gi, np.tile(np.eye(4), (j, 1, 1)))
+        identity_exact = identity_exact and np.array_equal(rest, verts)
     ok = worst_fk <= 1e-9 and worst_lbs <= 1e-9 and identity_exact
     report(
         8,
@@ -452,9 +453,9 @@ def _mean_geodesic_deg(rec: AnimParams, gt: AnimParams) -> float:
 
 
 def _mean_reprojection_px(params, mesh, s, weights, clean_tracks) -> float:
-    points, rows = _tracked_points(s, mesh, weights, clean_tracks.vertex_subset)
+    basis = _BlendBasis(*_tracked_points(s, mesh, weights, clean_tracks.vertex_subset))
     _, posed = pose_clip(
-        s, points, rows, params.root_quats, params.root_trans, params.joint_quats
+        s, basis, params.root_quats, params.root_trans, params.joint_quats
     )
     uv, _, valid = project(clean_tracks.camera, posed)
     observed = np.concatenate(

@@ -40,9 +40,8 @@ from rigkit.animate import (
     _unflatten,
     params_from_animation,
     params_to_animation,
-    pose_clip,
 )
-from rigkit.deform import _BlendBasis
+from rigkit.deform import _BlendBasis, pose_clip
 from rigkit.geometry import _pinhole, project
 
 from helpers import (
@@ -113,6 +112,17 @@ class TestAnimParams:
             AnimParams(np.zeros((2, 4)), np.zeros((3, 3)), np.zeros((2, 1, 4)))
         with pytest.raises(ValueError):
             AnimParams(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 1, 3)))
+
+    FIELDS = ("root_quats", "root_trans", "joint_quats")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rejects_non_finite(self, field):
+        good = AnimParams.identity(3, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            arrays = {k: getattr(good, k).copy() for k in self.FIELDS}
+            arrays[field].flat[-1] = bad
+            with pytest.raises(NonFiniteError):
+                AnimParams(**arrays)
 
     def test_copies_caller_arrays(self):
         rq = np.tile(quat.IDENTITY, (2, 1))
@@ -249,7 +259,8 @@ class TestPoseClip:
                 rq = rng.standard_normal(lead + (4,))
                 rt = rng.standard_normal(lead + (3,))
                 jq = rng.standard_normal(lead + (j, 4))
-                cache, posed = pose_clip(s, points, rows, rq, rt, jq)
+                basis = _BlendBasis(points, rows)
+                cache, posed = pose_clip(s, basis, rq, rt, jq)
                 assert posed.shape == lead + (j + 3, 3)
                 want = posed_joints(cache.globals_, s.joints)
                 assert np.allclose(posed[..., :j, :], want, rtol=0.0, atol=1e-12)
@@ -257,7 +268,7 @@ class TestPoseClip:
                 identity = np.zeros(lead + (j, 4))
                 identity[..., 0] = 1.0
                 _, rest = pose_clip(
-                    s, points, rows, identity[..., 0, :], np.zeros(lead + (3,)), identity
+                    s, basis, identity[..., 0, :], np.zeros(lead + (3,)), identity
                 )
                 joints = rest[..., :j, :]
                 assert np.array_equal(joints, np.broadcast_to(s.joints, joints.shape))
@@ -273,9 +284,10 @@ class TestCameraSpaceMap:
         points land behind the camera.  A point closer than 0.1 to the
         camera plane lands up to millions of pixels out, where rounding
         in its depth grows as 1/z^2, so its pixels agree to 1e-9 relative."""
-        _, cam = _pose_in_camera(s, _BlendBasis(points, rows), camera, rq, rt, jq)
+        basis = _BlendBasis(points, rows)
+        _, cam = _pose_in_camera(s, basis, camera, rq, rt, jq)
         u, v, valid, _ = _pinhole(camera, *np.moveaxis(cam, -2, 0))
-        _, posed = pose_clip(s, points, rows, rq, rt, jq)
+        _, posed = pose_clip(s, basis, rq, rt, jq)
         uv, depth, want_valid = project(camera, posed)
         assert np.array_equal(valid, want_valid)
         for got, want in ((u, uv[..., 0]), (v, uv[..., 1])):
@@ -525,6 +537,11 @@ class TestTrackingLoss:
         )
         assert result.dropped_terms == expected
         assert np.isfinite(result.value)
+        # Every tracked point is behind the camera, so every term is masked
+        # out and no gradient reaches the parameters.
+        for grad in (result.grads.root_quats, result.grads.root_trans,
+                     result.grads.joint_quats):
+            assert np.all(grad == 0.0)
 
     def test_scene_validation(self):
         mesh, s, weights, params, tracks = self._scene()
@@ -559,8 +576,9 @@ class TestTrackingLoss:
 
 class TestStackedTrackingLoss:
     """A stack of clips through one ``_Fit.evaluate`` gives each clip's loss
-    bitwise as ``tracking_loss`` gives it alone; ``lbs_apply``'s BLAS
-    blocking is not split-invariant in general, so this is pinned per scene."""
+    bitwise as ``tracking_loss`` gives it alone; no BLAS guarantee keeps a
+    row's bits when ``_BlendBasis.apply`` multiplies the whole stack at
+    once, so this is pinned per scene."""
 
     @staticmethod
     def perturbed_rows(rng, params, rows):

@@ -11,7 +11,7 @@ from rigkit import (
     save_animation,
 )
 from rigkit import quat
-from rigkit.deform import fk_backward, fk_forward, lbs_apply, lbs_vjp
+from rigkit.deform import _BlendBasis, fk_backward, fk_forward, pose_clip
 from rigkit.gradcheck import central_difference, max_relative_error
 
 from helpers import (
@@ -134,8 +134,7 @@ class TestForwardKinematics:
             verts = rng.uniform(-1.0, 1.0, (v, 3))
             w = rng.random((v, s.joint_count))
             w /= w.sum(axis=1, keepdims=True)
-            cache = fk_forward(s.joints, s.parents, jq, root_q, trans)
-            deformed = lbs_apply(verts, w, cache.globals_)
+            cache, deformed = pose_clip(s, _BlendBasis(verts, w), root_q, trans, jq)
             for i in range(frames):
                 want = path_product_fk(s, jq[i], root_q[i], trans[i])
                 assert np.max(np.abs(cache.globals_[i] - want)) <= 1e-9
@@ -184,19 +183,28 @@ class TestLinearBlendSkinning:
         w = rng.random((v, j)) + 0.01
         return s, verts, w / w.sum(axis=1, keepdims=True)
 
+    @staticmethod
+    def blend(verts, w, g):
+        """Points (..., v, 3) blended from (..., j, 4, 4) transforms."""
+        return np.swapaxes(_BlendBasis(verts, w).apply(g[..., :3, :]), -1, -2)
+
     def test_identity_is_exact(self):
         rng = np.random.default_rng(9)
         s, verts, w = self._scene(rng)
-        g = fk(s, identity_quats(s.joint_count), np.zeros(3)).globals_
-        assert np.allclose(lbs_apply(verts, w, g), verts, atol=1e-15)
+        _, posed = pose_clip(
+            s, _BlendBasis(verts, w), quat.IDENTITY, np.zeros(3), identity_quats(s.joint_count)
+        )
+        assert np.allclose(posed, verts, atol=1e-15)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             s, verts, w = self._scene(rng, v=25, j=5)
             jq = random_unit_quats(rng, (5,))
-            g = fk(s, jq, rng.standard_normal(3)).globals_
-            assert np.allclose(lbs_apply(verts, w, g), naive_lbs(verts, w, g), atol=1e-12)
+            cache, posed = pose_clip(
+                s, _BlendBasis(verts, w), quat.IDENTITY, rng.standard_normal(3), jq
+            )
+            assert np.allclose(posed, naive_lbs(verts, w, cache.globals_), atol=1e-12)
 
     def test_one_hot_weights_are_rigid(self):
         rng = np.random.default_rng(11)
@@ -205,9 +213,10 @@ class TestLinearBlendSkinning:
         w = np.zeros((12, 4))
         w[:, 2] = 1.0
         jq = random_unit_quats(rng, (4,))
-        g = fk(s, jq, np.zeros(3)).globals_
+        cache, posed = pose_clip(s, _BlendBasis(verts, w), quat.IDENTITY, np.zeros(3), jq)
+        g = cache.globals_
         want = verts @ g[2, :3, :3].T + g[2, :3, 3]
-        assert np.allclose(lbs_apply(verts, w, g), want, atol=1e-13)
+        assert np.allclose(posed, want, atol=1e-13)
 
     def test_raw_kernel_partition_free(self):
         # Splitting the vertex set and concatenating must be identical.
@@ -218,8 +227,8 @@ class TestLinearBlendSkinning:
         g = path_product_fk(
             random_tree(rng, 5), random_unit_quats(rng, (5,)), None, np.zeros(3)
         )
-        full = lbs_apply(verts, w, g)
-        split = np.vstack([lbs_apply(verts[:11], w[:11], g), lbs_apply(verts[11:], w[11:], g)])
+        full = self.blend(verts, w, g)
+        split = np.vstack([self.blend(verts[:11], w[:11], g), self.blend(verts[11:], w[11:], g)])
         assert np.array_equal(full, split)
 
     def test_random_splits_are_bitwise(self):
@@ -231,19 +240,42 @@ class TestLinearBlendSkinning:
             verts = rng.uniform(-1, 1, (v, 3))
             w = random_simplex_weights(rng, v, j)
             s = random_tree(rng, j)
-            g = fk_forward(
-                s.joints, s.parents, random_unit_quats(rng, (f, j)),
-                random_unit_quats(rng, (f,)), rng.standard_normal((f, 3)),
-            ).globals_
+            jq, rq, rt = (
+                random_unit_quats(rng, (f, j)), random_unit_quats(rng, (f,)),
+                rng.standard_normal((f, 3)),
+            )
             cut = int(rng.integers(1, v))
-            full = lbs_apply(verts, w, g)
+            basis = _BlendBasis(verts, w)
+            cache, full = pose_clip(s, basis, rq, rt, jq)
             split = np.concatenate(
-                [lbs_apply(verts[:cut], w[:cut], g), lbs_apply(verts[cut:], w[cut:], g)],
+                [self.blend(verts[:cut], w[:cut], cache.globals_),
+                 self.blend(verts[cut:], w[cut:], cache.globals_)],
                 axis=-2,
             )
             assert np.array_equal(full, split)
             k = int(rng.integers(f))
-            assert np.array_equal(full[k], lbs_apply(verts, w, g[k]))
+            assert np.array_equal(full[k], pose_clip(s, basis, rq[k], rt[k], jq[k])[1])
+
+    def test_weight_rows_need_not_sum_to_one(self):
+        # The blend is linear in the weight rows, so a basis of rows A - B
+        # poses to pose_clip(A) - pose_clip(B); deformation_error poses
+        # the difference of two skinnings this way.
+        rng = np.random.default_rng(18)
+        for lead in ((), (3,), (2, 3)):
+            for _ in range(5):
+                s, verts, a = self._scene(rng, v=30, j=int(rng.integers(1, 9)))
+                b = random_simplex_weights(rng, 30, s.joint_count)
+                clip = (
+                    random_unit_quats(rng, lead), rng.standard_normal(lead + (3,)),
+                    random_unit_quats(rng, lead + (s.joint_count,)),
+                )
+                _, diff = pose_clip(s, _BlendBasis(verts, a - b), *clip)
+                _, posed_a = pose_clip(s, _BlendBasis(verts, a), *clip)
+                _, posed_b = pose_clip(s, _BlendBasis(verts, b), *clip)
+                assert diff.shape == lead + (30, 3)
+                assert np.max(np.abs(diff - (posed_a - posed_b))) <= 1e-12
+                _, none = pose_clip(s, _BlendBasis(verts, a - a), *clip)
+                assert np.all(none == 0.0)
 
     def test_vjp_matches_central_difference(self):
         rng = np.random.default_rng(17)
@@ -251,18 +283,16 @@ class TestLinearBlendSkinning:
             s, verts, w = self._scene(rng, v=9, j=4)
             g = fk(s, random_unit_quats(rng, lead + (4,)), np.zeros(3)).globals_
             probe = rng.standard_normal(lead + (9, 3))
+            basis = _BlendBasis(verts, w)
             top = g[..., :3, :]
 
             def sums(stack):
-                rows = np.broadcast_to(g, stack.shape[:1] + g.shape).copy()
-                rows[..., :3, :] = stack
-                posed = lbs_apply(verts, w, rows)
+                posed = np.swapaxes(basis.apply(stack), -1, -2)
                 return (posed * probe).reshape(len(stack), -1).sum(axis=1)
 
-            d = lbs_vjp(verts, w, probe)
-            assert np.all(d[..., 3, :] == 0.0)
+            d = basis.vjp(*np.moveaxis(probe, -1, 0))
             numeric = central_difference(sums, top)
-            assert max_relative_error(d[..., :3, :], numeric) < 1e-7
+            assert max_relative_error(d, numeric) < 1e-7
 
 
 class TestSampleAugmentedPose:

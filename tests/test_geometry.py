@@ -20,7 +20,8 @@ from rigkit import (
     write_obj,
 )
 from rigkit import geometry
-from rigkit.geometry import crossing_counts, first_hit_distances, project_vjp
+from rigkit.animate import _pinhole_vjp
+from rigkit.geometry import _pinhole, crossing_counts, first_hit_distances
 
 from helpers import (
     icosphere,
@@ -775,12 +776,23 @@ class TestCamera:
         with pytest.raises(ValueError):
             Camera.look_at(eye=(0, 0, 1), target=(0, 0, 0), up=(0, 0, 1))
 
-    def test_project_vjp_matches_fd(self):
+    def test_pinhole_vjp_matches_fd(self):
+        # project is world_to_camera then the pinhole, so its gradient wrt
+        # world points is the pinhole's VJP pulled back through R.
         rng = np.random.default_rng(8)
         cam = Camera.look_at(eye=(0.3, -0.2, 2.0), target=(0.0, 0.1, 0.0))
         pts = rng.uniform(-0.5, 0.5, (6, 3))
         g = rng.standard_normal((6, 2))
-        analytic = project_vjp(cam, pts, g)
+
+        def camera_vjp(points, grad_uv):
+            x, y, z = np.moveaxis(cam.world_to_camera(points), -1, 0)
+            _, _, valid, safe_z = _pinhole(cam, x, y, z)
+            assert np.all(valid)
+            d_cam = _pinhole_vjp(cam, x, y, safe_z, grad_uv[..., 0], grad_uv[..., 1])
+            return np.stack(d_cam, axis=-1)
+
+        d_cam = camera_vjp(pts, g)
+        analytic = d_cam @ cam.rotation
         step = 1e-6
         fd = np.zeros_like(pts)
         for i in range(pts.shape[0]):
@@ -793,18 +805,6 @@ class TestCamera:
                 f_lo = float(np.sum(project(cam, lo)[0] * g))
                 fd[i, a] = (f_hi - f_lo) / (2 * step)
         assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-7)
-
-    def test_vjp_zero_for_invalid(self):
-        cam = Camera.look_at(eye=(0.0, 0.0, 2.0), target=(0.0, 0.0, 0.0))
-        g = np.ones((1, 2))
-        assert np.all(project_vjp(cam, np.array([[0.0, 0.0, 9.0]]), g) == 0.0)
-        # Leading axes: (frames, n, 3) equals the flat call bitwise.
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-0.5, 0.5, (5, 7, 3))
-        pts[1, 2] = pts[3, :3] = [0.0, 0.0, 9.0]
-        g = rng.standard_normal((5, 7, 2))
-        grad = project_vjp(cam, pts, g)
-        flat = project_vjp(cam, pts.reshape(-1, 3), g.reshape(-1, 2))
-        assert np.array_equal(grad, flat.reshape(5, 7, 3))
-        assert np.all(grad[1, 2] == 0.0) and np.all(grad[3, :3] == 0.0)
-        assert np.all(grad[0] != 0.0)
+        # Leading axes: (2, 3) points give the flat call's gradients bitwise.
+        stacked = camera_vjp(pts.reshape(2, 3, 3), g.reshape(2, 3, 2))
+        assert np.array_equal(stacked, d_cam.reshape(2, 3, 3))
