@@ -48,7 +48,6 @@ from .core import (
     hierarchical_order,
     joint_depths,
     load_rig,
-    permute_joints,
     save_rig,
     spatial_order,
     validate_skeleton,
@@ -125,9 +124,7 @@ from .animate import (
     load_tracks,
     optimize,
     save_tracks,
-    smoothness_regularizer,
     synthesize_tracks,
-    tracking_loss,
     vertex_visibility,
 )
 from .gradcheck import GradCheckResult, run_all as run_gradient_checks
@@ -152,7 +149,6 @@ __all__ = [
     "hierarchical_order",
     "joint_depths",
     "load_rig",
-    "permute_joints",
     "save_rig",
     "spatial_order",
     "validate_skeleton",
@@ -217,9 +213,7 @@ __all__ = [
     "load_tracks",
     "optimize",
     "save_tracks",
-    "smoothness_regularizer",
     "synthesize_tracks",
-    "tracking_loss",
     "vertex_visibility",
     "GradCheckResult",
     "run_gradient_checks",

@@ -23,8 +23,8 @@ first surface hit toward it lies within EPS_GEO of the vertex's own
 distance.  The exactly-once rule deliberately counts a joint resting just
 under the front surface as visible.
 
-All losses return exact analytic gradients; finite-difference agreement
-is enforced by the test-suite.
+The clip terms, ``_Fit.evaluate`` and ``_smoothness``, return exact analytic
+gradients; finite-difference agreement is enforced by the test-suite.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .core import (
     Skeleton,
     SkinWeights,
     _frozen,
+    _require_json_floats,
     _require_json_type,
     canonical_json,
     require_valid,
@@ -379,8 +380,8 @@ def track_set_from_dict(data: dict) -> TrackSet:
     try:
         return TrackSet(
             camera=Camera.from_dict(data["camera"]),
-            joint_tracks=np.asarray(data["joint_tracks"], dtype=np.float64),
-            vertex_tracks=np.asarray(data["vertex_tracks"], dtype=np.float64),
+            joint_tracks=_require_json_floats(data["joint_tracks"], "joint_tracks"),
+            vertex_tracks=_require_json_floats(data["vertex_tracks"], "vertex_tracks"),
             vertex_subset=_require_json_type(data["vertex_subset"], int, "vertex_subset"),
             joint_visibility=_require_json_type(
                 data["joint_visibility"], bool, "joint_visibility"
@@ -459,13 +460,6 @@ def synthesize_tracks(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LossResult:
-    value: float
-    grads: AnimParams | None
-    dropped_terms: int = 0
-
-
 class _Fit:
     """A track fit's fixed inputs, validated and gathered once for every evaluation."""
 
@@ -494,14 +488,14 @@ class _Fit:
         joint_quats: np.ndarray,
         with_grad: bool,
     ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-        """Tracking loss of clips given as raw arrays with any leading axes.
+        """Masked squared-pixel tracking loss of clips given as raw arrays.
 
-        The arrays hold frames 1 .. n-1 as :class:`AnimParams` does, with
-        leading axes in front (quaternions may be unnormalized).  Returns
-        the loss values (...), the dropped-term counts (...) and, with
-        ``with_grad``, the gradients (root quats, root trans, joint quats)
-        shaped like the inputs, else None.
-        """
+        The arrays hold frames 1 .. n-1 as :class:`AnimParams` does (frame 0
+        is pinned), with any leading axes in front; quaternions may be
+        unnormalized.  Returns the values (...), the counts (...) of terms
+        dropped because their point lies behind the camera (never NaN) and,
+        with ``with_grad``, the gradients (root quats, root trans, joint
+        quats) shaped like the inputs, else None."""
         shape = joint_quats.shape
         if len(shape) < 3 or shape[-2:] != (self.s.joint_count, 4):
             raise ValueError("params joint count does not match skeleton")
@@ -532,35 +526,6 @@ class _Fit:
         dG[..., :3, :] = self.camera.rotation.T @ self.basis.vjp(*d_cam)
         g_jq, g_rq, g_rt = fk_backward(cache, dG)
         return values, dropped, (g_rq, g_rt, g_jq)
-
-    def loss(self, params: AnimParams, with_grad: bool) -> LossResult:
-        """The tracking loss of ``params``; see :func:`tracking_loss`."""
-        value, dropped, grads = self.evaluate(
-            params.root_quats, params.root_trans, params.joint_quats, with_grad
-        )
-        return LossResult(
-            float(value), None if grads is None else AnimParams(*grads), int(dropped)
-        )
-
-
-def tracking_loss(
-    params: AnimParams,
-    mesh: Mesh,
-    s: Skeleton,
-    weights: SkinWeights,
-    tracks: TrackSet,
-    *,
-    with_grad: bool = True,
-) -> LossResult:
-    """Masked squared-pixel tracking error over frames 1 .. n-1.
-
-    Visible joints and visible tracked vertices of all frames are posed,
-    projected, and compared with their tracks in one pass.  Points that
-    land behind the camera drop out of the sum (counted in
-    ``dropped_terms``) instead of producing NaN.  Frame 0 is pinned and
-    contributes nothing.
-    """
-    return _Fit(mesh, s, weights, tracks).loss(params, with_grad)
 
 
 def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):
@@ -597,9 +562,10 @@ def _smoothness(
     joint_quats: np.ndarray,
     with_grad: bool,
 ) -> tuple[np.ndarray, tuple | None]:
-    """Smoothness values (...) of clips given as raw arrays with any leading
-    axes, as :meth:`_Fit.evaluate` takes them, plus the gradients shaped like
-    the inputs with ``with_grad`` (else None)."""
+    """Squared geodesic angles between consecutive joint and root quaternions
+    plus squared root-translation steps, frame 0 anchoring the first pair, of
+    clips as :meth:`_Fit.evaluate` takes them: values (...) and, with
+    ``with_grad``, the gradients shaped like the inputs, else None."""
     rq, rt, jq = _with_rest_frame(root_quats, root_trans, joint_quats)
     jt_sq, g_ja, g_jb = _geo_sq_pairs(jq[..., :-1, :, :], jq[..., 1:, :, :], with_grad)
     rt_sq, g_ra, g_rb = _geo_sq_pairs(rq[..., :-1, :], rq[..., 1:, :], with_grad)
@@ -622,19 +588,6 @@ def _smoothness(
     g_rt[..., 1:, :] += 2.0 * t_diff
     g_rt[..., :-1, :] -= 2.0 * t_diff
     return values, (g_rq[..., 1:, :], g_rt[..., 1:, :], g_jq[..., 1:, :, :])
-
-
-def smoothness_regularizer(params: AnimParams, *, with_grad: bool = True) -> LossResult:
-    """Frame-to-frame smoothness penalty over the whole clip.
-
-    Sums squared geodesic angles between consecutive quaternions (per
-    joint and for the root motion) plus squared root-translation steps;
-    the identity frame 0 anchors the first pair.
-    """
-    value, grads = _smoothness(
-        params.root_quats, params.root_trans, params.joint_quats, with_grad
-    )
-    return LossResult(float(value), None if grads is None else AnimParams(*grads), 0)
 
 
 # ---------------------------------------------------------------------------

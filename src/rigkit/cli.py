@@ -20,6 +20,7 @@ from .core import (
     InvalidValueError,
     Mesh,
     Rig,
+    _require_json_floats,
     canonical_json,
     hierarchical_order,
     load_rig,
@@ -83,11 +84,11 @@ def _load_camera(path: str | Path) -> Camera:
         if "rotation" in data:
             return Camera.from_dict(data)
         return Camera.look_at(
-            eye=data["eye"],
-            target=data["target"],
-            up=data.get("up", (0.0, 1.0, 0.0)),
-            fx=float(data.get("fx", 1000.0)),
-            fy=data.get("fy"),
+            eye=_require_json_floats(data["eye"], "eye"),
+            target=_require_json_floats(data["target"], "target"),
+            up=_require_json_floats(data.get("up", [0.0, 1.0, 0.0]), "up"),
+            fx=float(_require_json_floats(data.get("fx", 1000.0), "fx")),
+            fy=float(_require_json_floats(data["fy"], "fy")) if "fy" in data else None,
             width=data.get("width", 1024),
             height=data.get("height", 1024),
         )

@@ -36,7 +36,6 @@ from .core import (
     ROOT_PARENT,
     Skeleton,
     _frozen,
-    _require_permutation,
     hierarchical_order,
     require_valid,
 )
@@ -116,7 +115,10 @@ def dequantize_coords(bins: np.ndarray) -> np.ndarray:
 def _check_order(s: Skeleton, order) -> np.ndarray:
     if order is None:
         return hierarchical_order(s)
-    return _require_permutation(order, s.joint_count)
+    order = np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(s.joint_count)):
+        raise ValueError("order must be a permutation of all joint indices")
+    return order
 
 
 def _framed(payload: np.ndarray, shape_tokens: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -321,29 +322,19 @@ def _require_json_type(value, kind: type, what: str) -> list:
     return value
 
 
-def _require_permutation(order, j: int) -> np.ndarray:
-    """``order`` as an int64 array; raises unless it permutes 0 .. j - 1."""
-    order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(j)):
-        raise ValueError("order must be a permutation of all joint indices")
-    return order
-
-
-def permute_joints(s: Skeleton, order: np.ndarray) -> Skeleton:
-    """Reindex joints so new joint i is old joint order[i]; parents remapped."""
-    j = s.joint_count
-    order = _require_permutation(order, j)
-    inverse = np.empty(j, dtype=np.int64)
-    inverse[order] = np.arange(j)
-    parents = np.array(
-        [
-            ROOT_PARENT if s.parents[o] == ROOT_PARENT else inverse[s.parents[o]]
-            for o in order
-        ],
-        dtype=np.int64,
-    )
-    names = tuple(s.names[o] for o in order) if s.names is not None else None
-    return Skeleton(s.joints[order], parents, names)
+def _require_json_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array if it is a JSON number or nested lists of
+    them; a "0.5", true or null raises ValueError instead of being cast.
+    Each nesting level is checked in one pass over its items."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {list}:
+            level = list(chain.from_iterable(level))
+        elif kinds <= {int, float}:
+            return np.asarray(value, dtype=np.float64)
+        else:
+            raise ValueError(f"{what} must be a JSON number or nested lists of numbers")
 
 
 def bone_segments(s: Skeleton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -379,12 +370,12 @@ def rig_from_dict(data: dict) -> Rig:
     if not isinstance(data, dict) or "joints" not in data or "parents" not in data:
         raise ValueError("rig JSON requires 'joints' and 'parents'")
     names = tuple(data["names"]) if "names" in data else None
-    skeleton = Skeleton(np.asarray(data["joints"], dtype=np.float64),
+    skeleton = Skeleton(_require_json_floats(data["joints"], "joints"),
                         _require_json_type(data["parents"], int, "parents"),
                         names)
     weights = None
     if "weights" in data and data["weights"] is not None:
-        matrix = np.asarray(data["weights"], dtype=np.float64)
+        matrix = _require_json_floats(data["weights"], "weights")
         if matrix.ndim != 2 or matrix.shape[1] != skeleton.joint_count:
             raise ValueError("weights must be (vertices, joints)")
         weights = SkinWeights(matrix)

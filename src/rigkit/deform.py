@@ -34,6 +34,7 @@ from .core import (
     NonFiniteError,
     Skeleton,
     SkinWeights,
+    _require_json_floats,
     bone_segments,
     canonical_json,
     joint_depths,
@@ -324,10 +325,10 @@ def animation_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rq, rt, jq = [], [], []
     for i, frame in enumerate(data["frames"]):
         try:
-            rq.append(np.asarray(frame["root_quat"], dtype=np.float64))
-            rt.append(np.asarray(frame["root_trans"], dtype=np.float64))
-            jq.append(np.asarray(frame["joint_quats"], dtype=np.float64))
-        except (KeyError, TypeError) as e:
+            rq.append(_require_json_floats(frame["root_quat"], "root_quat"))
+            rt.append(_require_json_floats(frame["root_trans"], "root_trans"))
+            jq.append(_require_json_floats(frame["joint_quats"], "joint_quats"))
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"frame {i} malformed: {e}") from None
     root_quats = np.stack(rq)
     root_trans = np.stack(rt)

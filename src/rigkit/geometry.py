@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidValueError, Mesh, NonFiniteError, _frozen
+from .core import InvalidValueError, Mesh, NonFiniteError, _frozen, _require_json_floats
 
 RAY_T_EPS = 1e-9
 RAY_MERGE_EPS = 1e-9
@@ -660,14 +660,11 @@ class Camera:
     @classmethod
     def from_dict(cls, data: dict) -> "Camera":
         return cls(
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
+            **{k: float(_require_json_floats(data[k], k)) for k in ("fx", "fy", "cx", "cy")},
             width=data["width"],
             height=data["height"],
-            rotation=np.asarray(data["rotation"], dtype=np.float64),
-            translation=np.asarray(data["translation"], dtype=np.float64),
+            rotation=_require_json_floats(data["rotation"], "rotation"),
+            translation=_require_json_floats(data["translation"], "translation"),
         )
 
 

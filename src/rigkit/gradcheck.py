@@ -253,18 +253,22 @@ def _near_identity_quats(rng: np.random.Generator, shape) -> np.ndarray:
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def _check_tracking_loss(rng: np.random.Generator, tol: float = REL_TOL) -> float:
-    mesh, s, weights, tracks, params = _random_scene(rng)
+def _check_clip(evaluate: Callable, params: animate.AnimParams, tol: float) -> float:
+    """FD check at ``params`` of a clip term called as ``_Fit.evaluate`` and
+    ``_smoothness`` are, returning its values first and its gradients last."""
     n, j = params.frame_count, params.joint_count
-    fit = animate._Fit(mesh, s, weights, tracks)
-
-    res = fit.loss(params, True)
+    grads = evaluate(params.root_quats, params.root_trans, params.joint_quats, True)[-1]
     return fd_relative_error(
-        res.grads.flatten(),
-        lambda stack: fit.evaluate(*animate._unflatten(stack, n, j), False)[0],
+        animate._flatten(*grads),
+        lambda stack: evaluate(*animate._unflatten(stack, n, j), False)[0],
         params.flatten(),
         tol,
     )
+
+
+def _check_tracking_loss(rng: np.random.Generator, tol: float = REL_TOL) -> float:
+    mesh, s, weights, tracks, params = _random_scene(rng)
+    return _check_clip(animate._Fit(mesh, s, weights, tracks).evaluate, params, tol)
 
 
 def _check_smoothness(rng: np.random.Generator, tol: float = REL_TOL) -> float:
@@ -274,13 +278,7 @@ def _check_smoothness(rng: np.random.Generator, tol: float = REL_TOL) -> float:
         root_trans=0.2 * rng.standard_normal((n - 1, 3)),
         joint_quats=_near_identity_quats(rng, (n - 1, j)),
     )
-    res = animate.smoothness_regularizer(params, with_grad=True)
-    return fd_relative_error(
-        res.grads.flatten(),
-        lambda stack: animate._smoothness(*animate._unflatten(stack, n, j), False)[0],
-        params.flatten(),
-        tol,
-    )
+    return _check_clip(animate._smoothness, params, tol)
 
 
 _CHECKS: dict[str, Callable[[np.random.Generator, float], float]] = {

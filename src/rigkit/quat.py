@@ -41,26 +41,6 @@ def from_euler_xyz(angles: np.ndarray) -> np.ndarray:
     return multiply(multiply(qx, qy), qz)
 
 
-def geodesic_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotation angle between two quaternions, sign-of-cover invariant."""
-    d = np.abs(np.sum(normalize(a) * normalize(b), axis=-1))
-    return 2.0 * np.arccos(np.clip(d, -1.0, 1.0))
-
-
-def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    a = normalize(a)
-    b = normalize(b)
-    d = float(np.dot(a, b))
-    if d < 0.0:
-        b, d = -b, -d
-    if d > 1.0 - 1e-10:
-        return normalize(a + t * (b - a))
-    theta = np.arccos(np.clip(d, -1.0, 1.0))
-    sa = np.sin((1.0 - t) * theta) / np.sin(theta)
-    sb = np.sin(t * theta) / np.sin(theta)
-    return sa * a + sb * b
-
-
 # R(u) p is the vector part of u (0, p) u*, which is bilinear in the two u
 # factors, so R(u)[i, k] = sum_cd T[3 i + k, 4 c + d] u_c u_d for one
 # constant table T whose column (c, d) holds the vector part of

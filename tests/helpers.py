@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from rigkit import MAX_JOINTS, Mesh, Skeleton
+from rigkit.quat import normalize
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,27 @@ def random_simplex_weights(rng: np.random.Generator, vertices: int,
                            joints: int) -> np.ndarray:
     w = rng.random((vertices, joints)) + 1e-3
     return w / w.sum(axis=1, keepdims=True)
+
+
+def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """Spherical interpolation between two quaternions, along the shorter arc."""
+    a = normalize(a)
+    b = normalize(b)
+    d = float(np.dot(a, b))
+    if d < 0.0:
+        b, d = -b, -d
+    if d > 1.0 - 1e-10:
+        return normalize(a + t * (b - a))
+    theta = np.arccos(np.clip(d, -1.0, 1.0))
+    sa = np.sin((1.0 - t) * theta) / np.sin(theta)
+    sb = np.sin(t * theta) / np.sin(theta)
+    return sa * a + sb * b
+
+
+def geodesic_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rotation angle between two quaternions, sign-of-cover invariant."""
+    d = np.abs(np.sum(normalize(a) * normalize(b), axis=-1))
+    return 2.0 * np.arccos(np.clip(d, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +237,20 @@ def bfs_graph_distances(s: Skeleton) -> np.ndarray:
                         nxt.append(nb)
             queue = nxt
     return d
+
+
+def permute_joints(s: Skeleton, order) -> Skeleton:
+    """Reindex joints so new joint i is old joint order[i], remapping each
+    parent through the inverse permutation one joint at a time."""
+    order = np.asarray(order, dtype=np.int64)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.arange(len(order))
+    parents = np.array(
+        [-1 if s.parents[o] == -1 else inverse[s.parents[o]] for o in order],
+        dtype=np.int64,
+    )
+    names = tuple(s.names[o] for o in order) if s.names is not None else None
+    return Skeleton(s.joints[order], parents, names)
 
 
 def walk_validation_report(s: Skeleton) -> str:

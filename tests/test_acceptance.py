@@ -32,7 +32,6 @@ from rigkit import (
     hierarchical_order,
     optimize,
     permutation_probability,
-    permute_joints,
     sample_augmented_pose,
     save_rig,
     skinning_head,
@@ -51,13 +50,16 @@ from rigkit.kernels import reference_attention, topology_aware_attention
 
 from helpers import (
     brute_chamfer_j2j,
+    geodesic_angle,
     icosphere,
     naive_lbs,
     path_product_fk,
+    permute_joints,
     random_chain,
     random_simplex_weights,
     random_tree,
     random_unit_quats,
+    slerp,
     star_mesh,
     subdivided_cube,
     tube_mesh,
@@ -431,7 +433,7 @@ def _recovery_scene(noise_px: float):
     for i in range(m):
         f = (i + 1) / m
         for k in range(j):
-            jq[i, k] = quat.slerp(quat.IDENTITY, targets[k], f)
+            jq[i, k] = slerp(quat.IDENTITY, targets[k], f)
     params_gt = AnimParams(rq, rt, jq)
 
     camera = Camera.look_at(
@@ -446,8 +448,8 @@ def _recovery_scene(noise_px: float):
 
 def _mean_geodesic_deg(rec: AnimParams, gt: AnimParams) -> float:
     angles = [
-        quat.geodesic_angle(rec.joint_quats, gt.joint_quats).ravel(),
-        quat.geodesic_angle(rec.root_quats, gt.root_quats).ravel(),
+        geodesic_angle(rec.joint_quats, gt.joint_quats).ravel(),
+        geodesic_angle(rec.root_quats, gt.root_quats).ravel(),
     ]
     return float(np.degrees(np.mean(np.concatenate(angles))))
 

@@ -22,9 +22,7 @@ from rigkit import (
     load_tracks,
     optimize,
     save_tracks,
-    smoothness_regularizer,
     synthesize_tracks,
-    tracking_loss,
     vertex_visibility,
 )
 from rigkit import gradcheck, quat
@@ -33,6 +31,7 @@ from rigkit.animate import (
     ADAM_BETA2,
     ADAM_EPS,
     _Fit,
+    _flatten,
     _pose_in_camera,
     _render_tracks,
     _smoothness,
@@ -81,6 +80,11 @@ def wiggle_params(frames: int, joints: int, scale_deg: float = 8.0) -> AnimParam
         for k in range(joints - 1):
             jq[i, k] = quat.from_euler_xyz(np.array([0.0, 0.0, angle]))
     return AnimParams(rq, np.zeros((m, 3)), jq)
+
+
+def clip(params: AnimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw arrays (root quats, root trans, joint quats) the clip terms take."""
+    return params.root_quats, params.root_trans, params.joint_quats
 
 
 class TestAnimParams:
@@ -507,22 +511,24 @@ class TestTrackingLoss:
 
     def test_zero_at_ground_truth(self):
         mesh, s, weights, params, tracks = self._scene()
-        result = tracking_loss(params, mesh, s, weights, tracks)
-        assert result.value == 0.0
-        assert result.dropped_terms == 0
-        assert np.all(result.grads.joint_quats == 0.0)
-        assert np.all(result.grads.root_trans == 0.0)
+        value, dropped, (_, g_rt, g_jq) = _Fit(mesh, s, weights, tracks).evaluate(
+            *clip(params), True
+        )
+        assert value == 0.0
+        assert dropped == 0
+        assert np.all(g_jq == 0.0)
+        assert np.all(g_rt == 0.0)
 
     def test_positive_off_truth(self):
         mesh, s, weights, params, tracks = self._scene()
         off = AnimParams.identity(params.frame_count, params.joint_count)
-        result = tracking_loss(off, mesh, s, weights, tracks)
-        assert result.value > 1.0
+        value, _, _ = _Fit(mesh, s, weights, tracks).evaluate(*clip(off), True)
+        assert value > 1.0
 
     def test_with_grad_flag(self):
         mesh, s, weights, params, tracks = self._scene()
-        result = tracking_loss(params, mesh, s, weights, tracks, with_grad=False)
-        assert result.grads is None
+        _, _, grads = _Fit(mesh, s, weights, tracks).evaluate(*clip(params), False)
+        assert grads is None
 
     def test_behind_camera_drops_terms(self):
         mesh, s, weights, params, tracks = self._scene(frames=2)
@@ -531,38 +537,35 @@ class TestTrackingLoss:
             np.array([[0.0, 0.0, 50.0]]),  # past the camera at z=3
             params.joint_quats,
         )
-        result = tracking_loss(behind, mesh, s, weights, tracks)
+        value, dropped, grads = _Fit(mesh, s, weights, tracks).evaluate(
+            *clip(behind), True
+        )
         expected = int(np.sum(tracks.joint_visibility)) + int(
             np.sum(tracks.vertex_visibility)
         )
-        assert result.dropped_terms == expected
-        assert np.isfinite(result.value)
+        assert dropped == expected
+        assert np.isfinite(value)
         # Every tracked point is behind the camera, so every term is masked
         # out and no gradient reaches the parameters.
-        for grad in (result.grads.root_quats, result.grads.root_trans,
-                     result.grads.joint_quats):
+        for grad in grads:
             assert np.all(grad == 0.0)
 
     def test_scene_validation(self):
         mesh, s, weights, params, tracks = self._scene()
-        with pytest.raises(ValueError):
-            tracking_loss(
-                AnimParams.identity(params.frame_count, 5), mesh, s, weights, tracks
-            )
-        with pytest.raises(ValueError):
-            tracking_loss(
-                AnimParams.identity(params.frame_count + 1, 3),
-                mesh, s, weights, tracks,
-            )
+        fit = _Fit(mesh, s, weights, tracks)
+        with pytest.raises(ValueError, match="joint count"):
+            fit.evaluate(*clip(AnimParams.identity(params.frame_count, 5)), True)
+        with pytest.raises(ValueError, match="same frames"):
+            fit.evaluate(*clip(AnimParams.identity(params.frame_count + 1, 3)), True)
         bad_w = SkinWeights(np.ones((3, 1)))
-        with pytest.raises(ValueError):
-            tracking_loss(params, mesh, s, bad_w, tracks)
+        with pytest.raises(ValueError, match="weights are"):
+            _Fit(mesh, s, bad_w, tracks)
         past = replace(
             tracks,
             vertex_subset=np.append(tracks.vertex_subset[:-1], mesh.vertex_count),
         )
         with pytest.raises(ValueError, match="vertex subset indices"):
-            tracking_loss(params, mesh, s, weights, past)
+            _Fit(mesh, s, weights, past)
 
     def test_grad_check_passes_where_plain_fd_truncates(self):
         # Instance 18 of seed 1186735208: the gradient is correct, but the
@@ -576,7 +579,7 @@ class TestTrackingLoss:
 
 class TestStackedTrackingLoss:
     """A stack of clips through one ``_Fit.evaluate`` gives each clip's loss
-    bitwise as ``tracking_loss`` gives it alone; no BLAS guarantee keeps a
+    bitwise as the same call gives it alone; no BLAS guarantee keeps a
     row's bits when ``_BlendBasis.apply`` multiplies the whole stack at
     once, so this is pinned per scene."""
 
@@ -592,16 +595,15 @@ class TestStackedTrackingLoss:
         return stack
 
     @staticmethod
-    def assert_rows_match(fit, scene, stack, n, j):
+    def assert_rows_match(fit, stack, n, j):
         values, dropped, grads = fit.evaluate(*_unflatten(stack, n, j), True)
         assert values.shape == dropped.shape == (stack.shape[0],)
         for r, row in enumerate(stack):
-            alone = tracking_loss(AnimParams.from_flat(row, n, j), *scene)
-            assert values[r] == alone.value
-            assert dropped[r] == alone.dropped_terms
-            for got, want in zip(grads, (alone.grads.root_quats, alone.grads.root_trans,
-                                         alone.grads.joint_quats)):
-                assert np.allclose(got[r], want, rtol=1e-12, atol=1e-9)
+            value, count, want = fit.evaluate(*_unflatten(row, n, j), True)
+            assert values[r] == value
+            assert dropped[r] == count
+            for got, alone in zip(grads, want):
+                assert np.allclose(got[r], alone, rtol=1e-12, atol=1e-9)
         return int(np.sum(dropped > 0))
 
     def test_grad_check_scenes(self):
@@ -612,8 +614,7 @@ class TestStackedTrackingLoss:
             fit = _Fit(mesh, s, weights, tracks)
             stack = self.perturbed_rows(rng, params, 60)
             rows_dropping += self.assert_rows_match(
-                fit, (mesh, s, weights, tracks), stack,
-                params.frame_count, params.joint_count,
+                fit, stack, params.frame_count, params.joint_count
             )
         assert rows_dropping >= 20 * 10
 
@@ -626,8 +627,7 @@ class TestStackedTrackingLoss:
         rows_dropping = 0
         for lo in range(0, 50, 10):  # (10, 29, 310, 3) posed points per call
             rows_dropping += self.assert_rows_match(
-                fit, (mesh, s, weights, tracks), stack[lo : lo + 10],
-                params.frame_count, params.joint_count,
+                fit, stack[lo : lo + 10], params.frame_count, params.joint_count
             )
         assert rows_dropping >= 10
 
@@ -662,12 +662,10 @@ class TestSmoothness:
                 values, grads = _smoothness(rq, rt, jq, True)
                 assert values.shape == (rows,)
                 for r in range(rows):
-                    alone = smoothness_regularizer(AnimParams(rq[r], rt[r], jq[r]))
-                    assert values[r] == alone.value
-                    for got, want in zip(grads, (alone.grads.root_quats,
-                                                 alone.grads.root_trans,
-                                                 alone.grads.joint_quats)):
-                        assert np.array_equal(got[r], want)
+                    value, want = _smoothness(rq[r], rt[r], jq[r], True)
+                    assert values[r] == value
+                    for got, alone in zip(grads, want):
+                        assert np.array_equal(got[r], alone)
 
     def test_stacked_inconsistent_frames_raise(self):
         rq, rt, jq = np.ones((2, 3, 4)), np.zeros((2, 3, 3)), np.ones((2, 4, 2, 4))
@@ -675,17 +673,17 @@ class TestSmoothness:
             _smoothness(rq, rt, jq, False)
 
     def test_zero_at_identity(self):
-        result = smoothness_regularizer(AnimParams.identity(6, 4))
-        assert result.value == 0.0
-        assert np.allclose(result.grads.joint_quats, 0.0, atol=1e-12)
-        assert np.all(result.grads.root_trans == 0.0)
+        value, (_, g_rt, g_jq) = _smoothness(*clip(AnimParams.identity(6, 4)), True)
+        assert value == 0.0
+        assert np.allclose(g_jq, 0.0, atol=1e-12)
+        assert np.all(g_rt == 0.0)
 
     def test_single_pair_value(self):
         theta = 0.3
         jq = np.array([[[np.cos(theta / 2), np.sin(theta / 2), 0.0, 0.0]]])
         params = AnimParams(np.array([[1.0, 0, 0, 0]]), np.zeros((1, 3)), jq)
-        result = smoothness_regularizer(params, with_grad=False)
-        assert result.value == pytest.approx(theta**2, rel=1e-10)
+        value, _ = _smoothness(*clip(params), False)
+        assert value == pytest.approx(theta**2, rel=1e-10)
 
     def test_translation_weight(self):
         params = AnimParams(
@@ -693,7 +691,7 @@ class TestSmoothness:
             np.array([[2.0, 0.0, 0.0]]),
             np.array([[[1.0, 0, 0, 0]]]),
         )
-        assert smoothness_regularizer(params).value == pytest.approx(4.0)
+        assert _smoothness(*clip(params), True)[0] == pytest.approx(4.0)
 
     def test_anchored_to_identity_frame(self):
         # A constant non-identity clip still pays for the step from frame 0.
@@ -703,14 +701,13 @@ class TestSmoothness:
         params = AnimParams(
             np.tile([1.0, 0, 0, 0], (3, 1)), np.zeros((3, 3)), jq
         )
-        result = smoothness_regularizer(params, with_grad=False)
-        assert result.value == pytest.approx(theta**2, rel=1e-10)
+        value, _ = _smoothness(*clip(params), False)
+        assert value == pytest.approx(theta**2, rel=1e-10)
 
     def test_single_frame_clip(self):
-        params = AnimParams.identity(1, 3)
-        result = smoothness_regularizer(params)
-        assert result.value == 0.0
-        assert result.grads.joint_quats.shape == (0, 3, 4)
+        value, (_, _, g_jq) = _smoothness(*clip(AnimParams.identity(1, 3)), True)
+        assert value == 0.0
+        assert g_jq.shape == (0, 3, 4)
 
 
 class TestOptimize:
@@ -729,13 +726,9 @@ class TestOptimize:
         mesh, s, weights, params, tracks = self._scene()
         config = OptimizeConfig(iterations=300, learning_rate=0.02)
         result = optimize(mesh, s, weights, tracks, config)
-        initial = tracking_loss(
-            AnimParams.identity(params.frame_count, 3),
-            mesh, s, weights, tracks, with_grad=False,
-        ).value
-        final = tracking_loss(
-            result.params, mesh, s, weights, tracks, with_grad=False
-        ).value
+        fit = _Fit(mesh, s, weights, tracks)
+        initial, _, _ = fit.evaluate(*clip(AnimParams.identity(params.frame_count, 3)), False)
+        final, _, _ = fit.evaluate(*clip(result.params), False)
         assert final < initial / 100.0
         assert np.all(np.diff(result.trace) <= 0.0)
         assert result.trace.shape[0] == result.iterations
@@ -825,26 +818,28 @@ class TestOptimize:
         assert result.iterations == 20
         assert len(calls) == 1
 
-    def test_steps_match_public_losses(self):
+    def test_steps_match_plain_adam_on_copies(self):
         # optimize evaluates both terms on views of its flat vector; plain
-        # Adam over the public losses gives the same trace and fit, bit for bit.
+        # Adam over the same clip terms, evaluated on copies of the
+        # unflattened arrays, gives the same trace and fit, bit for bit.
         mesh, s, weights, params, tracks = self._scene(frames=5, noise=0.5)
         config = OptimizeConfig(
             iterations=25, learning_rate=0.02, reg_weight=1e-2, plateau_window=100
         )
         result = optimize(mesh, s, weights, tracks, config)
 
+        fit = _Fit(mesh, s, weights, tracks)
         n, j = params.frame_count, params.joint_count
         x = AnimParams.identity(n, j).flatten()
         m1 = np.zeros_like(x)
         m2 = np.zeros_like(x)
         trace, best, best_x = [], np.inf, x
         for it in range(config.iterations):
-            p = AnimParams.from_flat(x, n, j)
-            track = tracking_loss(p, mesh, s, weights, tracks)
-            reg = smoothness_regularizer(p)
-            value = track.value + config.reg_weight * reg.value
-            grad = track.grads.flatten() + config.reg_weight * reg.grads.flatten()
+            frames = [a.copy() for a in _unflatten(x, n, j)]
+            track, _, track_grads = fit.evaluate(*frames, True)
+            reg, reg_grads = _smoothness(*frames, True)
+            value = float(track) + config.reg_weight * float(reg)
+            grad = _flatten(*track_grads) + config.reg_weight * _flatten(*reg_grads)
             if value < best:
                 best, best_x = value, x
             trace.append(best)

@@ -9,6 +9,7 @@ from rigkit import Mesh, Rig, Skeleton, SkinWeights, load_rig, save_rig
 from rigkit.cli import main
 from rigkit.deform import save_animation
 from rigkit.geometry import load_obj, write_obj
+from rigkit.gradcheck import run_all
 
 from helpers import tube_mesh
 from rigkit import quat
@@ -657,6 +658,14 @@ class TestGradCheckCommand:
         assert len(lines) == 5
         assert all(line.endswith("PASS") for line in lines)
         assert all("instances=2" in line for line in lines)
+
+    def test_row_labels_in_printed_order(self, capsys):
+        # Reports are keyed by these labels, so renaming a check must show here.
+        labels = ["topology_aware_attention", "skinning_head",
+                  "next_token_cross_entropy", "tracking_loss", "smoothness_regularizer"]
+        assert [r.kernel for r in run_all(seed=0, instances=1)] == labels
+        _, out = run(capsys, "grad-check", "--instances", "1")
+        assert [line.split()[0] for line in out.splitlines()] == labels
 
     def test_zero_instances_rejected(self, capsys):
         code, out = run(capsys, "grad-check", "--instances", "0")

@@ -23,7 +23,6 @@ from rigkit import (
     format_token_text,
     hierarchical_order,
     permutation_probability,
-    permute_joints,
     quantize_coords,
     randomize_groups,
     read_token_file,
@@ -34,7 +33,7 @@ from rigkit import (
 )
 from rigkit.codec import PARENT_BASE, PARENT_SLOTS
 
-from helpers import random_tree
+from helpers import permute_joints, random_tree
 
 
 def distinct_tree(rng, joint_count):

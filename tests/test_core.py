@@ -26,7 +26,6 @@ from rigkit import (
     hierarchical_order,
     joint_depths,
     load_rig,
-    permute_joints,
     save_rig,
     spatial_order,
     validate_skeleton,
@@ -34,6 +33,7 @@ from rigkit import (
 
 from helpers import (
     bfs_graph_distances,
+    permute_joints,
     random_chain,
     random_tree,
     walk_validation_report,
@@ -267,11 +267,6 @@ class TestOrders:
         inv = np.empty(20, dtype=np.int64)
         inv[order] = np.arange(20)
         assert np.array_equal(db, da[np.ix_(order, order)])
-
-    def test_permute_rejects_non_permutation(self):
-        s = chain([0, 0, 0], [1, 0, 0])
-        with pytest.raises(ValueError):
-            permute_joints(s, np.array([0, 0]))
 
 
 class TestBones:

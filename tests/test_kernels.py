@@ -5,7 +5,6 @@ import pytest
 
 from rigkit import animate, gradcheck
 from rigkit import (
-    AnimParams,
     DistanceEmbeddingTable,
     VOCAB_SIZE,
     distance_embedding,
@@ -13,7 +12,6 @@ from rigkit import (
     next_token_cross_entropy,
     reference_attention,
     skinning_head,
-    smoothness_regularizer,
     topology_aware_attention,
 )
 from rigkit.kernels import (
@@ -389,20 +387,22 @@ class TestCentralDifference:
         def skinning_sum(p_):
             return (skinning_head(p_, b, 2.0) * w_probe).reshape(-1, w_probe.size).sum(axis=1)
 
-        # The grad-check's stacked animation losses on one of its scenes.
+        # The grad-check's stacked clip terms on one of its scenes.
         mesh, s, weights, tracks, params = gradcheck._random_scene(rng)
         fit = animate._Fit(mesh, s, weights, tracks)
         n, j = params.frame_count, params.joint_count
 
-        def from_flat(a):
-            return AnimParams.from_flat(a, n, j)
+        def stacked(evaluate):
+            return lambda a: evaluate(*animate._unflatten(a, n, j), False)[0]
+
+        def alone(evaluate):
+            """One clip's value, evaluated on copies of its unflattened arrays."""
+            return lambda a: float(evaluate(
+                *[c.copy() for c in animate._unflatten(a, n, j)], False)[0])
 
         return [
-            (lambda a: fit.evaluate(*animate._unflatten(a, n, j), False)[0],
-             params.flatten(), lambda a: fit.loss(from_flat(a), False).value),
-            (lambda a: animate._smoothness(*animate._unflatten(a, n, j), False)[0],
-             params.flatten(),
-             lambda a: smoothness_regularizer(from_flat(a), with_grad=False).value),
+            (stacked(fit.evaluate), params.flatten(), alone(fit.evaluate)),
+            (stacked(animate._smoothness), params.flatten(), alone(animate._smoothness)),
             (lambda a: next_token_cross_entropy(a, targets, mask), logits,
              lambda a: next_token_cross_entropy(a, targets, mask)),
             (attention_sum, q, lambda a: float(np.sum(

@@ -245,13 +245,23 @@ def _run_with_field(scene, name, keys, head) -> int:
     ("camera.json", ("width",), 512.9),
     ("camera.json", ("height",), [512]),
     ("camera.json", ("width",), True),
+    ("rig.json", ("joints", 1), ["0"]),
+    ("skinned.json", ("weights", 0), [True, False, False]),
+    ("camera.json", ("fx",), "600"),
+    ("tracks.json", ("camera", "fy"), True),
+    ("clip.json", ("frames", 1, "root_quat"), [True]),
+    ("tracks.json", ("joint_tracks", 1, 0), ["0"]),
 ], ids=["float-parents", "string-parents", "bool-parents", "scalar-parents",
         "float-and-string-subset", "float-visibility", "tracks-float-width",
-        "tracks-list-height", "float-width", "list-height", "bool-width"])
+        "tracks-list-height", "float-width", "list-height", "bool-width",
+        "string-joint", "bool-weights", "string-fx", "tracks-bool-fy",
+        "bool-root-quat", "string-joint-track"])
 def test_json_types_are_not_cast(scene, name, keys, head):
-    # Integer and boolean fields take JSON integers and booleans only: a
-    # float, string, boolean or list stand-in for an integer, or a scalar
-    # where a list belongs, is unparseable (exit 2), not cast.
+    # Integer and boolean fields take JSON integers and booleans only, and
+    # float fields JSON numbers only: a float, string, boolean or list
+    # stand-in for an integer, a string or boolean stand-in for a number
+    # (each of them here one that a cast would turn into a valid value), or
+    # a scalar where a list belongs, is unparseable (exit 2), not cast.
     assert _run_with_field(scene, name, keys, head) == 2
 
 
