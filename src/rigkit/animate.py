@@ -1,9 +1,11 @@
 """Track-guided animation: visibility, losses, and the pose optimizer.
 
 A clip of n frames is parameterized by frames 1 .. n-1 only; frame 0 is
-pinned to the identity (rest) pose and never enters the parameter vector,
-so it stays bitwise fixed through optimization.  Each frame carries a root
-motion (quaternion + translation) and one local quaternion per joint.
+pinned to the identity (rest) pose and never enters the parameters, so it
+stays bitwise fixed through optimization.  Each frame carries a root
+motion (quaternion + translation) and one local quaternion per joint, and
+every clip function takes them as three arrays in the order (root_quats,
+root_trans, joint_quats), which ``optimize`` steps directly.
 
 A fit poses its tracked points (the joints, then a vertex subset) straight
 into camera space: one `fk_forward`, the camera rotation folded into the
@@ -120,50 +122,6 @@ class AnimParams:
         jq = np.zeros((m, joint_count, 4))
         jq[:, :, 0] = 1.0
         return cls(rq, np.zeros((m, 3)), jq)
-
-    def flatten(self) -> np.ndarray:
-        """Per frame: root quat, root translation, then the joint quats."""
-        return _flatten(self.root_quats, self.root_trans, self.joint_quats)
-
-    @classmethod
-    def from_flat(cls, vec: np.ndarray, frame_count: int, joint_count: int) -> "AnimParams":
-        return cls(*_unflatten(vec, frame_count, joint_count))
-
-    def normalized(self) -> "AnimParams":
-        return AnimParams(
-            quat.normalize(self.root_quats),
-            self.root_trans,
-            quat.normalize(self.joint_quats),
-        )
-
-
-def _flatten(
-    root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
-) -> np.ndarray:
-    """Flat vectors (..., (n - 1) * (7 + 4 j)) in :meth:`AnimParams.flatten`'s
-    layout from frames 1 .. n-1 with any leading axes; :func:`_unflatten`'s
-    inverse."""
-    lead = root_quats.shape[:-2]
-    jq = joint_quats.reshape(joint_quats.shape[:-2] + (-1,))
-    return np.concatenate([root_quats, root_trans, jq], axis=-1).reshape(lead + (-1,))
-
-
-def _unflatten(
-    vec: np.ndarray, frame_count: int, joint_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views (root_quats, root_trans, joint_quats) of flat parameter vectors.
-
-    ``vec`` is (..., (n - 1) * (7 + 4 j)) in :meth:`AnimParams.flatten`'s
-    layout; the leading axes carry through to every array.
-    """
-    m = frame_count - 1
-    per = 7 + 4 * joint_count
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape[-1:] != (m * per,):
-        raise ValueError(f"flat vector must have length {m * per}")
-    rows = vec.reshape(vec.shape[:-1] + (m, per))
-    jq = rows[..., 7:].reshape(rows.shape[:-1] + (joint_count, 4))
-    return rows[..., :4], rows[..., 4:7], jq
 
 
 def _with_rest_frame(
@@ -283,7 +241,7 @@ def _pose_in_camera(
     :func:`rigkit.deform.pose_clip` does; returns the FK cache and the
     points coordinate-major, (..., 3, p).
     """
-    cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
+    cache = fk_forward(s, root_quats, root_trans, joint_quats)
     cam = basis.apply(camera.rotation @ cache.globals_[..., :3, :])
     cam += camera.translation[:, None]
     return cache, cam
@@ -524,8 +482,7 @@ class _Fit:
         d_cam = _pinhole_vjp(self.camera, x, y, safe_z, u, v)
         dG = np.zeros(cache.globals_.shape)
         dG[..., :3, :] = self.camera.rotation.T @ self.basis.vjp(*d_cam)
-        g_jq, g_rq, g_rt = fk_backward(cache, dG)
-        return values, dropped, (g_rq, g_rt, g_jq)
+        return values, dropped, fk_backward(cache, dG)
 
 
 def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):
@@ -629,6 +586,8 @@ class OptimizeResult:
     iterations: int
     converged: bool
     dropped_terms: int
+    """Masked-in tracking terms whose point lay at or behind the camera plane
+    (z <= CAMERA_Z_EPS), summed over all ``iterations`` evaluations."""
 
 
 def optimize(
@@ -647,17 +606,16 @@ def optimize(
     initial loss, raises :class:`DivergenceError`.
     """
     fit = _Fit(mesh, s, weights, tracks)
-    n = tracks.frame_count
-    j = s.joint_count
-    params = AnimParams.identity(n, j)
-    if n < 2:
+    params = AnimParams.identity(tracks.frame_count, s.joint_count)
+    if tracks.frame_count < 2:
         return OptimizeResult(params, np.zeros(0), 0, True, 0)
 
-    x = params.flatten()
-    m1 = np.zeros_like(x)
-    m2 = np.zeros_like(x)
+    # The clip's three arrays and Adam's moments of each, stepped in place.
+    clip = [np.array(a) for a in (params.root_quats, params.root_trans, params.joint_quats)]
+    m1 = [np.zeros_like(a) for a in clip]
+    m2 = [np.zeros_like(a) for a in clip]
     best_value = np.inf
-    best_x = x.copy()
+    best = clip
     trace: list[float] = []
     initial = None
     dropped_total = 0
@@ -665,17 +623,15 @@ def optimize(
     it = 0
 
     for it in range(config.iterations):
-        frames = _unflatten(x, n, j)  # views into x
-        track, dropped, track_grads = fit.evaluate(*frames, True)
-        reg, reg_grads = _smoothness(*frames, True)
+        track, dropped, track_grads = fit.evaluate(*clip, True)
+        reg, reg_grads = _smoothness(*clip, True)
         value = float(track) + config.reg_weight * float(reg)
-        grad = _flatten(*track_grads) + config.reg_weight * _flatten(*reg_grads)
         dropped_total += int(dropped)
         if initial is None:
             initial = value
         if value < best_value:
             best_value = value
-            best_x = x.copy()
+            best = [a.copy() for a in clip]
         trace.append(best_value)
 
         if not np.isfinite(value):
@@ -701,19 +657,19 @@ def optimize(
             lr = config.lr_floor + 0.5 * span * (
                 1.0 + np.cos(np.pi * it / (config.iterations - 1))
             )
-        m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
-        m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
-        hat1 = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
-        hat2 = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
-        x = x - lr * hat1 / (np.sqrt(hat2) + ADAM_EPS)
-        # Project every quaternion back onto the unit sphere, in place
-        # through views of the per-frame rows.
-        rows = x.reshape(n - 1, 7 + 4 * j)
-        for q in (rows[:, :4], rows[:, 7:].reshape(n - 1, j, 4)):
+        for a, first, second, g_track, g_reg in zip(clip, m1, m2, track_grads, reg_grads):
+            grad = g_track + config.reg_weight * g_reg
+            first[...] = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * grad
+            second[...] = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * grad * grad
+            hat1 = first / (1.0 - ADAM_BETA1 ** (it + 1))
+            hat2 = second / (1.0 - ADAM_BETA2 ** (it + 1))
+            a -= lr * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+        # Project every quaternion back onto the unit sphere.
+        for q in (clip[0], clip[2]):
             q /= np.linalg.norm(q, axis=-1, keepdims=True)
 
     return OptimizeResult(
-        params=AnimParams.from_flat(best_x, n, j).normalized(),
+        params=AnimParams(quat.normalize(best[0]), best[1], quat.normalize(best[2])),
         trace=np.asarray(trace),
         iterations=it + 1,
         converged=converged,

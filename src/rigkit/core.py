@@ -309,15 +309,15 @@ def hierarchical_order(s: Skeleton) -> np.ndarray:
 
 
 def _require_json_type(value, kind: type, what: str) -> list:
-    """``value`` unchanged if it is a list of ``kind`` (int or bool).
+    """``value`` unchanged if it is a list of ``kind`` (int, bool or str).
 
     JSON parses to exact Python types, so a 0.9, a "1" or a true read where
-    an integer belongs, a 0.3 where a boolean belongs, or a scalar where a
-    list belongs, raises ValueError instead of being cast.  An empty list
-    passes.
+    an integer belongs, a 0.3 where a boolean belongs, a 1 where a string
+    belongs, or a scalar (a string too) where a list belongs, raises
+    ValueError instead of being cast.  An empty list passes.
     """
     if not (isinstance(value, list) and all(type(x) is kind for x in value)):
-        noun = "integers" if kind is int else "booleans"
+        noun = {int: "integers", bool: "booleans", str: "strings"}[kind]
         raise ValueError(f"{what} must be a list of JSON {noun}")
     return value
 
@@ -369,7 +369,9 @@ def rig_from_dict(data: dict) -> Rig:
     """The rig a parsed rig JSON holds; ``parents`` must be a JSON list."""
     if not isinstance(data, dict) or "joints" not in data or "parents" not in data:
         raise ValueError("rig JSON requires 'joints' and 'parents'")
-    names = tuple(data["names"]) if "names" in data else None
+    names = None
+    if "names" in data:
+        names = tuple(_require_json_type(data["names"], str, "names"))
     skeleton = Skeleton(_require_json_floats(data["joints"], "joints"),
                         _require_json_type(data["parents"], int, "parents"),
                         names)

@@ -8,7 +8,9 @@ skeleton, a virtual parent of the root whose rotation also acts about the
 root's rest position, so FK and its VJP treat it like any other joint.
 
 Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`)
-over any number of frames; a single pose has no leading axes.  Skinning
+over any number of frames; a single pose has no leading axes.  A clip is
+three arrays, (root_quats, root_trans, joint_quats) in that order, which
+every function here takes and `fk_backward` returns gradients for.  Skinning
 is one formula: the points' blend basis (`_BlendBasis`), which every
 caller builds once for the points it poses, then blends any number of
 frames through.  `pose_clip` is the world-space posing path, one
@@ -51,7 +53,7 @@ MAX_EULER_DEG = 60.0
 # ---------------------------------------------------------------------------
 #
 # Every function below takes any leading frame axes in front of the joint
-# axis: joint_quats (..., j, 4), root_quat (..., 4), root_trans (..., 3),
+# axis: root_quats (..., 4), root_trans (..., 3), joint_quats (..., j, 4),
 # matrices (..., j, 4, 4), points (..., n, 3).  A single pose has none.
 #
 # The root motion is joint j, a virtual parent of the root: like every
@@ -88,19 +90,18 @@ def _transpose(m: np.ndarray) -> np.ndarray:
 
 
 def fk_forward(
-    rest: np.ndarray,
-    parents: np.ndarray,
-    joint_quats: np.ndarray,
-    root_quat: np.ndarray,
+    s: Skeleton,
+    root_quats: np.ndarray,
     root_trans: np.ndarray,
+    joint_quats: np.ndarray,
 ) -> FkCache:
-    """Raw forward kinematics; quaternions may be unnormalized.
+    """Raw forward kinematics of ``s``; quaternions may be unnormalized, and
+    the root motion broadcasts over the joint quats' leading axes.
 
     Parent transforms are composed one depth level at a time, for all
     frames together.
     """
-    rest = np.asarray(rest, dtype=np.float64)
-    parents = np.asarray(parents)
+    rest, parents = s.joints, s.parents
     j = parents.shape[0]
     root = int(np.flatnonzero(parents == ROOT_PARENT)[0])
     centres = np.concatenate([rest, rest[root, None]])
@@ -108,8 +109,8 @@ def fk_forward(
         np.append(np.where(parents == ROOT_PARENT, j, parents), ROOT_PARENT)
     )
     joint_quats = np.asarray(joint_quats, dtype=np.float64)
-    root_quat = np.broadcast_to(root_quat, joint_quats.shape[:-2] + (4,))
-    quats = np.concatenate([joint_quats, root_quat[..., None, :]], axis=-2)
+    root_quats = np.broadcast_to(root_quats, joint_quats.shape[:-2] + (4,))
+    quats = np.concatenate([joint_quats, root_quats[..., None, :]], axis=-2)
 
     rots = quat.to_matrix(quats)  # (..., j + 1, 3, 3)
     locals_ = np.zeros(rots.shape[:-2] + (4, 4))
@@ -131,8 +132,8 @@ def fk_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pull gradients on the global matrices back to the raw parameters.
 
-    Returns (grad joint_quats (..., j, 4), grad root_quat (..., 4),
-    grad root_trans (..., 3)).  grad_globals (..., j, 4, 4) may have
+    Returns (grad root_quats (..., 4), grad root_trans (..., 3),
+    grad joint_quats (..., j, 4)).  grad_globals (..., j, 4, 4) may have
     non-zero entries only in the top three rows (the bottom row is
     structural).
     """
@@ -152,7 +153,7 @@ def fk_backward(
     # local = rotation about the joint's centre
     d_rots = d_mats[..., :3, :3] - d_mats[..., :3, 3, None] * cache.centres[:, None, :]
     grad_quats = quat.to_matrix_vjp(cache.quats, d_rots)
-    return grad_quats[..., :-1, :], grad_quats[..., -1, :], d_mats[..., -1, :3, 3].copy()
+    return grad_quats[..., -1, :], d_mats[..., -1, :3, 3].copy(), grad_quats[..., :-1, :]
 
 
 # A blend basis is zero-padded to a multiple of this many points, so that
@@ -217,7 +218,7 @@ def pose_clip(
     basis of rows A - B poses, up to rounding, to the points posed with
     A minus those posed with B.
     """
-    cache = fk_forward(s.joints, s.parents, joint_quats, root_quats, root_trans)
+    cache = fk_forward(s, root_quats, root_trans, joint_quats)
     return cache, _transpose(basis.apply(cache.globals_[..., :3, :]))
 
 

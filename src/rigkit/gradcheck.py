@@ -253,15 +253,44 @@ def _near_identity_quats(rng: np.random.Generator, shape) -> np.ndarray:
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
+def _flatten(
+    root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
+) -> np.ndarray:
+    """Flat vectors (..., (n - 1) * (7 + 4 j)) of frames 1 .. n-1 with any
+    leading axes, per frame the root quat, the root translation, then the
+    joint quats; :func:`_unflatten`'s inverse."""
+    lead = root_quats.shape[:-2]
+    jq = joint_quats.reshape(joint_quats.shape[:-2] + (-1,))
+    return np.concatenate([root_quats, root_trans, jq], axis=-1).reshape(lead + (-1,))
+
+
+def _unflatten(
+    vec: np.ndarray, frame_count: int, joint_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views (root_quats, root_trans, joint_quats) of flat parameter vectors.
+
+    ``vec`` is (..., (n - 1) * (7 + 4 j)) in :func:`_flatten`'s layout; the
+    leading axes carry through to every array.
+    """
+    m = frame_count - 1
+    per = 7 + 4 * joint_count
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape[-1:] != (m * per,):
+        raise ValueError(f"flat vector must have length {m * per}")
+    rows = vec.reshape(vec.shape[:-1] + (m, per))
+    jq = rows[..., 7:].reshape(rows.shape[:-1] + (joint_count, 4))
+    return rows[..., :4], rows[..., 4:7], jq
+
+
 def _check_clip(evaluate: Callable, params: animate.AnimParams, tol: float) -> float:
     """FD check at ``params`` of a clip term called as ``_Fit.evaluate`` and
     ``_smoothness`` are, returning its values first and its gradients last."""
     n, j = params.frame_count, params.joint_count
-    grads = evaluate(params.root_quats, params.root_trans, params.joint_quats, True)[-1]
+    clip = (params.root_quats, params.root_trans, params.joint_quats)
     return fd_relative_error(
-        animate._flatten(*grads),
-        lambda stack: evaluate(*animate._unflatten(stack, n, j), False)[0],
-        params.flatten(),
+        _flatten(*evaluate(*clip, True)[-1]),
+        lambda stack: evaluate(*_unflatten(stack, n, j), False)[0],
+        _flatten(*clip),
         tol,
     )
 

@@ -31,17 +31,16 @@ from rigkit.animate import (
     ADAM_BETA2,
     ADAM_EPS,
     _Fit,
-    _flatten,
     _pose_in_camera,
     _render_tracks,
     _smoothness,
     _tracked_points,
-    _unflatten,
     params_from_animation,
     params_to_animation,
 )
 from rigkit.deform import _BlendBasis, pose_clip
 from rigkit.geometry import _pinhole, project
+from rigkit.gradcheck import _flatten, _unflatten
 
 from helpers import (
     icosphere,
@@ -95,10 +94,9 @@ class TestAnimParams:
             rng.standard_normal((5, 3)),
             random_unit_quats(rng, (5, 7)),
         )
-        back = AnimParams.from_flat(params.flatten(), 6, 7)
-        assert np.array_equal(back.root_quats, params.root_quats)
-        assert np.array_equal(back.root_trans, params.root_trans)
-        assert np.array_equal(back.joint_quats, params.joint_quats)
+        back = _unflatten(_flatten(*clip(params)), 6, 7)
+        for got, want in zip(back, clip(params)):
+            assert np.array_equal(got, want)
 
     def test_identity_factory(self):
         params = AnimParams.identity(4, 3)
@@ -132,27 +130,15 @@ class TestAnimParams:
         rq = np.tile(quat.IDENTITY, (2, 1))
         params = AnimParams(rq, np.zeros((2, 3)), np.zeros((2, 1, 4)))
         rq[0, 0] = 5.0
-        vec = params.flatten()
-        back = AnimParams.from_flat(vec, 3, 1)
+        vec = _flatten(*clip(params))
+        back = AnimParams(*_unflatten(vec, 3, 1))
         vec[0] = 5.0
         assert params.root_quats[0, 0] == 1.0
         assert back.root_quats[0, 0] == 1.0
 
     def test_flat_length_validation(self):
         with pytest.raises(ValueError):
-            AnimParams.from_flat(np.zeros(10), 2, 1)
-
-    def test_normalized(self):
-        rng = np.random.default_rng(2)
-        params = AnimParams(
-            3.0 * random_unit_quats(rng, (3,)),
-            rng.standard_normal((3, 3)),
-            0.25 * random_unit_quats(rng, (3, 2)),
-        )
-        unit = params.normalized()
-        assert np.allclose(np.linalg.norm(unit.root_quats, axis=1), 1.0)
-        assert np.allclose(np.linalg.norm(unit.joint_quats, axis=2), 1.0)
-        assert np.array_equal(unit.root_trans, params.root_trans)
+            _unflatten(np.zeros(10), 2, 1)
 
 
 class TestParamsAnimation:
@@ -588,7 +574,8 @@ class TestStackedTrackingLoss:
         """Perturbed flat clips; every third pushes one frame's root toward and
         past the camera, so some or all of that frame's terms drop out."""
         n, j = params.frame_count, params.joint_count
-        stack = params.flatten() + 0.05 * rng.standard_normal((rows, params.flatten().size))
+        flat = _flatten(*clip(params))
+        stack = flat + 0.05 * rng.standard_normal((rows, flat.size))
         for r in range(0, rows, 3):
             _, root_trans, _ = _unflatten(stack[r], n, j)  # views into the stack
             root_trans[rng.integers(n - 1), 2] += rng.uniform(1.0, 6.0)
@@ -637,7 +624,8 @@ class TestStackedTrackingLoss:
         )
         fit = _Fit(mesh, s, weights, tracks)
         n, j = params.frame_count, params.joint_count
-        rq, rt, jq = _unflatten(np.tile(params.flatten(), (3, 1)), n, j)
+        flat = _flatten(*clip(params))
+        rq, rt, jq = _unflatten(np.tile(flat, (3, 1)), n, j)
         with pytest.raises(ValueError, match="joint count"):
             fit.evaluate(rq, rt, np.concatenate([jq, jq[..., :1, :]], axis=-2), False)
         with pytest.raises(ValueError, match="same frames"):
@@ -647,7 +635,7 @@ class TestStackedTrackingLoss:
         with pytest.raises(ValueError, match="root motion"):
             fit.evaluate(rq, rt[..., :2], jq, False)
         with pytest.raises(ValueError, match="length"):
-            _unflatten(np.zeros((3, params.flatten().size + 1)), n, j)
+            _unflatten(np.zeros((3, flat.size + 1)), n, j)
 
 
 class TestSmoothness:
@@ -819,9 +807,10 @@ class TestOptimize:
         assert len(calls) == 1
 
     def test_steps_match_plain_adam_on_copies(self):
-        # optimize evaluates both terms on views of its flat vector; plain
-        # Adam over the same clip terms, evaluated on copies of the
-        # unflattened arrays, gives the same trace and fit, bit for bit.
+        # optimize steps Adam on its three clip arrays in place; plain Adam
+        # on one flat vector over the same clip terms, evaluated on copies
+        # of the unflattened arrays, gives the same trace and fit, bit for
+        # bit.
         mesh, s, weights, params, tracks = self._scene(frames=5, noise=0.5)
         config = OptimizeConfig(
             iterations=25, learning_rate=0.02, reg_weight=1e-2, plateau_window=100
@@ -830,7 +819,7 @@ class TestOptimize:
 
         fit = _Fit(mesh, s, weights, tracks)
         n, j = params.frame_count, params.joint_count
-        x = AnimParams.identity(n, j).flatten()
+        x = _flatten(*clip(AnimParams.identity(n, j)))
         m1 = np.zeros_like(x)
         m2 = np.zeros_like(x)
         trace, best, best_x = [], np.inf, x
@@ -848,10 +837,44 @@ class TestOptimize:
             hat1 = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
             hat2 = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
             x = x - config.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
-            x = AnimParams.from_flat(x, n, j).normalized().flatten()
+            rq, rt, jq = _unflatten(x, n, j)
+            x = _flatten(quat.normalize(rq), rt, quat.normalize(jq))
         assert np.array_equal(result.trace, trace)
-        want = AnimParams.from_flat(best_x, n, j).normalized().flatten()
-        assert np.array_equal(result.params.flatten(), want)
+        rq, rt, jq = _unflatten(best_x, n, j)
+        want = _flatten(quat.normalize(rq), rt, quat.normalize(jq))
+        assert np.array_equal(_flatten(*clip(result.params)), want)
+
+    def test_dropped_terms_sum_over_evaluations(self):
+        # A camera between the joints, looking down +x: the tracked points
+        # with x below its plane lie behind it at every step of a small
+        # learning rate, and only the masked-in ones are counted.
+        mesh = tube_mesh(length=1.4, rings=10, sides=8)
+        s = chain3()
+        weights = heuristic_skin_weights(mesh, s)
+        camera = Camera.look_at(eye=(0.35, 0.02, 0.03), target=(2.0, 0.0, 0.0))
+        x = mesh.vertices[:, 0]
+        subset = np.flatnonzero((x < 0.2) | (x > 0.5))
+        points = np.concatenate([s.joints, mesh.vertices[subset]])
+        uv, _, valid = project(camera, points)
+        mask = np.random.default_rng(3).random(len(points)) < 0.7
+        mask[:2] = [True, False]  # joint 0 behind and masked in, joint 1 out
+        frames = 4
+        behind = int(np.sum(mask & ~valid))
+        assert 0 < behind < np.sum(mask) and np.sum(~mask & ~valid) > 0
+        observed = np.tile(uv + 3.0, (frames, 1, 1))
+        tracks = TrackSet(
+            camera=camera,
+            joint_tracks=observed[:, : s.joint_count],
+            vertex_tracks=observed[:, s.joint_count :],
+            vertex_subset=subset,
+            joint_visibility=mask[: s.joint_count],
+            vertex_visibility=mask[s.joint_count :],
+        )
+        config = OptimizeConfig(iterations=20, learning_rate=1e-4, plateau_window=100)
+        result = optimize(mesh, s, weights, tracks, config)
+        assert result.iterations == 20
+        k = behind * (frames - 1)  # terms per evaluation: points x free frames
+        assert result.dropped_terms == result.iterations * k
 
     def test_lr_floor_decay(self):
         mesh, s, weights, _, tracks = self._scene(frames=2)

@@ -1,6 +1,8 @@
 """Data model, structure validation, joint orders, and rig JSON."""
 
 import ast
+import importlib
+import inspect
 import json
 import types
 from pathlib import Path
@@ -364,3 +366,42 @@ def test_no_unused_private_names():
             if name.startswith("_") and not name.startswith("__") and name not in read
         ]
     assert unused == []
+
+
+def test_clip_arrays_in_one_order():
+    # A clip's frames are three arrays, (root_quats, root_trans, joint_quats):
+    # every function and method that takes them takes them consecutively and
+    # in that order, and none takes a single root_quat.
+    layout = ["root_quats", "root_trans", "joint_quats"]
+    package = Path(rigkit.__file__).parent
+    taking, wrong = set(), []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"rigkit.{path.stem}")
+        routines = []
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                routines += [getattr(obj, name) for name in vars(obj)]
+            else:
+                routines.append(obj)
+        for f in routines:
+            if not (inspect.isfunction(f) or inspect.ismethod(f)):
+                continue
+            names = list(inspect.signature(f).parameters)
+            if "root_quat" in names:
+                wrong.append(f.__qualname__)
+            if set(layout) & set(names):
+                taking.add(f.__qualname__)
+                at = names.index(layout[0]) if layout[0] in names else 0
+                if names[at : at + 3] != layout:
+                    wrong.append(f.__qualname__)
+    assert wrong == []
+    assert taking >= {
+        "fk_forward", "pose_clip", "_pose_in_camera", "_render_tracks",
+        "_Fit.evaluate", "_smoothness", "_with_rest_frame", "_flatten",
+        "params_from_animation", "animation_to_dict", "save_animation",
+        "AnimParams.__init__",
+    }

@@ -29,7 +29,7 @@ from helpers import (
 
 
 def fk(s, jq, trans):
-    return fk_forward(s.joints, s.parents, jq, quat.IDENTITY, trans)
+    return fk_forward(s, quat.IDENTITY, trans, jq)
 
 
 def identity_quats(j: int) -> np.ndarray:
@@ -117,7 +117,7 @@ class TestForwardKinematics:
             jq = random_unit_quats(rng, (s.joint_count,))
             root_q = random_unit_quats(rng, ())
             trans = rng.standard_normal(3)
-            cache = fk_forward(s.joints, s.parents, jq, root_q, trans)
+            cache = fk_forward(s, root_q, trans, jq)
             want = path_product_fk(s, jq, root_q, trans)
             assert np.allclose(cache.globals_, want, atol=1e-12)
 
@@ -152,19 +152,17 @@ class TestForwardKinematics:
             probe = np.zeros((frames, 8, 4, 4))
             probe[..., :3, :] = rng.standard_normal((frames, 8, 3, 4))
 
-            def scalar(jq_, rq_, t_):
-                cache = fk_forward(s.joints, s.parents, jq_, rq_, t_)
+            def scalar(rq_, t_, jq_):
+                cache = fk_forward(s, rq_, t_, jq_)
                 return float(np.sum(cache.globals_ * probe))
 
-            g_jq, g_rq, g_t = fk_backward(
-                fk_forward(s.joints, s.parents, jq, root_q, trans), probe
-            )
+            grads = fk_backward(fk_forward(s, root_q, trans, jq), probe)
             fd = [
-                central_difference(lambda st: [scalar(a, root_q, trans) for a in st], jq),
-                central_difference(lambda st: [scalar(jq, a, trans) for a in st], root_q),
-                central_difference(lambda st: [scalar(jq, root_q, a) for a in st], trans),
+                central_difference(lambda st: [scalar(a, trans, jq) for a in st], root_q),
+                central_difference(lambda st: [scalar(root_q, a, jq) for a in st], trans),
+                central_difference(lambda st: [scalar(root_q, trans, a) for a in st], jq),
             ]
-            for analytic, numeric in zip((g_jq, g_rq, g_t), fd):
+            for analytic, numeric in zip(grads, fd):
                 assert max_relative_error(analytic, numeric) < 1e-6
 
     def test_root_translation_shifts_everything(self):

@@ -393,16 +393,17 @@ class TestCentralDifference:
         n, j = params.frame_count, params.joint_count
 
         def stacked(evaluate):
-            return lambda a: evaluate(*animate._unflatten(a, n, j), False)[0]
+            return lambda a: evaluate(*gradcheck._unflatten(a, n, j), False)[0]
 
         def alone(evaluate):
             """One clip's value, evaluated on copies of its unflattened arrays."""
             return lambda a: float(evaluate(
-                *[c.copy() for c in animate._unflatten(a, n, j)], False)[0])
+                *[c.copy() for c in gradcheck._unflatten(a, n, j)], False)[0])
 
+        flat = gradcheck._flatten(params.root_quats, params.root_trans, params.joint_quats)
         return [
-            (stacked(fit.evaluate), params.flatten(), alone(fit.evaluate)),
-            (stacked(animate._smoothness), params.flatten(), alone(animate._smoothness)),
+            (stacked(fit.evaluate), flat, alone(fit.evaluate)),
+            (stacked(animate._smoothness), flat, alone(animate._smoothness)),
             (lambda a: next_token_cross_entropy(a, targets, mask), logits,
              lambda a: next_token_cross_entropy(a, targets, mask)),
             (attention_sum, q, lambda a: float(np.sum(

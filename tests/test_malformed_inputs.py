@@ -214,7 +214,8 @@ def broken_tokens(draw, raw: bytes):
 
 def _run_with_field(scene, name, keys, head) -> int:
     """Exit code of the file's reader with the field at ``keys`` set to
-    ``head``; a list ``head`` replaces the front of the field's list."""
+    ``head``; a list ``head`` replaces the front of the field's list, and
+    a field the file lacks is added."""
     d, readers, _ = scene
     path = d / name
     original = path.read_bytes()
@@ -223,7 +224,8 @@ def _run_with_field(scene, name, keys, head) -> int:
     parent = data
     for k in outer:
         parent = parent[k]
-    if isinstance(head, list) and isinstance(parent[key], list):
+    field = parent.get(key) if isinstance(parent, dict) else parent[key]
+    if isinstance(head, list) and isinstance(field, list):
         head = head + parent[key][len(head):]
     parent[key] = head
     path.write_text(json.dumps(data))
@@ -251,17 +253,20 @@ def _run_with_field(scene, name, keys, head) -> int:
     ("tracks.json", ("camera", "fy"), True),
     ("clip.json", ("frames", 1, "root_quat"), [True]),
     ("tracks.json", ("joint_tracks", 1, 0), ["0"]),
+    ("rig.json", ("names",), "abc"),
+    ("rig.json", ("names",), [1, 2, 3]),
 ], ids=["float-parents", "string-parents", "bool-parents", "scalar-parents",
         "float-and-string-subset", "float-visibility", "tracks-float-width",
         "tracks-list-height", "float-width", "list-height", "bool-width",
         "string-joint", "bool-weights", "string-fx", "tracks-bool-fy",
-        "bool-root-quat", "string-joint-track"])
+        "bool-root-quat", "string-joint-track", "string-names", "integer-names"])
 def test_json_types_are_not_cast(scene, name, keys, head):
     # Integer and boolean fields take JSON integers and booleans only, and
-    # float fields JSON numbers only: a float, string, boolean or list
-    # stand-in for an integer, a string or boolean stand-in for a number
-    # (each of them here one that a cast would turn into a valid value), or
-    # a scalar where a list belongs, is unparseable (exit 2), not cast.
+    # float fields JSON numbers only, and joint names JSON strings only: a
+    # float, string, boolean or list stand-in for an integer, a string or
+    # boolean stand-in for a number, an integer stand-in for a name (each of
+    # them here one that a cast would turn into a valid value), or a scalar
+    # where a list belongs, is unparseable (exit 2), not cast.
     assert _run_with_field(scene, name, keys, head) == 2
 
 
