@@ -295,8 +295,8 @@ def _cmd_animate(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
-    if args.epochs < 0:
-        raise ValueError("epochs must be non-negative")
+    if args.epochs < 1:
+        raise ValueError("--epochs must be at least 1")
     lines = []
     for epoch in range(args.epochs + 1):
         r = codec.permutation_probability(epoch, args.epochs)

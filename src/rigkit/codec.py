@@ -34,6 +34,7 @@ import numpy as np
 from .core import (
     MAX_JOINTS,
     ROOT_PARENT,
+    NonFiniteError,
     Skeleton,
     _frozen,
     hierarchical_order,
@@ -99,7 +100,7 @@ def quantize_coords(coords: np.ndarray) -> np.ndarray:
     """Map coordinates in [-0.5, 0.5] onto 128 bins; out-of-range clamps."""
     coords = np.asarray(coords, dtype=np.float64)
     if not np.all(np.isfinite(coords)):
-        raise ValueError("coordinates must be finite")
+        raise NonFiniteError("coordinates must be finite")
     bins = np.floor((coords + 0.5) * COORD_BINS)
     return np.clip(bins, 0, COORD_BINS - 1).astype(np.int64)
 

@@ -105,9 +105,23 @@ def _probe_sums(out: np.ndarray, probe: np.ndarray) -> np.ndarray:
     return (out * probe).reshape(-1, probe.size).sum(axis=1)
 
 
-def _rowwise(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Lift a function of one input to a stack, one call per row."""
-    return lambda stack: np.array([f(row) for row in stack])
+def _check(f: Callable[..., np.ndarray], args, grads, tol: float) -> float:
+    """One FD pass of ``f`` at ``args`` against its analytic ``grads``.
+
+    The inputs and the gradients are each concatenated into one vector, so
+    every element of every input is perturbed in the same pass.  ``f``
+    takes one stack per argument, leading axis first, and returns one
+    value per row.
+    """
+    args = [np.asarray(a, dtype=np.float64) for a in args]
+    ends = np.cumsum([a.size for a in args]).tolist()
+    parts = [(lo, hi, (-1,) + a.shape) for a, lo, hi in zip(args, [0] + ends, ends)]
+    return fd_relative_error(
+        np.concatenate([np.ravel(g) for g in grads]),
+        lambda stack: f(*[stack[:, lo:hi].reshape(shape) for lo, hi, shape in parts]),
+        np.concatenate([a.ravel() for a in args]),
+        tol,
+    )
 
 
 def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
@@ -133,21 +147,7 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
         q, k, v, bias, lam, probe
     )
     gtab = kernels.distance_embedding_vjp(dist, table, gbias)
-
-    errs = [
-        fd_relative_error(gq, lambda a: sums(a, k, v, table.values, lam), q, tol),
-        fd_relative_error(gk, lambda a: sums(q, a, v, table.values, lam), k, tol),
-        fd_relative_error(gv, lambda a: sums(q, k, a, table.values, lam), v, tol),
-        fd_relative_error(
-            gtab, _rowwise(lambda a: sums(q, k, v, a, lam)[0]), table.values, tol,
-        ),
-        fd_relative_error(
-            np.array([glam]),
-            _rowwise(lambda a: sums(q, k, v, table.values, float(a[0]))[0]),
-            np.array([lam]), tol,
-        ),
-    ]
-    return max(errs)
+    return _check(sums, [q, k, v, table.values, lam], [gq, gk, gv, gtab, glam], tol)
 
 
 def _check_skinning_head(rng: np.random.Generator, tol: float = REL_TOL) -> float:
@@ -160,16 +160,7 @@ def _check_skinning_head(rng: np.random.Generator, tol: float = REL_TOL) -> floa
     def sums(p_, b_, a_):
         return _probe_sums(kernels.skinning_head(p_, b_, a_), probe)
 
-    gp, gb, ga = kernels.skinning_head_vjp(p, b, alpha, probe)
-    errs = [
-        fd_relative_error(gp, lambda a: sums(a, b, alpha), p, tol),
-        fd_relative_error(gb, lambda a: sums(p, a, alpha), b, tol),
-        fd_relative_error(
-            np.array([ga]), _rowwise(lambda a: sums(p, b, float(a[0]))[0]),
-            np.array([alpha]), tol,
-        ),
-    ]
-    return max(errs)
+    return _check(sums, [p, b, alpha], kernels.skinning_head_vjp(p, b, alpha, probe), tol)
 
 
 def _check_cross_entropy(rng: np.random.Generator, tol: float = REL_TOL) -> float:
@@ -181,8 +172,8 @@ def _check_cross_entropy(rng: np.random.Generator, tol: float = REL_TOL) -> floa
         mask[0] = True
 
     g = kernels.next_token_cross_entropy_grad(logits, targets, mask)
-    return fd_relative_error(
-        g, lambda a: kernels.next_token_cross_entropy(a, targets, mask), logits, tol
+    return _check(
+        lambda a: kernels.next_token_cross_entropy(a, targets, mask), [logits], [g], tol
     )
 
 
@@ -253,45 +244,12 @@ def _near_identity_quats(rng: np.random.Generator, shape) -> np.ndarray:
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def _flatten(
-    root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
-) -> np.ndarray:
-    """Flat vectors (..., (n - 1) * (7 + 4 j)) of frames 1 .. n-1 with any
-    leading axes, per frame the root quat, the root translation, then the
-    joint quats; :func:`_unflatten`'s inverse."""
-    lead = root_quats.shape[:-2]
-    jq = joint_quats.reshape(joint_quats.shape[:-2] + (-1,))
-    return np.concatenate([root_quats, root_trans, jq], axis=-1).reshape(lead + (-1,))
-
-
-def _unflatten(
-    vec: np.ndarray, frame_count: int, joint_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views (root_quats, root_trans, joint_quats) of flat parameter vectors.
-
-    ``vec`` is (..., (n - 1) * (7 + 4 j)) in :func:`_flatten`'s layout; the
-    leading axes carry through to every array.
-    """
-    m = frame_count - 1
-    per = 7 + 4 * joint_count
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape[-1:] != (m * per,):
-        raise ValueError(f"flat vector must have length {m * per}")
-    rows = vec.reshape(vec.shape[:-1] + (m, per))
-    jq = rows[..., 7:].reshape(rows.shape[:-1] + (joint_count, 4))
-    return rows[..., :4], rows[..., 4:7], jq
-
-
 def _check_clip(evaluate: Callable, params: animate.AnimParams, tol: float) -> float:
     """FD check at ``params`` of a clip term called as ``_Fit.evaluate`` and
     ``_smoothness`` are, returning its values first and its gradients last."""
-    n, j = params.frame_count, params.joint_count
     clip = (params.root_quats, params.root_trans, params.joint_quats)
-    return fd_relative_error(
-        _flatten(*evaluate(*clip, True)[-1]),
-        lambda stack: evaluate(*_unflatten(stack, n, j), False)[0],
-        _flatten(*clip),
-        tol,
+    return _check(
+        lambda *stacks: evaluate(*stacks, False)[0], clip, evaluate(*clip, True)[-1], tol
     )
 
 

@@ -4,15 +4,19 @@ Shape conventions: attention operands are batched per head as (h, n, d);
 the skeleton-distance bias table is (levels, h) and expands to an (n, n, h)
 bias; point/bone feature matrices are (n, d) and (j, d).
 
-Leading batch axes: ``topology_aware_attention`` and
-``reference_attention`` take q, k, v as (..., h, n, d), ``skinning_head``
-takes (..., n, d) and (..., j, d), and the cross-entropy pair takes
-(..., length, vocab) logits against one targets row and one mask; the
-leading axes broadcast, while the bias, alpha, targets and mask are
-shared.  A stack is validated once, with the unbatched checks and
-messages, and each of its rows is bitwise the unbatched call on that
-row.  The attention and skinning ``*_vjp`` routines take unbatched
-operands only and run their forward kernel's checks.
+Leading batch axes: every float operand of a forward kernel may carry
+them.  ``topology_aware_attention`` and ``reference_attention`` take q, k,
+v as (..., h, n, d), the bias as (..., n, n, h) and lam as (...); a
+``DistanceEmbeddingTable`` holds (..., levels, h) values, which
+``distance_embedding`` expands to (..., n, n, h); ``skinning_head`` takes
+(..., n, d), (..., j, d) and alpha as (...); the cross-entropy pair takes
+(..., length, vocab) logits.  The leading axes broadcast, while the
+distance matrix, targets and mask are shared.  A stack is validated once,
+with the unbatched checks and messages, and each of its rows is bitwise
+the unbatched call on that row.  The ``*_vjp`` routines take unbatched
+operands only: they run their forward kernel's checks, then refuse a
+leading axis on any operand and an upstream gradient whose shape is not
+the forward output's.
 
 These kernels are the numeric core of a skinning predictor whose wiring
 is: bone tokens attend over themselves with the graph-distance bias, pick
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import VOCAB_SIZE
-from .core import _frozen
+from .core import NonFiniteError, _frozen
 
 COSINE_NORM_EPS = 1e-12
 DEFAULT_MAX_LEVEL = 16
@@ -42,7 +46,7 @@ DEFAULT_MAX_LEVEL = 16
 
 def _require_finite(name: str, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN or Inf")
+        raise NonFiniteError(f"{name} contains NaN or Inf")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -66,26 +70,27 @@ def _softmax_vjp(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
 class DistanceEmbeddingTable:
     """Learnable per-head scalars indexed by clamped graph distance.
 
-    values[l, h] is the bias for token pairs l bones apart on the skeleton
-    (distances beyond the last level share its entry).
+    values[..., l, h] is the bias for token pairs l bones apart on the
+    skeleton (distances beyond the last level share its entry); leading
+    axes hold a stack of tables.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         v = _frozen(self.values, np.float64)
-        if v.ndim != 2 or v.shape[0] < 1:
+        if v.ndim < 2 or v.shape[-2] < 1:
             raise ValueError("table values must be (levels, heads)")
         _require_finite("distance table", v)
         object.__setattr__(self, "values", v)
 
     @property
     def max_level(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-2] - 1
 
     @property
     def heads(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @classmethod
     def random(
@@ -109,8 +114,8 @@ def _clamped_levels(distances: np.ndarray, table: DistanceEmbeddingTable):
 def distance_embedding(
     distances: np.ndarray, table: DistanceEmbeddingTable
 ) -> np.ndarray:
-    """Expand a (n, n) hop-count matrix into an (n, n, heads) bias."""
-    return table.values[_clamped_levels(distances, table)]
+    """Expand a (n, n) hop-count matrix into an (..., n, n, heads) bias."""
+    return table.values[..., _clamped_levels(distances, table), :]
 
 
 def distance_embedding_vjp(
@@ -118,6 +123,8 @@ def distance_embedding_vjp(
 ) -> np.ndarray:
     """Gradient of the table values: scatter-add over clamped levels."""
     levels = _clamped_levels(distances, table)
+    if table.values.ndim != 2:
+        raise ValueError("table values must be (levels, heads) with no leading axes")
     grad_bias = np.asarray(grad_bias, dtype=np.float64)
     if grad_bias.shape != levels.shape + (table.heads,):
         raise ValueError("grad_bias shape must be (n, n, heads)")
@@ -164,31 +171,38 @@ def topology_aware_attention(
     """Attention with an additive skeleton-distance bias on the logits.
 
     softmax(q k^T / sqrt(d) + lam * bias) v, per head.  ``bias`` is the
-    (n, n, heads) output of :func:`distance_embedding`.  With lam = 0 the
-    result is bitwise identical to :func:`reference_attention`.
+    (..., n, n, heads) output of :func:`distance_embedding`.  With lam = 0
+    the result is bitwise identical to :func:`reference_attention`.
     """
     q, k, v = _check_qkv(q, k, v)
     bias = np.asarray(bias, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
     h, n, _ = q.shape[-3:]
-    if bias.shape != (n, n, h):
+    if bias.shape[-3:] != (n, n, h):
         raise ValueError(f"bias must be (n, n, heads)=({n},{n},{h})")
     _require_finite("bias", bias)
-    if not np.isfinite(lam):
-        raise ValueError("lam must be finite")
-    return _attention_core(q, k, v, float(lam) * np.transpose(bias, (2, 0, 1)))
+    if not np.all(np.isfinite(lam)):
+        raise NonFiniteError("lam must be finite")
+    return _attention_core(q, k, v, lam[..., None, None, None] * np.moveaxis(bias, -1, -3))
 
 
 def topology_aware_attention_vjp(
     q, k, v, bias: np.ndarray, lam: float, grad_out: np.ndarray
 ):
     """Gradients of the attention output wrt (q, k, v, bias, lam)."""
+    if any(np.ndim(a) != 3 for a in (q, k, v)):
+        raise ValueError("q, k, v must share shape (heads, n, d)")
+    if np.ndim(bias) != 3:
+        raise ValueError("bias must be (n, n, heads) with no leading axes")
+    if np.ndim(lam) != 0:
+        raise ValueError("lam must be a scalar")
     _, attn = topology_aware_attention(q, k, v, bias, lam)
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
-    if any(a.ndim != 3 for a in (q, k, v)):
-        raise ValueError("q, k, v must share shape (heads, n, d)")
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != q.shape:
+        raise ValueError(f"grad_out must be (heads, n, d)={q.shape}")
     scale = 1.0 / np.sqrt(q.shape[-1])
 
-    grad_out = np.asarray(grad_out, dtype=np.float64)
     grad_v = np.einsum("hij,hid->hjd", attn, grad_out)
     grad_attn = np.einsum("hid,hjd->hij", grad_out, v)
     grad_logits = _softmax_vjp(attn, grad_attn)
@@ -216,9 +230,10 @@ def _check_skinning(point_features, bone_features, alpha):
         raise ValueError("features must be (n, d) and (j, d) with shared d")
     _require_finite("point features", p)
     _require_finite("bone features", b)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    return p, b
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(np.isfinite(alpha)):
+        raise NonFiniteError("alpha must be finite")
+    return p, b, alpha
 
 
 def skinning_head(
@@ -230,11 +245,11 @@ def skinning_head(
     guarded with a 1e-12 epsilon so all-zero feature rows yield a uniform
     row instead of NaN.  Every output row sums to 1.
     """
-    p, b = _check_skinning(point_features, bone_features, alpha)
+    p, b, alpha = _check_skinning(point_features, bone_features, alpha)
     _, np_g = _guarded_norms(p)
     _, nb_g = _guarded_norms(b)
     cos = (p @ np.swapaxes(b, -1, -2)) / (np_g[..., :, None] * nb_g[..., None, :])
-    return _softmax(float(alpha) * cos)
+    return _softmax(alpha[..., None, None] * cos)
 
 
 def skinning_head_vjp(
@@ -244,7 +259,16 @@ def skinning_head_vjp(
     grad_w: np.ndarray,
 ):
     """Gradients of the skinning distribution wrt both feature sets and alpha."""
-    p, b = _check_skinning(point_features, bone_features, alpha)
+    p, b, alpha = _check_skinning(point_features, bone_features, alpha)
+    if p.ndim != 2:
+        raise ValueError("point features must be (n, d) with no leading axes")
+    if b.ndim != 2:
+        raise ValueError("bone features must be (j, d) with no leading axes")
+    if alpha.ndim != 0:
+        raise ValueError("alpha must be a scalar")
+    grad_w = np.asarray(grad_w, dtype=np.float64)
+    if grad_w.shape != (len(p), len(b)):
+        raise ValueError(f"grad_w must be (n, j)=({len(p)},{len(b)})")
     np_t, np_g = _guarded_norms(p)
     nb_t, nb_g = _guarded_norms(b)
     inv = 1.0 / np.outer(np_g, nb_g)
@@ -252,7 +276,6 @@ def skinning_head_vjp(
     cos = scores * inv
     w = _softmax(float(alpha) * cos)
 
-    grad_w = np.asarray(grad_w, dtype=np.float64)
     grad_z = _softmax_vjp(w, grad_w)
     grad_alpha = float(np.sum(grad_z * cos))
     grad_cos = float(alpha) * grad_z

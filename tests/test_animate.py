@@ -40,7 +40,6 @@ from rigkit.animate import (
 )
 from rigkit.deform import _BlendBasis, pose_clip
 from rigkit.geometry import _pinhole, project
-from rigkit.gradcheck import _flatten, _unflatten
 
 from helpers import (
     icosphere,
@@ -87,17 +86,6 @@ def clip(params: AnimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class TestAnimParams:
-    def test_flat_round_trip(self):
-        rng = np.random.default_rng(0)
-        params = AnimParams(
-            random_unit_quats(rng, (5,)),
-            rng.standard_normal((5, 3)),
-            random_unit_quats(rng, (5, 7)),
-        )
-        back = _unflatten(_flatten(*clip(params)), 6, 7)
-        for got, want in zip(back, clip(params)):
-            assert np.array_equal(got, want)
-
     def test_identity_factory(self):
         params = AnimParams.identity(4, 3)
         assert params.frame_count == 4
@@ -130,15 +118,14 @@ class TestAnimParams:
         rq = np.tile(quat.IDENTITY, (2, 1))
         params = AnimParams(rq, np.zeros((2, 3)), np.zeros((2, 1, 4)))
         rq[0, 0] = 5.0
-        vec = _flatten(*clip(params))
-        back = AnimParams(*_unflatten(vec, 3, 1))
-        vec[0] = 5.0
+        # (2, 2, 7) rows of root quat and translation; AnimParams gets views.
+        stack = np.stack([np.concatenate(clip(params)[:2], axis=-1)] * 2)
+        back = AnimParams(stack[0, :, :4], stack[1, :, 4:], stack[0, :, None, :4])
+        stack[...] = 5.0
         assert params.root_quats[0, 0] == 1.0
         assert back.root_quats[0, 0] == 1.0
-
-    def test_flat_length_validation(self):
-        with pytest.raises(ValueError):
-            _unflatten(np.zeros(10), 2, 1)
+        assert back.root_trans[0, 0] == 0.0
+        assert back.joint_quats[0, 0, 0] == 1.0
 
 
 class TestParamsAnimation:
@@ -571,22 +558,20 @@ class TestStackedTrackingLoss:
 
     @staticmethod
     def perturbed_rows(rng, params, rows):
-        """Perturbed flat clips; every third pushes one frame's root toward and
-        past the camera, so some or all of that frame's terms drop out."""
-        n, j = params.frame_count, params.joint_count
-        flat = _flatten(*clip(params))
-        stack = flat + 0.05 * rng.standard_normal((rows, flat.size))
+        """A stack of perturbed clips, one per clip array; every third pushes
+        one frame's root toward and past the camera, so some or all of that
+        frame's terms drop out."""
+        stack = [a + 0.05 * rng.standard_normal((rows,) + a.shape) for a in clip(params)]
         for r in range(0, rows, 3):
-            _, root_trans, _ = _unflatten(stack[r], n, j)  # views into the stack
-            root_trans[rng.integers(n - 1), 2] += rng.uniform(1.0, 6.0)
+            stack[1][r, rng.integers(params.frame_count - 1), 2] += rng.uniform(1.0, 6.0)
         return stack
 
     @staticmethod
-    def assert_rows_match(fit, stack, n, j):
-        values, dropped, grads = fit.evaluate(*_unflatten(stack, n, j), True)
-        assert values.shape == dropped.shape == (stack.shape[0],)
-        for r, row in enumerate(stack):
-            value, count, want = fit.evaluate(*_unflatten(row, n, j), True)
+    def assert_rows_match(fit, stack):
+        values, dropped, grads = fit.evaluate(*stack, True)
+        assert values.shape == dropped.shape == (len(stack[0]),)
+        for r in range(len(stack[0])):
+            value, count, want = fit.evaluate(*(a[r] for a in stack), True)
             assert values[r] == value
             assert dropped[r] == count
             for got, alone in zip(grads, want):
@@ -600,9 +585,7 @@ class TestStackedTrackingLoss:
             mesh, s, weights, tracks, params = gradcheck._random_scene(rng)
             fit = _Fit(mesh, s, weights, tracks)
             stack = self.perturbed_rows(rng, params, 60)
-            rows_dropping += self.assert_rows_match(
-                fit, stack, params.frame_count, params.joint_count
-            )
+            rows_dropping += self.assert_rows_match(fit, stack)
         assert rows_dropping >= 20 * 10
 
     def test_pose_recovery_scene(self):
@@ -613,9 +596,7 @@ class TestStackedTrackingLoss:
         stack = self.perturbed_rows(np.random.default_rng(10), params, 50)
         rows_dropping = 0
         for lo in range(0, 50, 10):  # (10, 29, 310, 3) posed points per call
-            rows_dropping += self.assert_rows_match(
-                fit, stack[lo : lo + 10], params.frame_count, params.joint_count
-            )
+            rows_dropping += self.assert_rows_match(fit, [a[lo : lo + 10] for a in stack])
         assert rows_dropping >= 10
 
     def test_wrong_counts_raise(self):
@@ -623,9 +604,7 @@ class TestStackedTrackingLoss:
             np.random.default_rng(0)
         )
         fit = _Fit(mesh, s, weights, tracks)
-        n, j = params.frame_count, params.joint_count
-        flat = _flatten(*clip(params))
-        rq, rt, jq = _unflatten(np.tile(flat, (3, 1)), n, j)
+        rq, rt, jq = (np.stack([a] * 3) for a in clip(params))
         with pytest.raises(ValueError, match="joint count"):
             fit.evaluate(rq, rt, np.concatenate([jq, jq[..., :1, :]], axis=-2), False)
         with pytest.raises(ValueError, match="same frames"):
@@ -634,8 +613,6 @@ class TestStackedTrackingLoss:
             fit.evaluate(rq[:2], rt, jq, False)
         with pytest.raises(ValueError, match="root motion"):
             fit.evaluate(rq, rt[..., :2], jq, False)
-        with pytest.raises(ValueError, match="length"):
-            _unflatten(np.zeros((3, flat.size + 1)), n, j)
 
 
 class TestSmoothness:
@@ -808,9 +785,9 @@ class TestOptimize:
 
     def test_steps_match_plain_adam_on_copies(self):
         # optimize steps Adam on its three clip arrays in place; plain Adam
-        # on one flat vector over the same clip terms, evaluated on copies
-        # of the unflattened arrays, gives the same trace and fit, bit for
-        # bit.
+        # on one flat vector of the ravelled arrays over the same clip terms,
+        # evaluated on copies of the arrays split back out, gives the same
+        # trace and fit, bit for bit.
         mesh, s, weights, params, tracks = self._scene(frames=5, noise=0.5)
         config = OptimizeConfig(
             iterations=25, learning_rate=0.02, reg_weight=1e-2, plateau_window=100
@@ -818,17 +795,29 @@ class TestOptimize:
         result = optimize(mesh, s, weights, tracks, config)
 
         fit = _Fit(mesh, s, weights, tracks)
-        n, j = params.frame_count, params.joint_count
-        x = _flatten(*clip(AnimParams.identity(n, j)))
+        shapes = [a.shape for a in clip(params)]
+        ends = np.cumsum([np.prod(shape) for shape in shapes])[:-1]
+
+        def flatten(*arrays):
+            return np.concatenate([a.ravel() for a in arrays])
+
+        def unflatten(x):
+            return [a.reshape(shape) for a, shape in zip(np.split(x, ends), shapes)]
+
+        def normalized(x):
+            rq, rt, jq = unflatten(x)
+            return flatten(quat.normalize(rq), rt, quat.normalize(jq))
+
+        x = flatten(*clip(AnimParams.identity(params.frame_count, params.joint_count)))
         m1 = np.zeros_like(x)
         m2 = np.zeros_like(x)
         trace, best, best_x = [], np.inf, x
         for it in range(config.iterations):
-            frames = [a.copy() for a in _unflatten(x, n, j)]
+            frames = [a.copy() for a in unflatten(x)]
             track, _, track_grads = fit.evaluate(*frames, True)
             reg, reg_grads = _smoothness(*frames, True)
             value = float(track) + config.reg_weight * float(reg)
-            grad = _flatten(*track_grads) + config.reg_weight * _flatten(*reg_grads)
+            grad = flatten(*track_grads) + config.reg_weight * flatten(*reg_grads)
             if value < best:
                 best, best_x = value, x
             trace.append(best)
@@ -836,13 +825,9 @@ class TestOptimize:
             m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
             hat1 = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
             hat2 = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
-            x = x - config.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS)
-            rq, rt, jq = _unflatten(x, n, j)
-            x = _flatten(quat.normalize(rq), rt, quat.normalize(jq))
+            x = normalized(x - config.learning_rate * hat1 / (np.sqrt(hat2) + ADAM_EPS))
         assert np.array_equal(result.trace, trace)
-        rq, rt, jq = _unflatten(best_x, n, j)
-        want = _flatten(quat.normalize(rq), rt, quat.normalize(jq))
-        assert np.array_equal(_flatten(*clip(result.params)), want)
+        assert np.array_equal(flatten(*clip(result.params)), normalized(best_x))
 
     def test_dropped_terms_sum_over_evaluations(self):
         # A camera between the joints, looking down +x: the tracked points

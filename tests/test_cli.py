@@ -647,7 +647,9 @@ class TestAnneal:
         assert first == second
 
     def test_bad_epochs(self, capsys):
-        assert main(["anneal", "--epochs", "-5"]) == 3
+        for epochs in ("-5", "0"):
+            assert main(["anneal", "--epochs", epochs]) == 3
+            assert "--epochs must be at least 1" in capsys.readouterr().err
 
 
 class TestGradCheckCommand:

@@ -13,6 +13,7 @@ from rigkit import (
     EOS,
     NO_INDICATOR,
     PAD,
+    NonFiniteError,
     SHAPE_PLACEHOLDER,
     VOCAB_SIZE,
     Skeleton,
@@ -86,8 +87,9 @@ class TestQuantization:
             dequantize_coords(np.array([-1]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            quantize_coords(np.array([np.nan]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError, match="coordinates must be finite"):
+                quantize_coords(np.array([0.0, bad]))
 
 
 class TestJointTokenizer:

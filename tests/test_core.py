@@ -401,7 +401,7 @@ def test_clip_arrays_in_one_order():
     assert wrong == []
     assert taking >= {
         "fk_forward", "pose_clip", "_pose_in_camera", "_render_tracks",
-        "_Fit.evaluate", "_smoothness", "_with_rest_frame", "_flatten",
+        "_Fit.evaluate", "_smoothness", "_with_rest_frame",
         "params_from_animation", "animation_to_dict", "save_animation",
         "AnimParams.__init__",
     }

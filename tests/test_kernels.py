@@ -6,6 +6,7 @@ import pytest
 from rigkit import animate, gradcheck
 from rigkit import (
     DistanceEmbeddingTable,
+    NonFiniteError,
     VOCAB_SIZE,
     distance_embedding,
     graph_distance_matrix,
@@ -261,15 +262,55 @@ class TestVjpInputChecks:
         q, k, v = rand_qkv(rng, h=2, n=3, d=2)
         bias = rng.standard_normal((3, 3, 2))
         bias[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="bias contains NaN or Inf"):
+        with pytest.raises(NonFiniteError, match="bias contains NaN or Inf"):
             topology_aware_attention_vjp(q, k, v, bias, 0.5, np.ones((2, 3, 2)))
+        with pytest.raises(NonFiniteError, match="lam must be finite"):
+            topology_aware_attention_vjp(q, k, v, np.zeros((3, 3, 2)), np.nan, np.ones((2, 3, 2)))
         p = rng.standard_normal((4, 3))
         b = rng.standard_normal((2, 3))
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(NonFiniteError, match="alpha must be finite"):
             skinning_head_vjp(p, b, np.inf, np.ones((4, 2)))
         p[0, 0] = np.nan
-        with pytest.raises(ValueError, match="point features contains NaN or Inf"):
+        with pytest.raises(NonFiniteError, match="point features contains NaN or Inf"):
             skinning_head_vjp(p, b, 2.0, np.ones((4, 2)))
+        with pytest.raises(NonFiniteError, match="distance table contains NaN or Inf"):
+            DistanceEmbeddingTable(np.full((3, 2), np.inf))
+
+    def test_vjps_take_unbatched_operands(self):
+        # A leading axis on any operand, or an upstream gradient that is not
+        # the forward output's shape, is refused by name.
+        rng = np.random.default_rng(19)
+        q, k, v = rand_qkv(rng, h=2, n=3, d=2)
+        bias = rng.standard_normal((3, 3, 2))
+        g = rng.standard_normal((2, 3, 2))
+        for args, match in (
+            ((np.stack([q, q]), k, v, bias, 0.5, g), "q, k, v must share shape"),
+            ((q, k, np.stack([v, v]), bias, 0.5, g), "q, k, v must share shape"),
+            ((q, k, v, np.stack([bias, bias]), 0.5, g), "bias must be"),
+            ((q, k, v, bias, np.array([0.5, 0.6]), g), "lam must be a scalar"),
+            ((q, k, v, bias, 0.5, np.ones((2, 3, 5))), "grad_out must be"),
+            ((q, k, v, bias, 0.5, np.stack([g, g])), "grad_out must be"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                topology_aware_attention_vjp(*args)
+        p = rng.standard_normal((7, 5))
+        b = rng.standard_normal((4, 5))
+        gw = rng.standard_normal((7, 4))
+        for args, match in (
+            ((np.stack([p, p]), b, 2.0, gw), "point features must be"),
+            ((p, np.stack([b, b]), 2.0, gw), "bone features must be"),
+            ((p, b, np.array([1.0, 2.0]), gw), "alpha must be a scalar"),
+            ((p, b, 2.0, np.ones((7, 3))), "grad_w must be"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                skinning_head_vjp(*args)
+        dist = np.array([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="table values must be"):
+            distance_embedding_vjp(dist, DistanceEmbeddingTable(np.zeros((2, 3, 2))),
+                                   np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="grad_bias shape"):
+            distance_embedding_vjp(dist, DistanceEmbeddingTable(np.zeros((3, 2))),
+                                   np.ones((2, 2, 3)))
 
 
 class TestLeadingBatchAxes:
@@ -303,19 +344,28 @@ class TestLeadingBatchAxes:
         rng = np.random.default_rng(15)
         q, k, v = rand_qkv(rng, h=2, n=5, d=4)
         bias = rng.standard_normal((5, 5, 2))
+        shared = [q, k, v, bias, 0.7]
+        # q, k, v and bias alone, lam alone, then every operand at once.
         for m in self.STACKS:
-            for operand in range(3):
-                args = [q, k, v]
-                args[operand] = rng.standard_normal((m,) + q.shape)
-                out, attn = topology_aware_attention(*args, bias, 0.7)
+            for stacked in ({0}, {1}, {2}, {3}, {4}, {0, 1, 2, 3, 4}):
+                args = [rng.standard_normal((m,) + np.shape(a)) if i in stacked else a
+                        for i, a in enumerate(shared)]
+                out, attn = topology_aware_attention(*args)
                 assert out.shape == (m,) + q.shape
-                # attention maps carry only the axes of q and k
+                # attention maps carry the axes of q, k, bias and lam, not v's
                 attn = np.broadcast_to(attn, (m, 2, 5, 5))
                 for i in range(m):
-                    row = [a[i] if a.ndim == 4 else a for a in args]
-                    want_out, want_attn = topology_aware_attention(*row, bias, 0.7)
+                    row = [a[i] if j in stacked else a for j, a in enumerate(args)]
+                    want_out, want_attn = topology_aware_attention(*row)
                     assert np.array_equal(out[i], want_out)
                     assert np.array_equal(attn[i], want_attn)
+        dist = graph_distance_matrix(random_tree(rng, 5))
+        for m in self.STACKS:
+            tables = rng.standard_normal((m, 3, 2))
+            biases = distance_embedding(dist, DistanceEmbeddingTable(tables))
+            assert biases.shape == (m, 5, 5, 2)
+            for table, row in zip(tables, biases):
+                assert np.array_equal(row, distance_embedding(dist, DistanceEmbeddingTable(table)))
 
     def test_skinning_head_rows(self):
         rng = np.random.default_rng(16)
@@ -324,9 +374,13 @@ class TestLeadingBatchAxes:
         for m in self.STACKS:
             ps = rng.standard_normal((m, 7, 5))
             bs = rng.standard_normal((m, 4, 5))
+            alphas = rng.uniform(0.5, 3.0, m)
             ps[0, 2] = 0.0
             for w, rows in ((skinning_head(ps, b, 1.3), [skinning_head(x, b, 1.3) for x in ps]),
-                            (skinning_head(p, bs, 1.3), [skinning_head(p, x, 1.3) for x in bs])):
+                            (skinning_head(p, bs, 1.3), [skinning_head(p, x, 1.3) for x in bs]),
+                            (skinning_head(p, b, alphas), [skinning_head(p, b, a) for a in alphas]),
+                            (skinning_head(ps, bs, alphas),
+                             [skinning_head(*row) for row in zip(ps, bs, alphas)])):
                 assert w.shape == (m, 7, 4)
                 assert np.array_equal(w, np.stack(rows))
 
@@ -334,14 +388,14 @@ class TestLeadingBatchAxes:
         rng = np.random.default_rng(17)
         logits = rng.standard_normal((3, 2, VOCAB_SIZE))
         logits[2, 1, 5] = np.nan
-        with pytest.raises(ValueError, match="logits contains NaN or Inf"):
+        with pytest.raises(NonFiniteError, match="logits contains NaN or Inf"):
             next_token_cross_entropy(logits, np.array([0, 1]))
         with pytest.raises(ValueError, match="targets must align with logits rows"):
             next_token_cross_entropy(np.zeros((3, 2, VOCAB_SIZE)), np.arange(3))
         q, k, v = rand_qkv(rng)
         q = np.stack([q, q])
         q[1, 0, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="q contains NaN or Inf"):
+        with pytest.raises(NonFiniteError, match="q contains NaN or Inf"):
             topology_aware_attention(q, k, v, np.zeros((6, 6, 2)), 1.0)
         with pytest.raises(ValueError, match="share shape"):
             topology_aware_attention(q, k[:, :3], v, np.zeros((6, 6, 2)), 1.0)
@@ -349,8 +403,12 @@ class TestLeadingBatchAxes:
             topology_aware_attention_vjp(np.stack([k, k]), k, v, np.zeros((6, 6, 2)), 1.0, v)
         p = np.ones((2, 3, 4))
         p[1, 1, 1] = np.nan
-        with pytest.raises(ValueError, match="point features contains NaN or Inf"):
+        with pytest.raises(NonFiniteError, match="point features contains NaN or Inf"):
             skinning_head(p, np.ones((2, 4)), 1.0)
+        with pytest.raises(NonFiniteError, match="alpha must be finite"):
+            skinning_head(np.ones((3, 4)), np.ones((2, 4)), np.array([1.0, np.nan]))
+        with pytest.raises(NonFiniteError, match="lam must be finite"):
+            topology_aware_attention(k, k, v, np.zeros((6, 6, 2)), np.array([0.5, np.inf]))
 
 
 class TestCentralDifference:
@@ -387,23 +445,29 @@ class TestCentralDifference:
         def skinning_sum(p_):
             return (skinning_head(p_, b, 2.0) * w_probe).reshape(-1, w_probe.size).sum(axis=1)
 
-        # The grad-check's stacked clip terms on one of its scenes.
+        # The grad-check's stacked clip terms on one of its scenes: each clip
+        # array in turn is the stack, and the other two are tiled to match.
         mesh, s, weights, tracks, params = gradcheck._random_scene(rng)
         fit = animate._Fit(mesh, s, weights, tracks)
-        n, j = params.frame_count, params.joint_count
+        clip = (params.root_quats, params.root_trans, params.joint_quats)
 
-        def stacked(evaluate):
-            return lambda a: evaluate(*gradcheck._unflatten(a, n, j), False)[0]
+        def clip_case(evaluate, i):
+            def stacked(a):
+                arrays = [np.tile(c, (len(a),) + (1,) * c.ndim) for c in clip]
+                arrays[i] = a
+                return evaluate(*arrays, False)[0]
 
-        def alone(evaluate):
-            """One clip's value, evaluated on copies of its unflattened arrays."""
-            return lambda a: float(evaluate(
-                *[c.copy() for c in gradcheck._unflatten(a, n, j)], False)[0])
+            def alone(a):
+                """One clip's value, evaluated on copies of its arrays."""
+                arrays = [c.copy() for c in clip]
+                arrays[i] = a.copy()
+                return float(evaluate(*arrays, False)[0])
 
-        flat = gradcheck._flatten(params.root_quats, params.root_trans, params.joint_quats)
+            return stacked, clip[i].copy(), alone
+
         return [
-            (stacked(fit.evaluate), flat, alone(fit.evaluate)),
-            (stacked(animate._smoothness), flat, alone(animate._smoothness)),
+            *(clip_case(evaluate, i)
+              for evaluate in (fit.evaluate, animate._smoothness) for i in range(3)),
             (lambda a: next_token_cross_entropy(a, targets, mask), logits,
              lambda a: next_token_cross_entropy(a, targets, mask)),
             (attention_sum, q, lambda a: float(np.sum(
@@ -421,6 +485,16 @@ class TestCentralDifference:
                 monkeypatch.setattr(gradcheck, "FD_CHUNK_FLOATS", budget)
                 for step, grad in want.items():
                     assert np.array_equal(gradcheck.central_difference(stacked, x, step), grad)
+
+    def test_one_fd_pass_per_check(self, monkeypatch):
+        calls = []
+        fd = gradcheck.fd_relative_error
+        monkeypatch.setattr(gradcheck, "fd_relative_error",
+                            lambda *args: calls.append(1) or fd(*args))
+        for name, check in gradcheck._CHECKS.items():
+            calls.clear()
+            check(np.random.default_rng(0), gradcheck.REL_TOL)
+            assert (name, len(calls)) == (name, 1)
 
     def test_chunks_bounded_by_budget(self):
         sizes = []
