@@ -76,7 +76,6 @@ from .codec import (
     write_token_file,
 )
 from .kernels import (
-    DistanceEmbeddingTable,
     distance_embedding,
     next_token_cross_entropy,
     reference_attention,
@@ -173,7 +172,6 @@ __all__ = [
     "tokenize_joint_based",
     "unshuffle_groups",
     "write_token_file",
-    "DistanceEmbeddingTable",
     "distance_embedding",
     "next_token_cross_entropy",
     "reference_attention",

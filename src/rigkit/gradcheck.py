@@ -130,15 +130,15 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
     k = rng.standard_normal((h, n, d))
     v = rng.standard_normal((h, n, d))
     # The paper's bias: hop counts on a random n-joint tree, reaching past
-    # max_level so that clamped levels are exercised too.
-    table = kernels.DistanceEmbeddingTable.random(rng, heads=h, max_level=2)
+    # the table's last level (2) so that clamped levels are exercised too.
+    table = 0.1 * rng.standard_normal((3, h))
     parents = np.concatenate([[-1], rng.integers(0, np.arange(1, n))])
     dist = graph_distance_matrix(Skeleton(np.zeros((n, 3)), parents))
     lam = float(rng.uniform(0.2, 1.5))
     probe = rng.standard_normal((h, n, d))
 
     def sums(q_, k_, v_, tab_, lam_):
-        bias = kernels.distance_embedding(dist, kernels.DistanceEmbeddingTable(tab_))
+        bias = kernels.distance_embedding(dist, tab_)
         out, _ = kernels.topology_aware_attention(q_, k_, v_, bias, lam_)
         return _probe_sums(out, probe)
 
@@ -147,7 +147,7 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
         q, k, v, bias, lam, probe
     )
     gtab = kernels.distance_embedding_vjp(dist, table, gbias)
-    return _check(sums, [q, k, v, table.values, lam], [gq, gk, gv, gtab, glam], tol)
+    return _check(sums, [q, k, v, table, lam], [gq, gk, gv, gtab, glam], tol)
 
 
 def _check_skinning_head(rng: np.random.Generator, tol: float = REL_TOL) -> float:

@@ -6,17 +6,21 @@ bias; point/bone feature matrices are (n, d) and (j, d).
 
 Leading batch axes: every float operand of a forward kernel may carry
 them.  ``topology_aware_attention`` and ``reference_attention`` take q, k,
-v as (..., h, n, d), the bias as (..., n, n, h) and lam as (...); a
-``DistanceEmbeddingTable`` holds (..., levels, h) values, which
-``distance_embedding`` expands to (..., n, n, h); ``skinning_head`` takes
-(..., n, d), (..., j, d) and alpha as (...); the cross-entropy pair takes
-(..., length, vocab) logits.  The leading axes broadcast, while the
-distance matrix, targets and mask are shared.  A stack is validated once,
-with the unbatched checks and messages, and each of its rows is bitwise
-the unbatched call on that row.  The ``*_vjp`` routines take unbatched
-operands only: they run their forward kernel's checks, then refuse a
-leading axis on any operand and an upstream gradient whose shape is not
-the forward output's.
+v as (..., h, n, d), the bias as (..., n, n, h) and lam as (...);
+``distance_embedding`` expands a (..., levels, h) table to (..., n, n, h);
+``skinning_head`` takes (..., n, d), (..., j, d) and alpha as (...); the
+cross-entropy pair takes (..., length, vocab) logits.  The leading axes
+broadcast (a ``ValueError`` names the operands whose axes do not), while
+the distance matrix, targets and mask are shared.  A stack is validated
+once, with the unbatched checks and messages, and each of its rows is
+bitwise the unbatched call on that row.  The ``*_vjp`` routines take
+unbatched operands only: they run their forward kernel's checks, then
+refuse a leading axis on any operand and an upstream gradient whose shape
+is not the forward output's.
+
+The integer operands, hop counts and targets, are never cast: a NaN or Inf
+raises ``NonFiniteError`` and a value with a fraction ``ValueError``, while
+integer-valued floats pass.
 
 These kernels are the numeric core of a skinning predictor whose wiring
 is: bone tokens attend over themselves with the graph-distance bias, pick
@@ -33,20 +37,38 @@ differences at double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codec import VOCAB_SIZE
-from .core import NonFiniteError, _frozen
+from .core import NonFiniteError
 
 COSINE_NORM_EPS = 1e-12
-DEFAULT_MAX_LEVEL = 16
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains NaN or Inf")
+
+
+def _require_integers(name: str, a: np.ndarray) -> np.ndarray:
+    """``a``, refused unless every entry is a finite integer; never cast."""
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.float64)
+        _require_finite(name, a)
+        if np.any(a != np.trunc(a)):
+            raise ValueError(f"{name} must hold integers")
+    return a
+
+
+def _require_broadcast(leading: dict[str, tuple]) -> None:
+    """Refuse operands whose leading axes do not broadcast, naming them."""
+
+    def clash(s, t):
+        return any(a != b and 1 not in (a, b) for a, b in zip(s[::-1], t[::-1]))
+
+    bad = [f"{n} {s}" for n, s in leading.items() if any(clash(s, t) for t in leading.values())]
+    if bad:
+        raise ValueError(f"leading axes do not broadcast: {', '.join(bad)}")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -66,70 +88,44 @@ def _softmax_vjp(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceEmbeddingTable:
-    """Learnable per-head scalars indexed by clamped graph distance.
-
-    values[..., l, h] is the bias for token pairs l bones apart on the
-    skeleton (distances beyond the last level share its entry); leading
-    axes hold a stack of tables.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _frozen(self.values, np.float64)
-        if v.ndim < 2 or v.shape[-2] < 1:
-            raise ValueError("table values must be (levels, heads)")
-        _require_finite("distance table", v)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def max_level(self) -> int:
-        return self.values.shape[-2] - 1
-
-    @property
-    def heads(self) -> int:
-        return self.values.shape[-1]
-
-    @classmethod
-    def random(
-        cls,
-        rng: np.random.Generator,
-        heads: int,
-        max_level: int = DEFAULT_MAX_LEVEL,
-    ) -> "DistanceEmbeddingTable":
-        return cls(0.1 * rng.standard_normal((max_level + 1, heads)))
-
-
-def _clamped_levels(distances: np.ndarray, table: DistanceEmbeddingTable):
+def _check_distances(distances, values):
+    """The (n, n) hop counts clamped to the table's last level, and the table."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim < 2 or values.shape[-2] < 1:
+        raise ValueError("table values must be (levels, heads)")
+    _require_finite("distance table", values)
     d = np.asarray(distances)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
+    d = _require_integers("distance matrix", d)
     if d.size and d.min() < 0:
         raise ValueError("graph distances must be non-negative")
-    return np.minimum(d.astype(np.int64), table.max_level)
+    return np.minimum(d, values.shape[-2] - 1).astype(np.int64), values
 
 
-def distance_embedding(
-    distances: np.ndarray, table: DistanceEmbeddingTable
-) -> np.ndarray:
-    """Expand a (n, n) hop-count matrix into an (..., n, n, heads) bias."""
-    return table.values[..., _clamped_levels(distances, table), :]
+def distance_embedding(distances: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Expand a (n, n) hop-count matrix into an (..., n, n, heads) bias.
+
+    values[..., l, h] is the bias for token pairs l bones apart on the
+    skeleton; pairs farther apart share the last level's entry.
+    """
+    levels, values = _check_distances(distances, values)
+    return values[..., levels, :]
 
 
 def distance_embedding_vjp(
-    distances: np.ndarray, table: DistanceEmbeddingTable, grad_bias: np.ndarray
+    distances: np.ndarray, values: np.ndarray, grad_bias: np.ndarray
 ) -> np.ndarray:
     """Gradient of the table values: scatter-add over clamped levels."""
-    levels = _clamped_levels(distances, table)
-    if table.values.ndim != 2:
+    levels, values = _check_distances(distances, values)
+    if values.ndim != 2:
         raise ValueError("table values must be (levels, heads) with no leading axes")
+    heads = values.shape[-1]
     grad_bias = np.asarray(grad_bias, dtype=np.float64)
-    if grad_bias.shape != levels.shape + (table.heads,):
+    if grad_bias.shape != levels.shape + (heads,):
         raise ValueError("grad_bias shape must be (n, n, heads)")
-    grad_values = np.zeros_like(table.values)
-    np.add.at(grad_values, levels.ravel(), grad_bias.reshape(-1, table.heads))
+    grad_values = np.zeros_like(values)
+    np.add.at(grad_values, levels.ravel(), grad_bias.reshape(-1, heads))
     return grad_values
 
 
@@ -162,6 +158,7 @@ def _check_qkv(q, k, v):
 def reference_attention(q, k, v) -> tuple[np.ndarray, np.ndarray]:
     """Plain scaled dot-product attention; returns (output, attention maps)."""
     q, k, v = _check_qkv(q, k, v)
+    _require_broadcast({"q": q.shape[:-3], "k": k.shape[:-3], "v": v.shape[:-3]})
     return _attention_core(q, k, v, None)
 
 
@@ -180,6 +177,8 @@ def topology_aware_attention(
     h, n, _ = q.shape[-3:]
     if bias.shape[-3:] != (n, n, h):
         raise ValueError(f"bias must be (n, n, heads)=({n},{n},{h})")
+    _require_broadcast({"q": q.shape[:-3], "k": k.shape[:-3], "v": v.shape[:-3],
+                        "bias": bias.shape[:-3], "lam": lam.shape})
     _require_finite("bias", bias)
     if not np.all(np.isfinite(lam)):
         raise NonFiniteError("lam must be finite")
@@ -218,22 +217,27 @@ def topology_aware_attention_vjp(
 # ---------------------------------------------------------------------------
 
 
-def _guarded_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    true = np.linalg.norm(a, axis=-1)
-    return true, true + COSINE_NORM_EPS
-
-
 def _check_skinning(point_features, bone_features, alpha):
     p = np.asarray(point_features, dtype=np.float64)
     b = np.asarray(bone_features, dtype=np.float64)
     if p.ndim < 2 or b.ndim < 2 or p.shape[-1] != b.shape[-1]:
         raise ValueError("features must be (n, d) and (j, d) with shared d")
+    alpha = np.asarray(alpha, dtype=np.float64)
+    _require_broadcast({"point features": p.shape[:-2], "bone features": b.shape[:-2],
+                        "alpha": alpha.shape})
     _require_finite("point features", p)
     _require_finite("bone features", b)
-    alpha = np.asarray(alpha, dtype=np.float64)
     if not np.all(np.isfinite(alpha)):
         raise NonFiniteError("alpha must be finite")
     return p, b, alpha
+
+
+def _skinning_core(p, b, alpha):
+    """Weights, cosines and the two guarded norms of :func:`skinning_head`."""
+    np_g = np.linalg.norm(p, axis=-1) + COSINE_NORM_EPS
+    nb_g = np.linalg.norm(b, axis=-1) + COSINE_NORM_EPS
+    cos = (p @ np.swapaxes(b, -1, -2)) / (np_g[..., :, None] * nb_g[..., None, :])
+    return _softmax(alpha[..., None, None] * cos), cos, np_g, nb_g
 
 
 def skinning_head(
@@ -245,11 +249,7 @@ def skinning_head(
     guarded with a 1e-12 epsilon so all-zero feature rows yield a uniform
     row instead of NaN.  Every output row sums to 1.
     """
-    p, b, alpha = _check_skinning(point_features, bone_features, alpha)
-    _, np_g = _guarded_norms(p)
-    _, nb_g = _guarded_norms(b)
-    cos = (p @ np.swapaxes(b, -1, -2)) / (np_g[..., :, None] * nb_g[..., None, :])
-    return _softmax(alpha[..., None, None] * cos)
+    return _skinning_core(*_check_skinning(point_features, bone_features, alpha))[0]
 
 
 def skinning_head_vjp(
@@ -269,22 +269,18 @@ def skinning_head_vjp(
     grad_w = np.asarray(grad_w, dtype=np.float64)
     if grad_w.shape != (len(p), len(b)):
         raise ValueError(f"grad_w must be (n, j)=({len(p)},{len(b)})")
-    np_t, np_g = _guarded_norms(p)
-    nb_t, nb_g = _guarded_norms(b)
-    inv = 1.0 / np.outer(np_g, nb_g)
-    scores = p @ b.T
-    cos = scores * inv
-    w = _softmax(float(alpha) * cos)
+    w, cos, np_g, nb_g = _skinning_core(p, b, alpha)
 
     grad_z = _softmax_vjp(w, grad_w)
     grad_alpha = float(np.sum(grad_z * cos))
     grad_cos = float(alpha) * grad_z
 
-    grad_scores = grad_cos * inv
+    grad_scores = grad_cos * (1.0 / np.outer(np_g, nb_g))
     grad_np = -np.sum(grad_cos * cos, axis=1) / np_g
     grad_nb = -np.sum(grad_cos * cos, axis=0) / nb_g
-    # d|x| / dx is x/|x|; zero-norm rows get zero direction (their cosine is
-    # constant under the epsilon guard anyway).
+    # d|x| / dx is x/|x|, with |x| the guarded norm less its epsilon; zero-norm
+    # rows get zero direction (their cosine is constant under the guard anyway).
+    np_t, nb_t = np_g - COSINE_NORM_EPS, nb_g - COSINE_NORM_EPS
     unit_p = np.where(np_t[:, None] > 0.0, p / np.where(np_t == 0, 1, np_t)[:, None], 0.0)
     unit_b = np.where(nb_t[:, None] > 0.0, b / np.where(nb_t == 0, 1, nb_t)[:, None], 0.0)
     grad_p = grad_scores @ b + grad_np[:, None] * unit_p
@@ -299,7 +295,7 @@ def skinning_head_vjp(
 
 def _check_ce(logits, targets, mask):
     logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _require_integers("targets", np.asarray(targets))
     if logits.ndim < 2 or logits.shape[-1] != VOCAB_SIZE:
         raise ValueError(f"logits must be (length, {VOCAB_SIZE})")
     length = logits.shape[-2]
@@ -307,6 +303,7 @@ def _check_ce(logits, targets, mask):
         raise ValueError("targets must align with logits rows")
     if targets.size and (targets.min() < 0 or targets.max() >= VOCAB_SIZE):
         raise ValueError("targets out of vocabulary range")
+    targets = targets.astype(np.int64)
     _require_finite("logits", logits)
     if mask is None:
         mask = np.ones(length, dtype=bool)

@@ -368,6 +368,24 @@ def test_no_unused_private_names():
     assert unused == []
 
 
+def test_gradcheck_calls_every_kernel_gradient():
+    # Every public analytic gradient in rigkit.kernels is called by the
+    # grad-check, so none of them can lose its finite-difference check.
+    package = Path(rigkit.__file__).parent
+    gradients = {
+        node.name for node in ast.parse((package / "kernels.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name.endswith(("_vjp", "_grad"))
+    }
+    called = {
+        n.func.attr for n in ast.walk(ast.parse((package / "gradcheck.py").read_text()))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "kernels"
+    }
+    assert len(gradients) == 4
+    assert sorted(gradients - called) == []
+
+
 def test_clip_arrays_in_one_order():
     # A clip's frames are three arrays, (root_quats, root_trans, joint_quats):
     # every function and method that takes them takes them consecutively and

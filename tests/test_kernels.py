@@ -5,7 +5,6 @@ import pytest
 
 from rigkit import animate, gradcheck
 from rigkit import (
-    DistanceEmbeddingTable,
     NonFiniteError,
     VOCAB_SIZE,
     distance_embedding,
@@ -35,47 +34,54 @@ def rand_qkv(rng, h=2, n=6, d=4):
 
 class TestDistanceEmbedding:
     def test_lookup(self):
-        table = DistanceEmbeddingTable(np.arange(8.0).reshape(4, 2))
         dist = np.array([[0, 2], [2, 0]])
-        bias = distance_embedding(dist, table)
+        bias = distance_embedding(dist, np.arange(8.0).reshape(4, 2))
         assert bias.shape == (2, 2, 2)
         assert np.array_equal(bias[0, 0], [0.0, 1.0])
         assert np.array_equal(bias[0, 1], [4.0, 5.0])
 
     def test_clamps_beyond_last_level(self):
-        table = DistanceEmbeddingTable(np.arange(6.0).reshape(3, 2))
+        values = np.arange(6.0).reshape(3, 2)
         dist = np.array([[0, 50], [50, 0]])
-        bias = distance_embedding(dist, table)
-        assert np.array_equal(bias[0, 1], table.values[2])
-
-    def test_default_max_level(self):
-        rng = np.random.default_rng(0)
-        table = DistanceEmbeddingTable.random(rng, heads=4)
-        assert table.max_level == 16
-        assert table.values.shape == (17, 4)
+        bias = distance_embedding(dist, values)
+        assert np.array_equal(bias[0, 1], values[2])
 
     def test_real_skeleton_distances_index_cleanly(self):
         rng = np.random.default_rng(1)
         s = random_tree(rng, 30)
         d = graph_distance_matrix(s)
-        table = DistanceEmbeddingTable.random(rng, heads=2, max_level=4)
-        bias = distance_embedding(d, table)
+        bias = distance_embedding(d, 0.1 * rng.standard_normal((5, 2)))
         assert bias.shape == (30, 30, 2)
 
     def test_rejects_bad_inputs(self):
-        table = DistanceEmbeddingTable(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            distance_embedding(np.zeros((2, 3), dtype=int), table)
-        with pytest.raises(ValueError):
-            distance_embedding(np.array([[0, -1], [1, 0]]), table)
-        with pytest.raises(ValueError):
-            DistanceEmbeddingTable(np.zeros(3))
+        values = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="distance matrix must be square"):
+            distance_embedding(np.zeros((2, 3), dtype=int), values)
+        with pytest.raises(ValueError, match="graph distances must be non-negative"):
+            distance_embedding(np.array([[0, -1], [1, 0]]), values)
+        for bad in (np.zeros(3), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="table values must be"):
+                distance_embedding(np.zeros((2, 2), dtype=int), bad)
+
+    def test_hop_counts_are_not_cast(self):
+        # A fractional or non-finite hop count is refused, never truncated.
+        values = np.arange(6.0).reshape(3, 2)
+        for f in (lambda d: distance_embedding(d, values),
+                  lambda d: distance_embedding_vjp(d, values, np.ones((2, 2, 2)))):
+            with pytest.raises(ValueError, match="distance matrix must hold integers"):
+                f(np.array([[0.0, 1.7], [1.0, 0.0]]))
+            for x in (np.nan, np.inf):
+                with pytest.raises(NonFiniteError, match="distance matrix contains NaN or Inf"):
+                    f(np.array([[0.0, x], [1.0, 0.0]]))
+            # Integer-valued floats, however large, index as their integers do.
+            for floats, ints in (([[0.0, 1.0], [2.0, 0.0]], [[0, 1], [2, 0]]),
+                                 ([[0.0, 1e300], [1.0, 0.0]], [[0, 2], [1, 0]])):
+                assert np.array_equal(f(np.array(floats)), f(np.array(ints)))
 
     def test_vjp_scatter(self):
-        table = DistanceEmbeddingTable(np.zeros((3, 1)))
         dist = np.array([[0, 1], [1, 0]])
         g = np.ones((2, 2, 1))
-        gv = distance_embedding_vjp(dist, table, g)
+        gv = distance_embedding_vjp(dist, np.zeros((3, 1)), g)
         assert gv[0, 0] == 2.0  # two diagonal entries at level 0
         assert gv[1, 0] == 2.0
         assert gv[2, 0] == 0.0
@@ -236,6 +242,20 @@ class TestCrossEntropy:
                 np.array([False, False]),
             )
 
+    def test_targets_are_not_cast(self):
+        # A fractional or non-finite target is refused, never truncated;
+        # integer-valued floats select as their integers do.
+        logits = np.random.default_rng(20).standard_normal((2, VOCAB_SIZE))
+        for f in (next_token_cross_entropy, next_token_cross_entropy_grad):
+            with pytest.raises(ValueError, match="targets must hold integers"):
+                f(logits, np.array([0.0, 1.5]))
+            for x in (np.nan, -np.inf):
+                with pytest.raises(NonFiniteError, match="targets contains NaN or Inf"):
+                    f(logits, np.array([0.0, x]))
+            with pytest.raises(ValueError, match="targets out of vocabulary range"):
+                f(logits, np.array([0.0, 1e300]))
+            assert np.array_equal(f(logits, np.array([3.0, 1.0])), f(logits, np.array([3, 1])))
+
     def test_grad_matches_fd_smoke(self):
         from rigkit.gradcheck import _check_cross_entropy
 
@@ -273,8 +293,11 @@ class TestVjpInputChecks:
         p[0, 0] = np.nan
         with pytest.raises(NonFiniteError, match="point features contains NaN or Inf"):
             skinning_head_vjp(p, b, 2.0, np.ones((4, 2)))
+        dist = np.array([[0, 1], [1, 0]])
         with pytest.raises(NonFiniteError, match="distance table contains NaN or Inf"):
-            DistanceEmbeddingTable(np.full((3, 2), np.inf))
+            distance_embedding(dist, np.full((3, 2), np.inf))
+        with pytest.raises(NonFiniteError, match="distance table contains NaN or Inf"):
+            distance_embedding_vjp(dist, np.full((3, 2), np.nan), np.ones((2, 2, 2)))
 
     def test_vjps_take_unbatched_operands(self):
         # A leading axis on any operand, or an upstream gradient that is not
@@ -305,12 +328,10 @@ class TestVjpInputChecks:
             with pytest.raises(ValueError, match=match):
                 skinning_head_vjp(*args)
         dist = np.array([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="table values must be"):
-            distance_embedding_vjp(dist, DistanceEmbeddingTable(np.zeros((2, 3, 2))),
-                                   np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="no leading axes"):
+            distance_embedding_vjp(dist, np.zeros((2, 3, 2)), np.ones((2, 2, 2)))
         with pytest.raises(ValueError, match="grad_bias shape"):
-            distance_embedding_vjp(dist, DistanceEmbeddingTable(np.zeros((3, 2))),
-                                   np.ones((2, 2, 3)))
+            distance_embedding_vjp(dist, np.zeros((3, 2)), np.ones((2, 2, 3)))
 
 
 class TestLeadingBatchAxes:
@@ -362,10 +383,10 @@ class TestLeadingBatchAxes:
         dist = graph_distance_matrix(random_tree(rng, 5))
         for m in self.STACKS:
             tables = rng.standard_normal((m, 3, 2))
-            biases = distance_embedding(dist, DistanceEmbeddingTable(tables))
+            biases = distance_embedding(dist, tables)
             assert biases.shape == (m, 5, 5, 2)
             for table, row in zip(tables, biases):
-                assert np.array_equal(row, distance_embedding(dist, DistanceEmbeddingTable(table)))
+                assert np.array_equal(row, distance_embedding(dist, table))
 
     def test_skinning_head_rows(self):
         rng = np.random.default_rng(16)
@@ -383,6 +404,32 @@ class TestLeadingBatchAxes:
                              [skinning_head(*row) for row in zip(ps, bs, alphas)])):
                 assert w.shape == (m, 7, 4)
                 assert np.array_equal(w, np.stack(rows))
+
+    def test_leading_axes_must_broadcast(self):
+        # Operands whose leading axes clash are named; others broadcast.
+        rng = np.random.default_rng(21)
+        q = rng.standard_normal((2, 2, 3, 4))
+        k, v = rng.standard_normal((2, 2, 3, 4))
+        for args, match in (
+            ((q, k, v, np.zeros((3, 3, 3, 2)), 0.5), r"q \(2,\), bias \(3,\)$"),
+            ((q, k, v, np.zeros((3, 3, 2)), np.ones(3)), r"q \(2,\), lam \(3,\)$"),
+            ((q, np.stack([k, k, k]), v, np.zeros((3, 3, 2)), 0.5), r"q \(2,\), k \(3,\)$"),
+        ):
+            with pytest.raises(ValueError, match="leading axes do not broadcast: " + match):
+                topology_aware_attention(*args)
+        with pytest.raises(ValueError, match=r"broadcast: q \(2,\), v \(3,\)$"):
+            reference_attention(q, k, rng.standard_normal((3, 2, 3, 4)))
+        out, _ = topology_aware_attention(q[:, None], k, v, np.zeros((3, 3, 3, 2)), 0.5)
+        assert out.shape == (2, 3, 2, 3, 4)
+        p = rng.standard_normal((2, 7, 5))
+        b = rng.standard_normal((3, 4, 5))
+        for args, match in (
+            ((p, b, 1.0), r"point features \(2,\), bone features \(3,\)$"),
+            ((p, b[0], np.ones(4)), r"point features \(2,\), alpha \(4,\)$"),
+        ):
+            with pytest.raises(ValueError, match="leading axes do not broadcast: " + match):
+                skinning_head(*args)
+        assert skinning_head(p[:, None], b, np.ones(3)).shape == (2, 3, 7, 4)
 
     def test_stack_validated_as_a_whole(self):
         rng = np.random.default_rng(17)
