@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +79,11 @@ class Skeleton:
     @property
     def bone_count(self) -> int:
         return int(np.sum(self.parents != ROOT_PARENT))
+
+    @cached_property
+    def _fk_schedule(self) -> _FkSchedule:
+        # Built on first use and kept: the arrays it derives from are read-only.
+        return _build_fk_schedule(self.joints, self.parents)
 
 
 @dataclass(frozen=True)
@@ -265,6 +272,45 @@ def _climb(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def joint_depths(parents: np.ndarray) -> np.ndarray:
     """Hops from the root for every joint; assumes parents form a tree."""
     return _climb(parents)[1][:-1]
+
+
+class _FkSchedule(NamedTuple):
+    """What forward kinematics needs of a skeleton's tree, all read-only.
+
+    The root motion is joint j, parent of the root.  ``levels`` lists the
+    joints below it by depth, root first, as (joints, their parents,
+    whether those parents are distinct); an index that runs contiguous
+    and ascending is a slice, so FK composes through views, otherwise an
+    int64 array.
+    """
+
+    centres: np.ndarray  # (j + 1, 3): rest joints, then the root's rest position
+    levels: tuple[tuple[slice | np.ndarray, slice | np.ndarray, bool], ...]
+
+
+def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
+    """``idx`` as a slice if it runs contiguous and ascending, else read-only."""
+    if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    idx.setflags(write=False)
+    return idx
+
+
+def _build_fk_schedule(joints: np.ndarray, parents: np.ndarray) -> _FkSchedule:
+    """Depth levels of the tree with the root motion added; assumes a tree."""
+    j = parents.shape[0]
+    root = int(np.flatnonzero(parents == ROOT_PARENT)[0])
+    centres = np.concatenate([joints, joints[root, None]])
+    centres.setflags(write=False)
+    depths = _climb(parents)[1][:-1]
+    parents = np.where(parents == ROOT_PARENT, j, parents)
+    levels = []
+    for d in range(int(depths.max()) + 1):
+        idx = np.flatnonzero(depths == d)
+        par = parents[idx]
+        distinct = len(set(par.tolist())) == par.size
+        levels.append((_as_slice(idx), _as_slice(par), distinct))
+    return _FkSchedule(centres, tuple(levels))
 
 
 def graph_distance_matrix(s: Skeleton) -> np.ndarray:

@@ -10,7 +10,13 @@ root's rest position, so FK and its VJP treat it like any other joint.
 Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`)
 over any number of frames; a single pose has no leading axes.  A clip is
 three arrays, (root_quats, root_trans, joint_quats) in that order, which
-every function here takes and `fk_backward` returns gradients for.  Skinning
+every function here takes and `fk_backward` returns gradients for.  Both
+follow the skeleton's FK schedule, built on first use and kept on the
+frozen `Skeleton`: the rotation centres and the tree's depth levels, each
+level's joints and parents indexed by slice where they run contiguous, so
+composing goes through views, and a flag for whether the parents are
+distinct, so `fk_backward` scatters with `+=` and needs `np.add.at` only
+where siblings share a parent.  Skinning
 is one formula: the points' blend basis (`_BlendBasis`), which every
 caller builds once for the points it poses, then blends any number of
 frames through.  `pose_clip` is the world-space posing path, one
@@ -31,7 +37,6 @@ import numpy as np
 
 from . import quat
 from .core import (
-    ROOT_PARENT,
     Mesh,
     NonFiniteError,
     Skeleton,
@@ -39,7 +44,6 @@ from .core import (
     _require_json_floats,
     bone_segments,
     canonical_json,
-    joint_depths,
     require_valid,
 )
 from .geometry import point_segment_distance
@@ -64,7 +68,7 @@ MAX_EULER_DEG = 60.0
 @dataclass
 class FkCache:
     centres: np.ndarray  # (j + 1, 3): rest joints, then the root's rest position
-    levels: list  # (joints, their parents) per depth, joint j alone first
+    levels: tuple  # the skeleton's schedule: (joints, parents, distinct) per depth
     quats: np.ndarray  # (..., j + 1, 4): joint quats, then the root quat
     locals_: np.ndarray  # (..., j + 1, 4, 4)
     transforms: np.ndarray  # (..., j + 1, 4, 4)
@@ -73,16 +77,6 @@ class FkCache:
     def globals_(self) -> np.ndarray:
         """The joints' global transforms (..., j, 4, 4), without joint j."""
         return self.transforms[..., :-1, :, :]
-
-
-def _depth_levels(parents: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Joints grouped by depth, root level first, each with its parents."""
-    depths = joint_depths(parents)
-    levels = []
-    for d in range(int(depths.max()) + 1):
-        idx = np.flatnonzero(depths == d)
-        levels.append((idx, parents[idx]))
-    return levels
 
 
 def _transpose(m: np.ndarray) -> np.ndarray:
@@ -99,15 +93,10 @@ def fk_forward(
     the root motion broadcasts over the joint quats' leading axes.
 
     Parent transforms are composed one depth level at a time, for all
-    frames together.
+    frames together, following the skeleton's schedule.
     """
-    rest, parents = s.joints, s.parents
-    j = parents.shape[0]
-    root = int(np.flatnonzero(parents == ROOT_PARENT)[0])
-    centres = np.concatenate([rest, rest[root, None]])
-    levels = _depth_levels(
-        np.append(np.where(parents == ROOT_PARENT, j, parents), ROOT_PARENT)
-    )
+    centres, levels = s._fk_schedule
+    j = s.joint_count
     joint_quats = np.asarray(joint_quats, dtype=np.float64)
     root_quats = np.broadcast_to(root_quats, joint_quats.shape[:-2] + (4,))
     quats = np.concatenate([joint_quats, root_quats[..., None, :]], axis=-2)
@@ -119,8 +108,9 @@ def fk_forward(
     locals_[..., j, :3, 3] += np.asarray(root_trans, dtype=np.float64)
     locals_[..., 3, 3] = 1.0
 
+    # Joint j's global is its local; the levels start at the root.
     transforms = locals_.copy()
-    for idx, par in levels[1:]:
+    for idx, par, _ in levels:
         transforms[..., idx, :, :] = (
             transforms[..., par, :, :] @ locals_[..., idx, :, :]
         )
@@ -143,11 +133,13 @@ def fk_backward(
     # Children before parents.  Once a level has passed its gradient up,
     # its slot turns from d global into d local (joint j's global is its
     # local already).
-    for idx, par in reversed(cache.levels[1:]):
+    for idx, par, distinct in reversed(cache.levels):
         d = d_mats[..., idx, :, :]
-        # add.at, not +=, because siblings share a parent
         d_parent = d @ _transpose(loc[..., idx, :, :])
-        np.add.at(d_mats, (..., par, slice(None), slice(None)), d_parent)
+        if distinct:
+            d_mats[..., par, :, :] += d_parent
+        else:  # siblings share a parent, which += would count once
+            np.add.at(d_mats, (..., par, slice(None), slice(None)), d_parent)
         d_mats[..., idx, :, :] = _transpose(g[..., par, :, :]) @ d
 
     # local = rotation about the joint's centre

@@ -308,7 +308,14 @@ def _check_ce(logits, targets, mask):
     if mask is None:
         mask = np.ones(length, dtype=bool)
     else:
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            # Refused unless every entry is 0 or 1; never cast by truthiness.
+            values = mask.astype(np.float64)
+            _require_finite("mask", values)
+            if np.any((values != 0.0) & (values != 1.0)):
+                raise ValueError("mask must hold only 0 and 1")
+            mask = values == 1.0
         if mask.shape != (length,):
             raise ValueError("mask must align with logits rows")
     if not mask.any():

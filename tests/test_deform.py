@@ -10,7 +10,7 @@ from rigkit import (
     sample_augmented_pose,
     save_animation,
 )
-from rigkit import quat
+from rigkit import core, quat
 from rigkit.deform import _BlendBasis, fk_backward, fk_forward, pose_clip
 from rigkit.gradcheck import central_difference, max_relative_error
 
@@ -172,6 +172,81 @@ class TestForwardKinematics:
         shift = np.array([0.3, -0.1, 0.7])
         moved = posed_joints(fk(s, identity_quats(9), shift).globals_, s.joints)
         assert np.allclose(moved, base + shift)
+
+
+def _schedule_trees() -> dict[str, Skeleton]:
+    rng = np.random.default_rng(40)
+    return {
+        "chain": random_chain(rng, 6),
+        # depth-sorted, so every level is contiguous, but siblings share a parent
+        "siblings": Skeleton(rng.uniform(-0.4, 0.4, (6, 3)), [-1, 0, 0, 0, 1, 1]),
+        # levels {2, 4} and {3, 7} are not contiguous; 2 and 4 share parent 1
+        "random": random_tree(np.random.default_rng(0), 9),
+    }
+
+
+class TestFkSchedule:
+    """The per-skeleton schedule FK composes through: built once, and the
+    same kinematics whether a level indexes by slice or by array."""
+
+    def test_built_once_per_skeleton(self, monkeypatch):
+        calls = []
+        climb = core._climb
+        monkeypatch.setattr(core, "_climb", lambda p: calls.append(p) or climb(p))
+        rng = np.random.default_rng(41)
+        s = random_tree(rng, 7)
+        basis = _BlendBasis(rng.standard_normal((5, 3)), random_simplex_weights(rng, 5, 7))
+        jq = rng.standard_normal((3, 7, 4))
+        probe = np.zeros((3, 7, 4, 4))
+        for _ in range(3):
+            fk_backward(fk_forward(s, quat.IDENTITY, np.zeros(3), jq), probe)
+            pose_clip(s, basis, quat.IDENTITY, np.zeros(3), jq)
+        assert len(calls) == 1
+
+    def test_levels_index_by_slice_where_contiguous(self):
+        trees = _schedule_trees()
+        chain = trees["chain"]._fk_schedule.levels
+        assert chain == tuple((slice(k, k + 1), slice(k - 1, k) if k else slice(6, 7), True)
+                              for k in range(6))
+        (root, first, second) = trees["siblings"]._fk_schedule.levels
+        assert root == (slice(0, 1), slice(6, 7), True)
+        assert first[:1] == (slice(1, 4),) and np.array_equal(first[1], [0, 0, 0])
+        assert second[:1] == (slice(4, 6),) and np.array_equal(second[1], [1, 1])
+        assert not first[2] and not second[2]
+        schedule = trees["random"]._fk_schedule
+        arrays = [lvl for lvl in schedule.levels if isinstance(lvl[0], np.ndarray)]
+        assert [lvl[2] for lvl in arrays] == [False, True]
+        for a in (schedule.centres, *(i for lvl in arrays for i in lvl[:2])):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("tree", ["chain", "siblings", "random"])
+    def test_stack_matches_frames_and_fd(self, tree):
+        s = _schedule_trees()[tree]
+        rng = np.random.default_rng(42)
+        frames, j = 5, s.joint_count
+        root_q = rng.standard_normal((frames, 4))
+        trans = rng.standard_normal((frames, 3))
+        jq = rng.standard_normal((frames, j, 4))
+        probe = np.zeros((frames, j, 4, 4))
+        probe[..., :3, :] = rng.standard_normal((frames, j, 3, 4))
+        cache = fk_forward(s, root_q, trans, jq)
+        grads = fk_backward(cache, probe)
+        for i in range(frames):
+            one = fk_forward(s, root_q[i], trans[i], jq[i])
+            assert np.array_equal(one.transforms, cache.transforms[i])
+            for g, g_one in zip(grads, fk_backward(one, probe[i])):
+                assert np.array_equal(g[i], g_one)
+
+        def scalar(rq_, t_, jq_):
+            return float(np.sum(fk_forward(s, rq_, t_, jq_).globals_ * probe))
+
+        fd = [
+            central_difference(lambda st: [scalar(a, trans, jq) for a in st], root_q),
+            central_difference(lambda st: [scalar(root_q, a, jq) for a in st], trans),
+            central_difference(lambda st: [scalar(root_q, trans, a) for a in st], jq),
+        ]
+        for analytic, numeric in zip(grads, fd):
+            assert max_relative_error(analytic, numeric) < 1e-6
 
 
 class TestLinearBlendSkinning:

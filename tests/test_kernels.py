@@ -256,6 +256,22 @@ class TestCrossEntropy:
                 f(logits, np.array([0.0, 1e300]))
             assert np.array_equal(f(logits, np.array([3.0, 1.0])), f(logits, np.array([3, 1])))
 
+    def test_mask_is_not_cast(self):
+        # A mask entry other than 0 or 1 is refused, never read as truthiness;
+        # 0/1 masks of any dtype select as their bools do.
+        logits = np.random.default_rng(21).standard_normal((3, VOCAB_SIZE))
+        targets = np.array([0, 1, 2])
+        for f in (next_token_cross_entropy, next_token_cross_entropy_grad):
+            for x in (np.nan, np.inf):
+                with pytest.raises(NonFiniteError, match="mask contains NaN or Inf"):
+                    f(logits, targets, np.array([0.5, x, 0.0]))
+            for bad in ([0.5, 1.0, 0.0], [2, 0, 0], [1, -1, 0]):
+                with pytest.raises(ValueError, match="mask must hold only 0 and 1"):
+                    f(logits, targets, np.array(bad))
+            want = f(logits, targets, np.array([True, True, False]))
+            for ok in ([1.0, 1.0, 0.0], [1, 1, 0], np.array([1, 1, 0], dtype=np.uint8)):
+                assert np.array_equal(f(logits, targets, np.asarray(ok)), want)
+
     def test_grad_matches_fd_smoke(self):
         from rigkit.gradcheck import _check_cross_entropy
 
