@@ -242,7 +242,7 @@ def _pose_in_camera(
     points coordinate-major, (..., 3, p).
     """
     cache = fk_forward(s, root_quats, root_trans, joint_quats)
-    cam = basis.apply(camera.rotation @ cache.globals_[..., :3, :])
+    cam = basis.apply(camera.rotation @ cache.globals_)
     cam += camera.translation[:, None]
     return cache, cam
 
@@ -480,9 +480,8 @@ class _Fit:
         u *= 2.0
         v *= 2.0
         d_cam = _pinhole_vjp(self.camera, x, y, safe_z, u, v)
-        dG = np.zeros(cache.globals_.shape)
-        dG[..., :3, :] = self.camera.rotation.T @ self.basis.vjp(*d_cam)
-        return values, dropped, fk_backward(cache, dG)
+        d_rows = self.camera.rotation.T @ self.basis.vjp(*d_cam)
+        return values, dropped, fk_backward(cache, d_rows)
 
 
 def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):

@@ -281,11 +281,13 @@ class _FkSchedule(NamedTuple):
     joints below it by depth, root first, as (joints, their parents,
     whether those parents are distinct); an index that runs contiguous
     and ascending is a slice, so FK composes through views, otherwise an
-    int64 array.
+    int64 array.  ``ancestors[b, k]`` holds when k is b or lies above it,
+    so column j is all True and ``ancestors[:j].T`` is the subtree matrix.
     """
 
     centres: np.ndarray  # (j + 1, 3): rest joints, then the root's rest position
     levels: tuple[tuple[slice | np.ndarray, slice | np.ndarray, bool], ...]
+    ancestors: np.ndarray  # (j + 1, j + 1) bool
 
 
 def _as_slice(idx: np.ndarray) -> slice | np.ndarray:
@@ -310,24 +312,24 @@ def _build_fk_schedule(joints: np.ndarray, parents: np.ndarray) -> _FkSchedule:
         par = parents[idx]
         distinct = len(set(par.tolist())) == par.size
         levels.append((_as_slice(idx), _as_slice(par), distinct))
-    return _FkSchedule(centres, tuple(levels))
+    ancestors = np.eye(j + 1, dtype=bool)
+    for idx, par, _ in levels:  # parents before children
+        ancestors[idx] |= ancestors[par]
+    ancestors.setflags(write=False)
+    return _FkSchedule(centres, tuple(levels), ancestors)
 
 
 def graph_distance_matrix(s: Skeleton) -> np.ndarray:
-    """Pairwise hop counts (bone counts) along the joint tree.
+    """Pairwise hop counts (bone counts) along the joint tree, int64.
 
-    With anc[a, c] = 1 when c is a or one of its ancestors, anc @ anc.T
-    counts the common ancestors of a and b, which is depth(lca(a, b)) + 1,
-    so d(a, b) = depth(a) + depth(b) - 2 * depth(lca(a, b)).
+    With anc[a, c] = 1 when c is a or one of its ancestors (the FK
+    schedule's table), a row sums to depth(a) + 1 and anc @ anc.T counts
+    the common ancestors of a and b, depth(lca(a, b)) + 1, so d(a, b) =
+    depth(a) + depth(b) - 2 * depth(lca(a, b)).
     """
     require_valid(s)
-    depths = joint_depths(s.parents)
-    anc = np.zeros((s.joint_count, s.joint_count), dtype=np.int64)
-    for k in np.argsort(depths, kind="stable"):  # parents before children
-        p = s.parents[k]
-        if p != ROOT_PARENT:
-            anc[k] = anc[p]
-        anc[k, k] = 1
+    anc = s._fk_schedule.ancestors[:-1, :-1].astype(np.int64)
+    depths = anc.sum(axis=1) - 1
     return depths[:, None] + depths[None, :] - 2 * (anc @ anc.T - 1)
 
 

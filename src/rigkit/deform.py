@@ -10,13 +10,15 @@ root's rest position, so FK and its VJP treat it like any other joint.
 Kinematics is one raw differentiable core (`fk_forward` / `fk_backward`)
 over any number of frames; a single pose has no leading axes.  A clip is
 three arrays, (root_quats, root_trans, joint_quats) in that order, which
-every function here takes and `fk_backward` returns gradients for.  Both
-follow the skeleton's FK schedule, built on first use and kept on the
-frozen `Skeleton`: the rotation centres and the tree's depth levels, each
-level's joints and parents indexed by slice where they run contiguous, so
-composing goes through views, and a flag for whether the parents are
-distinct, so `fk_backward` scatters with `+=` and needs `np.add.at` only
-where siblings share a parent.  Skinning
+every function here takes and `fk_backward` returns gradients for.  FK
+hands out the joints' global transforms as the (..., j, 3, 4) rows a
+blend takes (`FkCache.globals_`), and `fk_backward` takes its gradients
+in that shape.  Both follow the skeleton's FK schedule, built on first
+use and kept on the frozen `Skeleton`: the rotation centres and the
+tree's depth levels, each level's joints and parents indexed by slice
+where they run contiguous, so composing goes through views, and a flag
+for whether the parents are distinct, so `fk_backward` scatters with
+`+=` and needs `np.add.at` only where siblings share a parent.  Skinning
 is one formula: the points' blend basis (`_BlendBasis`), which every
 caller builds once for the points it poses, then blends any number of
 frames through.  `pose_clip` is the world-space posing path, one
@@ -58,7 +60,7 @@ MAX_EULER_DEG = 60.0
 #
 # Every function below takes any leading frame axes in front of the joint
 # axis: root_quats (..., 4), root_trans (..., 3), joint_quats (..., j, 4),
-# matrices (..., j, 4, 4), points (..., n, 3).  A single pose has none.
+# transform rows (..., j, 3, 4), points (..., n, 3).  A single pose has none.
 #
 # The root motion is joint j, a virtual parent of the root: like every
 # joint it rotates about a centre (the root's rest position), and its
@@ -75,8 +77,9 @@ class FkCache:
 
     @property
     def globals_(self) -> np.ndarray:
-        """The joints' global transforms (..., j, 4, 4), without joint j."""
-        return self.transforms[..., :-1, :, :]
+        """The joints' global transforms as the (..., j, 3, 4) rows a blend
+        takes, a view without joint j."""
+        return self.transforms[..., :-1, :3, :]
 
 
 def _transpose(m: np.ndarray) -> np.ndarray:
@@ -95,7 +98,7 @@ def fk_forward(
     Parent transforms are composed one depth level at a time, for all
     frames together, following the skeleton's schedule.
     """
-    centres, levels = s._fk_schedule
+    schedule = s._fk_schedule
     j = s.joint_count
     joint_quats = np.asarray(joint_quats, dtype=np.float64)
     root_quats = np.broadcast_to(root_quats, joint_quats.shape[:-2] + (4,))
@@ -104,32 +107,31 @@ def fk_forward(
     rots = quat.to_matrix(quats)  # (..., j + 1, 3, 3)
     locals_ = np.zeros(rots.shape[:-2] + (4, 4))
     locals_[..., :3, :3] = rots
-    locals_[..., :3, 3] = centres - (rots @ centres[:, :, None])[..., 0]
+    locals_[..., :3, 3] = schedule.centres - (rots @ schedule.centres[:, :, None])[..., 0]
     locals_[..., j, :3, 3] += np.asarray(root_trans, dtype=np.float64)
     locals_[..., 3, 3] = 1.0
 
     # Joint j's global is its local; the levels start at the root.
     transforms = locals_.copy()
-    for idx, par, _ in levels:
+    for idx, par, _ in schedule.levels:
         transforms[..., idx, :, :] = (
             transforms[..., par, :, :] @ locals_[..., idx, :, :]
         )
-    return FkCache(centres, levels, quats, locals_, transforms)
+    return FkCache(schedule.centres, schedule.levels, quats, locals_, transforms)
 
 
 def fk_backward(
-    cache: FkCache, grad_globals: np.ndarray
+    cache: FkCache, grad_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pull gradients on the global matrices back to the raw parameters.
+    """Pull gradients on the joints' global rows back to the raw parameters.
 
-    Returns (grad root_quats (..., 4), grad root_trans (..., 3),
-    grad joint_quats (..., j, 4)).  grad_globals (..., j, 4, 4) may have
-    non-zero entries only in the top three rows (the bottom row is
-    structural).
+    ``grad_rows`` (..., j, 3, 4) is shaped like ``cache.globals_``, as
+    :meth:`_BlendBasis.vjp` returns it.  Returns (grad root_quats (..., 4),
+    grad root_trans (..., 3), grad joint_quats (..., j, 4)).
     """
     g, loc = cache.transforms, cache.locals_
-    d_mats = np.zeros(loc.shape)
-    d_mats[..., :-1, :, :] = grad_globals
+    d_mats = np.zeros(loc.shape[:-2] + (3, 4))
+    d_mats[..., :-1, :, :] = grad_rows
     # Children before parents.  Once a level has passed its gradient up,
     # its slot turns from d global into d local (joint j's global is its
     # local already).
@@ -140,12 +142,12 @@ def fk_backward(
             d_mats[..., par, :, :] += d_parent
         else:  # siblings share a parent, which += would count once
             np.add.at(d_mats, (..., par, slice(None), slice(None)), d_parent)
-        d_mats[..., idx, :, :] = _transpose(g[..., par, :, :]) @ d
+        d_mats[..., idx, :, :] = _transpose(g[..., par, :3, :3]) @ d
 
     # local = rotation about the joint's centre
-    d_rots = d_mats[..., :3, :3] - d_mats[..., :3, 3, None] * cache.centres[:, None, :]
+    d_rots = d_mats[..., :3] - d_mats[..., 3, None] * cache.centres[:, None, :]
     grad_quats = quat.to_matrix_vjp(cache.quats, d_rots)
-    return grad_quats[..., -1, :], d_mats[..., -1, :3, 3].copy(), grad_quats[..., :-1, :]
+    return grad_quats[..., -1, :], d_mats[..., -1, :, 3].copy(), grad_quats[..., :-1, :]
 
 
 # A blend basis is zero-padded to a multiple of this many points, so that
@@ -211,7 +213,7 @@ def pose_clip(
     A minus those posed with B.
     """
     cache = fk_forward(s, root_quats, root_trans, joint_quats)
-    return cache, _transpose(basis.apply(cache.globals_[..., :3, :]))
+    return cache, _transpose(basis.apply(cache.globals_))
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +302,10 @@ def animation_to_dict(
     n = root_quats.shape[0]
     if root_trans.shape[0] != n or joint_quats.shape[0] != n:
         raise ValueError("frame counts must agree")
-    frames = []
-    for i in range(n):
-        frames.append(
-            {
-                "root_quat": root_quats[i].tolist(),
-                "root_trans": root_trans[i].tolist(),
-                "joint_quats": joint_quats[i].tolist(),
-            }
-        )
+    frames = [
+        {"root_quat": q, "root_trans": t, "joint_quats": jq}
+        for q, t, jq in zip(root_quats.tolist(), root_trans.tolist(), joint_quats.tolist())
+    ]
     return {"frames": frames}
 
 

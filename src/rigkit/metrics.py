@@ -160,8 +160,8 @@ def deformation_error(
     basis = _BlendBasis(mesh.vertices, pred.matrix - gt.matrix)
     _, moved = pose_clip(s, basis, quat.IDENTITY, np.zeros(3), joint_quats)
     total = 0.0
-    for d in moved:
-        total += float(np.mean(np.linalg.norm(d, axis=1)))
+    for mean in np.mean(np.linalg.norm(moved, axis=-1), axis=-1).tolist():
+        total += mean
     return total / config.pose_count
 
 

@@ -343,9 +343,9 @@ def path_product_fk(s: Skeleton, joint_quats: np.ndarray,
     return out
 
 
-def posed_joints(globals_: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """G_k applied to rest_k for every joint, over any leading frame axes."""
-    g = globals_[..., :3, :]
+def posed_joints(g: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The (..., j, 3, 4) rows G_k applied to rest_k for every joint, over
+    any leading frame axes."""
     x, y, z = rest[:, 0, None], rest[:, 1, None], rest[:, 2, None]
     return g[..., 0] * x + g[..., 1] * y + g[..., 2] * z + g[..., 3]
 

@@ -292,7 +292,7 @@ def test_08_fk_lbs_oracles_500_rigs():
         verts = rng.uniform(-1.0, 1.0, (8, 3))
         w = random_simplex_weights(rng, 8, j)
         cache, got = pose_clip(s, _BlendBasis(verts, w), quat.IDENTITY, trans, jq)
-        g = cache.globals_
+        g = cache.transforms[..., :-1, :, :]
         worst_fk = max(worst_fk, float(np.max(np.abs(g - want))))
         want_v = naive_lbs(verts, w, g)
         worst_lbs = max(worst_lbs, float(np.max(np.abs(got - want_v))))
@@ -303,7 +303,7 @@ def test_08_fk_lbs_oracles_500_rigs():
             s, _BlendBasis(verts, onehot), quat.IDENTITY, np.zeros(3),
             np.tile(quat.IDENTITY, (j, 1)),
         )
-        gi = cache.globals_
+        gi = cache.transforms[..., :-1, :, :]
         identity_exact = identity_exact and np.array_equal(gi, np.tile(np.eye(4), (j, 1, 1)))
         identity_exact = identity_exact and np.array_equal(rest, verts)
     ok = worst_fk <= 1e-9 and worst_lbs <= 1e-9 and identity_exact

@@ -341,6 +341,43 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_no_uncalled_private_helpers():
+    # Every private module-level function and class in the package is read
+    # somewhere in the package outside its own definition: a helper that
+    # nothing calls is dead code left behind by a rewrite.  A name read in
+    # a module is that module's own, or the one it imports from a sibling.
+    package = Path(rigkit.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    defined = {
+        (mod, node.name): node
+        for mod, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    read = set()
+    for mod, tree in trees.items():
+        names, modules = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        for node in tree.body:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    ref = names.get(n.id, (mod, n.id))
+                elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                        and n.value.id in modules:
+                    ref = (modules[n.value.id], n.attr)
+                else:
+                    continue
+                if defined.get(ref) is not node:
+                    read.add(ref)
+    assert sorted(f"{mod}.py {name}" for mod, name in defined.keys() - read) == []
+
+
 def test_no_unused_private_names():
     # A module-level _name (function, class or constant) that its own module
     # never reads is dead code left behind by a rewrite.

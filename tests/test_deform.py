@@ -5,6 +5,7 @@ import pytest
 
 from rigkit import (
     Skeleton,
+    graph_distance_matrix,
     heuristic_skin_weights,
     load_animation,
     sample_augmented_pose,
@@ -15,9 +16,11 @@ from rigkit.deform import _BlendBasis, fk_backward, fk_forward, pose_clip
 from rigkit.gradcheck import central_difference, max_relative_error
 
 from helpers import (
+    bfs_graph_distances,
     icosphere,
     naive_lbs,
     path_product_fk,
+    permute_joints,
     posed_joints,
     random_chain,
     random_simplex_weights,
@@ -86,7 +89,7 @@ class TestForwardKinematics:
         for _ in range(10):
             s = random_tree(rng, int(rng.integers(1, 25)))
             cache = fk(s, identity_quats(s.joint_count), np.zeros(3))
-            assert np.array_equal(cache.globals_, np.tile(np.eye(4), (s.joint_count, 1, 1)))
+            assert np.array_equal(cache.globals_, np.tile(np.eye(4)[:3], (s.joint_count, 1, 1)))
             assert np.array_equal(posed_joints(cache.globals_, s.joints), s.joints)
 
     def test_rotation_acts_about_rest_position(self):
@@ -108,7 +111,7 @@ class TestForwardKinematics:
             jq = random_unit_quats(rng, (s.joint_count,))
             trans = rng.standard_normal(3)
             want = path_product_fk(s, jq, None, trans)
-            assert np.allclose(fk(s, jq, trans).globals_, want, atol=1e-12)
+            assert np.allclose(fk(s, jq, trans).globals_, want[:, :3], atol=1e-12)
 
     def test_raw_core_with_root_motion_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -119,7 +122,7 @@ class TestForwardKinematics:
             trans = rng.standard_normal(3)
             cache = fk_forward(s, root_q, trans, jq)
             want = path_product_fk(s, jq, root_q, trans)
-            assert np.allclose(cache.globals_, want, atol=1e-12)
+            assert np.allclose(cache.globals_, want[:, :3], atol=1e-12)
 
     def test_raw_core_frame_batched_matches_oracles(self):
         # Several frames in one call, checked frame by frame against the
@@ -137,7 +140,7 @@ class TestForwardKinematics:
             cache, deformed = pose_clip(s, _BlendBasis(verts, w), root_q, trans, jq)
             for i in range(frames):
                 want = path_product_fk(s, jq[i], root_q[i], trans[i])
-                assert np.max(np.abs(cache.globals_[i] - want)) <= 1e-9
+                assert np.max(np.abs(cache.globals_[i] - want[:, :3])) <= 1e-9
                 assert np.max(np.abs(deformed[i] - naive_lbs(verts, w, want))) <= 1e-9
 
     def test_raw_core_frame_batched_backward_matches_fd(self):
@@ -149,8 +152,7 @@ class TestForwardKinematics:
             jq = rng.standard_normal((frames, 8, 4))
             root_q = rng.standard_normal((frames, 4))
             trans = rng.standard_normal((frames, 3))
-            probe = np.zeros((frames, 8, 4, 4))
-            probe[..., :3, :] = rng.standard_normal((frames, 8, 3, 4))
+            probe = rng.standard_normal((frames, 8, 3, 4))
 
             def scalar(rq_, t_, jq_):
                 cache = fk_forward(s, rq_, t_, jq_)
@@ -197,7 +199,7 @@ class TestFkSchedule:
         s = random_tree(rng, 7)
         basis = _BlendBasis(rng.standard_normal((5, 3)), random_simplex_weights(rng, 5, 7))
         jq = rng.standard_normal((3, 7, 4))
-        probe = np.zeros((3, 7, 4, 4))
+        probe = np.zeros((3, 7, 3, 4))
         for _ in range(3):
             fk_backward(fk_forward(s, quat.IDENTITY, np.zeros(3), jq), probe)
             pose_clip(s, basis, quat.IDENTITY, np.zeros(3), jq)
@@ -221,32 +223,57 @@ class TestFkSchedule:
 
     @pytest.mark.parametrize("tree", ["chain", "siblings", "random"])
     def test_stack_matches_frames_and_fd(self, tree):
+        # (..., j, 3, 4) probes on the rows: a stack's gradients are bitwise
+        # each frame's, and match central differences.
         s = _schedule_trees()[tree]
         rng = np.random.default_rng(42)
-        frames, j = 5, s.joint_count
-        root_q = rng.standard_normal((frames, 4))
-        trans = rng.standard_normal((frames, 3))
-        jq = rng.standard_normal((frames, j, 4))
-        probe = np.zeros((frames, j, 4, 4))
-        probe[..., :3, :] = rng.standard_normal((frames, j, 3, 4))
-        cache = fk_forward(s, root_q, trans, jq)
-        grads = fk_backward(cache, probe)
-        for i in range(frames):
-            one = fk_forward(s, root_q[i], trans[i], jq[i])
-            assert np.array_equal(one.transforms, cache.transforms[i])
-            for g, g_one in zip(grads, fk_backward(one, probe[i])):
-                assert np.array_equal(g[i], g_one)
+        j = s.joint_count
+        for lead in ((5,), (), (2, 3)):
+            root_q = rng.standard_normal(lead + (4,))
+            trans = rng.standard_normal(lead + (3,))
+            jq = rng.standard_normal(lead + (j, 4))
+            probe = rng.standard_normal(lead + (j, 3, 4))
+            cache = fk_forward(s, root_q, trans, jq)
+            grads = fk_backward(cache, probe)
+            for i in np.ndindex(lead):
+                one = fk_forward(s, root_q[i], trans[i], jq[i])
+                assert np.array_equal(one.transforms, cache.transforms[i])
+                for g, g_one in zip(grads, fk_backward(one, probe[i])):
+                    assert np.array_equal(g[i], g_one)
 
-        def scalar(rq_, t_, jq_):
-            return float(np.sum(fk_forward(s, rq_, t_, jq_).globals_ * probe))
+            def scalar(rq_, t_, jq_):
+                return float(np.sum(fk_forward(s, rq_, t_, jq_).globals_ * probe))
 
-        fd = [
-            central_difference(lambda st: [scalar(a, trans, jq) for a in st], root_q),
-            central_difference(lambda st: [scalar(root_q, a, jq) for a in st], trans),
-            central_difference(lambda st: [scalar(root_q, trans, a) for a in st], jq),
-        ]
-        for analytic, numeric in zip(grads, fd):
-            assert max_relative_error(analytic, numeric) < 1e-6
+            fd = [
+                central_difference(lambda st: [scalar(a, trans, jq) for a in st], root_q),
+                central_difference(lambda st: [scalar(root_q, a, jq) for a in st], trans),
+                central_difference(lambda st: [scalar(root_q, trans, a) for a in st], jq),
+            ]
+            for analytic, numeric in zip(grads, fd):
+                assert max_relative_error(analytic, numeric) < 1e-6
+
+    def test_ancestors_walk_the_parents(self):
+        # ancestors[b, k] holds when walking b's parents reaches k, and the
+        # root motion j lies above every joint.
+        rng = np.random.default_rng(43)
+        trees = [*_schedule_trees().values(), Skeleton(np.zeros((1, 3)), [-1])]
+        for _ in range(200):
+            s = random_tree(rng, int(rng.integers(1, 40)))
+            trees.append(permute_joints(s, rng.permutation(s.joint_count)))
+        for s in trees:
+            j = s.joint_count
+            anc = s._fk_schedule.ancestors
+            assert anc.dtype == bool and not anc.flags.writeable
+            assert anc[:, j].all()
+            want = np.eye(j + 1, dtype=bool)
+            want[:, j] = True
+            for b in range(j):
+                k = b
+                while k != -1:
+                    want[b, k] = True
+                    k = int(s.parents[k])
+            assert np.array_equal(anc, want)
+            assert np.array_equal(graph_distance_matrix(s), bfs_graph_distances(s))
 
 
 class TestLinearBlendSkinning:
@@ -257,9 +284,9 @@ class TestLinearBlendSkinning:
         return s, verts, w / w.sum(axis=1, keepdims=True)
 
     @staticmethod
-    def blend(verts, w, g):
-        """Points (..., v, 3) blended from (..., j, 4, 4) transforms."""
-        return np.swapaxes(_BlendBasis(verts, w).apply(g[..., :3, :]), -1, -2)
+    def blend(verts, w, rows):
+        """Points (..., v, 3) blended from (..., j, 3, 4) transform rows."""
+        return np.swapaxes(_BlendBasis(verts, w).apply(rows), -1, -2)
 
     def test_identity_is_exact(self):
         rng = np.random.default_rng(9)
@@ -277,7 +304,7 @@ class TestLinearBlendSkinning:
             cache, posed = pose_clip(
                 s, _BlendBasis(verts, w), quat.IDENTITY, rng.standard_normal(3), jq
             )
-            assert np.allclose(posed, naive_lbs(verts, w, cache.globals_), atol=1e-12)
+            assert np.allclose(posed, naive_lbs(verts, w, cache.transforms[:-1]), atol=1e-12)
 
     def test_one_hot_weights_are_rigid(self):
         rng = np.random.default_rng(11)
@@ -299,7 +326,7 @@ class TestLinearBlendSkinning:
         w /= w.sum(axis=1, keepdims=True)
         g = path_product_fk(
             random_tree(rng, 5), random_unit_quats(rng, (5,)), None, np.zeros(3)
-        )
+        )[:, :3]
         full = self.blend(verts, w, g)
         split = np.vstack([self.blend(verts[:11], w[:11], g), self.blend(verts[11:], w[11:], g)])
         assert np.array_equal(full, split)
@@ -357,14 +384,13 @@ class TestLinearBlendSkinning:
             g = fk(s, random_unit_quats(rng, lead + (4,)), np.zeros(3)).globals_
             probe = rng.standard_normal(lead + (9, 3))
             basis = _BlendBasis(verts, w)
-            top = g[..., :3, :]
 
             def sums(stack):
                 posed = np.swapaxes(basis.apply(stack), -1, -2)
                 return (posed * probe).reshape(len(stack), -1).sum(axis=1)
 
             d = basis.vjp(*np.moveaxis(probe, -1, 0))
-            numeric = central_difference(sums, top)
+            numeric = central_difference(sums, g)
             assert max_relative_error(d, numeric) < 1e-7
 
 

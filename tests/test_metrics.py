@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rigkit import (
+    Mesh,
     MetricConfig,
     Skeleton,
     SkinWeights,
@@ -13,10 +14,13 @@ from rigkit import (
     deformation_error,
     metrics_report,
     normalize_skeleton,
+    sample_augmented_pose,
     skinning_l1,
     skinning_precision_recall,
 )
+from rigkit import quat
 from rigkit.core import bone_segments
+from rigkit.deform import _BlendBasis, pose_clip
 
 from helpers import brute_chamfer_j2j, random_simplex_weights, random_tree, tube_mesh
 
@@ -214,6 +218,26 @@ class TestDeformationError:
         a = deformation_error(mesh, s, other, gt, seed=3)
         b = deformation_error(mesh, s, other, gt, seed=3)
         assert a == b
+
+    def test_equals_pose_by_pose_loop(self):
+        # All poses' mean displacements come from one batched norm and mean,
+        # bit for bit what posing and averaging one pose at a time gives.
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            j, v = int(rng.integers(2, 20)), int(rng.integers(1, 3000))
+            poses = int(rng.integers(1, 12))
+            s = random_tree(rng, j)
+            mesh = Mesh(rng.uniform(-0.5, 0.5, (v, 3)), np.zeros((0, 3), dtype=np.int64))
+            pred, gt = (SkinWeights(random_simplex_weights(rng, v, j)) for _ in range(2))
+            basis = _BlendBasis(mesh.vertices, pred.matrix - gt.matrix)
+            pose_rng = np.random.default_rng(5)
+            want = 0.0
+            for _ in range(poses):
+                jq = sample_augmented_pose(s, pose_rng)
+                _, moved = pose_clip(s, basis, quat.IDENTITY, np.zeros(3), jq)
+                want += float(np.mean(np.linalg.norm(moved, axis=1)))
+            config = MetricConfig(pose_count=poses)
+            assert deformation_error(mesh, s, pred, gt, seed=5, config=config) == want / poses
 
 
 class TestReport:
