@@ -53,6 +53,7 @@ from .deform import FkCache, _BlendBasis, fk_backward, fk_forward
 from .geometry import (
     Camera,
     _pinhole,
+    _require_int,
     crossing_counts,
     first_hit_distances,
     point_inside_mesh,
@@ -114,8 +115,7 @@ class AnimParams:
 
     @classmethod
     def identity(cls, frame_count: int, joint_count: int) -> "AnimParams":
-        if frame_count < 1:
-            raise ValueError("clips need at least one frame")
+        _require_int(frame_count, "frame_count", 1)
         m = frame_count - 1
         rq = np.zeros((m, 4))
         rq[:, 0] = 1.0
@@ -260,23 +260,24 @@ def _pinhole_vjp(
 
 
 def _render_tracks(
+    mesh: Mesh,
     s: Skeleton,
-    points: np.ndarray,
-    weight_rows: np.ndarray,
+    weights: SkinWeights,
+    subset: np.ndarray,
     camera: Camera,
     root_quats: np.ndarray,
     root_trans: np.ndarray,
     joint_quats: np.ndarray,
-) -> np.ndarray:
-    """Pixel tracks (..., p, 2) of points posed as a fit poses them; a point
-    behind the camera gets (0, 0)."""
-    _, cam = _pose_in_camera(
-        s, _BlendBasis(points, weight_rows), camera, root_quats, root_trans, joint_quats
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel tracks of a clip's tracked points posed as a fit poses them:
+    the joints' (..., j, 2), then the ``subset`` vertices' (..., v_s, 2).
+    A point behind the camera gets (0, 0)."""
+    basis = _BlendBasis(*_tracked_points(s, mesh, weights, subset))
+    _, cam = _pose_in_camera(s, basis, camera, root_quats, root_trans, joint_quats)
     u, v, valid, _ = _pinhole(camera, *np.moveaxis(cam, -2, 0))
     uv = np.stack([u, v], axis=-1)
     uv[~valid] = 0.0
-    return uv
+    return uv[..., : s.joint_count, :], uv[..., s.joint_count :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +386,19 @@ def synthesize_tracks(
         raise ValueError("params joint count does not match skeleton")
     if not noise_px >= 0:
         raise ValueError("noise_px must be non-negative")
-    if not vertex_count >= 1:
-        raise ValueError("vertex_count must be at least 1")
+    _require_int(vertex_count, "vertex_count", 1)
     jvis = joint_visibility(mesh, s, camera)
     vvis_all = vertex_visibility(mesh, camera)
     candidates = np.flatnonzero(vvis_all)
     if candidates.size == 0:
         raise ValueError("no visible vertices to track")
     rng = np.random.default_rng(seed)
-    count = min(int(vertex_count), candidates.size)
+    count = min(vertex_count, candidates.size)
     subset = np.sort(rng.choice(candidates, size=count, replace=False))
 
-    uv = _render_tracks(
-        s, *_tracked_points(s, mesh, weights, subset), camera, *params_to_animation(params)
+    joint_tracks, vertex_tracks = _render_tracks(
+        mesh, s, weights, subset, camera, *params_to_animation(params)
     )
-    joint_tracks, vertex_tracks = uv[:, : s.joint_count], uv[:, s.joint_count :]
     if noise_px > 0:
         joint_tracks[1:] += rng.normal(0.0, noise_px, joint_tracks[1:].shape)
         vertex_tracks[1:] += rng.normal(0.0, noise_px, vertex_tracks[1:].shape)
@@ -521,29 +520,29 @@ def _smoothness(
     """Squared geodesic angles between consecutive joint and root quaternions
     plus squared root-translation steps, frame 0 anchoring the first pair, of
     clips as :meth:`_Fit.evaluate` takes them: values (...) and, with
-    ``with_grad``, the gradients shaped like the inputs, else None."""
+    ``with_grad``, the gradients shaped like the inputs, else None.
+
+    The root motion is quaternion column j, as in ``fk_forward``, so one
+    pass gives every pair; the joints' sum comes first, then the root's."""
     rq, rt, jq = _with_rest_frame(root_quats, root_trans, joint_quats)
-    jt_sq, g_ja, g_jb = _geo_sq_pairs(jq[..., :-1, :, :], jq[..., 1:, :, :], with_grad)
-    rt_sq, g_ra, g_rb = _geo_sq_pairs(rq[..., :-1, :], rq[..., 1:, :], with_grad)
+    q = np.concatenate([jq, rq[..., None, :]], axis=-2)
+    sq, g_a, g_b = _geo_sq_pairs(q[..., :-1, :, :], q[..., 1:, :, :], with_grad)
     t_diff = rt[..., 1:, :] - rt[..., :-1, :]
     values = (
-        np.sum(jt_sq, axis=(-2, -1)) + np.sum(rt_sq, axis=-1)
+        np.sum(sq[..., :-1], axis=(-2, -1)) + np.sum(sq[..., -1], axis=-1)
         + np.sum(t_diff**2, axis=(-2, -1))
     )
     if not with_grad:
         return values, None
 
     # Pair i joins frames (i, i+1); the pinned frame 0's row is dropped.
-    g_jq = np.zeros_like(jq)
-    g_rq = np.zeros_like(rq)
+    g_q = np.zeros_like(q)
     g_rt = np.zeros_like(rt)
-    g_jq[..., 1:, :, :] += g_jb
-    g_jq[..., :-1, :, :] += g_ja
-    g_rq[..., 1:, :] += g_rb
-    g_rq[..., :-1, :] += g_ra
+    g_q[..., 1:, :, :] += g_b
+    g_q[..., :-1, :, :] += g_a
     g_rt[..., 1:, :] += 2.0 * t_diff
     g_rt[..., :-1, :] -= 2.0 * t_diff
-    return values, (g_rq[..., 1:, :], g_rt[..., 1:, :], g_jq[..., 1:, :, :])
+    return values, (g_q[..., 1:, -1, :], g_rt[..., 1:, :], g_q[..., 1:, :-1, :])
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +569,21 @@ class OptimizeConfig:
     lr_floor: float | None = None
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _require_int(self.iterations, "iterations", 1)
+        _require_int(self.plateau_window, "plateau_window", 1)
+        _require_int(self.divergence_warmup, "divergence_warmup", 0)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
         if not (np.isfinite(self.reg_weight) and self.reg_weight >= 0):
             raise ValueError("reg_weight must be finite and non-negative")
+        if not (np.isfinite(self.plateau_rtol) and self.plateau_rtol >= 0):
+            raise ValueError("plateau_rtol must be finite and non-negative")
+        if not (np.isfinite(self.divergence_factor) and self.divergence_factor > 1):
+            raise ValueError("divergence_factor must be finite and above 1")
+        if self.lr_floor is not None and not (
+            np.isfinite(self.lr_floor) and self.lr_floor >= 0
+        ):
+            raise ValueError("lr_floor must be None or finite and non-negative")
 
 
 @dataclass(frozen=True)

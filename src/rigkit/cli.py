@@ -214,9 +214,7 @@ def _cmd_skin_heuristic(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    results = gradcheck.run_all(
-        seed=args.seed, instances=args.instances, tolerance=args.tolerance
-    )
+    results = gradcheck.run_all(seed=args.seed, instances=args.instances)
     width = max(len(r.kernel) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient table")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=gradcheck.REL_TOL)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser(

@@ -48,7 +48,7 @@ from .core import (
     canonical_json,
     require_valid,
 )
-from .geometry import point_segment_distance
+from .geometry import _require_int, point_segment_distance
 
 ROTATE_PROBABILITY = 0.3
 MAX_EULER_DEG = 60.0
@@ -257,8 +257,7 @@ def heuristic_skin_weights(
         raise ValueError("heuristic weights need at least one bone")
     if np.ptp(s.joints, axis=0).max() == 0:
         raise ValueError("degenerate skeleton: all joints coincident")
-    if k_nearest < 1:
-        raise ValueError("k_nearest must be >= 1")
+    _require_int(k_nearest, "k_nearest", 1)
     if not falloff > 0:
         raise ValueError("falloff must be positive")
 

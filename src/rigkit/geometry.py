@@ -555,6 +555,18 @@ def point_inside_mesh(mesh: Mesh, point: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _require_int(value, what: str, minimum: int) -> None:
+    """Refuse a count that is not an integer of at least ``minimum``.
+
+    A float (2.7), a bool, a string or a list raises ValueError instead of
+    being cast; an integer below ``minimum`` raises InvalidValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer")
+    if value < minimum:
+        raise InvalidValueError(f"{what} must be at least {minimum}")
+
+
 @dataclass(frozen=True)
 class Camera:
     """Pinhole intrinsics plus a world-to-camera rigid transform.
@@ -577,10 +589,7 @@ class Camera:
         # integers; a float, string, bool or list is refused, not cast.
         for name in ("width", "height"):
             size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-                raise ValueError(f"camera {name} must be an integer")
-            if size < 1:
-                raise InvalidValueError(f"camera {name} must be at least 1")
+            _require_int(size, f"camera {name}", 1)
             object.__setattr__(self, name, int(size))
         r = _frozen(self.rotation, np.float64)
         t = _frozen(self.translation, np.float64)

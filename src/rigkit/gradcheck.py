@@ -3,7 +3,7 @@
 Each check builds a random instance, reduces the kernel output to a scalar
 through a fixed random weighting, and compares the analytic gradient of
 that scalar against central finite differences at double precision,
-Richardson-extrapolated where the plain difference misses the tolerance.
+Richardson-extrapolated where the plain difference misses ``REL_TOL``.
 The CLI exposes the same battery as ``rigkit grad-check``.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import animate, kernels
 from .codec import VOCAB_SIZE
 from .core import Mesh, Skeleton, SkinWeights, graph_distance_matrix
-from .geometry import Camera
+from .geometry import Camera, _require_int
 from .quat import normalize as quat_normalize
 
 FD_STEP = 1e-5
@@ -71,18 +71,18 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def fd_relative_error(analytic: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                      x: np.ndarray, tolerance: float = REL_TOL) -> float:
+                      x: np.ndarray) -> float:
     """Max relative error of an analytic gradient of f at x against FD.
 
     A central difference at step h is off by O(h^2) truncation error, which
-    on a steep instance can exceed the tolerance with a correct gradient.
-    Where the plain estimate misses the tolerance, a second pass at h/2
+    on a steep instance can exceed ``REL_TOL`` with a correct gradient.
+    Where the plain estimate misses ``REL_TOL``, a second pass at h/2
     gives the Richardson estimate (4 D(h/2) - D(h)) / 3, off by O(h^4), and
     its error is reported instead.  Passing instances pay nothing extra.
     """
     coarse = central_difference(f, x)
     err = max_relative_error(analytic, coarse)
-    if err < tolerance:
+    if err < REL_TOL:
         return err
     fine = central_difference(f, x, FD_STEP / 2.0)
     return max_relative_error(analytic, (4.0 * fine - coarse) / 3.0)
@@ -105,7 +105,7 @@ def _probe_sums(out: np.ndarray, probe: np.ndarray) -> np.ndarray:
     return (out * probe).reshape(-1, probe.size).sum(axis=1)
 
 
-def _check(f: Callable[..., np.ndarray], args, grads, tol: float) -> float:
+def _check(f: Callable[..., np.ndarray], args, grads) -> float:
     """One FD pass of ``f`` at ``args`` against its analytic ``grads``.
 
     The inputs and the gradients are each concatenated into one vector, so
@@ -120,11 +120,10 @@ def _check(f: Callable[..., np.ndarray], args, grads, tol: float) -> float:
         np.concatenate([np.ravel(g) for g in grads]),
         lambda stack: f(*[stack[:, lo:hi].reshape(shape) for lo, hi, shape in parts]),
         np.concatenate([a.ravel() for a in args]),
-        tol,
     )
 
 
-def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
+def _check_attention(rng: np.random.Generator) -> float:
     h, n, d = 2, 5, 4
     q = rng.standard_normal((h, n, d))
     k = rng.standard_normal((h, n, d))
@@ -147,10 +146,10 @@ def _check_attention(rng: np.random.Generator, tol: float = REL_TOL) -> float:
         q, k, v, bias, lam, probe
     )
     gtab = kernels.distance_embedding_vjp(dist, table, gbias)
-    return _check(sums, [q, k, v, table, lam], [gq, gk, gv, gtab, glam], tol)
+    return _check(sums, [q, k, v, table, lam], [gq, gk, gv, gtab, glam])
 
 
-def _check_skinning_head(rng: np.random.Generator, tol: float = REL_TOL) -> float:
+def _check_skinning_head(rng: np.random.Generator) -> float:
     n, j, d = 7, 4, 5
     p = rng.standard_normal((n, d))
     b = rng.standard_normal((j, d))
@@ -160,10 +159,10 @@ def _check_skinning_head(rng: np.random.Generator, tol: float = REL_TOL) -> floa
     def sums(p_, b_, a_):
         return _probe_sums(kernels.skinning_head(p_, b_, a_), probe)
 
-    return _check(sums, [p, b, alpha], kernels.skinning_head_vjp(p, b, alpha, probe), tol)
+    return _check(sums, [p, b, alpha], kernels.skinning_head_vjp(p, b, alpha, probe))
 
 
-def _check_cross_entropy(rng: np.random.Generator, tol: float = REL_TOL) -> float:
+def _check_cross_entropy(rng: np.random.Generator) -> float:
     length = 9
     logits = rng.standard_normal((length, VOCAB_SIZE))
     targets = rng.integers(0, VOCAB_SIZE, size=length)
@@ -172,9 +171,7 @@ def _check_cross_entropy(rng: np.random.Generator, tol: float = REL_TOL) -> floa
         mask[0] = True
 
     g = kernels.next_token_cross_entropy_grad(logits, targets, mask)
-    return _check(
-        lambda a: kernels.next_token_cross_entropy(a, targets, mask), [logits], [g], tol
-    )
+    return _check(lambda a: kernels.next_token_cross_entropy(a, targets, mask), [logits], [g])
 
 
 def _random_scene(rng: np.random.Generator):
@@ -211,7 +208,9 @@ def _random_scene(rng: np.random.Generator):
         root_trans=params.root_trans + 0.002 * rng.standard_normal((n - 1, 3)),
         joint_quats=quat_normalize(params.joint_quats + 0.01 * rng.standard_normal((n - 1, j, 4))),
     )
-    jt, vt = _render_uv(mesh, s, weights, truth, cam)
+    jt, vt = animate._render_tracks(
+        mesh, s, weights, np.arange(v), cam, *animate.params_to_animation(truth)
+    )
     jt = jt + 0.5 * rng.standard_normal(jt.shape)
     vt = vt + 0.5 * rng.standard_normal(vt.shape)
 
@@ -232,43 +231,35 @@ def _random_scene(rng: np.random.Generator):
     return mesh, s, weights, tracks, params
 
 
-def _render_uv(mesh, s, weights, params, camera):
-    points, rows = animate._tracked_points(s, mesh, weights, np.arange(mesh.vertex_count))
-    uv = animate._render_tracks(s, points, rows, camera, *animate.params_to_animation(params))
-    return uv[:, : s.joint_count], uv[:, s.joint_count :]
-
-
 def _near_identity_quats(rng: np.random.Generator, shape) -> np.ndarray:
     q = 0.3 * rng.standard_normal(tuple(shape) + (4,))
     q[..., 0] += 1.0
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def _check_clip(evaluate: Callable, params: animate.AnimParams, tol: float) -> float:
+def _check_clip(evaluate: Callable, params: animate.AnimParams) -> float:
     """FD check at ``params`` of a clip term called as ``_Fit.evaluate`` and
     ``_smoothness`` are, returning its values first and its gradients last."""
     clip = (params.root_quats, params.root_trans, params.joint_quats)
-    return _check(
-        lambda *stacks: evaluate(*stacks, False)[0], clip, evaluate(*clip, True)[-1], tol
-    )
+    return _check(lambda *stacks: evaluate(*stacks, False)[0], clip, evaluate(*clip, True)[-1])
 
 
-def _check_tracking_loss(rng: np.random.Generator, tol: float = REL_TOL) -> float:
+def _check_tracking_loss(rng: np.random.Generator) -> float:
     mesh, s, weights, tracks, params = _random_scene(rng)
-    return _check_clip(animate._Fit(mesh, s, weights, tracks).evaluate, params, tol)
+    return _check_clip(animate._Fit(mesh, s, weights, tracks).evaluate, params)
 
 
-def _check_smoothness(rng: np.random.Generator, tol: float = REL_TOL) -> float:
+def _check_smoothness(rng: np.random.Generator) -> float:
     j, n = 4, 5
     params = animate.AnimParams(
         root_quats=_near_identity_quats(rng, (n - 1,)),
         root_trans=0.2 * rng.standard_normal((n - 1, 3)),
         joint_quats=_near_identity_quats(rng, (n - 1, j)),
     )
-    return _check_clip(animate._smoothness, params, tol)
+    return _check_clip(animate._smoothness, params)
 
 
-_CHECKS: dict[str, Callable[[np.random.Generator, float], float]] = {
+_CHECKS: dict[str, Callable[[np.random.Generator], float]] = {
     "topology_aware_attention": _check_attention,
     "skinning_head": _check_skinning_head,
     "next_token_cross_entropy": _check_cross_entropy,
@@ -277,21 +268,14 @@ _CHECKS: dict[str, Callable[[np.random.Generator, float], float]] = {
 }
 
 
-def run_all(
-    seed: int = 0,
-    instances: int = 20,
-    tolerance: float = REL_TOL,
-) -> list[GradCheckResult]:
+def run_all(seed: int = 0, instances: int = 20) -> list[GradCheckResult]:
     """Run every gradient check ``instances`` times; worst error per kernel."""
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be finite and positive")
+    _require_int(instances, "instances", 1)
     results = []
     for name, check in _CHECKS.items():
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(instances):
-            worst = max(worst, check(rng, tolerance))
-        results.append(GradCheckResult(name, instances, worst, tolerance))
+            worst = max(worst, check(rng))
+        results.append(GradCheckResult(name, instances, worst, REL_TOL))
     return results

@@ -18,7 +18,7 @@ import numpy as np
 from . import quat
 from .core import Mesh, Skeleton, SkinWeights, bone_segments, require_valid
 from .deform import _BlendBasis, pose_clip, sample_augmented_pose
-from .geometry import point_segment_distance
+from .geometry import _require_int, point_segment_distance
 
 SIGNIFICANT_WEIGHT = 1e-4
 
@@ -30,10 +30,8 @@ class MetricConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.bone_samples < 2:
-            raise ValueError("bone_samples must be >= 2 (endpoints included)")
-        if self.pose_count < 1:
-            raise ValueError("pose_count must be >= 1")
+        _require_int(self.bone_samples, "bone_samples", 2)  # both endpoints
+        _require_int(self.pose_count, "pose_count", 1)
 
 
 def normalize_skeleton(s: Skeleton, box_points: np.ndarray | None = None) -> Skeleton:
@@ -52,11 +50,6 @@ def normalize_skeleton(s: Skeleton, box_points: np.ndarray | None = None) -> Ske
     return Skeleton((s.joints - center) * scale, s.parents, s.names)
 
 
-def _check_pair(a: Skeleton, b: Skeleton) -> None:
-    require_valid(a)
-    require_valid(b)
-
-
 def _directed_j2j(src: np.ndarray, dst: np.ndarray) -> float:
     d2 = np.sum((src[:, None, :] - dst[None, :, :]) ** 2, axis=2)
     return float(np.mean(np.sqrt(np.min(d2, axis=1))))
@@ -64,7 +57,8 @@ def _directed_j2j(src: np.ndarray, dst: np.ndarray) -> float:
 
 def chamfer_j2j(a: Skeleton, b: Skeleton) -> float:
     """Symmetric mean nearest-joint distance between two joint sets."""
-    _check_pair(a, b)
+    require_valid(a)
+    require_valid(b)
     fwd = _directed_j2j(a.joints, b.joints)
     back = _directed_j2j(b.joints, a.joints)
     return 0.5 * (fwd + back)
@@ -79,7 +73,8 @@ def _directed_j2b(joints: np.ndarray, other: Skeleton) -> float:
 def chamfer_j2b(a: Skeleton, b: Skeleton) -> float:
     """Joints of each skeleton against nearest bone segments of the other,
     exact point-to-segment distances, directions averaged."""
-    _check_pair(a, b)
+    require_valid(a)
+    require_valid(b)
     if a.bone_count == 0 or b.bone_count == 0:
         raise ValueError("chamfer_j2b requires at least one bone on each side")
     fwd = _directed_j2b(a.joints, b)
@@ -96,16 +91,13 @@ def _bone_samples(s: Skeleton, count: int) -> np.ndarray:
 
 def chamfer_b2b(a: Skeleton, b: Skeleton, config: MetricConfig = MetricConfig()) -> float:
     """Chamfer between dense bone samplings (endpoints included)."""
-    _check_pair(a, b)
+    require_valid(a)
+    require_valid(b)
     if a.bone_count == 0 or b.bone_count == 0:
         raise ValueError("chamfer_b2b requires at least one bone on each side")
     pa = _bone_samples(a, config.bone_samples)
     pb = _bone_samples(b, config.bone_samples)
     return 0.5 * (_directed_j2j(pa, pb) + _directed_j2j(pb, pa))
-
-
-def _significant(w: SkinWeights, threshold: float) -> np.ndarray:
-    return w.matrix > threshold
 
 
 def skinning_precision_recall(
@@ -120,8 +112,8 @@ def skinning_precision_recall(
     """
     if pred.matrix.shape != gt.matrix.shape:
         raise ValueError("weight shapes must match")
-    p = _significant(pred, threshold)
-    g = _significant(gt, threshold)
+    p = pred.matrix > threshold
+    g = gt.matrix > threshold
     inter = float(np.sum(p & g))
     n_pred = float(np.sum(p))
     n_gt = float(np.sum(g))

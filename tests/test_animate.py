@@ -92,8 +92,9 @@ class TestAnimParams:
         assert params.joint_count == 3
         assert np.all(params.root_quats[:, 0] == 1.0)
         assert np.all(params.root_trans == 0.0)
-        with pytest.raises(ValueError):
-            AnimParams.identity(0, 3)
+        for frames in (0, 2.5, True):
+            with pytest.raises(ValueError, match="frame_count"):
+                AnimParams.identity(frames, 3)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -452,12 +453,13 @@ class TestSynthesizeTracks:
         )
         cam = front_camera()
         tracks = synthesize_tracks(mesh, s, weights, params, cam, vertex_count=30)
-        points, rows = _tracked_points(s, mesh, weights, tracks.vertex_subset)
         rq, rt, jq = params_to_animation(params)
         for i in range(params.frame_count):
-            uv = _render_tracks(s, points, rows, cam, rq[i], rt[i], jq[i])
-            assert np.array_equal(tracks.joint_tracks[i], uv[: s.joint_count])
-            assert np.array_equal(tracks.vertex_tracks[i], uv[s.joint_count :])
+            joint_uv, vertex_uv = _render_tracks(
+                mesh, s, weights, tracks.vertex_subset, cam, rq[i], rt[i], jq[i]
+            )
+            assert np.array_equal(tracks.joint_tracks[i], joint_uv)
+            assert np.array_equal(tracks.vertex_tracks[i], vertex_uv)
 
     def test_rejections(self):
         mesh, s, weights = self._scene()
@@ -469,6 +471,13 @@ class TestSynthesizeTracks:
             synthesize_tracks(
                 mesh, s, weights, wiggle_params(3, 3), front_camera(), noise_px=-1.0
             )
+        # A count is refused, not cast: 2.7 would track 2 vertices, True 1.
+        for count in (0, 2.7, True, "3"):
+            with pytest.raises(ValueError, match="vertex_count"):
+                synthesize_tracks(
+                    mesh, s, weights, wiggle_params(3, 3), front_camera(),
+                    vertex_count=count,
+                )
 
 
 class TestTrackingLoss:
@@ -644,11 +653,21 @@ class TestSmoothness:
         assert np.all(g_rt == 0.0)
 
     def test_single_pair_value(self):
-        theta = 0.3
-        jq = np.array([[[np.cos(theta / 2), np.sin(theta / 2), 0.0, 0.0]]])
-        params = AnimParams(np.array([[1.0, 0, 0, 0]]), np.zeros((1, 3)), jq)
-        value, _ = _smoothness(*clip(params), False)
-        assert value == pytest.approx(theta**2, rel=1e-10)
+        # One pair on the root motion (phi) and one on joint 1 (theta), joint
+        # 0 at rest: the value sums both, and the root's pair gets the
+        # gradient the same pair gets on a joint, so a mis-sliced root column
+        # shows in the value or the gradients.
+        theta, phi = 0.3, 0.2
+        rq = np.array([[np.cos(phi / 2), 0.0, np.sin(phi / 2), 0.0]])
+        jq = np.array([[[1.0, 0, 0, 0], [np.cos(theta / 2), np.sin(theta / 2), 0.0, 0.0]]])
+        params = AnimParams(rq, np.zeros((1, 3)), jq)
+        value, (g_rq, _, g_jq) = _smoothness(*clip(params), True)
+        assert value == pytest.approx(theta**2 + phi**2, rel=1e-10)
+        on_joint = AnimParams(np.array([[1.0, 0, 0, 0]]), np.zeros((1, 3)), rq[:, None])
+        _, (_, _, g_on_joint) = _smoothness(*clip(on_joint), True)
+        assert np.array_equal(g_rq, g_on_joint[:, 0])
+        assert np.allclose(g_jq[:, 0], 0.0, atol=1e-12)
+        assert np.any(g_jq[:, 1] != 0.0)
 
     def test_translation_weight(self):
         params = AnimParams(
@@ -874,6 +893,19 @@ class TestOptimize:
             OptimizeConfig(iterations=0)
         for bad in ({"reg_weight": -0.1}, {"reg_weight": np.nan},
                     {"learning_rate": 0.0}, {"learning_rate": -1.0},
-                    {"learning_rate": np.nan}, {"learning_rate": np.inf}):
+                    {"learning_rate": np.nan}, {"learning_rate": np.inf},
+                    {"iterations": 2.5}, {"iterations": True},
+                    {"plateau_window": -1}, {"plateau_window": 0},
+                    {"plateau_window": 1.0}, {"plateau_window": True},
+                    {"divergence_warmup": -1}, {"divergence_warmup": 2.0},
+                    {"divergence_warmup": False},
+                    {"plateau_rtol": np.nan}, {"plateau_rtol": np.inf},
+                    {"plateau_rtol": -1e-6},
+                    {"divergence_factor": -1.0}, {"divergence_factor": 1.0},
+                    {"divergence_factor": np.nan}, {"divergence_factor": np.inf},
+                    {"lr_floor": -1.0}, {"lr_floor": np.nan}, {"lr_floor": np.inf}):
             with pytest.raises(ValueError):
                 OptimizeConfig(**bad)
+        # The edges of each rule are accepted.
+        OptimizeConfig(iterations=np.int64(1), plateau_window=1, divergence_warmup=0,
+                       plateau_rtol=0.0, divergence_factor=1.5, lr_floor=0.0)

@@ -490,8 +490,10 @@ class TestHeuristicWeights:
         with pytest.raises(ValueError):
             heuristic_skin_weights(sphere, coincident)
         s, mesh = self._chain_scene()
-        with pytest.raises(ValueError):
-            heuristic_skin_weights(mesh, s, k_nearest=0)
+        # A count is refused, not cast: 2.5 would blend 2 bones, True 1.
+        for k in (0, 2.5, True):
+            with pytest.raises(ValueError, match="k_nearest"):
+                heuristic_skin_weights(mesh, s, k_nearest=k)
         with pytest.raises(ValueError):
             heuristic_skin_weights(mesh, s, falloff=0.0)
 

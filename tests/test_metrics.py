@@ -288,3 +288,8 @@ class TestMetricConfig:
             MetricConfig(bone_samples=1)
         with pytest.raises(ValueError):
             MetricConfig(pose_count=0)
+        # Counts are refused, not cast or left to fail in numpy or range.
+        for bad in ({"pose_count": 1.5}, {"pose_count": True},
+                    {"bone_samples": 2.5}, {"bone_samples": "32"}):
+            with pytest.raises(ValueError):
+                MetricConfig(**bad)
