@@ -116,24 +116,22 @@ class AnimParams:
     @classmethod
     def identity(cls, frame_count: int, joint_count: int) -> "AnimParams":
         _require_int(frame_count, "frame_count", 1)
-        m = frame_count - 1
-        rq = np.zeros((m, 4))
-        rq[:, 0] = 1.0
-        jq = np.zeros((m, joint_count, 4))
-        jq[:, :, 0] = 1.0
-        return cls(rq, np.zeros((m, 3)), jq)
+        _require_int(joint_count, "joint_count", 1)
+        # frame_count - 1 clips without free frames, each given its frame 0.
+        empty = (np.zeros((frame_count - 1, 0) + s) for s in ((4,), (3,), (joint_count, 4)))
+        return cls(*(a[:, 0] for a in _with_rest_frame(*empty)))
 
 
 def _with_rest_frame(
     root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frames 1 .. n-1 with any leading axes, preceded by the identity frame 0."""
+    """Frames 1 .. n-1 with any leading axes, preceded by the identity frame 0;
+    the one place that writes that frame."""
     lead, (m, j) = joint_quats.shape[:-3], joint_quats.shape[-3:-1]
     rq = np.zeros(lead + (m + 1, 4))
-    rq[..., 0] = 1.0
     rt = np.zeros(lead + (m + 1, 3))
     jq = np.zeros(lead + (m + 1, j, 4))
-    jq[..., 0] = 1.0
+    rq[..., 0] = jq[..., 0] = 1.0
     rq[..., 1:, :] = root_quats
     rt[..., 1:, :] = root_trans
     jq[..., 1:, :, :] = joint_quats
@@ -149,18 +147,11 @@ def params_from_animation(
     root_quats: np.ndarray, root_trans: np.ndarray, joint_quats: np.ndarray
 ) -> AnimParams:
     """Build params from explicit frames; frame 0 must be the identity pose."""
-    rq = np.asarray(root_quats, dtype=np.float64)
-    rt = np.asarray(root_trans, dtype=np.float64)
-    jq = np.asarray(joint_quats, dtype=np.float64)
-    ident_q = np.zeros_like(jq[0])
-    ident_q[:, 0] = 1.0
-    if (
-        np.max(np.abs(rq[0] - quat.IDENTITY)) > 1e-6
-        or np.max(np.abs(rt[0])) > 1e-6
-        or np.max(np.abs(jq[0] - ident_q)) > 1e-6
-    ):
+    clip = [np.asarray(a, dtype=np.float64) for a in (root_quats, root_trans, joint_quats)]
+    rest = _with_rest_frame(*(a[:0] for a in clip))
+    if any(np.max(np.abs(a[0] - r[0])) > 1e-6 for a, r in zip(clip, rest)):
         raise ValueError("frame 0 must be the identity pose")
-    return AnimParams(rq[1:], rt[1:], jq[1:])
+    return AnimParams(*(a[1:] for a in clip))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,11 @@ def _load_camera(path: str | Path) -> Camera:
     return _load(path, loader, "camera")
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that the user gave, as keyword arguments."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _require_weights(rig: Rig, path: str):
     if rig.weights is None:
         raise ValueError(
@@ -125,20 +130,19 @@ def _cmd_tokenize(args) -> int:
     rig = _load(args.rig, load_rig, "rig")
     s = rig.skeleton
     order = _ORDERS[args.order](s)
+    shape = _given(args, "shape_tokens")
     if not 0.0 <= args.permute_prob <= 1.0:
         raise ValueError("--permute-prob must lie in [0, 1]")
     if args.scheme == "joint":
         t = codec.tokenize_joint_based(
-            s, order,
-            shape_tokens=args.shape_tokens,
-            require_causal=not args.allow_non_causal,
+            s, order, require_causal=not args.allow_non_causal, **shape
         )
         if args.permute_prob > 0.0:
             t = codec.randomize_groups(t, args.shuffle_seed, args.permute_prob)
     else:
         if args.permute_prob > 0.0:
             raise ValueError("group shuffling applies to the joint scheme only")
-        t = codec.tokenize_bone_based(s, order, shape_tokens=args.shape_tokens)
+        t = codec.tokenize_bone_based(s, order, **shape)
     codec.write_token_file(args.output, t)
     if args.text:
         sys.stdout.write(codec.format_token_text(t))
@@ -168,15 +172,10 @@ def _cmd_metrics(args) -> int:
     pred = _load(args.pred, load_rig, "rig")
     gt = _load(args.gt, load_rig, "rig")
     mesh = _load(args.mesh, load_obj, "OBJ") if args.mesh else None
-    config = MetricConfig(normalize=not args.no_normalize)
     report = metrics_report(
-        pred.skeleton,
-        gt.skeleton,
-        pred_weights=pred.weights,
-        gt_weights=gt.weights,
-        mesh=mesh,
-        seed=args.seed,
-        config=config,
+        pred.skeleton, gt.skeleton, pred_weights=pred.weights, gt_weights=gt.weights,
+        mesh=mesh, config=MetricConfig(normalize=not args.no_normalize),
+        **_given(args, "seed"),
     )
     sys.stdout.write(canonical_json(report))
     return EXIT_OK
@@ -207,14 +206,14 @@ def _cmd_skin_heuristic(args) -> int:
     rig = _load(args.rig, load_rig, "rig")
     mesh = _load(args.mesh, load_obj, "OBJ")
     weights = heuristic_skin_weights(
-        mesh, rig.skeleton, k_nearest=args.k_nearest, falloff=args.falloff
+        mesh, rig.skeleton, **_given(args, "k_nearest", "falloff")
     )
     save_rig(args.output, Rig(rig.skeleton, weights))
     return EXIT_OK
 
 
 def _cmd_grad_check(args) -> int:
-    results = gradcheck.run_all(seed=args.seed, instances=args.instances)
+    results = gradcheck.run_all(**_given(args, "seed", "instances"))
     width = max(len(r.kernel) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -233,14 +232,8 @@ def _cmd_synth_tracks(args) -> int:
     weights = _require_weights(rig, args.rig)
     params = animate.params_from_animation(*anim)
     tracks = animate.synthesize_tracks(
-        mesh,
-        rig.skeleton,
-        weights,
-        params,
-        camera,
-        noise_px=args.noise_px,
-        seed=args.seed,
-        vertex_count=args.vertex_count,
+        mesh, rig.skeleton, weights, params, camera,
+        **_given(args, "noise_px", "seed", "vertex_count"),
     )
     animate.save_tracks(args.output, tracks)
     sys.stdout.write(
@@ -263,9 +256,7 @@ def _cmd_animate(args) -> int:
     weights = _require_weights(rig, args.rig)
     s = rig.skeleton
     config = animate.OptimizeConfig(
-        learning_rate=args.learning_rate,
-        iterations=args.iterations,
-        reg_weight=args.reg_weight,
+        **_given(args, "learning_rate", "iterations", "reg_weight")
     )
     result = animate.optimize(mesh, s, weights, tracks, config)
     root_quats, root_trans, joint_quats = animate.params_to_animation(result.params)
@@ -304,6 +295,8 @@ def _cmd_anneal(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A flag that feeds a library parameter has no default of its own
+    # (argparse.SUPPRESS), so the library's default is the CLI's.
     parser = _Parser(prog="rigkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -316,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--scheme", choices=("joint", "bone"), default="joint")
     p.add_argument("--order", choices=("hier", "spatial"), default="hier")
-    p.add_argument("--shape-tokens", type=int, default=0)
+    p.add_argument("--shape-tokens", type=int, default=argparse.SUPPRESS)
     p.add_argument("--shuffle-seed", type=int, default=0)
     p.add_argument("--permute-prob", type=float, default=0.0)
     p.add_argument(
@@ -336,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("gt")
     p.add_argument("--mesh")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument(
         "--no-normalize",
         action="store_true",
@@ -358,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rig")
     p.add_argument("mesh")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--k-nearest", type=int, default=4)
-    p.add_argument("--falloff", type=float, default=0.1)
+    p.add_argument("--k-nearest", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--falloff", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_skin_heuristic)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--instances", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser(
@@ -375,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("animation")
     p.add_argument("--camera", required=True, help="camera JSON path")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--noise-px", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertex-count", type=int, default=100)
+    p.add_argument("--noise-px", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--vertex-count", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_synth_tracks)
 
     p = sub.add_parser("animate", help="fit an animation to 2-d tracks")
@@ -385,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh")
     p.add_argument("tracks")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--reg-weight", type=float, default=1e-3)
+    p.add_argument("--iterations", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--reg-weight", type=float, default=argparse.SUPPRESS)
     p.add_argument("--export-obj", help="directory for per-frame OBJ dumps")
     p.set_defaults(func=_cmd_animate)
 

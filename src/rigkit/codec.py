@@ -373,10 +373,12 @@ def permutation_probability(epoch: float, total_epochs: float) -> float:
     """Shuffle-probability schedule over a training run of ``total_epochs``.
 
     Constant 1 for the first half, linear decay to 0 across the third
-    quarter, constant 0 for the final quarter.
+    quarter, constant 0 for the final quarter.  Both arguments must be finite.
     """
     e = float(epoch)
     te = float(total_epochs)
+    if not (np.isfinite(e) and np.isfinite(te)):
+        raise NonFiniteError("epoch and total_epochs must be finite")
     if te <= 0:
         raise ValueError("total_epochs must be positive")
     if e < 0 or e > te:

@@ -88,7 +88,7 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangle mesh: vertex positions and vertex-index triples."""
+    """Triangle mesh: finite vertex positions and vertex-index triples."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -100,6 +100,8 @@ class Mesh:
             raise ValueError(f"vertices must be (v, 3), got {vertices.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError(f"triangles must be (f, 3), got {triangles.shape}")
+        if not np.all(np.isfinite(vertices)):
+            raise NonFiniteError("mesh vertices contain NaN or Inf")
         if triangles.size and (
             triangles.min() < 0 or triangles.max() >= vertices.shape[0]
         ):

@@ -14,19 +14,19 @@ every function here takes and `fk_backward` returns gradients for.  FK
 hands out the joints' global transforms as the (..., j, 3, 4) rows a
 blend takes (`FkCache.globals_`), and `fk_backward` takes its gradients
 in that shape.  Both follow the skeleton's FK schedule, built on first
-use and kept on the frozen `Skeleton`: the rotation centres and the
-tree's depth levels, each level's joints and parents indexed by slice
-where they run contiguous, so composing goes through views, and a flag
-for whether the parents are distinct, so `fk_backward` scatters with
-`+=` and needs `np.add.at` only where siblings share a parent.  Skinning
-is one formula: the points' blend basis (`_BlendBasis`), which every
-caller builds once for the points it poses, then blends any number of
-frames through.  `pose_clip` is the world-space posing path, one
-`fk_forward` and one blend.  The core treats quaternions as free
-4-vectors, normalizing them inside the computation so gradients stay
-exact under finite-difference probing, and checks nothing: its callers
-validate the skeleton, weights and animation they load before they pose
-anything.
+use, kept on the frozen `Skeleton` and carried by `FkCache.schedule`:
+the rotation centres and the tree's depth levels, each level's joints
+and parents indexed by slice where they run contiguous, so composing
+goes through views, and a flag for whether the parents are distinct, so
+`fk_backward` scatters with `+=` and needs `np.add.at` only where
+siblings share a parent.  Skinning is one formula: the points' blend
+basis (`_BlendBasis`), which every caller builds once for the points it
+poses, then blends any number of frames through.  `pose_clip` is the
+world-space posing path, one `fk_forward` and one blend.  The core
+treats quaternions as free 4-vectors, normalizing them inside the
+computation so gradients stay exact under finite-difference probing, and
+checks nothing: its callers validate the skeleton, weights and animation
+they load before they pose anything.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .core import (
     NonFiniteError,
     Skeleton,
     SkinWeights,
+    _FkSchedule,
     _require_json_floats,
     bone_segments,
     canonical_json,
@@ -69,8 +70,7 @@ MAX_EULER_DEG = 60.0
 
 @dataclass
 class FkCache:
-    centres: np.ndarray  # (j + 1, 3): rest joints, then the root's rest position
-    levels: tuple  # the skeleton's schedule: (joints, parents, distinct) per depth
+    schedule: _FkSchedule  # the skeleton's: centres, depth levels, ancestors
     quats: np.ndarray  # (..., j + 1, 4): joint quats, then the root quat
     locals_: np.ndarray  # (..., j + 1, 4, 4)
     transforms: np.ndarray  # (..., j + 1, 4, 4)
@@ -117,7 +117,7 @@ def fk_forward(
         transforms[..., idx, :, :] = (
             transforms[..., par, :, :] @ locals_[..., idx, :, :]
         )
-    return FkCache(schedule.centres, schedule.levels, quats, locals_, transforms)
+    return FkCache(schedule, quats, locals_, transforms)
 
 
 def fk_backward(
@@ -135,7 +135,7 @@ def fk_backward(
     # Children before parents.  Once a level has passed its gradient up,
     # its slot turns from d global into d local (joint j's global is its
     # local already).
-    for idx, par, distinct in reversed(cache.levels):
+    for idx, par, distinct in reversed(cache.schedule.levels):
         d = d_mats[..., idx, :, :]
         d_parent = d @ _transpose(loc[..., idx, :, :])
         if distinct:
@@ -145,7 +145,7 @@ def fk_backward(
         d_mats[..., idx, :, :] = _transpose(g[..., par, :3, :3]) @ d
 
     # local = rotation about the joint's centre
-    d_rots = d_mats[..., :3] - d_mats[..., 3, None] * cache.centres[:, None, :]
+    d_rots = d_mats[..., :3] - d_mats[..., 3, None] * cache.schedule.centres[:, None, :]
     grad_quats = quat.to_matrix_vjp(cache.quats, d_rots)
     return grad_quats[..., -1, :], d_mats[..., -1, :, 3].copy(), grad_quats[..., :-1, :]
 

@@ -99,7 +99,7 @@ def _first_bad(convert, tokens: list[str]) -> int:
             return i
 
 
-def parse_obj(text: str | bytes) -> Mesh:
+def parse_obj(text: str) -> Mesh:
     """Parse v/f records; polygons are fan-triangulated.
 
     Indices are 1-based; negative indices count back from the vertices
@@ -114,8 +114,6 @@ def parse_obj(text: str | bytes) -> Mesh:
     parse).  No vertices, or an index past the last vertex, is reported
     only when no line has an error.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     comments = "#" in text
     # Three tokens and the line number per v record; per f record its
     # first-field tokens, line number, token count and the number of
@@ -508,11 +506,13 @@ def crossing_counts(
     by t and a hit within RAY_MERGE_EPS of the previous one is dropped, so
     each run of nearly equal t counts as one crossing: a ray through an
     edge or vertex counts once whether or not the mesh is welded there.
-    ``t_max`` may be inf; misses never count.  ``RAY_T_EPS`` and
+    ``t_max`` may be inf but not NaN; misses never count.  ``RAY_T_EPS`` and
     ``RAY_MERGE_EPS`` are absolute in t, so scaling a direction up also
     drops hits within 1e-9 of the origin in t and merges crossings closer
     than 1e-9 in t (see the module docstring).
     """
+    if math.isnan(t_max):
+        raise NonFiniteError("t_max must not be NaN")
 
     def count(t):
         t.sort(axis=1)

@@ -95,6 +95,9 @@ class TestAnimParams:
         for frames in (0, 2.5, True):
             with pytest.raises(ValueError, match="frame_count"):
                 AnimParams.identity(frames, 3)
+        for joints in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="joint_count"):
+                AnimParams.identity(3, joints)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -478,6 +481,10 @@ class TestSynthesizeTracks:
                     mesh, s, weights, wiggle_params(3, 3), front_camera(),
                     vertex_count=count,
                 )
+        # Without triangles no vertex is seen, so there is nothing to track.
+        bare = Mesh(mesh.vertices, np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="no visible vertices"):
+            synthesize_tracks(bare, s, weights, wiggle_params(3, 3), front_camera())
 
 
 class TestTrackingLoss:

@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: exit codes, outputs, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from rigkit import Mesh, Rig, Skeleton, SkinWeights, load_rig, save_rig
-from rigkit.cli import main
+from rigkit.cli import build_parser, main
 from rigkit.deform import save_animation
 from rigkit.geometry import load_obj, write_obj
 from rigkit.gradcheck import run_all
@@ -82,6 +83,38 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
 
 
+# Flags that feed a library parameter with a default of its own.
+_LIBRARY_OWNED = {
+    "shape_tokens", "seed", "k_nearest", "falloff", "instances", "noise_px",
+    "vertex_count", "iterations", "learning_rate", "reg_weight",
+}
+
+
+def test_library_owns_flag_defaults():
+    # Each subcommand parsed with only its required arguments: a flag the
+    # user did not give is absent, so the library's default applies.
+    required = {
+        "validate": ["r"],
+        "tokenize": ["r", "-o", "t"],
+        "detokenize": ["t", "-o", "r"],
+        "metrics": ["a", "b"],
+        "deform": ["r", "m", "a", "-o", "o"],
+        "skin-heuristic": ["r", "m", "-o", "o"],
+        "grad-check": [],
+        "synth-tracks": ["r", "m", "a", "--camera", "c", "-o", "o"],
+        "animate": ["r", "m", "t", "-o", "o"],
+        "anneal": ["--epochs", "1"],
+    }
+    parser = build_parser()
+    (commands,) = [
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(required)
+    for command, argv in required.items():
+        given = vars(parser.parse_args([command, *argv]))
+        assert not _LIBRARY_OWNED & set(given), command
+
+
 class TestValidate:
     def test_ok_rig(self, scene, capsys):
         _, rig_path, *_ = scene
@@ -110,6 +143,13 @@ class TestValidate:
     def test_garbage_json(self, tmp_path, capsys):
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
+        assert main(["validate", str(p)]) == 2
+        # Weight columns that do not match the joints do not parse either.
+        p.write_text(json.dumps({
+            "joints": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
+            "parents": [-1, 0],
+            "weights": [[0.5, 0.25, 0.25]],
+        }))
         assert main(["validate", str(p)]) == 2
 
     def test_directory_input(self, tmp_path, capsys):
@@ -330,13 +370,32 @@ class TestSkinAndDeform:
         tmp_path, rig_path, mesh_path, anim_path, _ = scene
         skinned = tmp_path / "skinned.json"
         main(["skin-heuristic", str(rig_path), str(mesh_path), "-o", str(skinned)])
-        data = json.loads(anim_path.read_text())
-        data["frames"][2]["joint_quats"][1][0] = float("nan")
-        anim_path.write_text(json.dumps(data))
-        posed = tmp_path / "x.obj"
-        assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
-                     "-o", str(posed), "--frame", "2"]) == 3
-        assert not posed.exists()
+        original = json.loads(anim_path.read_text())
+
+        def nan(frames):
+            frames[2]["joint_quats"][1][0] = float("nan")
+
+        def zero(frames):
+            frames[2]["joint_quats"][1] = [0.0, 0.0, 0.0, 0.0]
+
+        def two_joints(frames):
+            for f in frames:
+                f["joint_quats"].pop()
+
+        def three_wide(frames):
+            for f in frames:
+                f["joint_quats"] = [q[:3] for q in f["joint_quats"]]
+
+        # A NaN, a zero quaternion or a clip for another skeleton parses but
+        # is invalid (3); quaternions that are not (j, 4) do not parse (2).
+        for edit, code in ((nan, 3), (zero, 3), (two_joints, 3), (three_wide, 2)):
+            data = json.loads(json.dumps(original))
+            edit(data["frames"])
+            anim_path.write_text(json.dumps(data))
+            posed = tmp_path / "x.obj"
+            assert main(["deform", str(skinned), str(mesh_path), str(anim_path),
+                         "-o", str(posed), "--frame", "2"]) == code, edit.__name__
+            assert not posed.exists()
 
     def test_deform_nan_weight_rejected(self, scene, capsys):
         tmp_path, rig_path, mesh_path, anim_path, _ = scene

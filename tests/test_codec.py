@@ -477,6 +477,10 @@ class TestSchedule:
             permutation_probability(101, 100)
         with pytest.raises(ValueError):
             permutation_probability(0, 0)
+        # NaN compared false everywhere (0.0), and an infinite run never ended (1.0).
+        for epoch, total in ((np.nan, 10), (5, np.nan), (5, np.inf)):
+            with pytest.raises(NonFiniteError):
+                permutation_probability(epoch, total)
 
 
 class TestTokenFiles:

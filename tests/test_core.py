@@ -148,6 +148,10 @@ class TestMesh:
             Mesh(np.zeros((3, 3)), np.array([[0, 1, 3]]))
         with pytest.raises(ValueError):
             Mesh(np.zeros((3, 3)), np.array([[0, 1, -1]]))
+        # A NaN vertex would drop its triangles from every ray query.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError):
+                Mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, bad]]), np.array([[0, 1, 2]]))
 
     def test_copies_caller_arrays(self):
         v = np.zeros((3, 3))

@@ -466,6 +466,9 @@ class TestFirstHit:
                 dirs = np.concatenate([np.ones((20, 3)), [bad]])
                 with pytest.raises(NonFiniteError):
                     query(m, np.array([origin, 0.0, 3.0]), dirs)
+        # A NaN limit would count no crossing at all; inf is allowed.
+        with pytest.raises(NonFiniteError):
+            crossing_counts(m, np.array([0.0, 0.0, 3.0]), -np.ones((1, 3)), np.nan)
 
 
 def _all_pairs(m, origin, dirs):

@@ -92,6 +92,8 @@ class TestChamferJ2B:
         chain = Skeleton(np.array([[0.0, 0, 0], [1.0, 0, 0]]), np.array([-1, 0]))
         with pytest.raises(ValueError):
             chamfer_j2b(point, chain)
+        with pytest.raises(ValueError):
+            chamfer_b2b(point, chain)
 
 
 class TestChamferB2B:
@@ -174,6 +176,8 @@ class TestPrecisionRecall:
             skinning_precision_recall(
                 SkinWeights(np.ones((2, 1))), SkinWeights(np.ones((3, 1)))
             )
+        with pytest.raises(ValueError):
+            skinning_l1(SkinWeights(np.ones((2, 1))), SkinWeights(np.ones((3, 1))))
 
 
 class TestSkinningL1:
