@@ -148,6 +148,8 @@ def params_from_animation(
 ) -> AnimParams:
     """Build params from explicit frames; frame 0 must be the identity pose."""
     clip = [np.asarray(a, dtype=np.float64) for a in (root_quats, root_trans, joint_quats)]
+    if not all(np.all(np.isfinite(a[0])) for a in clip):
+        raise NonFiniteError("animation parameters contain NaN or Inf")
     rest = _with_rest_frame(*(a[:0] for a in clip))
     if any(np.max(np.abs(a[0] - r[0])) > 1e-6 for a, r in zip(clip, rest)):
         raise ValueError("frame 0 must be the identity pose")

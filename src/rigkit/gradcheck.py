@@ -25,14 +25,13 @@ REL_TOL = 1e-4
 # Magnitude below which an error counts as absolute rather than relative.
 REL_FLOOR = 1e-6
 # Floats in one stack of perturbed inputs handed to the function under test,
-# large enough to amortize its per-call cost.  Measured on the cross-entropy
-# check (20 instances of 9 x 203 logits, 2-vCPU Xeon, glibc malloc): a stack
-# of 1 << 15 floats and its temporaries lie above the default 128 KB mmap
-# threshold, so in a cold process every call faults its pages in again
-# (374k minor faults per 20 instances, against 2 at 1 << 14).  Once the
-# process has freed larger blocks, malloc serves them from the heap, and
-# 1 << 15 is the faster budget (gradcheck bench task_s 1.35-1.54 s against
-# 1.64-1.86 s at 1 << 14, seeds 1-5).
+# large enough to amortize its per-call cost: 8 pairs, 16-row stacks, on the
+# cross-entropy check's 9 x 203 logits.  Measured on a 2-vCPU Xeon (glibc
+# malloc, RIGKIT_THREADS=1): with one stack buffer per pass and one
+# stack-sized temporary per kernel call, a cold `rigkit grad-check` takes
+# 13.5k-20k minor faults and about 1.1-1.5 s.  A fresh 234 KB stack per
+# chunk and a second temporary per call crossed glibc's mmap and trim
+# thresholds on every call, about 390k faults and 2.5-3.1 s.
 FD_CHUNK_FLOATS = 1 << 15
 
 
@@ -41,25 +40,35 @@ def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     """Two-sided finite differences of a scalar function of ``x``.
 
     ``f`` maps a stack (m, *x.shape) to its m values.  Each element's +step
-    and -step copies of ``x`` are rows of one stack, built and evaluated in
-    chunks of at most ``FD_CHUNK_FLOATS`` floats (one pair of rows where
-    that is larger); ``x`` itself is never written.  Where ``f`` evaluates
-    each row as it would evaluate that row alone, the result is bitwise the
-    element-by-element loop's.
+    and -step copies of ``x`` are rows of one stack, evaluated in chunks of
+    at most ``FD_CHUNK_FLOATS`` floats (one pair of rows where that is
+    larger).  One buffer of copies of ``x`` serves the whole pass: each chunk
+    writes its perturbations, hands ``f`` a read-only view of its leading
+    rows and restores them, so an ``f`` that writes its input raises; ``x``
+    itself is never written.  Where ``f`` evaluates each row as it would
+    evaluate that row alone, the result is bitwise the element-by-element
+    loop's.
     """
     x = np.asarray(x, dtype=np.float64)
     xf = x.ravel()
     grad = np.empty(xf.size)
-    pairs = max(1, FD_CHUNK_FLOATS // max(2 * xf.size, 1))
+    pairs = max(1, min(xf.size, FD_CHUNK_FLOATS // max(2 * xf.size, 1)))
+    buf = np.empty((2 * pairs, xf.size))
+    buf[...] = xf
+    frozen = buf.view()
+    frozen.flags.writeable = False
     for lo in range(0, xf.size, pairs):
         idx = np.arange(lo, min(lo + pairs, xf.size))
         rows = np.arange(idx.size)
-        stack = np.empty((2, idx.size, xf.size))
-        stack[...] = xf
+        # Every row of buf is x between chunks, so the leading 2 * idx.size
+        # rows are this chunk's stack whatever its size.
+        stack = buf[: 2 * idx.size].reshape(2, idx.size, xf.size)
         stack[0, rows, idx] = xf[idx] + step
         stack[1, rows, idx] = xf[idx] - step
-        values = np.asarray(f(stack.reshape((-1,) + x.shape)), dtype=np.float64)
+        values = np.asarray(f(frozen[: 2 * idx.size].reshape((-1,) + x.shape)),
+                            dtype=np.float64)
         grad[idx] = (values[: idx.size] - values[idx.size :]) / (2.0 * step)
+        stack[:, rows, idx] = xf[idx]
     return grad.reshape(x.shape)
 
 
@@ -170,8 +179,9 @@ def _check_cross_entropy(rng: np.random.Generator) -> float:
     if not mask.any():
         mask[0] = True
 
+    # The public gradient validates the instance once; its FD stacks go to the core.
     g = kernels.next_token_cross_entropy_grad(logits, targets, mask)
-    return _check(lambda a: kernels.next_token_cross_entropy(a, targets, mask), [logits], [g])
+    return _check(lambda a: kernels._ce_core(a, targets, mask), [logits], [g])
 
 
 def _random_scene(rng: np.random.Generator):

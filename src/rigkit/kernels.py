@@ -32,7 +32,9 @@ blocks is out of scope.
 
 Every kernel has a companion ``*_vjp`` / ``*_grad`` routine returning
 exact gradients; the test-suite checks them against central finite
-differences at double precision.
+differences at double precision.  The cross-entropy check validates its
+instance once, through ``next_token_cross_entropy_grad``, and then
+differentiates the unchecked ``_ce_core`` over stacks of that instance.
 """
 
 from __future__ import annotations
@@ -323,6 +325,17 @@ def _check_ce(logits, targets, mask):
     return logits, targets, mask
 
 
+def _ce_core(logits, targets, mask):
+    """Per-row losses of checked operands: int64 targets and a bool mask."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    picked = shifted[..., np.arange(targets.size), targets]
+    # The target logits are gathered first, so exp can overwrite its input
+    # and a call holds one stack-sized temporary.
+    lse = np.log(np.sum(np.exp(shifted, out=shifted), axis=-1))
+    # Contiguous rows, so each mean sums in the order of the 1-d case.
+    return np.mean(np.ascontiguousarray((lse - picked)[..., mask]), axis=-1)
+
+
 def next_token_cross_entropy(
     logits: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None
 ) -> float | np.ndarray:
@@ -332,12 +345,7 @@ def next_token_cross_entropy(
     overflow.  Uniform logits give log(vocab) = log(203) ~ 5.313.  A
     (length, vocab) input gives a float; leading axes give an array of them.
     """
-    logits, targets, mask = _check_ce(logits, targets, mask)
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=-1))
-    nll = lse - shifted[..., np.arange(targets.size), targets]
-    # Contiguous rows, so each mean sums in the order of the 1-d case.
-    loss = np.mean(np.ascontiguousarray(nll[..., mask]), axis=-1)
+    loss = _ce_core(*_check_ce(logits, targets, mask))
     return float(loss) if loss.ndim == 0 else loss
 
 

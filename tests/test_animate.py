@@ -152,6 +152,14 @@ class TestParamsAnimation:
         rt[0] = [0.1, 0.0, 0.0]
         with pytest.raises(ValueError):
             params_from_animation(rq, rt, jq)
+        # A non-finite frame 0 is refused as a non-finite later frame is,
+        # not compared against the identity and dropped.
+        for frame in (0, 2):
+            for x in (np.nan, np.inf):
+                bad = [a.copy() for a in params_to_animation(wiggle_params(4, 2))]
+                bad[0][frame, 1] = x
+                with pytest.raises(NonFiniteError, match="contain NaN or Inf"):
+                    params_from_animation(*bad)
 
 
 class TestJointVisibility:

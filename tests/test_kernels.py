@@ -278,6 +278,24 @@ class TestCrossEntropy:
 
         assert _check_cross_entropy(np.random.default_rng(12)) < 1e-4
 
+    def test_leaves_read_only_logits_untouched(self):
+        rng = np.random.default_rng(22)
+        logits = rng.standard_normal((4, 3, VOCAB_SIZE))
+        before = logits.copy()
+        logits.setflags(write=False)
+        targets = rng.integers(0, VOCAB_SIZE, 3)
+        loss = next_token_cross_entropy(logits, targets, np.array([True, False, True]))
+        assert loss.shape == (4,) and np.all(np.isfinite(loss))
+        assert np.array_equal(logits, before)
+
+    def test_check_catches_a_wrong_gradient(self, monkeypatch):
+        # The check differentiates the loss's core, so it must still see a
+        # public gradient that is off by 0.1 %.
+        grad = gradcheck.kernels.next_token_cross_entropy_grad
+        monkeypatch.setattr(gradcheck.kernels, "next_token_cross_entropy_grad",
+                            lambda *args: 1.001 * grad(*args))
+        assert gradcheck._check_cross_entropy(np.random.default_rng(12)) >= gradcheck.REL_TOL
+
 
 class TestAttentionVjpInternals:
     def test_grad_bias_zero_when_lambda_zero(self):
@@ -559,6 +577,19 @@ class TestCentralDifference:
             calls.clear()
             check(np.random.default_rng(0))
             assert (name, len(calls)) == (name, 1)
+
+    def test_f_cannot_write_its_input(self, monkeypatch):
+        # The stack buffer is reused across chunks, so a write would leak
+        # into later chunks; f gets a read-only view and the write raises.
+        def scribble(stack):
+            stack[..., 0] = 0.0
+            return stack.sum(axis=(1, 2))
+
+        x = np.arange(40.0).reshape(5, 8)
+        for budget in (1, 2 * x.size, gradcheck.FD_CHUNK_FLOATS):
+            monkeypatch.setattr(gradcheck, "FD_CHUNK_FLOATS", budget)
+            with pytest.raises(ValueError, match="read-only"):
+                gradcheck.central_difference(scribble, x)
 
     def test_chunks_bounded_by_budget(self):
         sizes = []
