@@ -25,14 +25,15 @@ REL_TOL = 1e-4
 # Magnitude below which an error counts as absolute rather than relative.
 REL_FLOOR = 1e-6
 # Floats in one stack of perturbed inputs handed to the function under test,
-# large enough to amortize its per-call cost: 8 pairs, 16-row stacks, on the
-# cross-entropy check's 9 x 203 logits.  Measured on a 2-vCPU Xeon (glibc
-# malloc, RIGKIT_THREADS=1): with one stack buffer per pass and one
-# stack-sized temporary per kernel call, a cold `rigkit grad-check` takes
-# 13.5k-20k minor faults and about 1.1-1.5 s.  A fresh 234 KB stack per
-# chunk and a second temporary per call crossed glibc's mmap and trim
-# thresholds on every call, about 390k faults and 2.5-3.1 s.
-FD_CHUNK_FLOATS = 1 << 15
+# large enough to amortize its per-call cost: 35 pairs, 70-row stacks, on the
+# cross-entropy check's 9 x 203 logits, so 53 calls per instance; every other
+# check's whole pass fits in one stack.  Measured on a 2-vCPU Xeon (glibc
+# malloc, RIGKIT_THREADS=1): the stack buffer and the kernel's one
+# stack-sized temporary (about 1.0 and 0.7 MB) are freed mmapped chunks, which
+# raise glibc's mmap threshold above the tracking check's blend temporaries,
+# so those stop being mapped afresh on every call (5,600-5,900 minor faults
+# per warm 20 instances at 1 << 15, none here).
+FD_CHUNK_FLOATS = 1 << 17
 
 
 def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -284,8 +285,7 @@ def run_all(seed: int = 0, instances: int = 20) -> list[GradCheckResult]:
     results = []
     for name, check in _CHECKS.items():
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(instances):
-            worst = max(worst, check(rng))
+        # np.max keeps a NaN error, where max() would drop it.
+        worst = float(np.max([check(rng) for _ in range(instances)]))
         results.append(GradCheckResult(name, instances, worst, REL_TOL))
     return results

@@ -35,6 +35,8 @@ exact gradients; the test-suite checks them against central finite
 differences at double precision.  The cross-entropy check validates its
 instance once, through ``next_token_cross_entropy_grad``, and then
 differentiates the unchecked ``_ce_core`` over stacks of that instance.
+The core reads only the rows the mask keeps: it gathers them before any
+arithmetic, so masked-out rows cost nothing and their values never matter.
 """
 
 from __future__ import annotations
@@ -327,13 +329,16 @@ def _check_ce(logits, targets, mask):
 
 def _ce_core(logits, targets, mask):
     """Per-row losses of checked operands: int64 targets and a bool mask."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    picked = shifted[..., np.arange(targets.size), targets]
-    # The target logits are gathered first, so exp can overwrite its input
-    # and a call holds one stack-sized temporary.
+    # Only the unmasked rows are read: they are gathered into the one
+    # stack-sized temporary, which is shifted and exponentiated in place.
+    rows = np.flatnonzero(mask)
+    shifted = np.take(logits, rows, axis=-2)
+    shifted -= np.max(shifted, axis=-1, keepdims=True)
+    # The target logits are gathered before exp overwrites them.
+    picked = shifted[..., np.arange(rows.size), targets[rows]]
     lse = np.log(np.sum(np.exp(shifted, out=shifted), axis=-1))
     # Contiguous rows, so each mean sums in the order of the 1-d case.
-    return np.mean(np.ascontiguousarray((lse - picked)[..., mask]), axis=-1)
+    return np.mean(np.ascontiguousarray(lse - picked), axis=-1)
 
 
 def next_token_cross_entropy(

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rigkit import Mesh, Rig, Skeleton, SkinWeights, load_rig, save_rig
+from rigkit import Mesh, Rig, Skeleton, SkinWeights, gradcheck, load_rig, save_rig
 from rigkit.cli import build_parser, main
 from rigkit.deform import save_animation
 from rigkit.geometry import load_obj, write_obj
@@ -729,6 +729,29 @@ class TestGradCheckCommand:
         assert [r.kernel for r in run_all(seed=0, instances=1)] == labels
         _, out = run(capsys, "grad-check", "--instances", "1")
         assert [line.split()[0] for line in out.splitlines()] == labels
+
+    def test_nan_error_fails(self, capsys, monkeypatch):
+        # A NaN gradient in the middle instance of three fails its kernel and
+        # the command; a running max() drops it, and the finite error of the
+        # instance after it must not hide it.
+        vjp = gradcheck.kernels.skinning_head_vjp
+        calls = []
+
+        def poisoned(*args):
+            grads = vjp(*args)
+            calls.append(1)
+            if len(calls) % 3 == 2:
+                grads[0][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(gradcheck.kernels, "skinning_head_vjp", poisoned)
+        results = {r.kernel: r for r in run_all(seed=0, instances=3)}
+        assert np.isnan(results["skinning_head"].max_rel_error)
+        assert [k for k, r in results.items() if not r.passed] == ["skinning_head"]
+        code, out = run(capsys, "grad-check", "--instances", "3")
+        assert code == 3
+        assert [line.split()[-1] for line in out.splitlines()] == [
+            "PASS", "FAIL", "PASS", "PASS", "PASS"]
 
     def test_zero_instances_rejected(self, capsys):
         code, out = run(capsys, "grad-check", "--instances", "0")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rigkit import animate, gradcheck
+from rigkit import animate, gradcheck, kernels
 from rigkit import (
     NonFiniteError,
     VOCAB_SIZE,
@@ -288,6 +288,21 @@ class TestCrossEntropy:
         assert loss.shape == (4,) and np.all(np.isfinite(loss))
         assert np.array_equal(logits, before)
 
+    def test_core_reads_only_masked_rows(self):
+        # Masked-out rows may hold any finite values: the loss keeps its bits,
+        # and values whose shift would overflow raise nothing, because no
+        # arithmetic reads those rows.
+        rng = np.random.default_rng(23)
+        targets = rng.integers(0, VOCAB_SIZE, 9)
+        mask = np.array([True, False, True, True, False, True, True, False, True])
+        for lead in ((), (70,)):
+            logits = rng.standard_normal(lead + (9, VOCAB_SIZE))
+            want = kernels._ce_core(logits, targets, mask)
+            masked_out = logits[..., ~mask, :].shape
+            logits[..., ~mask, :] = rng.choice([-1e308, 1e308], masked_out)
+            with np.errstate(all="raise"):
+                assert np.array_equal(kernels._ce_core(logits, targets, mask), want)
+
     def test_check_catches_a_wrong_gradient(self, monkeypatch):
         # The check differentiates the loss's core, so it must still see a
         # public gradient that is off by 0.1 %.
@@ -567,6 +582,17 @@ class TestCentralDifference:
                 monkeypatch.setattr(gradcheck, "FD_CHUNK_FLOATS", budget)
                 for step, grad in want.items():
                     assert np.array_equal(gradcheck.central_difference(stacked, x, step), grad)
+
+    def test_cross_entropy_check_at_any_chunk_budget(self, monkeypatch):
+        # The real check on the real core: its error keeps its bits whether a
+        # call gets 16-row stacks (1 << 15 floats), the default's, or one pair
+        # of rows.
+        n = 9 * VOCAB_SIZE
+        errors = set()
+        for budget in (1 << 15, gradcheck.FD_CHUNK_FLOATS, 2 * n):
+            monkeypatch.setattr(gradcheck, "FD_CHUNK_FLOATS", budget)
+            errors.add(gradcheck._check_cross_entropy(np.random.default_rng(24)).hex())
+        assert len(errors) == 1
 
     def test_one_fd_pass_per_check(self, monkeypatch):
         calls = []
