@@ -1,10 +1,10 @@
 """Command-line front end: file-in/file-out wiring over the library.
 
-Exit codes: 0 success, 1 usage, 2 unreadable or unparseable input,
-3 semantic validation failure, 4 optimizer divergence.  Every subcommand
-is a pure function of its inputs, flags, and seed; running one twice
-writes byte-identical files and stdout.  JSON output always goes through
-:func:`rigkit.core.canonical_json`.
+Exit codes: 0 success, 1 usage or an unwritable output, 2 unreadable or
+unparseable input, 3 semantic validation failure, 4 optimizer divergence.
+Every subcommand is a pure function of its inputs, flags, and seed;
+running one twice writes byte-identical files and stdout.  JSON output
+always goes through :func:`rigkit.core.canonical_json`.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ def _load(path: str | Path, loader, kind: str):
         raise InputError(f"{path}: no such file") from None
     except IsADirectoryError:
         raise InputError(f"{path}: is a directory") from None
+    except OSError as e:
+        raise InputError(f"{path}: cannot read: {e.strerror or e}") from None
     except ObjParseError as e:
         raise InputError(f"{path}: {e}") from None
     except json.JSONDecodeError as e:
@@ -83,14 +85,13 @@ def _load_camera(path: str | Path) -> Camera:
         data = json.loads(Path(p).read_text())
         if "rotation" in data:
             return Camera.from_dict(data)
+        # Only the keys the file gives, so look_at owns the defaults; the
+        # image size goes through raw, so a float is refused, not cast.
         return Camera.look_at(
-            eye=_require_json_floats(data["eye"], "eye"),
-            target=_require_json_floats(data["target"], "target"),
-            up=_require_json_floats(data.get("up", [0.0, 1.0, 0.0]), "up"),
-            fx=float(_require_json_floats(data.get("fx", 1000.0), "fx")),
-            fy=float(_require_json_floats(data["fy"], "fy")) if "fy" in data else None,
-            width=data.get("width", 1024),
-            height=data.get("height", 1024),
+            _require_json_floats(data["eye"], "eye"),
+            _require_json_floats(data["target"], "target"),
+            **{k: _require_json_floats(data[k], k) for k in ("up", "fx", "fy") if k in data},
+            **{k: data[k] for k in ("width", "height") if k in data},
         )
 
     return _load(path, loader, "camera")
@@ -402,6 +403,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"rigkit {args.command}: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as e:  # _load maps read failures, so this is an output
+        print(f"rigkit {args.command}: cannot write: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except animate.DivergenceError as e:
         print(f"rigkit {args.command}: diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED

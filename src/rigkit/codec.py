@@ -51,6 +51,7 @@ PARENT_SLOTS = MAX_JOINTS + 1
 VOCAB_SIZE = PARENT_BASE + PARENT_SLOTS  # 203
 
 NO_INDICATOR = -1
+_I16_MAX = np.iinfo(np.int16).max
 
 SCHEME_JOINT = "joint_based"
 SCHEME_BONE = "bone_based"
@@ -87,6 +88,9 @@ class TokenSequence:
         )
         if indicators.shape != tokens.shape:
             raise ValueError("indicators must align 1:1 with tokens")
+        # Token files store indicators as int16.
+        if indicators.size and (indicators.min() < NO_INDICATOR or indicators.max() > _I16_MAX):
+            raise ValueError(f"indicators must lie in [{NO_INDICATOR}, {_I16_MAX}]")
         if self.scheme not in _SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "tokens", tokens)

@@ -26,6 +26,7 @@ generalized winding number, so it depends on no probe direction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -67,36 +68,11 @@ class ObjParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _token_col(line: str, index: int) -> int:
-    col = 1
-    count = 0
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        if count == index:
-            return i + 1
-        while i < len(line) and not line[i].isspace():
-            i += 1
-        count += 1
-    return col
-
-
 # The error for a v or f record with fewer than three arguments.
 _SHORT_RECORD = {
     "v": "vertex needs 3 coordinates",
     "f": "face needs at least 3 vertices, got {}",
 }
-
-
-def _first_bad(convert, tokens: list[str]) -> int:
-    """Index of the first token ``convert`` rejects."""
-    for i, token in enumerate(tokens):
-        try:
-            convert(token)
-        except ValueError:
-            return i
 
 
 def parse_obj(text: str) -> Mesh:
@@ -108,24 +84,20 @@ def parse_obj(text: str) -> Mesh:
     other record (vn, vt, o, g, ...) is skipped unread.
 
     One pass splits the lines and collects each record kind's tokens; each
-    kind is then converted and checked in bulk.  Of the errors found on the
-    lines, the earliest line's is raised, and on that line the leftmost
-    token's (a v line is checked for finiteness only once its three tokens
-    parse).  No vertices, or an index past the last vertex, is reported
-    only when no line has an error.
+    kind is then converted and checked in bulk.  If a check fails, the
+    lines are read again in order and the earliest bad line's error is
+    raised, at its leftmost bad token (a v line is checked for finiteness
+    only once its three tokens parse).  No vertices, or an index past the
+    last vertex, is reported only when no line has an error.
     """
     comments = "#" in text
-    # Three tokens and the line number per v record; per f record its
-    # first-field tokens, line number, token count and the number of
-    # vertices defined before it.
+    # Three tokens per v record; per f record its first-field tokens, line
+    # number, token count and the number of v tokens before it.
     v_tok: list[str] = []
-    v_line: list[int] = []
     f_tok: list[str] = []
     f_line: list[int] = []
     f_count: list[int] = []
     f_seen: list[int] = []
-    # (line, token position, error); the pass stops at a short record.
-    errors: list[tuple[int, int, Exception]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = (raw.split("#", 1)[0] if comments else raw).split()
@@ -133,12 +105,9 @@ def parse_obj(text: str) -> Mesh:
             continue
         rec = parts[0]
         if len(parts) < 4 and rec in _SHORT_RECORD:
-            message = _SHORT_RECORD[rec].format(len(parts) - 1)
-            errors.append((lineno, 0, ObjParseError(message, lineno, 1)))
-            break
+            raise _line_error(text)
         if rec == "v":
             v_tok += parts[1:4]
-            v_line.append(lineno)
         elif rec == "f":
             if "/" in raw:
                 f_tok += [a.split("/", 1)[0] for a in parts[1:]]
@@ -146,62 +115,39 @@ def parse_obj(text: str) -> Mesh:
                 f_tok += parts[1:]
             f_line.append(lineno)
             f_count.append(len(parts) - 1)
-            f_seen.append(len(v_line))
+            f_seen.append(len(v_tok))
         # other record types (vn, vt, o, g, s, usemtl, ...) are ignored
 
     try:
         coords = list(map(float, v_tok))
-    except ValueError:
-        k = _first_bad(float, v_tok)
-        lineno = v_line[k // 3]
-        errors.append((lineno, k % 3, ObjParseError(
-            f"bad coordinate {v_tok[k]!r}", lineno,
-            _token_col(text.splitlines()[lineno - 1], k % 3 + 1))))
-        coords = list(map(float, v_tok[: k - k % 3]))
-    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
-    # The token lists are the largest temporaries; drop each once converted.
-    del v_tok, coords
-    finite = np.isfinite(vertices).all(axis=1)
-    if not finite.all():
-        lineno = v_line[int(np.argmin(finite))]
-        errors.append((lineno, 3, NonFiniteError(
-            f"line {lineno}: vertex coordinates must be finite")))
-
-    counts = np.array(f_count, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    try:
+        vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+        # The token lists are the largest temporaries; drop each once converted.
+        del v_tok, coords
         ints = list(map(int, f_tok))
     except ValueError:
-        k = _first_bad(int, f_tok)
-        errors.append(_index_error(text, f_line, starts, k, "bad vertex index {!r}"))
-        ints = list(map(int, f_tok[:k]))
+        raise _line_error(text) from None
     del f_tok
     try:
         given = np.array(ints, dtype=np.int64)
     except OverflowError:
-        # Past int64 an index is out of range either way; the messages
-        # quote the token or the Python int, not this array.
+        # Past int64 an index is out of range either way; the message
+        # quotes the Python int, not this array.
         given = np.array([min(max(i, -_HUGE), _HUGE) for i in ints], dtype=np.int64)
-    seen = np.repeat(np.array(f_seen, dtype=np.int64), counts)[: given.size]
+    counts = np.array(f_count, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    seen = np.repeat(np.array(f_seen, dtype=np.int64) // 3, counts)
     index = np.where(given < 0, seen + given, given - 1)
-    bad = (given == 0) | (index < 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        errors.append(_index_error(
-            text, f_line, starts, k,
-            "vertex index 0 is not allowed" if given[k] == 0
-            else "negative index {!r} reaches before first vertex"))
+    if not np.isfinite(vertices).all() or ((given == 0) | (index < 0)).any():
+        raise _line_error(text)
 
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
-    if not v_line:
+    if not len(vertices):
         raise ObjParseError("no vertices defined", 1, 1)
-    over = index >= len(v_line)
+    over = index >= len(vertices)
     if over.any():
         k = int(np.argmax(over))
         lineno = f_line[int(np.searchsorted(starts, k, side="right")) - 1]
         raise ObjParseError(
-            f"vertex index {ints[k]} exceeds {len(v_line)} vertices", lineno, 1)
+            f"vertex index {ints[k]} exceeds {len(vertices)} vertices", lineno, 1)
 
     # Fan each polygon (a0, a1, a2, ...) into (a0, ai, ai+1).
     inner = np.ones(index.size, dtype=bool)
@@ -213,15 +159,38 @@ def parse_obj(text: str) -> Mesh:
     return Mesh(vertices, triangles)
 
 
-def _index_error(text, f_line, starts, k, message):
-    """The located error for flat f token ``k``: (line, position, error)."""
-    row = int(np.searchsorted(starts, k, side="right")) - 1
-    lineno = f_line[row]
-    pos = k - int(starts[row])
-    raw = text.splitlines()[lineno - 1]
-    token = raw.split("#", 1)[0].split()[pos + 1]
-    return lineno, pos, ObjParseError(
-        message.format(token), lineno, _token_col(raw, pos + 1))
+def _line_error(text: str) -> Exception:
+    """The error :func:`parse_obj` raises for ``text``'s earliest bad line,
+    found by reading the lines in order, each token with its column."""
+    seen = 0  # v lines so far
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = [(m[0], m.start() + 1) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not tokens or tokens[0][0] not in _SHORT_RECORD:
+            continue
+        rec, args = tokens[0][0], tokens[1:]
+        if len(args) < 3:
+            return ObjParseError(_SHORT_RECORD[rec].format(len(args)), lineno, 1)
+        if rec == "v":
+            for token, col in args[:3]:
+                try:
+                    float(token)
+                except ValueError:
+                    return ObjParseError(f"bad coordinate {token!r}", lineno, col)
+            if not all(math.isfinite(float(token)) for token, _ in args[:3]):
+                return NonFiniteError(f"line {lineno}: vertex coordinates must be finite")
+            seen += 1
+            continue
+        for token, col in args:
+            try:
+                i = int(token.split("/", 1)[0])
+            except ValueError:
+                return ObjParseError(f"bad vertex index {token!r}", lineno, col)
+            if i == 0:
+                return ObjParseError("vertex index 0 is not allowed", lineno, col)
+            if seen + i < 0:
+                return ObjParseError(
+                    f"negative index {token!r} reaches before first vertex", lineno, col)
+    raise AssertionError("no line of the text has an error")
 
 
 def load_obj(path: str | Path) -> Mesh:
@@ -634,12 +603,12 @@ class Camera:
         z = target - eye
         nz = np.linalg.norm(z)
         if not nz > 0:
-            raise ValueError("eye and target coincide")
+            raise InvalidValueError("eye and target coincide")
         z = z / nz
         x = np.cross(z, up)
         nx = np.linalg.norm(x)
         if not nx > 1e-12:
-            raise ValueError("up vector is parallel to the view direction")
+            raise InvalidValueError("up vector is parallel to the view direction")
         x = x / nx
         y = np.cross(z, x)
         rotation = np.stack([x, y, z])

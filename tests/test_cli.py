@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from rigkit import Mesh, Rig, Skeleton, SkinWeights, gradcheck, load_rig, save_rig
-from rigkit.cli import build_parser, main
+from rigkit.cli import _load_camera, build_parser, main
 from rigkit.deform import save_animation
-from rigkit.geometry import load_obj, write_obj
+from rigkit.geometry import Camera, load_obj, write_obj
 from rigkit.gradcheck import run_all
 
 from helpers import tube_mesh
@@ -154,6 +154,12 @@ class TestValidate:
 
     def test_directory_input(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path)]) == 2
+
+    def test_unreadable_input(self, scene, capsys):
+        # A path through a regular file fails with NotADirectoryError.
+        _, rig_path, *_ = scene
+        assert main(["validate", str(rig_path / "rig.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
 
 class TestTokenizePipeline:
@@ -315,6 +321,14 @@ class TestSkinAndDeform:
         in_mesh = load_obj(mesh_path)
         assert out_mesh.vertex_count == in_mesh.vertex_count
         assert not np.array_equal(out_mesh.vertices, in_mesh.vertices)
+
+    def test_unwritable_output(self, scene, capsys):
+        tmp_path, rig_path, mesh_path, _, _ = scene
+        assert main(["skin-heuristic", str(rig_path), str(mesh_path),
+                     "-o", str(tmp_path / "nodir" / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rigkit skin-heuristic: cannot write:")
+        assert err.count("\n") == 1
 
     def test_deform_identity_frame_is_unmoved(self, scene, capsys):
         tmp_path, rig_path, mesh_path, anim_path, _ = scene
@@ -498,10 +512,34 @@ class TestTrackPipeline:
         assert out == ""
         assert not tracks.exists()
 
+    @pytest.mark.parametrize("camera", [
+        {"eye": [0.0, 0.0, 3.0], "target": [0.0, 0.0, 3.0]},
+        {"eye": [0.0, 0.0, 3.0], "target": [0.0, 0.0, 0.0], "up": [0.0, 0.0, 2.0]},
+    ], ids=["eye-at-target", "up-along-view"])
+    def test_degenerate_look_at_rejected(self, scene, capsys, camera):
+        tmp_path, skinned, mesh_path, anim_path, _ = self._skinned(scene)
+        cam_path = tmp_path / "degenerate.json"
+        cam_path.write_text(json.dumps(camera))
+        tracks = tmp_path / "tracks.json"
+        code, out = run(capsys, "synth-tracks", skinned, mesh_path, anim_path,
+                        "--camera", cam_path, "-o", tracks)
+        assert code == 3
+        assert out == ""
+        assert not tracks.exists()
+
+    def test_look_at_owns_camera_defaults(self, tmp_path, monkeypatch):
+        look_at = Camera.look_at.__func__
+        monkeypatch.setattr(look_at, "__defaults__", ((1.0, 0.0, 0.0),))
+        monkeypatch.setattr(look_at, "__kwdefaults__",
+                            {"fx": 321.0, "fy": None, "width": 64, "height": 48})
+        cam_path = tmp_path / "cam.json"
+        cam_path.write_text(json.dumps({"eye": [0.0, 0.0, 3.0], "target": [0.0, 0.0, 0.0]}))
+        cam = _load_camera(cam_path)
+        assert (cam.fx, cam.fy, cam.width, cam.height) == (321.0, 321.0, 64, 48)
+        assert cam.to_dict() == Camera.look_at((0.0, 0.0, 3.0), (0.0, 0.0, 0.0)).to_dict()
+
     def test_full_camera_dict(self, scene, capsys):
         tmp_path, skinned, mesh_path, anim_path, _ = self._skinned(scene)
-        from rigkit.geometry import Camera
-
         cam = Camera.look_at(eye=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0))
         cam_path = tmp_path / "cam_full.json"
         cam_path.write_text(json.dumps(cam.to_dict()))
@@ -552,17 +590,22 @@ class TestTrackPipeline:
                 assert posed.read_bytes() == (
                     frames_dir / f"frame_{i:04d}.obj").read_bytes()
 
-    def test_animate_export_rig_without_root(self, scene, capsys):
-        # A one-frame clip skips optimization, so the export is the first
-        # place the rig's root is needed.
+    def _still_tracks(self, scene):
+        """Tracks of a one-frame clip, which animate fits without optimizing."""
         tmp_path, skinned, mesh_path, _, cam_path = self._skinned(scene)
-        rig = load_rig(skinned)
         still = tmp_path / "still.json"
         save_animation(still, np.array([[1.0, 0, 0, 0]]), np.zeros((1, 3)),
                        np.tile([1.0, 0, 0, 0], (1, 3, 1)))
         tracks = tmp_path / "tracks.json"
         assert main(["synth-tracks", str(skinned), str(mesh_path), str(still),
                      "--camera", str(cam_path), "-o", str(tracks)]) == 0
+        return tmp_path, skinned, mesh_path, tracks
+
+    def test_animate_export_rig_without_root(self, scene, capsys):
+        # A one-frame clip skips optimization, so the export is the first
+        # place the rig's root is needed.
+        tmp_path, skinned, mesh_path, tracks = self._still_tracks(scene)
+        rig = load_rig(skinned)
         rootless = tmp_path / "rootless.json"
         save_rig(rootless, Rig(Skeleton(rig.skeleton.joints, np.array([1, 2, 0])),
                                rig.weights))
@@ -572,6 +615,15 @@ class TestTrackPipeline:
                      "-o", str(fitted), "--export-obj", str(tmp_path / "frames")]) == 3
         assert "no-root" in capsys.readouterr().err
         assert not fitted.exists()
+
+    def test_animate_export_onto_a_file(self, scene, capsys):
+        tmp_path, skinned, mesh_path, tracks = self._still_tracks(scene)
+        capsys.readouterr()
+        assert main(["animate", str(skinned), str(mesh_path), str(tracks),
+                     "-o", str(tmp_path / "fit.json"), "--export-obj", str(mesh_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rigkit animate: cannot write:")
+        assert err.count("\n") == 1
 
     def _tracks_with(self, scene, edit):
         tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)

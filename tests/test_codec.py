@@ -65,6 +65,12 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             TokenSequence(np.array([-1]), None, "joint_based")
 
+    @pytest.mark.parametrize("indicator", [NO_INDICATOR - 1, 32768, 40000])
+    def test_indicator_range_enforced(self, indicator):
+        # Token files store indicators as int16: 40000 would read back as -25536.
+        with pytest.raises(ValueError, match="indicators must lie in"):
+            TokenSequence(np.array([64, EOS]), np.array([indicator, 0]), "joint_based")
+
 
 class TestQuantization:
     def test_bin_formula(self):
@@ -495,6 +501,13 @@ class TestTokenFiles:
         assert back.scheme == t.scheme
         assert np.array_equal(back.tokens, t.tokens)
         assert np.array_equal(back.indicators, t.indicators)
+
+    def test_indicator_extremes_round_trip(self, tmp_path):
+        t = TokenSequence(np.array([64, 65, EOS]), np.array([NO_INDICATOR, 32767, 0]),
+                          "joint_based")
+        path = tmp_path / "t.bin"
+        write_token_file(path, t)
+        assert np.array_equal(read_token_file(path).indicators, t.indicators)
 
     def test_bone_scheme_round_trip(self, tmp_path):
         s = random_tree(np.random.default_rng(14), 6)
