@@ -40,10 +40,10 @@ import numpy as np
 from . import quat
 from .core import (
     Mesh,
-    NonFiniteError,
     Skeleton,
     SkinWeights,
     _frozen,
+    _require_finite,
     _require_json_floats,
     _require_json_type,
     canonical_json,
@@ -89,9 +89,9 @@ class AnimParams:
     joint_quats: np.ndarray
 
     def __post_init__(self):
-        rq = _frozen(self.root_quats, np.float64)
-        rt = _frozen(self.root_trans, np.float64)
-        jq = _frozen(self.joint_quats, np.float64)
+        rq, rt, jq = _frozen(
+            self, root_quats=np.float64, root_trans=np.float64, joint_quats=np.float64
+        )
         if rq.ndim != 2 or rq.shape[1] != 4:
             raise ValueError("root_quats must be (frames-1, 4)")
         n = rq.shape[0]
@@ -99,11 +99,7 @@ class AnimParams:
             raise ValueError("root_trans must be (frames-1, 3)")
         if jq.ndim != 3 or jq.shape[0] != n or jq.shape[2] != 4:
             raise ValueError("joint_quats must be (frames-1, joints, 4)")
-        if not all(np.all(np.isfinite(a)) for a in (rq, rt, jq)):
-            raise NonFiniteError("animation parameters contain NaN or Inf")
-        object.__setattr__(self, "root_quats", rq)
-        object.__setattr__(self, "root_trans", rt)
-        object.__setattr__(self, "joint_quats", jq)
+        _require_finite("animation parameters contain NaN or Inf", rq, rt, jq)
 
     @property
     def frame_count(self) -> int:
@@ -148,8 +144,7 @@ def params_from_animation(
 ) -> AnimParams:
     """Build params from explicit frames; frame 0 must be the identity pose."""
     clip = [np.asarray(a, dtype=np.float64) for a in (root_quats, root_trans, joint_quats)]
-    if not all(np.all(np.isfinite(a[0])) for a in clip):
-        raise NonFiniteError("animation parameters contain NaN or Inf")
+    _require_finite("animation parameters contain NaN or Inf", *(a[0] for a in clip))
     rest = _with_rest_frame(*(a[:0] for a in clip))
     if any(np.max(np.abs(a[0] - r[0])) > 1e-6 for a, r in zip(clip, rest)):
         raise ValueError("frame 0 must be the identity pose")
@@ -290,11 +285,10 @@ class TrackSet:
     vertex_visibility: np.ndarray  # (v_s,) bool
 
     def __post_init__(self):
-        jt = _frozen(self.joint_tracks, np.float64)
-        vt = _frozen(self.vertex_tracks, np.float64)
-        vs = _frozen(self.vertex_subset, np.int64)
-        jv = _frozen(self.joint_visibility, bool)
-        vv = _frozen(self.vertex_visibility, bool)
+        jt, vt, vs, jv, vv = _frozen(
+            self, joint_tracks=np.float64, vertex_tracks=np.float64,
+            vertex_subset=np.int64, joint_visibility=bool, vertex_visibility=bool,
+        )
         if jt.ndim != 3 or jt.shape[2] != 2:
             raise ValueError("joint_tracks must be (frames, joints, 2)")
         if vt.ndim != 3 or vt.shape[2] != 2 or vt.shape[0] != jt.shape[0]:
@@ -303,13 +297,7 @@ class TrackSet:
             raise ValueError("vertex_subset must align with vertex_tracks")
         if jv.shape != (jt.shape[1],) or vv.shape != (vt.shape[1],):
             raise ValueError("visibility masks must align with tracks")
-        if not (np.all(np.isfinite(jt)) and np.all(np.isfinite(vt))):
-            raise NonFiniteError("tracks contain NaN or Inf")
-        object.__setattr__(self, "joint_tracks", jt)
-        object.__setattr__(self, "vertex_tracks", vt)
-        object.__setattr__(self, "vertex_subset", vs)
-        object.__setattr__(self, "joint_visibility", jv)
-        object.__setattr__(self, "vertex_visibility", vv)
+        _require_finite("tracks contain NaN or Inf", jt, vt)
 
     @property
     def frame_count(self) -> int:
@@ -377,8 +365,8 @@ def synthesize_tracks(
     weights.require_fits(mesh, s)
     if params.joint_count != s.joint_count:
         raise ValueError("params joint count does not match skeleton")
-    if not noise_px >= 0:
-        raise ValueError("noise_px must be non-negative")
+    if not (np.isfinite(noise_px) and noise_px >= 0):
+        raise ValueError("noise_px must be finite and non-negative")
     _require_int(vertex_count, "vertex_count", 1)
     jvis = joint_visibility(mesh, s, camera)
     vvis_all = vertex_visibility(mesh, camera)

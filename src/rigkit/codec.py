@@ -34,9 +34,9 @@ import numpy as np
 from .core import (
     MAX_JOINTS,
     ROOT_PARENT,
-    NonFiniteError,
     Skeleton,
     _frozen,
+    _require_finite,
     hierarchical_order,
     require_valid,
 )
@@ -77,15 +77,13 @@ class TokenSequence:
     scheme: str
 
     def __post_init__(self):
-        tokens = _frozen(self.tokens, np.int64)
+        if self.indicators is None:
+            object.__setattr__(self, "indicators", np.full(np.shape(self.tokens), NO_INDICATOR))
+        tokens, indicators = _frozen(self, tokens=np.int64, indicators=np.int64)
         if tokens.ndim != 1:
             raise ValueError("tokens must be 1-d")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= VOCAB_SIZE):
             raise ValueError(f"token ids must lie in [0, {VOCAB_SIZE})")
-        indicators = _frozen(
-            np.full(tokens.shape, NO_INDICATOR) if self.indicators is None else self.indicators,
-            np.int64,
-        )
         if indicators.shape != tokens.shape:
             raise ValueError("indicators must align 1:1 with tokens")
         # Token files store indicators as int16.
@@ -93,8 +91,6 @@ class TokenSequence:
             raise ValueError(f"indicators must lie in [{NO_INDICATOR}, {_I16_MAX}]")
         if self.scheme not in _SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "indicators", indicators)
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -103,8 +99,7 @@ class TokenSequence:
 def quantize_coords(coords: np.ndarray) -> np.ndarray:
     """Map coordinates in [-0.5, 0.5] onto 128 bins; out-of-range clamps."""
     coords = np.asarray(coords, dtype=np.float64)
-    if not np.all(np.isfinite(coords)):
-        raise NonFiniteError("coordinates must be finite")
+    _require_finite("coordinates must be finite", coords)
     bins = np.floor((coords + 0.5) * COORD_BINS)
     return np.clip(bins, 0, COORD_BINS - 1).astype(np.int64)
 
@@ -381,8 +376,7 @@ def permutation_probability(epoch: float, total_epochs: float) -> float:
     """
     e = float(epoch)
     te = float(total_epochs)
-    if not (np.isfinite(e) and np.isfinite(te)):
-        raise NonFiniteError("epoch and total_epochs must be finite")
+    _require_finite("epoch and total_epochs must be finite", e, te)
     if te <= 0:
         raise ValueError("total_epochs must be positive")
     if e < 0 or e > te:

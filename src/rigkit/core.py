@@ -38,11 +38,24 @@ class NonFiniteError(InvalidValueError):
     """Raised when an input holds NaN or Inf where finite values are required."""
 
 
-def _frozen(a, dtype) -> np.ndarray:
-    """A read-only C-contiguous copy, so the caller's array stays theirs."""
-    out = np.array(a, dtype=dtype, order="C")
-    out.setflags(write=False)
-    return out
+def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
+    """Set each named field of the frozen dataclass ``obj`` to a read-only
+    C-contiguous copy at its dtype, so the caller's arrays stay theirs;
+    returns the copies in the order named."""
+    copies = []
+    for name, dtype in dtypes.items():
+        a = np.array(getattr(obj, name), dtype=dtype, order="C")
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+        copies.append(a)
+    return tuple(copies)
+
+
+def _require_finite(message: str, *arrays) -> None:
+    """Raise NonFiniteError(message) unless every entry of every array is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteError(message)
 
 
 @dataclass(frozen=True)
@@ -59,8 +72,7 @@ class Skeleton:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        joints = _frozen(self.joints, np.float64)
-        parents = _frozen(self.parents, np.int64)
+        joints, parents = _frozen(self, joints=np.float64, parents=np.int64)
         if joints.ndim != 2 or joints.shape[1] != 3:
             raise ValueError(f"joints must be (j, 3), got {joints.shape}")
         if parents.shape != (joints.shape[0],):
@@ -69,8 +81,6 @@ class Skeleton:
             )
         if self.names is not None and len(self.names) != joints.shape[0]:
             raise ValueError("names length must match joint count")
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "parents", parents)
 
     @property
     def joint_count(self) -> int:
@@ -94,20 +104,16 @@ class Mesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        vertices = _frozen(self.vertices, np.float64)
-        triangles = _frozen(self.triangles, np.int64)
+        vertices, triangles = _frozen(self, vertices=np.float64, triangles=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError(f"vertices must be (v, 3), got {vertices.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError(f"triangles must be (f, 3), got {triangles.shape}")
-        if not np.all(np.isfinite(vertices)):
-            raise NonFiniteError("mesh vertices contain NaN or Inf")
+        _require_finite("mesh vertices contain NaN or Inf", vertices)
         if triangles.size and (
             triangles.min() < 0 or triangles.max() >= vertices.shape[0]
         ):
             raise ValueError("triangle indices out of vertex range")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "triangles", triangles)
 
     @property
     def vertex_count(self) -> int:
@@ -127,18 +133,16 @@ class SkinWeights:
     ROW_SUM_TOL = 1e-6
 
     def __post_init__(self):
-        m = _frozen(self.matrix, np.float64)
+        (m,) = _frozen(self, matrix=np.float64)
         if m.ndim != 2:
             raise ValueError(f"weights must be 2-d, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteError("weights contain NaN or Inf")
+        _require_finite("weights contain NaN or Inf", m)
         if m.size:
             if m.min() < -self.ROW_SUM_TOL or m.max() > 1.0 + self.ROW_SUM_TOL:
                 raise InvalidValueError("weights must lie in [0, 1]")
             sums = m.sum(axis=1)
             if np.max(np.abs(sums - 1.0)) > self.ROW_SUM_TOL:
                 raise InvalidValueError("weight rows must sum to 1 within 1e-6")
-        object.__setattr__(self, "matrix", m)
 
     @property
     def vertex_count(self) -> int:
@@ -306,7 +310,7 @@ def _build_fk_schedule(joints: np.ndarray, parents: np.ndarray) -> _FkSchedule:
     root = int(np.flatnonzero(parents == ROOT_PARENT)[0])
     centres = np.concatenate([joints, joints[root, None]])
     centres.setflags(write=False)
-    depths = _climb(parents)[1][:-1]
+    depths = joint_depths(parents)
     parents = np.where(parents == ROOT_PARENT, j, parents)
     levels = []
     for d in range(int(depths.max()) + 1):

@@ -40,10 +40,10 @@ import numpy as np
 from . import quat
 from .core import (
     Mesh,
-    NonFiniteError,
     Skeleton,
     SkinWeights,
     _FkSchedule,
+    _require_finite,
     _require_json_floats,
     bone_segments,
     canonical_json,
@@ -326,8 +326,7 @@ def animation_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise ValueError("root_quat must be length 4 and root_trans length 3")
     if joint_quats.ndim != 3 or joint_quats.shape[2] != 4:
         raise ValueError("joint_quats must be (joints, 4) per frame")
-    if not all(np.all(np.isfinite(a)) for a in (root_quats, root_trans, joint_quats)):
-        raise NonFiniteError("animation contains NaN or Inf")
+    _require_finite("animation contains NaN or Inf", root_quats, root_trans, joint_quats)
     return root_quats, root_trans, joint_quats
 
 

@@ -33,7 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidValueError, Mesh, NonFiniteError, _frozen, _require_json_floats
+from .core import (
+    InvalidValueError,
+    Mesh,
+    NonFiniteError,
+    _frozen,
+    _require_finite,
+    _require_json_floats,
+)
 
 RAY_T_EPS = 1e-9
 RAY_MERGE_EPS = 1e-9
@@ -80,8 +87,9 @@ def parse_obj(text: str) -> Mesh:
 
     Indices are 1-based; negative indices count back from the vertices
     defined so far.  Errors carry the offending line and column; a NaN or
-    Inf vertex coordinate raises :class:`NonFiniteError` instead.  Every
-    other record (vn, vt, o, g, ...) is skipped unread.
+    Inf vertex coordinate raises :class:`NonFiniteError` instead.  A
+    coordinate or index with an underscore or a non-ASCII digit is a bad
+    token.  Every other record (vn, vt, o, g, ...) is skipped unread.
 
     One pass splits the lines and collects each record kind's tokens; each
     kind is then converted and checked in bulk.  If a check fails, the
@@ -118,6 +126,12 @@ def parse_obj(text: str) -> Mesh:
             f_seen.append(len(v_tok))
         # other record types (vn, vt, o, g, s, usemtl, ...) are ignored
 
+    # Python's float and int also read underscores and non-ASCII digits,
+    # which OBJ numbers do not have; plain ASCII text skips the token scan.
+    if not text.isascii() or "_" in text:
+        read = "".join(chain(v_tok, f_tok))
+        if not read.isascii() or "_" in read:
+            raise _line_error(text)
     try:
         coords = list(map(float, v_tok))
         vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
@@ -173,7 +187,7 @@ def _line_error(text: str) -> Exception:
         if rec == "v":
             for token, col in args[:3]:
                 try:
-                    float(token)
+                    _obj_number(float, token)
                 except ValueError:
                     return ObjParseError(f"bad coordinate {token!r}", lineno, col)
             if not all(math.isfinite(float(token)) for token, _ in args[:3]):
@@ -182,7 +196,7 @@ def _line_error(text: str) -> Exception:
             continue
         for token, col in args:
             try:
-                i = int(token.split("/", 1)[0])
+                i = _obj_number(int, token.split("/", 1)[0])
             except ValueError:
                 return ObjParseError(f"bad vertex index {token!r}", lineno, col)
             if i == 0:
@@ -193,6 +207,14 @@ def _line_error(text: str) -> Exception:
     raise AssertionError("no line of the text has an error")
 
 
+def _obj_number(kind: type, token: str):
+    """``kind(token)`` for ``kind`` float or int, refusing with ValueError the
+    underscores and non-ASCII digits that Python reads but OBJ does not have."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return kind(token)
+
+
 def load_obj(path: str | Path) -> Mesh:
     return parse_obj(Path(path).read_text())
 
@@ -201,11 +223,13 @@ def write_obj(mesh: Mesh) -> str:
     """Emit v/f records with full round-trip float precision.
 
     Every float is written as ``repr`` of the Python float, so the text is
-    byte-stable and parses back to the same bits.
+    byte-stable and parses back to the same bits.  A mesh with no vertices
+    raises ValueError, since :func:`parse_obj` refuses the text it would give.
     """
+    if not mesh.vertex_count:
+        raise ValueError("cannot write a mesh with no vertices as OBJ")
     text = _records("v %r %r %r\n", mesh.vertices.tolist())
-    text += _records("f %d %d %d\n", (mesh.triangles + 1).tolist())
-    return text or "\n"
+    return text + _records("f %d %d %d\n", (mesh.triangles + 1).tolist())
 
 
 def _records(fmt: str, rows: list[list]) -> str:
@@ -428,8 +452,7 @@ def _cast(mesh: Mesh, origin, directions, reduce, dtype) -> np.ndarray:
     directions = np.asarray(directions, dtype=np.float64)
     if origin.shape != (3,) or directions.ndim != 2 or directions.shape[1] != 3:
         raise ValueError("origin must be (3,) and directions (r, 3)")
-    if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(directions))):
-        raise NonFiniteError("ray origin and directions must be finite")
+    _require_finite("ray origin and directions must be finite", origin, directions)
     norms = np.linalg.norm(directions, axis=1)
     if not np.all(norms > 0):
         raise ValueError("ray directions must be non-zero")
@@ -560,19 +583,14 @@ class Camera:
             size = getattr(self, name)
             _require_int(size, f"camera {name}", 1)
             object.__setattr__(self, name, int(size))
-        r = _frozen(self.rotation, np.float64)
-        t = _frozen(self.translation, np.float64)
+        r, t = _frozen(self, rotation=np.float64, translation=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
-        values = np.concatenate([r.ravel(), t, [self.fx, self.fy, self.cx, self.cy]])
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("camera contains NaN or Inf")
+        _require_finite("camera contains NaN or Inf", r, t, [self.fx, self.fy, self.cx, self.cy])
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidValueError("focal lengths fx and fy must be positive")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
             raise InvalidValueError("rotation must be orthonormal with det +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
     @property
     def center(self) -> np.ndarray:
@@ -598,8 +616,7 @@ class Camera:
         eye = np.asarray(eye, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         up = np.asarray(up, dtype=np.float64)
-        if not all(np.all(np.isfinite(a)) for a in (eye, target, up)):
-            raise NonFiniteError("camera contains NaN or Inf")
+        _require_finite("camera contains NaN or Inf", eye, target, up)
         z = target - eye
         nz = np.linalg.norm(z)
         if not nz > 0:

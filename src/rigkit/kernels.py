@@ -44,21 +44,16 @@ from __future__ import annotations
 import numpy as np
 
 from .codec import VOCAB_SIZE
-from .core import NonFiniteError
+from .core import _require_finite
 
 COSINE_NORM_EPS = 1e-12
-
-
-def _require_finite(name: str, a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains NaN or Inf")
 
 
 def _require_integers(name: str, a: np.ndarray) -> np.ndarray:
     """``a``, refused unless every entry is a finite integer; never cast."""
     if a.dtype.kind not in "iu":
         a = a.astype(np.float64)
-        _require_finite(name, a)
+        _require_finite(f"{name} contains NaN or Inf", a)
         if np.any(a != np.trunc(a)):
             raise ValueError(f"{name} must hold integers")
     return a
@@ -97,7 +92,7 @@ def _check_distances(distances, values):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim < 2 or values.shape[-2] < 1:
         raise ValueError("table values must be (levels, heads)")
-    _require_finite("distance table", values)
+    _require_finite("distance table contains NaN or Inf", values)
     d = np.asarray(distances)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -155,7 +150,7 @@ def _check_qkv(q, k, v):
     if q.ndim < 3 or k.shape[-3:] != q.shape[-3:] or v.shape[-3:] != q.shape[-3:]:
         raise ValueError("q, k, v must share shape (heads, n, d)")
     for name, a in (("q", q), ("k", k), ("v", v)):
-        _require_finite(name, a)
+        _require_finite(f"{name} contains NaN or Inf", a)
     return q, k, v
 
 
@@ -183,9 +178,8 @@ def topology_aware_attention(
         raise ValueError(f"bias must be (n, n, heads)=({n},{n},{h})")
     _require_broadcast({"q": q.shape[:-3], "k": k.shape[:-3], "v": v.shape[:-3],
                         "bias": bias.shape[:-3], "lam": lam.shape})
-    _require_finite("bias", bias)
-    if not np.all(np.isfinite(lam)):
-        raise NonFiniteError("lam must be finite")
+    _require_finite("bias contains NaN or Inf", bias)
+    _require_finite("lam must be finite", lam)
     return _attention_core(q, k, v, lam[..., None, None, None] * np.moveaxis(bias, -1, -3))
 
 
@@ -229,10 +223,9 @@ def _check_skinning(point_features, bone_features, alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     _require_broadcast({"point features": p.shape[:-2], "bone features": b.shape[:-2],
                         "alpha": alpha.shape})
-    _require_finite("point features", p)
-    _require_finite("bone features", b)
-    if not np.all(np.isfinite(alpha)):
-        raise NonFiniteError("alpha must be finite")
+    _require_finite("point features contains NaN or Inf", p)
+    _require_finite("bone features contains NaN or Inf", b)
+    _require_finite("alpha must be finite", alpha)
     return p, b, alpha
 
 
@@ -308,7 +301,7 @@ def _check_ce(logits, targets, mask):
     if targets.size and (targets.min() < 0 or targets.max() >= VOCAB_SIZE):
         raise ValueError("targets out of vocabulary range")
     targets = targets.astype(np.int64)
-    _require_finite("logits", logits)
+    _require_finite("logits contains NaN or Inf", logits)
     if mask is None:
         mask = np.ones(length, dtype=bool)
     else:
@@ -316,7 +309,7 @@ def _check_ce(logits, targets, mask):
         if mask.dtype != bool:
             # Refused unless every entry is 0 or 1; never cast by truthiness.
             values = mask.astype(np.float64)
-            _require_finite("mask", values)
+            _require_finite("mask contains NaN or Inf", values)
             if np.any((values != 0.0) & (values != 1.0)):
                 raise ValueError("mask must hold only 0 and 1")
             mask = values == 1.0

@@ -482,6 +482,11 @@ class TestSynthesizeTracks:
             synthesize_tracks(
                 mesh, s, weights, wiggle_params(3, 3), front_camera(), noise_px=-1.0
             )
+        # Infinite noise would fail later as non-finite tracks.
+        with pytest.raises(ValueError, match="noise_px must be finite and non-negative"):
+            synthesize_tracks(
+                mesh, s, weights, wiggle_params(3, 3), front_camera(), noise_px=np.inf
+            )
         # A count is refused, not cast: 2.7 would track 2 vertices, True 1.
         for count in (0, 2.7, True, "3"):
             with pytest.raises(ValueError, match="vertex_count"):

@@ -501,6 +501,18 @@ class TestTrackPipeline:
         assert out == ""
         assert not tracks.exists()
 
+    def test_synth_tracks_inf_noise_rejected(self, scene, capsys):
+        tmp_path, skinned, mesh_path, anim_path, cam_path = self._skinned(scene)
+        tracks = tmp_path / "tracks.json"
+        capsys.readouterr()
+        code = main(["synth-tracks", str(skinned), str(mesh_path), str(anim_path),
+                     "--camera", str(cam_path), "-o", str(tracks), "--noise-px", "inf"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "rigkit synth-tracks: noise_px must be finite and non-negative\n"
+        assert not tracks.exists()
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_synth_tracks_vertex_count_below_one_rejected(self, scene, capsys, count):
         # An empty subset would write a track file that animate rejects.

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import types
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,18 @@ from hypothesis import strategies as st
 import rigkit
 from rigkit import (
     MAX_JOINTS,
+    NO_INDICATOR,
     ROOT_PARENT,
+    AnimParams,
+    Camera,
     InvalidSkeletonError,
     Mesh,
     NonFiniteError,
     Rig,
     Skeleton,
     SkinWeights,
+    TokenSequence,
+    TrackSet,
     bone_segments,
     canonical_json,
     graph_distance_matrix,
@@ -71,6 +77,63 @@ class TestSkeleton:
         # Construction checks shapes only; the validator owns structure.
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 99]))
         assert not validate_skeleton(s).ok
+
+
+_camera = partial(Camera, 100.0, 100.0, 2.0, 2.0, 4, 4)
+
+# Each value type: a constructor taking its array fields by name, and those
+# fields at their frozen dtypes.
+VALUE_TYPES = {
+    "Skeleton": (Skeleton, {
+        "joints": np.array([[0.0, 0, 0], [1, 0, 0]]), "parents": np.array([-1, 0])}),
+    "Mesh": (Mesh, {
+        "vertices": np.eye(3), "triangles": np.array([[0, 1, 2]])}),
+    "SkinWeights": (SkinWeights, {"matrix": np.array([[1.0, 0.0], [0.0, 1.0]])}),
+    "Camera": (_camera, {"rotation": np.eye(3), "translation": np.array([0.0, 0, 3])}),
+    "AnimParams": (AnimParams, {
+        "root_quats": np.tile([1.0, 0, 0, 0], (2, 1)), "root_trans": np.ones((2, 3)),
+        "joint_quats": np.tile([1.0, 0, 0, 0], (2, 2, 1))}),
+    "TrackSet": (partial(TrackSet, _camera(rotation=np.eye(3), translation=np.ones(3))), {
+        "joint_tracks": np.ones((2, 2, 2)), "vertex_tracks": np.zeros((2, 3, 2)),
+        "vertex_subset": np.array([0, 4, 7]),
+        "joint_visibility": np.array([True, False]),
+        "vertex_visibility": np.array([False, True, True])}),
+    "TokenSequence": (partial(TokenSequence, scheme="joint_based"), {
+        "tokens": np.array([128, 5, 9, 129]), "indicators": np.array([-1, 0, 0, -1])}),
+}
+# The caller's arrays: as frozen (same dtype, C order), as a strided view of a
+# larger buffer, and at another dtype that must be cast.
+_CAST = {np.dtype(np.float64): np.float32, np.dtype(np.int64): np.int32,
+         np.dtype(bool): np.uint8}
+CALLER_LAYOUTS = {
+    "same": lambda a: a.copy(),
+    "strided": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "cast": lambda a: a.astype(_CAST[a.dtype]),
+}
+
+
+@pytest.mark.parametrize("layout", CALLER_LAYOUTS)
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+def test_value_types_freeze_copies(kind, layout):
+    # Every array field is a read-only C-contiguous copy at its dtype, so a
+    # later write to the caller's array leaves the value as it was built.
+    build, fields = VALUE_TYPES[kind]
+    given = {name: CALLER_LAYOUTS[layout](a) for name, a in fields.items()}
+    value = build(**given)
+    for name, want in fields.items():
+        got = getattr(value, name)
+        assert got.dtype == want.dtype, name
+        assert got.flags.c_contiguous and not got.flags.writeable, name
+        assert not np.shares_memory(got, given[name]), name
+        caller = given[name]
+        caller[...] = ~caller if caller.dtype == bool else caller + 1
+        assert np.array_equal(got, want), name
+
+
+def test_token_sequence_default_indicators_read_only():
+    t = TokenSequence(np.array([128, 129]), None, "joint_based")
+    assert t.indicators.tolist() == [NO_INDICATOR, NO_INDICATOR]
+    assert t.indicators.dtype == np.int64 and not t.indicators.flags.writeable
 
 
 class TestValidation:
@@ -464,3 +527,37 @@ def test_clip_arrays_in_one_order():
         "params_from_animation", "animation_to_dict", "save_animation",
         "AnimParams.__init__",
     }
+
+
+def test_one_freeze_and_one_finiteness_refusal():
+    # Value types freeze their arrays through core._frozen, and NaN/Inf is
+    # refused through core._require_finite.  Only the sites named here write
+    # a frozen field or build a NonFiniteError themselves.
+    allowed = sorted([
+        ("core", "_frozen", "object.__setattr__"),
+        ("core", "_require_finite", "NonFiniteError"),
+        ("geometry", "Camera.__post_init__", "object.__setattr__"),  # int image size
+        ("codec", "TokenSequence.__post_init__", "object.__setattr__"),  # indicator default
+        ("geometry", "crossing_counts", "NonFiniteError"),  # t_max may be inf, not NaN
+        ("geometry", "_line_error", "NonFiniteError"),  # the error it returns
+    ])
+    package = Path(rigkit.__file__).parent
+    found = []
+
+    def visit(node, mod, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, mod, scope + [child.name])
+                continue
+            exc = child.exc if isinstance(child, ast.Raise) else None
+            f = child.func if isinstance(child, ast.Call) else exc
+            if isinstance(f, ast.Attribute) and f.attr == "__setattr__" \
+                    and isinstance(f.value, ast.Name) and f.value.id == "object":
+                found.append((mod, ".".join(scope), "object.__setattr__"))
+            elif getattr(f, "id", getattr(f, "attr", None)) == "NonFiniteError":
+                found.append((mod, ".".join(scope), "NonFiniteError"))
+            visit(child, mod, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    assert sorted(found) == allowed

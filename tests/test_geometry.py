@@ -127,6 +127,22 @@ OBJ_ERRORS = {
     "bad index with no vertices": (
         "f 1 2 3\nf 1 2 q\n", ObjParseError,
         "line 2, col 7: bad vertex index 'q'", 2, 7),
+    # Python's float and int read these; OBJ numbers have neither.
+    "underscore and non-ASCII digits": (
+        "v 1_0 0 0\nv \u0661 0 0\nv 0 1 0\nf \u0661 2 3\n", ObjParseError,
+        "line 1, col 3: bad coordinate '1_0'", 1, 3),
+    "non-ASCII digit in a coordinate": (
+        "v 0 0 0 # \u00fc\nv 1 \u0661 0\n", ObjParseError,
+        "line 2, col 5: bad coordinate '\u0661'", 2, 5),
+    "fullwidth digit in a coordinate": (
+        "o part_1\nv 0 0 \uff11\n", ObjParseError,
+        "line 2, col 7: bad coordinate '\uff11'", 2, 7),
+    "non-ASCII digit index": (
+        _TRI + "f \u0661 2 3\n", ObjParseError,
+        "line 4, col 3: bad vertex index '\u0661'", 4, 3),
+    "underscore index in a slash token": (
+        _TRI + "g my_group\nf 1 2_0/1 3\n", ObjParseError,
+        "line 5, col 5: bad vertex index '2_0/1'", 5, 5),
 }
 
 # Finite floats plus the ones a repr round trip could plausibly lose.
@@ -203,6 +219,14 @@ class TestObjParse:
         assert getattr(e.value, "line", None) == line
         assert getattr(e.value, "col", None) == col
 
+    def test_names_and_non_ascii_comments(self):
+        # Underscores and non-ASCII text outside v/f numbers stay accepted.
+        text = ("# \u00fc\no my_part\nusemtl m\u00e4t_1\nv 0 0 0 # x_\u00fc\n"
+                "v 1 0 0\nvt 0_5 \u0661\nv 0 1 0\nf 1 2 3\n")
+        m = parse_obj(text)
+        assert m.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        assert m.triangles.tolist() == [[0, 1, 2]]
+
     def test_face_before_its_vertices(self):
         # Positive indices are checked against every vertex after the pass.
         m = parse_obj("f 1 2/5 3//1\nv 0 0 0\nv 1 0 0\nv 0 1 0\n")
@@ -228,6 +252,14 @@ class TestObjParse:
         assert np.array_equal(back.triangles, m.triangles)
         # Round-trip precision implies byte-identical rewrite.
         assert write_obj(back) == write_obj(m)
+
+    def test_write_refuses_mesh_without_vertices(self, tmp_path):
+        # parse_obj refuses an OBJ without vertices, so none is written.
+        empty = Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        path = tmp_path / "empty.obj"
+        with pytest.raises(ValueError, match="no vertices"):
+            save_obj(path, empty)
+        assert not path.exists()
 
 
 class TestSegmentDistance:
