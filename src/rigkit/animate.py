@@ -44,8 +44,10 @@ from .core import (
     SkinWeights,
     _frozen,
     _require_finite,
+    _require_int,
     _require_json_floats,
     _require_json_type,
+    _require_real,
     canonical_json,
     require_valid,
 )
@@ -53,7 +55,6 @@ from .deform import FkCache, _BlendBasis, fk_backward, fk_forward
 from .geometry import (
     Camera,
     _pinhole,
-    _require_int,
     crossing_counts,
     first_hit_distances,
     point_inside_mesh,
@@ -365,8 +366,7 @@ def synthesize_tracks(
     weights.require_fits(mesh, s)
     if params.joint_count != s.joint_count:
         raise ValueError("params joint count does not match skeleton")
-    if not (np.isfinite(noise_px) and noise_px >= 0):
-        raise ValueError("noise_px must be finite and non-negative")
+    _require_real(noise_px, "noise_px", 0, False)
     _require_int(vertex_count, "vertex_count", 1)
     jvis = joint_visibility(mesh, s, camera)
     vvis_all = vertex_visibility(mesh, camera)
@@ -553,18 +553,12 @@ class OptimizeConfig:
         _require_int(self.iterations, "iterations", 1)
         _require_int(self.plateau_window, "plateau_window", 1)
         _require_int(self.divergence_warmup, "divergence_warmup", 0)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        if not (np.isfinite(self.reg_weight) and self.reg_weight >= 0):
-            raise ValueError("reg_weight must be finite and non-negative")
-        if not (np.isfinite(self.plateau_rtol) and self.plateau_rtol >= 0):
-            raise ValueError("plateau_rtol must be finite and non-negative")
-        if not (np.isfinite(self.divergence_factor) and self.divergence_factor > 1):
-            raise ValueError("divergence_factor must be finite and above 1")
-        if self.lr_floor is not None and not (
-            np.isfinite(self.lr_floor) and self.lr_floor >= 0
-        ):
-            raise ValueError("lr_floor must be None or finite and non-negative")
+        _require_real(self.learning_rate, "learning_rate", 0, True)
+        _require_real(self.reg_weight, "reg_weight", 0, False)
+        _require_real(self.plateau_rtol, "plateau_rtol", 0, False)
+        _require_real(self.divergence_factor, "divergence_factor", 1, True)
+        if self.lr_floor is not None:
+            _require_real(self.lr_floor, "lr_floor", 0, False)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .core import (
     InvalidValueError,
     Mesh,
     Rig,
+    _require_int,
     _require_json_floats,
     canonical_json,
     hierarchical_order,
@@ -102,7 +103,7 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
-def _require_weights(rig: Rig, path: str):
+def _weights_of(rig: Rig, path: str):
     if rig.weights is None:
         raise ValueError(
             f"{path} has no skin weights; run skin-heuristic first or add a"
@@ -188,7 +189,7 @@ def _cmd_deform(args) -> int:
     root_quats, root_trans, joint_quats = _load(
         args.animation, load_animation, "animation"
     )
-    weights = _require_weights(rig, args.rig)
+    weights = _weights_of(rig, args.rig)
     s = rig.skeleton
     require_valid(s)
     n, f = root_quats.shape[0], args.frame
@@ -230,7 +231,7 @@ def _cmd_synth_tracks(args) -> int:
     mesh = _load(args.mesh, load_obj, "OBJ")
     anim = _load(args.animation, load_animation, "animation")
     camera = _load_camera(args.camera)
-    weights = _require_weights(rig, args.rig)
+    weights = _weights_of(rig, args.rig)
     params = animate.params_from_animation(*anim)
     tracks = animate.synthesize_tracks(
         mesh, rig.skeleton, weights, params, camera,
@@ -254,7 +255,7 @@ def _cmd_animate(args) -> int:
     rig = _load(args.rig, load_rig, "rig")
     mesh = _load(args.mesh, load_obj, "OBJ")
     tracks = _load(args.tracks, animate.load_tracks, "track")
-    weights = _require_weights(rig, args.rig)
+    weights = _weights_of(rig, args.rig)
     s = rig.skeleton
     config = animate.OptimizeConfig(
         **_given(args, "learning_rate", "iterations", "reg_weight")
@@ -285,8 +286,7 @@ def _cmd_animate(args) -> int:
 
 
 def _cmd_anneal(args) -> int:
-    if args.epochs < 1:
-        raise ValueError("--epochs must be at least 1")
+    _require_int(args.epochs, "--epochs", 1)
     lines = []
     for epoch in range(args.epochs + 1):
         r = codec.permutation_probability(epoch, args.epochs)

@@ -37,6 +37,8 @@ from .core import (
     Skeleton,
     _frozen,
     _require_finite,
+    _require_int,
+    _require_integers,
     hierarchical_order,
     require_valid,
 )
@@ -106,10 +108,10 @@ def quantize_coords(coords: np.ndarray) -> np.ndarray:
 
 def dequantize_coords(bins: np.ndarray) -> np.ndarray:
     """Bin centers: the round-trip error is at most 1/256 per axis."""
-    bins = np.asarray(bins)
+    bins = _require_integers("bins", bins)
     if bins.size and (np.min(bins) < 0 or np.max(bins) >= COORD_BINS):
         raise ValueError(f"bins must lie in [0, {COORD_BINS})")
-    return (np.asarray(bins, dtype=np.float64) + 0.5) / COORD_BINS - 0.5
+    return (bins.astype(np.float64) + 0.5) / COORD_BINS - 0.5
 
 
 def _check_order(s: Skeleton, order) -> np.ndarray:
@@ -123,10 +125,12 @@ def _check_order(s: Skeleton, order) -> np.ndarray:
 
 def _framed(payload: np.ndarray, shape_tokens: int) -> np.ndarray:
     """BOS, ``shape_tokens`` shape placeholders, the raveled payload, EOS."""
+    # The sign is checked first: the codec refuses it as a plain ValueError.
     if shape_tokens < 0:
         raise ValueError("shape_tokens must be non-negative")
+    _require_int(shape_tokens, "shape_tokens", 0)
     return np.concatenate(
-        ([BOS], np.full(int(shape_tokens), SHAPE_PLACEHOLDER), payload.ravel(), [EOS])
+        ([BOS], np.full(shape_tokens, SHAPE_PLACEHOLDER), payload.ravel(), [EOS])
     )
 
 
@@ -421,9 +425,7 @@ def read_token_file(path: str | Path) -> TokenSequence:
         )
     tokens = np.frombuffer(raw, dtype="<u2", count=count, offset=head)
     indicators = np.frombuffer(raw, dtype="<i2", count=count, offset=head + 2 * count)
-    return TokenSequence(
-        tokens.astype(np.int64), indicators.astype(np.int64), _SCHEME_NAMES[scheme_id]
-    )
+    return TokenSequence(tokens, indicators, _SCHEME_NAMES[scheme_id])
 
 
 def format_token_text(t: TokenSequence) -> str:

@@ -41,10 +41,21 @@ class NonFiniteError(InvalidValueError):
 def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
     """Set each named field of the frozen dataclass ``obj`` to a read-only
     C-contiguous copy at its dtype, so the caller's arrays stay theirs;
-    returns the copies in the order named."""
+    returns the copies in the order named.  An int64 field given at
+    another dtype goes through :func:`_require_integers` (an integral
+    float past int64 is refused too) and a bool field through
+    :func:`_require_bools` before the cast, so neither is cast blindly."""
     copies = []
     for name, dtype in dtypes.items():
-        a = np.array(getattr(obj, name), dtype=dtype, order="C")
+        a = np.array(getattr(obj, name), order="C")
+        if a.dtype != dtype:
+            if dtype is np.int64:
+                a = _require_integers(name, a)
+                if a.dtype.kind != "i" and not np.all((-2.0**63 <= a) & (a < 2.0**63)):
+                    raise ValueError(f"{name} must hold integers within int64")
+            elif dtype is bool:
+                a = _require_bools(name, a)
+            a = a.astype(dtype, copy=False)
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
         copies.append(a)
@@ -56,6 +67,72 @@ def _require_finite(message: str, *arrays) -> None:
     for a in arrays:
         if not np.isfinite(a).all():
             raise NonFiniteError(message)
+
+
+def _require_integers(name: str, a) -> np.ndarray:
+    """``a`` as an array, refused unless every entry is a finite integer:
+    a NaN or Inf raises NonFiniteError, and a fraction or a non-number
+    (a string, a complex, an object) ValueError.  An integer-valued float
+    passes, returned as float64; nothing is cast."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        if a.dtype.kind not in "bf":
+            raise ValueError(f"{name} must hold integers")
+        a = a.astype(np.float64)
+        _require_finite(f"{name} contains NaN or Inf", a)
+        if np.any(a != np.trunc(a)):
+            raise ValueError(f"{name} must hold integers")
+    return a
+
+
+def _require_bools(name: str, a) -> np.ndarray:
+    """``a`` as a bool array, refused unless every entry is 0 or 1: a NaN
+    or Inf raises NonFiniteError and any other value (a string, a complex,
+    an object) ValueError, so no entry is read by its truthiness."""
+    a = np.asarray(a)
+    if a.dtype != bool:
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold only 0 and 1")
+        values = a.astype(np.float64)
+        _require_finite(f"{name} contains NaN or Inf", values)
+        if np.any((values != 0.0) & (values != 1.0)):
+            raise ValueError(f"{name} must hold only 0 and 1")
+        a = values == 1.0
+    return a
+
+
+def _require_int(value, what: str, minimum: int) -> None:
+    """Refuse a count that is not an integer of at least ``minimum``.
+
+    A float (2.7), a bool, a string or a list raises ValueError instead of
+    being cast; an integer below ``minimum`` raises InvalidValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer")
+    if value < minimum:
+        raise InvalidValueError(f"{what} must be at least {minimum}")
+
+
+def _require_real(value, what: str, low, strict: bool) -> None:
+    """Refuse a real that is NaN, infinite or not above ``low`` (``strict``)
+    or at least ``low``, with ValueError, e.g. "falloff must be finite and
+    positive"."""
+    if not (np.isfinite(value) and (value > low if strict else value >= low)):
+        bound = f"above {low}" if strict else f"at least {low}"
+        if low == 0:
+            bound = "positive" if strict else "non-negative"
+        raise ValueError(f"{what} must be finite and {bound}")
+
+
+def _require_broadcast(leading: dict[str, tuple]) -> None:
+    """Refuse operands whose leading axes do not broadcast, naming them."""
+
+    def clash(s, t):
+        return any(a != b and 1 not in (a, b) for a, b in zip(s[::-1], t[::-1]))
+
+    bad = [f"{n} {s}" for n, s in leading.items() if any(clash(s, t) for t in leading.values())]
+    if bad:
+        raise ValueError(f"leading axes do not broadcast: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)

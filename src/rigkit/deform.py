@@ -44,12 +44,14 @@ from .core import (
     SkinWeights,
     _FkSchedule,
     _require_finite,
+    _require_int,
     _require_json_floats,
+    _require_real,
     bone_segments,
     canonical_json,
     require_valid,
 )
-from .geometry import _require_int, point_segment_distance
+from .geometry import point_segment_distance
 
 ROTATE_PROBABILITY = 0.3
 MAX_EULER_DEG = 60.0
@@ -258,8 +260,7 @@ def heuristic_skin_weights(
     if np.ptp(s.joints, axis=0).max() == 0:
         raise ValueError("degenerate skeleton: all joints coincident")
     _require_int(k_nearest, "k_nearest", 1)
-    if not falloff > 0:
-        raise ValueError("falloff must be positive")
+    _require_real(falloff, "falloff", 0, True)
 
     starts, ends, child = bone_segments(s)
     proximal = s.parents[child]

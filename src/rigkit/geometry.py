@@ -39,6 +39,7 @@ from .core import (
     NonFiniteError,
     _frozen,
     _require_finite,
+    _require_int,
     _require_json_floats,
 )
 
@@ -89,20 +90,27 @@ def parse_obj(text: str) -> Mesh:
     defined so far.  Errors carry the offending line and column; a NaN or
     Inf vertex coordinate raises :class:`NonFiniteError` instead.  A
     coordinate or index with an underscore or a non-ASCII digit is a bad
-    token.  Every other record (vn, vt, o, g, ...) is skipped unread.
+    token.  A v record's tokens after the third (w, vertex colours) follow
+    the coordinate rule and are then dropped; an f token is ``i``,
+    ``i/t``, ``i/t/n`` or ``i//n``, each t or n an index that is checked
+    for its syntax only.  Every other record (vn, vt, o, g, ...) is
+    skipped unread.
 
     One pass splits the lines and collects each record kind's tokens; each
     kind is then converted and checked in bulk.  If a check fails, the
     lines are read again in order and the earliest bad line's error is
     raised, at its leftmost bad token (a v line is checked for finiteness
-    only once its three tokens parse).  No vertices, or an index past the
+    only once all its tokens parse).  No vertices, or an index past the
     last vertex, is reported only when no line has an error.
     """
     comments = "#" in text
-    # Three tokens per v record; per f record its first-field tokens, line
-    # number, token count and the number of v tokens before it.
+    # Three tokens per v record, and any after them; per f record its
+    # first-field tokens, line number, token count and the number of v
+    # tokens before it, and the fields after each token's first '/'.
     v_tok: list[str] = []
+    v_more: list[str] = []
     f_tok: list[str] = []
+    f_rest: list[list[str]] = []
     f_line: list[int] = []
     f_count: list[int] = []
     f_seen: list[int] = []
@@ -116,9 +124,13 @@ def parse_obj(text: str) -> Mesh:
             raise _line_error(text)
         if rec == "v":
             v_tok += parts[1:4]
+            if len(parts) > 4:
+                v_more += parts[4:]
         elif rec == "f":
             if "/" in raw:
-                f_tok += [a.split("/", 1)[0] for a in parts[1:]]
+                fields = [a.split("/") for a in parts[1:]]
+                f_tok += [a[0] for a in fields]
+                f_rest += [a[1:] for a in fields]
             else:
                 f_tok += parts[1:]
             f_line.append(lineno)
@@ -128,8 +140,9 @@ def parse_obj(text: str) -> Mesh:
 
     # Python's float and int also read underscores and non-ASCII digits,
     # which OBJ numbers do not have; plain ASCII text skips the token scan.
+    rest = list(chain.from_iterable(f_rest))
     if not text.isascii() or "_" in text:
-        read = "".join(chain(v_tok, f_tok))
+        read = "".join(chain(v_tok, v_more, f_tok, rest))
         if not read.isascii() or "_" in read:
             raise _line_error(text)
     try:
@@ -138,8 +151,12 @@ def parse_obj(text: str) -> Mesh:
         # The token lists are the largest temporaries; drop each once converted.
         del v_tok, coords
         ints = list(map(int, f_tok))
+        more = list(map(float, v_more))
+        list(map(int, filter(None, rest)))  # their syntax only; t and n are unused
     except ValueError:
         raise _line_error(text) from None
+    if any(len(a) > 2 for a in f_rest) or not all(map(math.isfinite, more)):
+        raise _line_error(text)
     del f_tok
     try:
         given = np.array(ints, dtype=np.int64)
@@ -185,20 +202,28 @@ def _line_error(text: str) -> Exception:
         if len(args) < 3:
             return ObjParseError(_SHORT_RECORD[rec].format(len(args)), lineno, 1)
         if rec == "v":
-            for token, col in args[:3]:
+            for token, col in args:
                 try:
                     _obj_number(float, token)
                 except ValueError:
                     return ObjParseError(f"bad coordinate {token!r}", lineno, col)
-            if not all(math.isfinite(float(token)) for token, _ in args[:3]):
+            if not all(math.isfinite(float(token)) for token, _ in args):
                 return NonFiniteError(f"line {lineno}: vertex coordinates must be finite")
             seen += 1
             continue
         for token, col in args:
+            first, *rest = token.split("/")
             try:
-                i = _obj_number(int, token.split("/", 1)[0])
+                i = _obj_number(int, first)
             except ValueError:
                 return ObjParseError(f"bad vertex index {token!r}", lineno, col)
+            try:
+                if len(rest) > 2:
+                    raise ValueError(token)
+                for field in filter(None, rest):
+                    _obj_number(int, field)
+            except ValueError:
+                return ObjParseError(f"bad texture or normal index {token!r}", lineno, col)
             if i == 0:
                 return ObjParseError("vertex index 0 is not allowed", lineno, col)
             if seen + i < 0:
@@ -545,18 +570,6 @@ def point_inside_mesh(mesh: Mesh, point: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # Pinhole camera
 # ---------------------------------------------------------------------------
-
-
-def _require_int(value, what: str, minimum: int) -> None:
-    """Refuse a count that is not an integer of at least ``minimum``.
-
-    A float (2.7), a bool, a string or a list raises ValueError instead of
-    being cast; an integer below ``minimum`` raises InvalidValueError.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer")
-    if value < minimum:
-        raise InvalidValueError(f"{what} must be at least {minimum}")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import animate, kernels
 from .codec import VOCAB_SIZE
-from .core import Mesh, Skeleton, SkinWeights, graph_distance_matrix
-from .geometry import Camera, _require_int
+from .core import Mesh, Skeleton, SkinWeights, _require_int, graph_distance_matrix
+from .geometry import Camera
 from .quat import normalize as quat_normalize
 
 FD_STEP = 1e-5

@@ -18,9 +18,10 @@ unbatched operands only: they run their forward kernel's checks, then
 refuse a leading axis on any operand and an upstream gradient whose shape
 is not the forward output's.
 
-The integer operands, hop counts and targets, are never cast: a NaN or Inf
-raises ``NonFiniteError`` and a value with a fraction ``ValueError``, while
-integer-valued floats pass.
+The integer operands, hop counts and targets, and the 0/1 mask are never
+cast: they go through core's integer and 0/1 rules, so a NaN or Inf raises
+``NonFiniteError`` and a fraction (or a mask entry other than 0 or 1)
+``ValueError``, while integer-valued floats pass.
 
 These kernels are the numeric core of a skinning predictor whose wiring
 is: bone tokens attend over themselves with the graph-distance bias, pick
@@ -44,30 +45,9 @@ from __future__ import annotations
 import numpy as np
 
 from .codec import VOCAB_SIZE
-from .core import _require_finite
+from .core import _require_bools, _require_broadcast, _require_finite, _require_integers
 
 COSINE_NORM_EPS = 1e-12
-
-
-def _require_integers(name: str, a: np.ndarray) -> np.ndarray:
-    """``a``, refused unless every entry is a finite integer; never cast."""
-    if a.dtype.kind not in "iu":
-        a = a.astype(np.float64)
-        _require_finite(f"{name} contains NaN or Inf", a)
-        if np.any(a != np.trunc(a)):
-            raise ValueError(f"{name} must hold integers")
-    return a
-
-
-def _require_broadcast(leading: dict[str, tuple]) -> None:
-    """Refuse operands whose leading axes do not broadcast, naming them."""
-
-    def clash(s, t):
-        return any(a != b and 1 not in (a, b) for a, b in zip(s[::-1], t[::-1]))
-
-    bad = [f"{n} {s}" for n, s in leading.items() if any(clash(s, t) for t in leading.values())]
-    if bad:
-        raise ValueError(f"leading axes do not broadcast: {', '.join(bad)}")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -292,7 +272,7 @@ def skinning_head_vjp(
 
 def _check_ce(logits, targets, mask):
     logits = np.asarray(logits, dtype=np.float64)
-    targets = _require_integers("targets", np.asarray(targets))
+    targets = _require_integers("targets", targets)
     if logits.ndim < 2 or logits.shape[-1] != VOCAB_SIZE:
         raise ValueError(f"logits must be (length, {VOCAB_SIZE})")
     length = logits.shape[-2]
@@ -305,14 +285,7 @@ def _check_ce(logits, targets, mask):
     if mask is None:
         mask = np.ones(length, dtype=bool)
     else:
-        mask = np.asarray(mask)
-        if mask.dtype != bool:
-            # Refused unless every entry is 0 or 1; never cast by truthiness.
-            values = mask.astype(np.float64)
-            _require_finite("mask contains NaN or Inf", values)
-            if np.any((values != 0.0) & (values != 1.0)):
-                raise ValueError("mask must hold only 0 and 1")
-            mask = values == 1.0
+        mask = _require_bools("mask", mask)
         if mask.shape != (length,):
             raise ValueError("mask must align with logits rows")
     if not mask.any():

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .core import Mesh, Skeleton, SkinWeights, bone_segments, require_valid
+from .core import Mesh, Skeleton, SkinWeights, _require_int, bone_segments, require_valid
 from .deform import _BlendBasis, pose_clip, sample_augmented_pose
-from .geometry import _require_int, point_segment_distance
+from .geometry import point_segment_distance
 
 SIGNIFICANT_WEIGHT = 1e-4
 

@@ -308,6 +308,19 @@ class TestMetricsCommand:
 
 
 class TestSkinAndDeform:
+    def test_infinite_falloff_rejected(self, scene, capsys):
+        # An infinite falloff would give every nearby bone the same weight.
+        tmp_path, rig_path, mesh_path, _, _ = scene
+        skinned = tmp_path / "skinned.json"
+        capsys.readouterr()
+        code = main(["skin-heuristic", str(rig_path), str(mesh_path),
+                     "-o", str(skinned), "--falloff", "inf"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "rigkit skin-heuristic: falloff must be finite and positive\n"
+        assert not skinned.exists()
+
     def test_skin_then_deform(self, scene, capsys):
         tmp_path, rig_path, mesh_path, anim_path, _ = scene
         skinned = tmp_path / "skinned.json"

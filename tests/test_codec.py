@@ -92,6 +92,15 @@ class TestQuantization:
         with pytest.raises(ValueError):
             dequantize_coords(np.array([-1]))
 
+    def test_dequantize_never_casts_bins(self):
+        # A fractional or non-finite bin is refused, not truncated; integral
+        # floats give their integers' centres.
+        with pytest.raises(ValueError, match="bins must hold integers"):
+            dequantize_coords(np.array([1.5]))
+        with pytest.raises(NonFiniteError, match="bins contains NaN or Inf"):
+            dequantize_coords(np.array([np.nan]))
+        assert np.array_equal(dequantize_coords([3.0, 0.0]), dequantize_coords([3, 0]))
+
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteError, match="coordinates must be finite"):
@@ -302,6 +311,13 @@ CODEC_CONTRACT = {
     "tokenize: negative shape tokens": (
         partial(tokenize_bone_based, shape_tokens=-1), (_CHAIN,),
         (ValueError, "shape_tokens must be non-negative")),
+    # A count is refused, not cast: 2.7 would give 2 placeholders, True 1.
+    "tokenize: fractional shape tokens": (
+        partial(tokenize_joint_based, shape_tokens=2.7), (_CHAIN,),
+        (ValueError, "shape_tokens must be an integer")),
+    "tokenize: boolean shape tokens": (
+        partial(tokenize_bone_based, shape_tokens=True), (_CHAIN,),
+        (ValueError, "shape_tokens must be an integer")),
     "bone: damaged bones in order": (
         detokenize_bone_based,
         (_stream(0, 0, 0, 1, 1, 1,

@@ -130,6 +130,59 @@ def test_value_types_freeze_copies(kind, layout):
         assert np.array_equal(got, want), name
 
 
+# Every integer field and every mask of the seven value types.
+FIELDS_BY_DTYPE = {
+    kind: [(name, t) for name, (_, fields) in VALUE_TYPES.items()
+           for t, a in fields.items() if a.dtype == kind]
+    for kind in (np.dtype(np.int64), np.dtype(bool))
+}
+
+
+def _with_last(build, fields, name, x):
+    """``build`` given ``fields`` with the last entry of ``name`` set to ``x``."""
+    a = fields[name].astype(np.float64)
+    a.flat[-1] = x
+    return build(**{**fields, name: a})
+
+
+@pytest.mark.parametrize("kind, name", FIELDS_BY_DTYPE[np.dtype(np.int64)])
+def test_integer_fields_are_never_cast(kind, name):
+    # A fraction, a NaN and an integral float past int64 are refused, not
+    # truncated or wrapped; integral floats freeze to the ints' bits.
+    build, fields = VALUE_TYPES[kind]
+    with pytest.raises(ValueError, match=f"^{name} must hold integers$"):
+        _with_last(build, fields, name, 0.5)
+    with pytest.raises(NonFiniteError, match=f"^{name} contains NaN or Inf$"):
+        _with_last(build, fields, name, np.nan)
+    for huge in (1e30, -1e30, 2.0**63):
+        with pytest.raises(ValueError, match=f"^{name} must hold integers within int64$"):
+            _with_last(build, fields, name, huge)
+    # Digits in strings are not parsed, nor is an imaginary part dropped.
+    for other in (str, complex):
+        with pytest.raises(ValueError, match=f"^{name} must hold integers$"):
+            build(**{**fields, name: fields[name].astype(other)})
+    got = getattr(build(**{**fields, name: fields[name].astype(np.float64)}), name)
+    assert got.dtype == np.int64 and got.tobytes() == fields[name].tobytes()
+
+
+@pytest.mark.parametrize("kind, name", FIELDS_BY_DTYPE[np.dtype(bool)])
+def test_masks_are_never_cast(kind, name):
+    # A mask entry other than 0 or 1 is refused, never read by its
+    # truthiness; 0/1 numbers of any dtype freeze to the bools' bits.
+    build, fields = VALUE_TYPES[kind]
+    for x in (0.3, 2.0, -1.0):
+        with pytest.raises(ValueError, match=f"^{name} must hold only 0 and 1$"):
+            _with_last(build, fields, name, x)
+    with pytest.raises(NonFiniteError, match=f"^{name} contains NaN or Inf$"):
+        _with_last(build, fields, name, np.inf)
+    for other in (str, complex):
+        with pytest.raises(ValueError, match=f"^{name} must hold only 0 and 1$"):
+            build(**{**fields, name: fields[name].astype(other)})
+    for dtype in (np.float64, np.int64, np.uint8):
+        got = getattr(build(**{**fields, name: fields[name].astype(dtype)}), name)
+        assert got.dtype == bool and got.tobytes() == fields[name].tobytes()
+
+
 def test_token_sequence_default_indicators_read_only():
     t = TokenSequence(np.array([128, 129]), None, "joint_based")
     assert t.indicators.tolist() == [NO_INDICATOR, NO_INDICATOR]
@@ -447,11 +500,17 @@ def test_no_uncalled_private_helpers():
 
 def test_no_unused_private_names():
     # A module-level _name (function, class or constant) that its own module
-    # never reads is dead code left behind by a rewrite.
+    # never reads, and that no sibling imports, is dead code left behind by
+    # a rewrite.  A sibling reads what it imports (the unused-import check),
+    # so a core rule that only other modules call is not dead.
     package = Path(rigkit.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    imported = {
+        (node.module, alias.name) for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+    }
     unused = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in trees.items():
         defined = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -468,8 +527,22 @@ def test_no_unused_private_names():
         unused += [
             f"{path.name}:{line} {name}" for name, line in sorted(defined.items())
             if name.startswith("_") and not name.startswith("__") and name not in read
+            and (path.stem, name) not in imported
         ]
     assert unused == []
+
+
+def test_input_rules_live_in_core():
+    # Each kind of input rule (counts, integer arrays, 0/1 masks, bounded
+    # reals, finiteness, broadcasting) has one definition, in core.
+    package = Path(rigkit.__file__).parent
+    outside = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(package.glob("*.py")) if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_require_")
+    ]
+    assert outside == []
 
 
 def test_gradcheck_calls_every_kernel_gradient():

@@ -124,6 +124,31 @@ OBJ_ERRORS = {
     "out of range before a later short face": (
         _TRI + "f 1 2 9\nf 1 2\n", ObjParseError,
         "line 5, col 1: face needs at least 3 vertices, got 2", 5, 1),
+    # A v record's tokens past the third follow the coordinate rule, and an
+    # f token's fields after the first are empty or integers, at most three.
+    "bad token after the coordinates": (
+        "v 0 0 0 zap\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", ObjParseError,
+        "line 1, col 9: bad coordinate 'zap'", 1, 9),
+    "bad vertex colour": (
+        "v 0 0 0\nv 1 0 0 0.5 q 0.5\n", ObjParseError,
+        "line 2, col 13: bad coordinate 'q'", 2, 13),
+    "NaN after the coordinates": (
+        "v 0 0 0 nan\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", NonFiniteError,
+        "line 1: vertex coordinates must be finite", None, None),
+    "underscore after the coordinates": (
+        "v 0 0 0 1_0\n", ObjParseError, "line 1, col 9: bad coordinate '1_0'", 1, 9),
+    "bad texture index": (
+        _TRI + "f 1/zap 2 3\n", ObjParseError,
+        "line 4, col 3: bad texture or normal index '1/zap'", 4, 3),
+    "bad normal index": (
+        _TRI + "f 1//1 2//2 3//x\n", ObjParseError,
+        "line 4, col 13: bad texture or normal index '3//x'", 4, 13),
+    "four fields in a face token": (
+        _TRI + "f 1 2/1/1/1 3\n", ObjParseError,
+        "line 4, col 5: bad texture or normal index '2/1/1/1'", 4, 5),
+    "non-ASCII texture index": (
+        _TRI + "f 1 2 3/\u0661\n", ObjParseError,
+        "line 4, col 7: bad texture or normal index '3/\u0661'", 4, 7),
     "bad index with no vertices": (
         "f 1 2 3\nf 1 2 q\n", ObjParseError,
         "line 2, col 7: bad vertex index 'q'", 2, 7),
@@ -226,6 +251,15 @@ class TestObjParse:
         m = parse_obj(text)
         assert m.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
         assert m.triangles.tolist() == [[0, 1, 2]]
+
+    def test_extra_vertex_tokens_and_face_fields(self):
+        # w, vertex colours and texture/normal indices are read for their
+        # syntax and dropped.
+        text = ("v 0 0 0 1\nv 1 0 0 0.5 0.25 1\nv 0 1 0 1 0 0 1\n"
+                "f 1/2/3 2//3 3/1\nf 1/ 3/-1/+2 2\n")
+        m = parse_obj(text)
+        assert m.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        assert m.triangles.tolist() == [[0, 1, 2], [0, 2, 1]]
 
     def test_face_before_its_vertices(self):
         # Positive indices are checked against every vertex after the pass.

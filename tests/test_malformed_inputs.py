@@ -161,12 +161,23 @@ def broken_obj(draw, text: bytes):
     v_rows = [i for i, line in enumerate(lines) if line.startswith("v ")]
     f_rows = [i for i, line in enumerate(lines) if line.startswith("f ")]
     kind = draw(st.sampled_from(
-        ["coordinate", "index", "drop_token", "drop_vertex", "non_utf8"]))
+        ["coordinate", "index", "drop_token", "drop_vertex", "non_utf8", "extra_token"]))
     if kind == "non_utf8":
         at = draw(st.integers(0, len(text)))
         return text[:at] + b"\xff" + text[at:]
     if kind == "drop_vertex":
         del lines[draw(st.sampled_from(v_rows))]
+    elif kind == "extra_token":
+        # A bad token after a v line's coordinates or a bad field after an
+        # f token's vertex index.
+        row = draw(st.sampled_from(v_rows + f_rows))
+        if row in v_rows:
+            lines[row] += " " + draw(st.sampled_from(["nan", "inf", "x", "1_0", "0x1"]))
+        else:
+            parts = lines[row].split()
+            at = draw(st.integers(1, len(parts) - 1))
+            parts[at] += draw(st.sampled_from(["/x", "//1.5", "/1/2/3", "/\u0661"]))
+            lines[row] = " ".join(parts)
     else:
         rows = v_rows if kind == "coordinate" else f_rows
         if kind == "drop_token":
