@@ -39,6 +39,7 @@ from .core import (
     _require_finite,
     _require_int,
     _require_integers,
+    _require_real,
     hierarchical_order,
     require_valid,
 )
@@ -125,9 +126,6 @@ def _check_order(s: Skeleton, order) -> np.ndarray:
 
 def _framed(payload: np.ndarray, shape_tokens: int) -> np.ndarray:
     """BOS, ``shape_tokens`` shape placeholders, the raveled payload, EOS."""
-    # The sign is checked first: the codec refuses it as a plain ValueError.
-    if shape_tokens < 0:
-        raise ValueError("shape_tokens must be non-negative")
     _require_int(shape_tokens, "shape_tokens", 0)
     return np.concatenate(
         ([BOS], np.full(shape_tokens, SHAPE_PLACEHOLDER), payload.ravel(), [EOS])
@@ -378,17 +376,14 @@ def permutation_probability(epoch: float, total_epochs: float) -> float:
     Constant 1 for the first half, linear decay to 0 across the third
     quarter, constant 0 for the final quarter.  Both arguments must be finite.
     """
-    e = float(epoch)
-    te = float(total_epochs)
-    _require_finite("epoch and total_epochs must be finite", e, te)
-    if te <= 0:
-        raise ValueError("total_epochs must be positive")
-    if e < 0 or e > te:
-        raise ValueError(f"epoch must lie in [0, {te}]")
-    if e <= te / 2:
+    _require_real(epoch, "epoch", 0, False)
+    _require_real(total_epochs, "total_epochs", 0, True)
+    if epoch > total_epochs:
+        raise ValueError(f"epoch must lie in [0, {total_epochs}]")
+    if epoch <= total_epochs / 2:
         return 1.0
-    if e <= 3 * te / 4:
-        return 1.0 - (e - te / 2) / (te / 4)
+    if epoch <= 3 * total_epochs / 4:
+        return 1.0 - (epoch - total_epochs / 2) / (total_epochs / 4)
     return 0.0
 
 

@@ -41,10 +41,10 @@ class NonFiniteError(InvalidValueError):
 def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
     """Set each named field of the frozen dataclass ``obj`` to a read-only
     C-contiguous copy at its dtype, so the caller's arrays stay theirs;
-    returns the copies in the order named.  An int64 field given at
-    another dtype goes through :func:`_require_integers` (an integral
-    float past int64 is refused too) and a bool field through
-    :func:`_require_bools` before the cast, so neither is cast blindly."""
+    returns the copies in the order named.  No field is cast blindly: an
+    int64 one goes through :func:`_require_integers` (an integral float past
+    int64 is refused too), a bool one through :func:`_require_bools`, and a
+    float64 one given as strings, complex, objects or bools raises ValueError."""
     copies = []
     for name, dtype in dtypes.items():
         a = np.array(getattr(obj, name), order="C")
@@ -55,6 +55,8 @@ def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
                     raise ValueError(f"{name} must hold integers within int64")
             elif dtype is bool:
                 a = _require_bools(name, a)
+            elif a.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must hold real numbers")
             a = a.astype(dtype, copy=False)
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
@@ -114,14 +116,19 @@ def _require_int(value, what: str, minimum: int) -> None:
 
 
 def _require_real(value, what: str, low, strict: bool) -> None:
-    """Refuse a real that is NaN, infinite or not above ``low`` (``strict``)
-    or at least ``low``, with ValueError, e.g. "falloff must be finite and
-    positive"."""
-    if not (np.isfinite(value) and (value > low if strict else value >= low)):
-        bound = f"above {low}" if strict else f"at least {low}"
-        if low == 0:
-            bound = "positive" if strict else "non-negative"
-        raise ValueError(f"{what} must be finite and {bound}")
+    """Refuse a real number that is not finite and above ``low`` (``strict``)
+    or at least ``low``, e.g. "falloff must be finite and positive": a bool
+    or a non-number (a string, None, a list) raises ValueError, NaN or Inf
+    NonFiniteError and a value past the bound InvalidValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number")
+    bound = f"above {low}" if strict else f"at least {low}"
+    if low == 0:
+        bound = "positive" if strict else "non-negative"
+    if not isinstance(value, int):  # a Python int is finite and may pass int64
+        _require_finite(f"{what} must be finite and {bound}", value)
+    if not (value > low if strict else value >= low):
+        raise InvalidValueError(f"{what} must be finite and {bound}")
 
 
 def _require_broadcast(leading: dict[str, tuple]) -> None:

@@ -41,6 +41,7 @@ from .core import (
     _require_finite,
     _require_int,
     _require_json_floats,
+    _require_real,
 )
 
 RAY_T_EPS = 1e-9
@@ -599,9 +600,9 @@ class Camera:
         r, t = _frozen(self, rotation=np.float64, translation=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
-        _require_finite("camera contains NaN or Inf", r, t, [self.fx, self.fy, self.cx, self.cy])
-        if not (self.fx > 0 and self.fy > 0):
-            raise InvalidValueError("focal lengths fx and fy must be positive")
+        _require_real(self.fx, "camera fx", 0, True)
+        _require_real(self.fy, "camera fy", 0, True)
+        _require_finite("camera contains NaN or Inf", r, t, [self.cx, self.cy])
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
             raise InvalidValueError("rotation must be orthonormal with det +1")
 

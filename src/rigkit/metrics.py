@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .core import Mesh, Skeleton, SkinWeights, _require_int, bone_segments, require_valid
+from .core import (Mesh, Skeleton, SkinWeights, _require_int, _require_real, bone_segments,
+                   require_valid)
 from .deform import _BlendBasis, pose_clip, sample_augmented_pose
 from .geometry import point_segment_distance
 
@@ -112,6 +113,7 @@ def skinning_precision_recall(
     """
     if pred.matrix.shape != gt.matrix.shape:
         raise ValueError("weight shapes must match")
+    _require_real(threshold, "threshold", 0, False)
     p = pred.matrix > threshold
     g = gt.matrix > threshold
     inter = float(np.sum(p & g))

@@ -13,6 +13,7 @@ from rigkit import (
     EOS,
     NO_INDICATOR,
     PAD,
+    InvalidValueError,
     NonFiniteError,
     SHAPE_PLACEHOLDER,
     VOCAB_SIZE,
@@ -310,7 +311,7 @@ CODEC_CONTRACT = {
         (ValueError, "order must be a permutation of all joint indices")),
     "tokenize: negative shape tokens": (
         partial(tokenize_bone_based, shape_tokens=-1), (_CHAIN,),
-        (ValueError, "shape_tokens must be non-negative")),
+        (InvalidValueError, "shape_tokens must be at least 0")),
     # A count is refused, not cast: 2.7 would give 2 placeholders, True 1.
     "tokenize: fractional shape tokens": (
         partial(tokenize_joint_based, shape_tokens=2.7), (_CHAIN,),

@@ -21,8 +21,10 @@ from rigkit import (
     AnimParams,
     Camera,
     InvalidSkeletonError,
+    InvalidValueError,
     Mesh,
     NonFiniteError,
+    OptimizeConfig,
     Rig,
     Skeleton,
     SkinWeights,
@@ -31,16 +33,21 @@ from rigkit import (
     bone_segments,
     canonical_json,
     graph_distance_matrix,
+    heuristic_skin_weights,
     hierarchical_order,
     joint_depths,
     load_rig,
+    permutation_probability,
     save_rig,
+    skinning_precision_recall,
     spatial_order,
+    synthesize_tracks,
     validate_skeleton,
 )
 
 from helpers import (
     bfs_graph_distances,
+    icosphere,
     permute_joints,
     random_chain,
     random_tree,
@@ -134,7 +141,7 @@ def test_value_types_freeze_copies(kind, layout):
 FIELDS_BY_DTYPE = {
     kind: [(name, t) for name, (_, fields) in VALUE_TYPES.items()
            for t, a in fields.items() if a.dtype == kind]
-    for kind in (np.dtype(np.int64), np.dtype(bool))
+    for kind in (np.dtype(np.int64), np.dtype(bool), np.dtype(np.float64))
 }
 
 
@@ -181,6 +188,74 @@ def test_masks_are_never_cast(kind, name):
     for dtype in (np.float64, np.int64, np.uint8):
         got = getattr(build(**{**fields, name: fields[name].astype(dtype)}), name)
         assert got.dtype == bool and got.tobytes() == fields[name].tobytes()
+
+
+@pytest.mark.parametrize("kind, name", FIELDS_BY_DTYPE[np.dtype(np.float64)])
+def test_float_fields_are_never_cast(kind, name):
+    # Digits in strings are not parsed, an imaginary part is not dropped,
+    # and neither an object nor a bool is read as a number; ints and
+    # float32 freeze to the float64 bits of a plain conversion.
+    build, fields = VALUE_TYPES[kind]
+    for other in (str, complex, object, bool):
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers$"):
+            build(**{**fields, name: fields[name].astype(other)})
+    for dtype in (np.int64, np.float32):
+        given = fields[name].astype(dtype)
+        got = getattr(build(**{**fields, name: given}), name)
+        assert got.dtype == np.float64
+        assert got.tobytes() == given.astype(np.float64).tobytes()
+
+
+def _tracks_scene():
+    mesh = icosphere(1, radius=0.3)
+    s = Skeleton(np.array([[0.0, -0.2, 0.0], [0.0, 0.2, 0.0]]), np.array([-1, 0]))
+    return mesh, s, heuristic_skin_weights(mesh, s)
+
+
+def _synthesize(noise_px):
+    camera = Camera.look_at(eye=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0))
+    return synthesize_tracks(*_tracks_scene(), AnimParams.identity(2, 2), camera,
+                             noise_px=noise_px, vertex_count=4)
+
+
+_ONE_HOT = SkinWeights(np.eye(2))
+# Every site of core._require_real: a call passing x there, and the name,
+# lower bound and strictness it reports.
+REAL_SITES = {
+    "learning_rate": (lambda x: OptimizeConfig(learning_rate=x), 0, True),
+    "reg_weight": (lambda x: OptimizeConfig(reg_weight=x), 0, False),
+    "plateau_rtol": (lambda x: OptimizeConfig(plateau_rtol=x), 0, False),
+    "divergence_factor": (lambda x: OptimizeConfig(divergence_factor=x), 1, True),
+    "lr_floor": (lambda x: OptimizeConfig(lr_floor=x), 0, False),
+    "noise_px": (_synthesize, 0, False),
+    "falloff": (lambda x: heuristic_skin_weights(*_tracks_scene()[:2], falloff=x), 0, True),
+    "camera fx": (lambda x: Camera(x, 100.0, 2.0, 2.0, 4, 4, np.eye(3), np.ones(3)), 0, True),
+    "camera fy": (lambda x: Camera(100.0, x, 2.0, 2.0, 4, 4, np.eye(3), np.ones(3)), 0, True),
+    "epoch": (lambda x: permutation_probability(x, 10), 0, False),
+    "total_epochs": (lambda x: permutation_probability(0, x), 0, True),
+    "threshold": (lambda x: skinning_precision_recall(_ONE_HOT, _ONE_HOT, threshold=x), 0, False),
+}
+
+
+@pytest.mark.parametrize("what", REAL_SITES)
+def test_real_scalars_are_never_cast(what):
+    # A bool is not read as 1, a string is not parsed and None is not a
+    # number; NaN/Inf and a value past the bound keep their own classes.
+    call, low, strict = REAL_SITES[what]
+    # lr_floor=None is its default: no floor.
+    for x in (True, "0.1") + ((None,) if what != "lr_floor" else ()):
+        with pytest.raises(ValueError, match=f"^{what} must be a real number$") as e:
+            call(x)
+        assert type(e.value) is ValueError
+    bound = f"^{what} must be finite and (positive|non-negative|above 1)$"
+    for x in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError, match=bound):
+            call(x)
+    with pytest.raises(InvalidValueError, match=bound) as e:
+        call(low if strict else low - 1)
+    assert type(e.value) is InvalidValueError
+    for x in (low + 1, low + 1.5, np.float64(low + 1.5)):
+        call(x)
 
 
 def test_token_sequence_default_indicators_read_only():
