@@ -103,7 +103,6 @@ from .deform import (
     save_animation,
 )
 from .metrics import (
-    MetricConfig,
     chamfer_b2b,
     chamfer_j2b,
     chamfer_j2j,
@@ -193,7 +192,6 @@ __all__ = [
     "load_animation",
     "sample_augmented_pose",
     "save_animation",
-    "MetricConfig",
     "chamfer_b2b",
     "chamfer_j2b",
     "chamfer_j2j",

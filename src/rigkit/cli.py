@@ -38,7 +38,7 @@ from .deform import (
     save_animation,
 )
 from .geometry import Camera, ObjParseError, load_obj, save_obj
-from .metrics import MetricConfig, metrics_report
+from .metrics import metrics_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,11 +87,13 @@ def _load_camera(path: str | Path) -> Camera:
         if "rotation" in data:
             return Camera.from_dict(data)
         # Only the keys the file gives, so look_at owns the defaults; the
-        # image size goes through raw, so a float is refused, not cast.
+        # focal lengths become floats, as in Camera.from_dict, and the image
+        # size goes through raw, so a float is refused, not cast.
         return Camera.look_at(
             _require_json_floats(data["eye"], "eye"),
             _require_json_floats(data["target"], "target"),
-            **{k: _require_json_floats(data[k], k) for k in ("up", "fx", "fy") if k in data},
+            **{k: _require_json_floats(data[k], k) for k in ("up",) if k in data},
+            **{k: float(_require_json_floats(data[k], k)) for k in ("fx", "fy") if k in data},
             **{k: data[k] for k in ("width", "height") if k in data},
         )
 
@@ -176,7 +178,7 @@ def _cmd_metrics(args) -> int:
     mesh = _load(args.mesh, load_obj, "OBJ") if args.mesh else None
     report = metrics_report(
         pred.skeleton, gt.skeleton, pred_weights=pred.weights, gt_weights=gt.weights,
-        mesh=mesh, config=MetricConfig(normalize=not args.no_normalize),
+        mesh=mesh, normalize=not args.no_normalize,
         **_given(args, "seed"),
     )
     sys.stdout.write(canonical_json(report))

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    InvalidValueError,
     MAX_JOINTS,
     ROOT_PARENT,
     Skeleton,
@@ -118,10 +119,10 @@ def dequantize_coords(bins: np.ndarray) -> np.ndarray:
 def _check_order(s: Skeleton, order) -> np.ndarray:
     if order is None:
         return hierarchical_order(s)
-    order = np.asarray(order, dtype=np.int64)
+    order = _require_integers("order", order)
     if sorted(order.tolist()) != list(range(s.joint_count)):
         raise ValueError("order must be a permutation of all joint indices")
-    return order
+    return order.astype(np.int64, copy=False)
 
 
 def _framed(payload: np.ndarray, shape_tokens: int) -> np.ndarray:
@@ -222,7 +223,7 @@ def detokenize_joint_based(t: TokenSequence) -> tuple[Skeleton, list[str]]:
     if t.scheme != SCHEME_JOINT:
         raise ValueError(f"expected {SCHEME_JOINT} stream, got {t.scheme}")
     _, payload, diagnostics = _split_payload(t)
-    if payload.size == 0:
+    if payload.size < 4:
         raise ValueError("token stream has no joint payload")
     n_groups = payload.size // 4
     if payload.size % 4 != 0:
@@ -261,7 +262,7 @@ def detokenize_bone_based(t: TokenSequence) -> tuple[Skeleton, list[str]]:
     if t.scheme != SCHEME_BONE:
         raise ValueError(f"expected {SCHEME_BONE} stream, got {t.scheme}")
     _, payload, diagnostics = _split_payload(t)
-    if payload.size == 0:
+    if payload.size < 6:
         raise ValueError("token stream has no bone payload")
     if payload.size % 6 != 0:
         diagnostics.append(
@@ -340,8 +341,9 @@ def randomize_groups(t: TokenSequence, seed: int, r: float) -> TokenSequence:
     are rewritten against the new emission positions, so a shuffled
     payload may refer forward to a parent emitted later.
     """
+    _require_real(r, "r")
     if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
+        raise InvalidValueError("r must lie in [0, 1]")
     start, groups = _payload_groups(t)
     end = start + groups.size
 

@@ -115,20 +115,22 @@ def _require_int(value, what: str, minimum: int) -> None:
         raise InvalidValueError(f"{what} must be at least {minimum}")
 
 
-def _require_real(value, what: str, low, strict: bool) -> None:
+def _require_real(value, what: str, low=None, strict: bool = False) -> None:
     """Refuse a real number that is not finite and above ``low`` (``strict``)
-    or at least ``low``, e.g. "falloff must be finite and positive": a bool
-    or a non-number (a string, None, a list) raises ValueError, NaN or Inf
+    or at least ``low``, e.g. "falloff must be finite and positive", or, with
+    no ``low``, that is not finite ("camera cx must be finite"): a bool or a
+    non-number (a string, None, a list) raises ValueError, NaN or Inf
     NonFiniteError and a value past the bound InvalidValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a real number")
-    bound = f"above {low}" if strict else f"at least {low}"
+    bound = "" if low is None else f" and {'above' if strict else 'at least'} {low}"
     if low == 0:
-        bound = "positive" if strict else "non-negative"
+        bound = " and positive" if strict else " and non-negative"
+    message = f"{what} must be finite{bound}"
     if not isinstance(value, int):  # a Python int is finite and may pass int64
-        _require_finite(f"{what} must be finite and {bound}", value)
-    if not (value > low if strict else value >= low):
-        raise InvalidValueError(f"{what} must be finite and {bound}")
+        _require_finite(message, value)
+    if low is not None and not (value > low if strict else value >= low):
+        raise InvalidValueError(message)
 
 
 def _require_broadcast(leading: dict[str, tuple]) -> None:

@@ -591,18 +591,21 @@ class Camera:
     translation: np.ndarray
 
     def __post_init__(self):
-        # The image size is kept as Python ints, so to_dict writes JSON
-        # integers; a float, string, bool or list is refused, not cast.
+        # The image size is kept as Python ints and the intrinsics as Python
+        # floats, each after its rule, so to_dict writes the same JSON for
+        # an int and a float focal length; a string, bool or list is refused,
+        # not cast, and so is a float image size.
         for name in ("width", "height"):
-            size = getattr(self, name)
-            _require_int(size, f"camera {name}", 1)
-            object.__setattr__(self, name, int(size))
+            _require_int(getattr(self, name), f"camera {name}", 1)
         r, t = _frozen(self, rotation=np.float64, translation=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
-        _require_real(self.fx, "camera fx", 0, True)
-        _require_real(self.fy, "camera fy", 0, True)
-        _require_finite("camera contains NaN or Inf", r, t, [self.cx, self.cy])
+        for name, low in (("fx", 0), ("fy", 0), ("cx", None), ("cy", None)):
+            _require_real(getattr(self, name), f"camera {name}", low, low is not None)
+        for name in ("width", "height", "fx", "fy", "cx", "cy"):
+            kind = int if name in ("width", "height") else float
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        _require_finite("camera contains NaN or Inf", r, t)
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6 or np.linalg.det(r) < 0:
             raise InvalidValueError("rotation must be orthonormal with det +1")
 
@@ -644,8 +647,8 @@ class Camera:
         y = np.cross(z, x)
         rotation = np.stack([x, y, z])
         return cls(
-            fx=float(fx),
-            fy=float(fx if fy is None else fy),
+            fx=fx,
+            fy=fx if fy is None else fy,
             cx=width / 2.0,
             cy=height / 2.0,
             width=width,

@@ -11,8 +11,6 @@ report-level scaling (x100) happens at the CLI boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import quat
@@ -22,17 +20,6 @@ from .deform import _BlendBasis, pose_clip, sample_augmented_pose
 from .geometry import point_segment_distance
 
 SIGNIFICANT_WEIGHT = 1e-4
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    bone_samples: int = 32
-    pose_count: int = 10
-    normalize: bool = True
-
-    def __post_init__(self):
-        _require_int(self.bone_samples, "bone_samples", 2)  # both endpoints
-        _require_int(self.pose_count, "pose_count", 1)
 
 
 def normalize_skeleton(s: Skeleton, box_points: np.ndarray | None = None) -> Skeleton:
@@ -90,14 +77,16 @@ def _bone_samples(s: Skeleton, count: int) -> np.ndarray:
     return pts.reshape(-1, 3)
 
 
-def chamfer_b2b(a: Skeleton, b: Skeleton, config: MetricConfig = MetricConfig()) -> float:
-    """Chamfer between dense bone samplings (endpoints included)."""
+def chamfer_b2b(a: Skeleton, b: Skeleton, bone_samples: int = 32) -> float:
+    """Chamfer between bone samplings of ``bone_samples`` evenly spaced
+    points per bone (endpoints included)."""
+    _require_int(bone_samples, "bone_samples", 2)  # both endpoints
     require_valid(a)
     require_valid(b)
     if a.bone_count == 0 or b.bone_count == 0:
         raise ValueError("chamfer_b2b requires at least one bone on each side")
-    pa = _bone_samples(a, config.bone_samples)
-    pb = _bone_samples(b, config.bone_samples)
+    pa = _bone_samples(a, bone_samples)
+    pb = _bone_samples(b, bone_samples)
     return 0.5 * (_directed_j2j(pa, pb) + _directed_j2j(pb, pa))
 
 
@@ -137,26 +126,27 @@ def deformation_error(
     pred: SkinWeights,
     gt: SkinWeights,
     seed: int = 0,
-    config: MetricConfig = MetricConfig(),
+    pose_count: int = 10,
 ) -> float:
     """Mean vertex displacement between the two skinnings over sampled poses.
 
-    Draws ``config.pose_count`` augmented poses from one seeded stream and
+    Draws ``pose_count`` augmented poses from one seeded stream and
     averages the per-vertex distance across poses.  The blend is linear in
     the weights, so each pose's displacement is one blend of the rows
     ``pred - gt``, all poses in one batched pass.
     """
+    _require_int(pose_count, "pose_count", 1)
     require_valid(s)
     pred.require_fits(mesh, s)
     gt.require_fits(mesh, s)
     rng = np.random.default_rng(seed)
-    joint_quats = np.stack([sample_augmented_pose(s, rng) for _ in range(config.pose_count)])
+    joint_quats = np.stack([sample_augmented_pose(s, rng) for _ in range(pose_count)])
     basis = _BlendBasis(mesh.vertices, pred.matrix - gt.matrix)
     _, moved = pose_clip(s, basis, quat.IDENTITY, np.zeros(3), joint_quats)
     total = 0.0
     for mean in np.mean(np.linalg.norm(moved, axis=-1), axis=-1).tolist():
         total += mean
-    return total / config.pose_count
+    return total / pose_count
 
 
 def metrics_report(
@@ -167,21 +157,21 @@ def metrics_report(
     gt_weights: SkinWeights | None = None,
     mesh: Mesh | None = None,
     seed: int = 0,
-    config: MetricConfig = MetricConfig(),
+    normalize: bool = True,
 ) -> dict:
     """All metrics as a flat dict, chamfer values and precision/recall in
-    reporting units (x100); entries needing absent inputs are None."""
+    reporting units (x100); entries needing absent inputs are None.  With
+    ``normalize`` both skeletons are first put through
+    :func:`normalize_skeleton` (the mesh box when a mesh is given)."""
     a, b = pred, gt
-    if config.normalize:
+    if normalize:
         box = mesh.vertices if mesh is not None else None
         a = normalize_skeleton(a, box)
         b = normalize_skeleton(b, box)
     report: dict = {
         "cd_j2j": 100.0 * chamfer_j2j(a, b),
         "cd_j2b": 100.0 * chamfer_j2b(a, b) if min(a.bone_count, b.bone_count) else None,
-        "cd_b2b": 100.0 * chamfer_b2b(a, b, config)
-        if min(a.bone_count, b.bone_count)
-        else None,
+        "cd_b2b": 100.0 * chamfer_b2b(a, b) if min(a.bone_count, b.bone_count) else None,
         "precision": None,
         "recall": None,
         "skinning_l1": None,
@@ -194,6 +184,6 @@ def metrics_report(
         report["skinning_l1"] = skinning_l1(pred_weights, gt_weights)
         if mesh is not None:
             report["deformation_error"] = deformation_error(
-                mesh, gt, pred_weights, gt_weights, seed=seed, config=config
+                mesh, gt, pred_weights, gt_weights, seed=seed
             )
     return report

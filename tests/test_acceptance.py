@@ -17,7 +17,6 @@ from rigkit import (
     AnimParams,
     Camera,
     Mesh,
-    MetricConfig,
     OptimizeConfig,
     Skeleton,
     SkinWeights,
@@ -351,8 +350,8 @@ def test_09_metric_oracles():
         a = random_tree(rng, int(rng.integers(2, 10)))
         b = random_tree(rng, int(rng.integers(2, 10)))
         j2b_ok = j2b_ok and abs(chamfer_j2b(a, b) - _sampled_j2b(a, b)) < 1e-3
-        coarse = chamfer_b2b(a, b, MetricConfig(bone_samples=128))
-        fine = chamfer_b2b(a, b, MetricConfig(bone_samples=256))
+        coarse = chamfer_b2b(a, b, bone_samples=128)
+        fine = chamfer_b2b(a, b, bone_samples=256)
         b2b_ok = b2b_ok and abs(fine - coarse) < 1e-3
 
     skin_ok = True
@@ -376,16 +375,16 @@ def test_09_metric_oracles():
 
         s = random_tree(rng, j)
         mesh = Mesh(rng.uniform(-0.5, 0.5, (v, 3)), np.zeros((0, 3), dtype=np.int64))
-        config = MetricConfig(pose_count=2)
-        got_d = deformation_error(mesh, s, pred, gt, seed=3, config=config)
+        pose_count = 2
+        got_d = deformation_error(mesh, s, pred, gt, seed=3, pose_count=pose_count)
         pose_rng = np.random.default_rng(3)
         total = 0.0
-        for _k in range(config.pose_count):
+        for _k in range(pose_count):
             g = path_product_fk(s, sample_augmented_pose(s, pose_rng), None, np.zeros(3))
             dp = naive_lbs(mesh.vertices, pred.matrix, g)
             dg = naive_lbs(mesh.vertices, gt.matrix, g)
             total += float(np.mean(np.linalg.norm(dp - dg, axis=1)))
-        skin_ok = skin_ok and got_d == pytest.approx(total / config.pose_count, abs=1e-12)
+        skin_ok = skin_ok and got_d == pytest.approx(total / pose_count, abs=1e-12)
 
     ok = j2j_ok and j2b_ok and b2b_ok and skin_ok
     report(

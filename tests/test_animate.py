@@ -346,6 +346,23 @@ class TestTrackSet:
         assert np.array_equal(older.joint_tracks, tracks.joint_tracks)
         assert np.array_equal(older.vertex_subset, tracks.vertex_subset)
 
+    def test_camera_round_trips_or_is_refused(self, tmp_path):
+        # A principal point the camera accepts is written as a JSON number
+        # and read back to the same bytes, an int as a float; a bool or a
+        # string is refused when the camera is built, so no file is written
+        # that loading would refuse.
+        tracks = self._tracks()
+        path, again = tmp_path / "tracks.json", tmp_path / "again.json"
+        for c in (2.5, -3, np.float64(7.25)):
+            camera = replace(tracks.camera, fx=640, cx=c, cy=c)
+            save_tracks(path, replace(tracks, camera=camera))
+            save_tracks(again, load_tracks(path))
+            assert again.read_bytes() == path.read_bytes()
+        for bad in (True, "2"):
+            for field in ("cx", "cy"):
+                with pytest.raises(ValueError, match=f"^camera {field} must be a real number$"):
+                    replace(tracks.camera, **{field: bad})
+
     def test_shape_validation(self):
         cam = front_camera()
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from rigkit import Mesh, Rig, Skeleton, SkinWeights, gradcheck, load_rig, save_rig
+from rigkit import (BOS, EOS, Mesh, Rig, Skeleton, SkinWeights, TokenSequence, gradcheck,
+                    load_rig, save_rig, write_token_file)
 from rigkit.cli import _load_camera, build_parser, main
 from rigkit.deform import save_animation
 from rigkit.geometry import Camera, load_obj, write_obj
@@ -258,6 +259,18 @@ class TestTokenizePipeline:
         diags = json.loads(out)["diagnostics"]
         assert diags
         assert any("not yet emitted" in d for d in diags)
+
+    @pytest.mark.parametrize("scheme, unit", [("joint_based", "joint"), ("bone_based", "bone")])
+    def test_payload_shorter_than_one_group_rejected(self, tmp_path, capsys, scheme, unit):
+        # Three coordinate tokens hold neither a joint group nor a bone.
+        tok = tmp_path / "short.tok"
+        write_token_file(tok, TokenSequence(np.array([BOS, 1, 2, 3, EOS]), None, scheme))
+        rig = tmp_path / "short.json"
+        assert main(["detokenize", str(tok), "-o", str(rig)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rigkit detokenize: token stream has no {unit} payload\n"
+        assert not rig.exists()
 
     def test_bad_token_file(self, tmp_path, capsys):
         p = tmp_path / "junk.tok"

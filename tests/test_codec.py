@@ -293,6 +293,9 @@ CODEC_CONTRACT = {
     "joint: no payload": (
         detokenize_joint_based, (_stream(shape=3),),
         (ValueError, "token stream has no joint payload")),
+    "joint: payload shorter than one group": (
+        detokenize_joint_based, (_stream(1, 2, 3),),
+        (ValueError, "token stream has no joint payload")),
     "joint: empty stream": (
         detokenize_joint_based, (TokenSequence(np.array([], dtype=np.int64), None,
                                                "joint_based"),),
@@ -309,6 +312,16 @@ CODEC_CONTRACT = {
     "tokenize: not a permutation": (
         tokenize_bone_based, (_CHAIN, [0, 1, 1]),
         (ValueError, "order must be a permutation of all joint indices")),
+    # An order is refused, not cast: [0.2, 1.4, 2.0] would read as [0, 1, 2].
+    "tokenize: fractional order": (
+        tokenize_joint_based, (_CHAIN, [0.2, 1.4, 2.0]),
+        (ValueError, "order must hold integers")),
+    "tokenize: string order": (
+        tokenize_bone_based, (_CHAIN, ["0", "1", "2"]),
+        (ValueError, "order must hold integers")),
+    "tokenize: NaN in order": (
+        tokenize_joint_based, (_CHAIN, [0, np.nan, 2]),
+        (NonFiniteError, "order contains NaN or Inf")),
     "tokenize: negative shape tokens": (
         partial(tokenize_bone_based, shape_tokens=-1), (_CHAIN,),
         (InvalidValueError, "shape_tokens must be at least 0")),
@@ -337,7 +350,7 @@ CODEC_CONTRACT = {
         (ValueError, "token stream has no bone payload")),
     "bone: payload shorter than one bone": (
         detokenize_bone_based, (_stream(1, 2, 3, scheme="bone_based"),),
-        (ValueError, "joints must be (j, 3), got (0,)")),
+        (ValueError, "token stream has no bone payload")),
     "bone: non-coordinate token": (
         detokenize_bone_based, (_stream(0, 0, 0, 1, 1, _P, scheme="bone_based"),),
         (ValueError, "bone-based payload must contain only coordinate tokens")),
@@ -360,7 +373,18 @@ CODEC_CONTRACT = {
         randomize_groups, (_stream(0, 0, 0, 1, 1, 1, scheme="bone_based"), 0, 1.0),
         (ValueError, "group shuffling applies to joint-based streams")),
     "shuffle: rate out of range": (
-        randomize_groups, (_SHUFFLED, 0, 2.0), (ValueError, "r must lie in [0, 1]")),
+        randomize_groups, (_SHUFFLED, 0, 2.0), (InvalidValueError, "r must lie in [0, 1]")),
+    # A rate is refused, not cast: True would read as 1 and shuffle.
+    "shuffle: boolean rate": (
+        randomize_groups, (_SHUFFLED, 0, True), (ValueError, "r must be a real number")),
+    "shuffle: string rate": (
+        randomize_groups, (_SHUFFLED, 0, "0.5"), (ValueError, "r must be a real number")),
+    "shuffle: NaN rate": (
+        randomize_groups, (_SHUFFLED, 0, np.nan),
+        (NonFiniteError, "r must be finite")),
+    "shuffle: negative rate": (
+        randomize_groups, (_SHUFFLED, 0, -0.5),
+        (InvalidValueError, "r must lie in [0, 1]")),
     "unshuffle: malformed parent token": (
         unshuffle_groups,
         (_stream(64, 64, 64, _P, 1, 1, 1, 9, indicators=[1, 0, 0, 0, 0, -1, -1, -1, -1, -1]),),

@@ -220,7 +220,7 @@ def _synthesize(noise_px):
 
 _ONE_HOT = SkinWeights(np.eye(2))
 # Every site of core._require_real: a call passing x there, and the name,
-# lower bound and strictness it reports.
+# lower bound (None: finite only) and strictness it reports.
 REAL_SITES = {
     "learning_rate": (lambda x: OptimizeConfig(learning_rate=x), 0, True),
     "reg_weight": (lambda x: OptimizeConfig(reg_weight=x), 0, False),
@@ -231,6 +231,8 @@ REAL_SITES = {
     "falloff": (lambda x: heuristic_skin_weights(*_tracks_scene()[:2], falloff=x), 0, True),
     "camera fx": (lambda x: Camera(x, 100.0, 2.0, 2.0, 4, 4, np.eye(3), np.ones(3)), 0, True),
     "camera fy": (lambda x: Camera(100.0, x, 2.0, 2.0, 4, 4, np.eye(3), np.ones(3)), 0, True),
+    "camera cx": (lambda x: Camera(100.0, 100.0, x, 2.0, 4, 4, np.eye(3), np.ones(3)), None, False),
+    "camera cy": (lambda x: Camera(100.0, 100.0, 2.0, x, 4, 4, np.eye(3), np.ones(3)), None, False),
     "epoch": (lambda x: permutation_probability(x, 10), 0, False),
     "total_epochs": (lambda x: permutation_probability(0, x), 0, True),
     "threshold": (lambda x: skinning_precision_recall(_ONE_HOT, _ONE_HOT, threshold=x), 0, False),
@@ -247,14 +249,17 @@ def test_real_scalars_are_never_cast(what):
         with pytest.raises(ValueError, match=f"^{what} must be a real number$") as e:
             call(x)
         assert type(e.value) is ValueError
-    bound = f"^{what} must be finite and (positive|non-negative|above 1)$"
+    bound = (f"^{what} must be finite$" if low is None
+             else f"^{what} must be finite and (positive|non-negative|above 1)$")
     for x in (np.nan, np.inf):
         with pytest.raises(NonFiniteError, match=bound):
             call(x)
-    with pytest.raises(InvalidValueError, match=bound) as e:
-        call(low if strict else low - 1)
-    assert type(e.value) is InvalidValueError
-    for x in (low + 1, low + 1.5, np.float64(low + 1.5)):
+    if low is not None:
+        with pytest.raises(InvalidValueError, match=bound) as e:
+            call(low if strict else low - 1)
+        assert type(e.value) is InvalidValueError
+    start = -3 if low is None else low  # an unbounded site takes negatives
+    for x in (start + 1, start + 1.5, np.float64(start + 1.5)):
         call(x)
 
 
@@ -684,7 +689,7 @@ def test_one_freeze_and_one_finiteness_refusal():
     allowed = sorted([
         ("core", "_frozen", "object.__setattr__"),
         ("core", "_require_finite", "NonFiniteError"),
-        ("geometry", "Camera.__post_init__", "object.__setattr__"),  # int image size
+        ("geometry", "Camera.__post_init__", "object.__setattr__"),  # int size, float intrinsics
         ("codec", "TokenSequence.__post_init__", "object.__setattr__"),  # indicator default
         ("geometry", "crossing_counts", "NonFiniteError"),  # t_max may be inf, not NaN
         ("geometry", "_line_error", "NonFiniteError"),  # the error it returns

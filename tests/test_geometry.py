@@ -762,6 +762,18 @@ class TestCamera:
             with pytest.raises(NonFiniteError):
                 Camera.look_at(**{**view, **bad})
 
+    def test_look_at_focal_lengths_are_never_cast(self):
+        # look_at hands fx and fy to Camera as given: a string is not
+        # parsed, a bool is not read as 1 and a 0-d array is not unwrapped.
+        view = {"eye": (0.0, 0.0, 2.0), "target": (0.0, 0.0, 0.0)}
+        for name in ("fx", "fy"):
+            for bad in ("800", True, np.array(800.0)):
+                with pytest.raises(ValueError, match=f"^camera {name} must be a real number$"):
+                    Camera.look_at(**view, **{name: bad})
+        cam = Camera.look_at(**view, fx=np.float64(640.0), fy=320)
+        assert (cam.fx, cam.fy) == (640.0, 320.0)
+        assert {type(cam.fx), type(cam.fy)} == {float}
+
     def test_look_at_target_hits_center(self):
         cam = Camera.look_at(eye=(0.0, 0.0, 2.0), target=(0.0, 0.0, 0.0))
         uv, depth, valid = project(cam, np.zeros(3))

@@ -1,11 +1,13 @@
 """Chamfer families, skinning agreement, deformation error, report dict."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from rigkit import (
+    InvalidValueError,
     Mesh,
-    MetricConfig,
     Skeleton,
     SkinWeights,
     chamfer_b2b,
@@ -102,9 +104,9 @@ class TestChamferB2B:
         for _ in range(8):
             a = random_tree(rng, int(rng.integers(2, 10)))
             b = random_tree(rng, int(rng.integers(2, 10)))
-            coarse = chamfer_b2b(a, b, MetricConfig(bone_samples=64))
-            fine = chamfer_b2b(a, b, MetricConfig(bone_samples=128))
-            finer = chamfer_b2b(a, b, MetricConfig(bone_samples=256))
+            coarse = chamfer_b2b(a, b, bone_samples=64)
+            fine = chamfer_b2b(a, b, bone_samples=128)
+            finer = chamfer_b2b(a, b, bone_samples=256)
             assert abs(fine - coarse) < 1e-3
             assert abs(finer - fine) < 1e-3
 
@@ -240,8 +242,7 @@ class TestDeformationError:
                 jq = sample_augmented_pose(s, pose_rng)
                 _, moved = pose_clip(s, basis, quat.IDENTITY, np.zeros(3), jq)
                 want += float(np.mean(np.linalg.norm(moved, axis=1)))
-            config = MetricConfig(pose_count=poses)
-            assert deformation_error(mesh, s, pred, gt, seed=5, config=config) == want / poses
+            assert deformation_error(mesh, s, pred, gt, seed=5, pose_count=poses) == want / poses
 
 
 class TestReport:
@@ -281,19 +282,24 @@ class TestReport:
         rng = np.random.default_rng(11)
         gt = random_tree(rng, 5)
         big = Skeleton(gt.joints * 10.0, gt.parents)
-        raw = metrics_report(big, gt, config=MetricConfig(normalize=False))
+        raw = metrics_report(big, gt, normalize=False)
         normed = metrics_report(big, gt)
         assert raw["cd_j2j"] > normed["cd_j2j"]
 
 
-class TestMetricConfig:
+class TestMetricCounts:
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            MetricConfig(bone_samples=1)
-        with pytest.raises(ValueError):
-            MetricConfig(pose_count=0)
+        s = random_tree(np.random.default_rng(13), 3)
+        mesh = Mesh(np.zeros((1, 3)), np.zeros((0, 3), dtype=np.int64))
+        w = SkinWeights(np.full((1, 3), 1.0 / 3.0))
+        b2b = partial(chamfer_b2b, s, s)
+        deform = partial(deformation_error, mesh, s, w, w)
+        with pytest.raises(InvalidValueError, match="^bone_samples must be at least 2$"):
+            b2b(bone_samples=1)
+        with pytest.raises(InvalidValueError, match="^pose_count must be at least 1$"):
+            deform(pose_count=0)
         # Counts are refused, not cast or left to fail in numpy or range.
-        for bad in ({"pose_count": 1.5}, {"pose_count": True},
-                    {"bone_samples": 2.5}, {"bone_samples": "32"}):
-            with pytest.raises(ValueError):
-                MetricConfig(**bad)
+        for call, what, bad in ((deform, "pose_count", 1.5), (deform, "pose_count", True),
+                                (b2b, "bone_samples", 2.5), (b2b, "bone_samples", "32")):
+            with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
+                call(**{what: bad})
