@@ -41,7 +41,6 @@ from .core import (
     Skeleton,
     SkinWeights,
     ValidationIssue,
-    ValidationReport,
     bone_segments,
     canonical_json,
     graph_distance_matrix,
@@ -140,7 +139,6 @@ __all__ = [
     "Skeleton",
     "SkinWeights",
     "ValidationIssue",
-    "ValidationReport",
     "bone_segments",
     "canonical_json",
     "graph_distance_matrix",

@@ -368,6 +368,7 @@ def synthesize_tracks(
         raise ValueError("params joint count does not match skeleton")
     _require_real(noise_px, "noise_px", 0, False)
     _require_int(vertex_count, "vertex_count", 1)
+    _require_int(seed, "seed", 0)
     jvis = joint_visibility(mesh, s, camera)
     vvis_all = vertex_visibility(mesh, camera)
     candidates = np.flatnonzero(vvis_all)

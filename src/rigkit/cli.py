@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import animate, codec, gradcheck
 from .core import (
-    InvalidSkeletonError,
     InvalidValueError,
     Mesh,
     Rig,
@@ -116,15 +115,15 @@ def _weights_of(rig: Rig, path: str):
 
 def _cmd_validate(args) -> int:
     rig = _load(args.rig, load_rig, "rig")
-    report = validate_skeleton(rig.skeleton)
+    issues = validate_skeleton(rig.skeleton)
     out = {
-        "ok": report.ok,
-        "issues": [{"code": i.code, "message": i.message} for i in report.issues],
+        "ok": not issues,
+        "issues": [{"code": i.code, "message": i.message} for i in issues],
         "joint_count": rig.skeleton.joint_count,
         "bone_count": rig.skeleton.bone_count,
     }
     sys.stdout.write(canonical_json(out))
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return EXIT_VALIDATION if issues else EXIT_OK
 
 
 _ORDERS = {"hier": hierarchical_order, "spatial": spatial_order}
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
     except animate.DivergenceError as e:
         print(f"rigkit {args.command}: diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (InvalidSkeletonError, ValueError) as e:
+    except ValueError as e:
         print(f"rigkit {args.command}: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

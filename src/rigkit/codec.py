@@ -344,6 +344,7 @@ def randomize_groups(t: TokenSequence, seed: int, r: float) -> TokenSequence:
     _require_real(r, "r")
     if not 0.0 <= r <= 1.0:
         raise InvalidValueError("r must lie in [0, 1]")
+    _require_int(seed, "seed", 0)
     start, groups = _payload_groups(t)
     end = start + groups.size
 

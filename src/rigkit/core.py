@@ -13,7 +13,7 @@ threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -261,35 +261,17 @@ class ValidationIssue:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...] = field(default_factory=tuple)
+def validate_skeleton(s: Skeleton) -> tuple[ValidationIssue, ...]:
+    """Check structural invariants; return every violation found, in order.
 
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(i.code for i in self.issues)
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(f"{i.code}: {i.message}" for i in self.issues)
-
-
-def validate_skeleton(s: Skeleton) -> ValidationReport:
-    """Check structural invariants; the report lists every violation found.
-
-    An empty report means: exactly one root, all parent indices in range,
+    An empty tuple means: exactly one root, all parent indices in range,
     no self-parenting, no cycles, finite coordinates, and at most
     ``MAX_JOINTS`` joints.
     """
     issues: list[ValidationIssue] = []
     j = s.joint_count
     if j == 0:
-        issues.append(ValidationIssue("empty", "skeleton has no joints"))
-        return ValidationReport(tuple(issues))
+        return (ValidationIssue("empty", "skeleton has no joints"),)
     if j > MAX_JOINTS:
         issues.append(
             ValidationIssue("joint-cap", f"{j} joints exceeds cap of {MAX_JOINTS}")
@@ -332,13 +314,14 @@ def validate_skeleton(s: Skeleton) -> ValidationReport:
                 "cycle", f"parent links of joints {in_cycle.tolist()} form a cycle"
             )
         )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def require_valid(s: Skeleton) -> None:
-    report = validate_skeleton(s)
-    if not report.ok:
-        raise InvalidSkeletonError(str(report))
+    """Raise InvalidSkeletonError, one ``code: message`` line per issue."""
+    issues = validate_skeleton(s)
+    if issues:
+        raise InvalidSkeletonError("\n".join(f"{i.code}: {i.message}" for i in issues))
 
 
 def _climb(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

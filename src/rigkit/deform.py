@@ -229,13 +229,15 @@ def sample_augmented_pose(s: Skeleton, rng: int | np.random.Generator) -> np.nda
     [-60, 60] degrees, axes local to the joint; the root does not move.
     Deterministic per seed."""
     require_valid(s)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        _require_int(rng, "seed", 0)
+        rng = np.random.default_rng(rng)
     bound = np.deg2rad(MAX_EULER_DEG)
     quats = np.zeros((s.joint_count, 4))
     quats[:, 0] = 1.0
     for k in range(s.joint_count):
-        if gen.random() < ROTATE_PROBABILITY:
-            quats[k] = quat.from_euler_xyz(gen.uniform(-bound, bound, 3))
+        if rng.random() < ROTATE_PROBABILITY:
+            quats[k] = quat.from_euler_xyz(rng.uniform(-bound, bound, 3))
     return quats
 
 

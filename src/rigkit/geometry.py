@@ -630,6 +630,8 @@ class Camera:
         width: int = 1024,
         height: int = 1024,
     ) -> "Camera":
+        _require_int(width, "camera width", 1)  # before cx = width / 2
+        _require_int(height, "camera height", 1)
         eye = np.asarray(eye, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         up = np.asarray(up, dtype=np.float64)

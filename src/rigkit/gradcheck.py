@@ -282,6 +282,7 @@ _CHECKS: dict[str, Callable[[np.random.Generator], float]] = {
 def run_all(seed: int = 0, instances: int = 20) -> list[GradCheckResult]:
     """Run every gradient check ``instances`` times; worst error per kernel."""
     _require_int(instances, "instances", 1)
+    _require_int(seed, "seed", 0)
     results = []
     for name, check in _CHECKS.items():
         rng = np.random.default_rng(seed)

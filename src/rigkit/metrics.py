@@ -136,6 +136,7 @@ def deformation_error(
     ``pred - gt``, all poses in one batched pass.
     """
     _require_int(pose_count, "pose_count", 1)
+    _require_int(seed, "seed", 0)
     require_valid(s)
     pred.require_fits(mesh, s)
     gt.require_fits(mesh, s)

@@ -254,7 +254,8 @@ def permute_joints(s: Skeleton, order) -> Skeleton:
 
 
 def walk_validation_report(s: Skeleton) -> str:
-    """``str(validate_skeleton(s))`` by per-joint scans: a list comprehension
+    """``validate_skeleton(s)``'s issues as ``code: message`` lines, or
+    "valid" when there are none, by per-joint scans: a list comprehension
     for dangling links and a parent-chain walk from every joint for cycles."""
     lines = []
     j = s.joint_count

@@ -9,6 +9,7 @@ import pytest
 from rigkit import (BOS, EOS, Mesh, Rig, Skeleton, SkinWeights, TokenSequence, gradcheck,
                     load_rig, save_rig, write_token_file)
 from rigkit.cli import _load_camera, build_parser, main
+from rigkit.core import InvalidSkeletonError, require_valid
 from rigkit.deform import save_animation
 from rigkit.geometry import Camera, load_obj, write_obj
 from rigkit.gradcheck import run_all
@@ -137,6 +138,24 @@ class TestValidate:
         report = json.loads(out)
         assert report["ok"] is False
         assert report["issues"]
+
+    def test_issues_keep_their_order(self, tmp_path, capsys):
+        # No root and a dangling parent: both are listed, no-root first, by
+        # the CLI and in require_valid's message.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "joints": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
+            "parents": [1, 9],
+        }))
+        code, out = run(capsys, "validate", bad)
+        assert code == 3
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [i["code"] for i in report["issues"]] == ["no-root", "dangling-parent"]
+        with pytest.raises(InvalidSkeletonError) as e:
+            require_valid(load_rig(bad).skeleton)
+        assert str(e.value).splitlines() == [
+            f"{i['code']}: {i['message']}" for i in report["issues"]]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2

@@ -32,16 +32,21 @@ from rigkit import (
     TrackSet,
     bone_segments,
     canonical_json,
+    deformation_error,
+    gradcheck,
     graph_distance_matrix,
     heuristic_skin_weights,
     hierarchical_order,
     joint_depths,
     load_rig,
     permutation_probability,
+    randomize_groups,
+    sample_augmented_pose,
     save_rig,
     skinning_precision_recall,
     spatial_order,
     synthesize_tracks,
+    tokenize_joint_based,
     validate_skeleton,
 )
 
@@ -83,7 +88,7 @@ class TestSkeleton:
     def test_structural_problems_allowed_at_construction(self):
         # Construction checks shapes only; the validator owns structure.
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 99]))
-        assert not validate_skeleton(s).ok
+        assert validate_skeleton(s) != ()
 
 
 _camera = partial(Camera, 100.0, 100.0, 2.0, 2.0, 4, 4)
@@ -212,10 +217,10 @@ def _tracks_scene():
     return mesh, s, heuristic_skin_weights(mesh, s)
 
 
-def _synthesize(noise_px):
+def _synthesize(noise_px, seed=0):
     camera = Camera.look_at(eye=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0))
     return synthesize_tracks(*_tracks_scene(), AnimParams.identity(2, 2), camera,
-                             noise_px=noise_px, vertex_count=4)
+                             noise_px=noise_px, seed=seed, vertex_count=4)
 
 
 _ONE_HOT = SkinWeights(np.eye(2))
@@ -263,6 +268,35 @@ def test_real_scalars_are_never_cast(what):
         call(x)
 
 
+_TREE = random_tree(np.random.default_rng(5), 12)
+# Every seed a library call takes: a call passing x there and returning
+# what the seed draws.
+SEED_SITES = {
+    "randomize_groups": lambda x: randomize_groups(tokenize_joint_based(_TREE), x, 1.0).tokens,
+    "synthesize_tracks": lambda x: _synthesize(0.5, seed=x).vertex_tracks,
+    "deformation_error": lambda x: deformation_error(
+        *_tracks_scene(), SkinWeights(np.tile([0.5, 0.5], (42, 1))), seed=x),
+    "run_all": lambda x: [r.max_rel_error for r in gradcheck.run_all(seed=x, instances=1)],
+    "sample_augmented_pose": lambda x: sample_augmented_pose(_TREE, x),
+}
+
+
+@pytest.mark.parametrize("site", SEED_SITES)
+def test_seeds_are_counts(site):
+    # A seed is a non-negative integer: a bool is not read as 1, a fraction
+    # or a string is not handed to numpy, and a numpy integer draws the
+    # stream of the same Python int.
+    call = SEED_SITES[site]
+    for x in (True, 1.5, "3"):
+        with pytest.raises(ValueError, match="^seed must be an integer$") as e:
+            call(x)
+        assert type(e.value) is ValueError
+    with pytest.raises(InvalidValueError, match="^seed must be at least 0$"):
+        call(-1)
+    assert np.array_equal(call(np.int64(3)), call(3))
+    assert not np.array_equal(call(0), call(3))
+
+
 def test_token_sequence_default_indicators_read_only():
     t = TokenSequence(np.array([128, 129]), None, "joint_based")
     assert t.indicators.tolist() == [NO_INDICATOR, NO_INDICATOR]
@@ -271,45 +305,43 @@ def test_token_sequence_default_indicators_read_only():
 
 class TestValidation:
     def test_valid_tree(self):
-        report = validate_skeleton(random_tree(np.random.default_rng(0), 30))
-        assert report.ok
-        assert report.codes() == ()
+        assert validate_skeleton(random_tree(np.random.default_rng(0), 30)) == ()
 
     def test_empty(self):
         s = Skeleton(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-        assert validate_skeleton(s).codes() == ("empty",)
+        assert [i.code for i in validate_skeleton(s)] == ["empty"]
 
     def test_joint_cap(self):
         rng = np.random.default_rng(1)
-        assert validate_skeleton(random_tree(rng, MAX_JOINTS)).ok
-        report = validate_skeleton(random_tree(rng, MAX_JOINTS + 1))
-        assert "joint-cap" in report.codes()
+        assert validate_skeleton(random_tree(rng, MAX_JOINTS)) == ()
+        issues = validate_skeleton(random_tree(rng, MAX_JOINTS + 1))
+        assert "joint-cap" in [i.code for i in issues]
 
     def test_non_finite(self):
         s = Skeleton(np.array([[0, 0, 0], [np.nan, 0, 0]]), np.array([-1, 0]))
-        assert "non-finite" in validate_skeleton(s).codes()
+        assert "non-finite" in [i.code for i in validate_skeleton(s)]
 
     def test_no_root(self):
         s = Skeleton(np.zeros((2, 3)), np.array([1, 0]))
-        codes = validate_skeleton(s).codes()
+        codes = [i.code for i in validate_skeleton(s)]
         assert "no-root" in codes
         assert "cycle" in codes
 
     def test_multiple_roots(self):
         s = Skeleton(np.zeros((3, 3)), np.array([-1, -1, 0]))
-        assert "multiple-roots" in validate_skeleton(s).codes()
+        assert "multiple-roots" in [i.code for i in validate_skeleton(s)]
 
     def test_dangling_parent(self):
         s = Skeleton(np.zeros((3, 3)), np.array([-1, 7, 0]))
-        assert "dangling-parent" in validate_skeleton(s).codes()
+        assert "dangling-parent" in [i.code for i in validate_skeleton(s)]
 
     def test_cycle(self):
         s = Skeleton(np.zeros((4, 3)), np.array([-1, 2, 3, 1]))
-        assert "cycle" in validate_skeleton(s).codes()
+        assert "cycle" in [i.code for i in validate_skeleton(s)]
 
     def test_self_parent_is_cycle(self):
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 1]))
-        assert "cycle" in validate_skeleton(s).codes()
+        assert "cycle" in [i.code for i in validate_skeleton(s)]
 
     def test_report_matches_per_joint_walk(self):
         # Random parent arrays: cycles with tails, self-parents, dangling
@@ -328,7 +360,8 @@ class TestValidation:
             if rng.random() < 0.05:
                 joints[0, 0] = np.nan
             s = Skeleton(joints, parents)
-            assert str(validate_skeleton(s)) == walk_validation_report(s)
+            lines = [f"{i.code}: {i.message}" for i in validate_skeleton(s)]
+            assert ("\n".join(lines) or "valid") == walk_validation_report(s)
 
     def test_operations_reject_invalid(self):
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 5]))
@@ -461,7 +494,7 @@ class TestOrders:
         s = random_tree(rng, 20)
         order = hierarchical_order(s)
         t = permute_joints(s, order)
-        assert validate_skeleton(t).ok
+        assert validate_skeleton(t) == ()
         # Same geometry, same topology as graphs.
         assert np.allclose(np.sort(t.joints, axis=0), np.sort(s.joints, axis=0))
         da = graph_distance_matrix(s)

@@ -822,16 +822,19 @@ class TestCamera:
         assert (back.width, back.height) == (cam.width, cam.height)
 
     def test_image_size_is_an_int_never_cast(self):
-        good = Camera.look_at(eye=(1.0, 2.0, 3.0), target=(0.0, 0.0, 0.0)).to_dict()
+        # look_at checks the size before it halves it for the principal point.
+        view = {"eye": (1.0, 2.0, 3.0), "target": (0.0, 0.0, 0.0)}
+        good = Camera.look_at(**view).to_dict()
         sized = Camera.from_dict(
             {**good, "width": np.int64(640), "height": np.int32(480)})
         assert (type(sized.width), type(sized.height)) == (int, int)
         assert Camera.from_dict(sized.to_dict()).to_dict() == sized.to_dict()
         for bad in (512.9, 512.0, "512", True, np.bool_(True), [512], [], None):
-            with pytest.raises(ValueError):
-                Camera.from_dict({**good, "width": bad})
-            with pytest.raises(ValueError):
-                Camera.from_dict({**good, "height": bad})
+            for name in ("width", "height"):
+                with pytest.raises(ValueError):
+                    Camera.from_dict({**good, name: bad})
+                with pytest.raises(ValueError, match=f"^camera {name} must be an integer$"):
+                    Camera.look_at(**view, **{name: bad})
 
     def test_image_size_below_one_is_refused(self):
         good = Camera.look_at(eye=(1.0, 2.0, 3.0), target=(0.0, 0.0, 0.0)).to_dict()

@@ -258,6 +258,7 @@ def _run_with_field(scene, name, keys, head) -> int:
     ("camera.json", ("width",), 512.9),
     ("camera.json", ("height",), [512]),
     ("camera.json", ("width",), True),
+    ("camera.json", ("width",), "4"),
     ("rig.json", ("joints", 1), ["0"]),
     ("skinned.json", ("weights", 0), [True, False, False]),
     ("camera.json", ("fx",), "600"),
@@ -268,7 +269,7 @@ def _run_with_field(scene, name, keys, head) -> int:
     ("rig.json", ("names",), [1, 2, 3]),
 ], ids=["float-parents", "string-parents", "bool-parents", "scalar-parents",
         "float-and-string-subset", "float-visibility", "tracks-float-width",
-        "tracks-list-height", "float-width", "list-height", "bool-width",
+        "tracks-list-height", "float-width", "list-height", "bool-width", "string-width",
         "string-joint", "bool-weights", "string-fx", "tracks-bool-fy",
         "bool-root-quat", "string-joint-track", "string-names", "integer-names"])
 def test_json_types_are_not_cast(scene, name, keys, head):
