@@ -36,7 +36,7 @@ from .deform import (
     pose_clip,
     save_animation,
 )
-from .geometry import Camera, ObjParseError, load_obj, save_obj
+from .geometry import Camera, ObjParseError, _obj_faces, _obj_vertices, load_obj, save_obj
 from .metrics import metrics_report
 
 EXIT_OK = 0
@@ -134,6 +134,7 @@ def _cmd_tokenize(args) -> int:
     s = rig.skeleton
     order = _ORDERS[args.order](s)
     shape = _given(args, "shape_tokens")
+    _require_int(args.shuffle_seed, "--shuffle-seed", 0)  # read only when shuffling
     if not 0.0 <= args.permute_prob <= 1.0:
         raise ValueError("--permute-prob must lie in [0, 1]")
     if args.scheme == "joint":
@@ -267,12 +268,15 @@ def _cmd_animate(args) -> int:
     if args.export_obj:
         out_dir = Path(args.export_obj)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # One basis for the clip, then one frame at a time, which keeps
-        # memory at one posed mesh.
+        # One basis and one face block for the clip, then one frame at a
+        # time, which keeps memory at one posed mesh.  Each file is the text
+        # write_obj gives the frame's Mesh, so it equals `rigkit deform`'s.
         basis = _BlendBasis(mesh.vertices, weights.matrix)
+        faces = _obj_faces(mesh.triangles)
         for i, frame in enumerate(zip(root_quats, root_trans, joint_quats)):
             _, posed = pose_clip(s, basis, *frame)
-            save_obj(out_dir / f"frame_{i:04d}.obj", Mesh(posed, mesh.triangles))
+            posed = Mesh(posed, mesh.triangles).vertices
+            (out_dir / f"frame_{i:04d}.obj").write_text(_obj_vertices(posed) + faces)
     sys.stdout.write(
         canonical_json(
             {

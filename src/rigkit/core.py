@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -517,5 +518,73 @@ def load_rig(path: str | Path) -> Rig:
 
 def canonical_json(data) -> str:
     """Serialize with sorted keys and round-trip float formatting so equal
-    inputs always produce byte-identical files."""
-    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+    inputs always produce byte-identical files.
+
+    The text is ``json.dumps(data, sort_keys=True, indent=1) + "\\n"`` byte
+    for byte, and a value that call refuses raises its exception type.  With
+    an indent that call formats every number in json's pure-Python encoder
+    (on Python 3.11), so here json's C encoder renders every list of
+    scalars, and every list of such rows, in one call, and only the
+    brackets, the indents and the dict keys are laid out in Python.
+    """
+    return _layout(data, "\n") + "\n"
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# json's C encoder; it writes a list of scalars as "[a\nb\n...]".
+_encode = json.JSONEncoder(separators=("\n", ":")).encode
+
+
+def _texts(scalars) -> list[str]:
+    """Each of ``scalars`` as json writes it, from one call of json's C
+    encoder; JSON text never holds a raw newline, so the split is exact."""
+    return _encode(scalars)[1:-1].split("\n")
+
+
+def _layout(value, nl: str) -> str:
+    """``value`` as :func:`canonical_json` writes it, where ``nl`` is a
+    newline and the indent of the line ``value`` starts on."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + " "
+        kinds = set(map(type, value))
+        if kinds <= _SCALARS:
+            items = _texts(value)
+        elif kinds <= {list, tuple} and _SCALARS.issuperset(
+                map(type, flat := list(chain.from_iterable(value)))):
+            items = _rows(value, _texts(flat), inner)
+        else:
+            items = [_layout(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + " "
+        items = [_key(k) + ": " + _layout(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(value)
+
+
+def _rows(rows, texts: list[str], nl: str) -> list[str]:
+    """Each of ``rows`` laid out from ``texts``, its scalars' texts in order,
+    where ``nl`` is a newline and the indent of the lines the rows start on."""
+    inner = nl + " "
+    out, start = [], 0
+    for row in rows:
+        stop = start + len(row)
+        out.append("[" + inner + ("," + inner).join(texts[start:stop]) + nl + "]"
+                   if row else "[]")
+        start = stop
+    return out
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a number, bool or None as its JSON text,
+    then every key as a JSON string."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)

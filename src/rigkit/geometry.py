@@ -252,10 +252,19 @@ def write_obj(mesh: Mesh) -> str:
     byte-stable and parses back to the same bits.  A mesh with no vertices
     raises ValueError, since :func:`parse_obj` refuses the text it would give.
     """
-    if not mesh.vertex_count:
+    return _obj_vertices(mesh.vertices) + _obj_faces(mesh.triangles)
+
+
+def _obj_vertices(vertices: np.ndarray) -> str:
+    """The v records of :func:`write_obj`, one per (3,) row of ``vertices``."""
+    if not len(vertices):
         raise ValueError("cannot write a mesh with no vertices as OBJ")
-    text = _records("v %r %r %r\n", mesh.vertices.tolist())
-    return text + _records("f %d %d %d\n", (mesh.triangles + 1).tolist())
+    return _records("v %r %r %r\n", vertices.tolist())
+
+
+def _obj_faces(triangles: np.ndarray) -> str:
+    """The f records of :func:`write_obj`, one per 0-based index triple."""
+    return _records("f %d %d %d\n", (triangles + 1).tolist())
 
 
 def _records(fmt: str, rows: list[list]) -> str:

@@ -164,6 +164,7 @@ def metrics_report(
     reporting units (x100); entries needing absent inputs are None.  With
     ``normalize`` both skeletons are first put through
     :func:`normalize_skeleton` (the mesh box when a mesh is given)."""
+    _require_int(seed, "seed", 0)  # before the branches that read it
     a, b = pred, gt
     if normalize:
         box = mesh.vertices if mesh is not None else None

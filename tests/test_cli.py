@@ -339,6 +339,46 @@ class TestMetricsCommand:
         assert out == ""
 
 
+def test_negative_seed_rejected_where_nothing_reads_it(scene, capsys):
+    # Neither a mesh-free report nor an unshuffled token stream draws from
+    # its seed, and a negative one is still refused.
+    tmp_path, rig_path, *_ = scene
+    tok = tmp_path / "seed.tok"
+    for argv in (["metrics", rig_path, rig_path, "--seed", "-1"],
+                 ["tokenize", rig_path, "-o", tok, "--shuffle-seed", "-1"],
+                 ["tokenize", rig_path, "-o", tok, "--shuffle-seed", "-1",
+                  "--scheme", "bone"]):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "seed must be at least 0" in err
+    assert not tok.exists()
+
+
+def test_stdout_reports_are_json_dumps(scene, capsys):
+    # Each JSON report on stdout is json.dumps(sort_keys=True, indent=1) of
+    # what it holds, byte for byte.
+    tmp_path, rig_path, mesh_path, anim_path, cam_path = scene
+    tok, gt, pred, tracks = (tmp_path / n for n in ("r.tok", "gt.json", "pred.json", "t.json"))
+    for report, argv in (
+            (True, ["validate", rig_path]),
+            (False, ["tokenize", rig_path, "-o", tok]),
+            (True, ["detokenize", tok, "-o", tmp_path / "back.json"]),
+            (False, ["skin-heuristic", rig_path, mesh_path, "-o", gt]),
+            (False, ["skin-heuristic", rig_path, mesh_path, "-o", pred, "--falloff", "0.2"]),
+            (True, ["metrics", pred, gt, "--mesh", mesh_path]),
+            (True, ["synth-tracks", gt, mesh_path, anim_path, "--camera", cam_path,
+                    "-o", tracks, "--noise-px", "0.5"]),
+            (True, ["animate", gt, mesh_path, tracks, "-o", tmp_path / "fit.json",
+                    "--iterations", "3"])):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert bool(out) == report
+        if report:
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n"
+
+
 class TestSkinAndDeform:
     def test_infinite_falloff_rejected(self, scene, capsys):
         # An infinite falloff would give every nearby bone the same weight.
@@ -646,6 +686,43 @@ class TestTrackPipeline:
                              "-o", str(posed), "--frame", str(frame)]) == 0
                 assert posed.read_bytes() == (
                     frames_dir / f"frame_{i:04d}.obj").read_bytes()
+
+    def test_polygon_obj_export_matches_deform(self, scene, capsys):
+        # A pentagonal prism read from quads and two pentagon caps (one by
+        # negative indices), which parse_obj fan-triangulates: each exported
+        # frame is still the file `rigkit deform --frame i` writes.
+        tmp_path, rig_path, _, anim_path, cam_path = scene
+        rings, sides = 6, 5
+        ang = 2.0 * np.pi * np.arange(sides) / sides
+        lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in np.column_stack((
+            np.repeat(np.linspace(-0.5, 0.5, rings), sides),
+            np.tile(0.1 * np.cos(ang), rings), np.tile(0.1 * np.sin(ang), rings))).tolist()]
+        for i in range(rings - 1):
+            for k in range(sides):
+                a, b = i * sides + k + 1, i * sides + (k + 1) % sides + 1
+                lines.append(f"f {a} {b} {b + sides} {a + sides}")
+        lines.append("f " + " ".join(str(k) for k in range(sides, 0, -1)))
+        lines.append("f " + " ".join(str(-k) for k in range(sides, 0, -1)))
+        mesh_path = tmp_path / "prism.obj"
+        mesh_path.write_text("\n".join(lines) + "\n")
+        triangles = (rings - 1) * sides * 2 + 2 * (sides - 2)
+        assert load_obj(mesh_path).triangle_count == triangles
+
+        skinned, tracks = tmp_path / "prism_rig.json", tmp_path / "prism_tracks.json"
+        fitted, frames_dir = tmp_path / "prism_fit.json", tmp_path / "prism_frames"
+        for argv in (["skin-heuristic", rig_path, mesh_path, "-o", skinned],
+                     ["synth-tracks", skinned, mesh_path, anim_path,
+                      "--camera", cam_path, "-o", tracks],
+                     ["animate", skinned, mesh_path, tracks, "-o", fitted,
+                      "--iterations", "5", "--export-obj", frames_dir]):
+            assert main([str(a) for a in argv]) == 0
+        for i in range(4):
+            posed = tmp_path / f"prism_{i}.obj"
+            assert main(["deform", str(skinned), str(mesh_path), str(fitted),
+                         "-o", str(posed), "--frame", str(i)]) == 0
+            exported = (frames_dir / f"frame_{i:04d}.obj").read_bytes()
+            assert exported == posed.read_bytes()
+            assert exported.count(b"\nf ") == triangles
 
     def _still_tracks(self, scene):
         """Tracks of a one-frame clip, which animate fits without optimizing."""

@@ -39,6 +39,7 @@ from rigkit import (
     hierarchical_order,
     joint_depths,
     load_rig,
+    metrics_report,
     permutation_probability,
     randomize_groups,
     sample_augmented_pose,
@@ -49,6 +50,9 @@ from rigkit import (
     tokenize_joint_based,
     validate_skeleton,
 )
+from rigkit.animate import track_set_to_dict
+from rigkit.core import rig_to_dict
+from rigkit.deform import animation_to_dict
 
 from helpers import (
     bfs_graph_distances,
@@ -278,6 +282,8 @@ SEED_SITES = {
         *_tracks_scene(), SkinWeights(np.tile([0.5, 0.5], (42, 1))), seed=x),
     "run_all": lambda x: [r.max_rel_error for r in gradcheck.run_all(seed=x, instances=1)],
     "sample_augmented_pose": lambda x: sample_augmented_pose(_TREE, x),
+    # Without a mesh the report draws nothing, so this site returns None.
+    "metrics_report": lambda x: metrics_report(_TREE, _TREE, seed=x)["deformation_error"],
 }
 
 
@@ -293,8 +299,10 @@ def test_seeds_are_counts(site):
         assert type(e.value) is ValueError
     with pytest.raises(InvalidValueError, match="^seed must be at least 0$"):
         call(-1)
-    assert np.array_equal(call(np.int64(3)), call(3))
-    assert not np.array_equal(call(0), call(3))
+    drawn = call(3)
+    assert np.array_equal(call(np.int64(3)), drawn)
+    if drawn is not None:
+        assert not np.array_equal(call(0), drawn)
 
 
 def test_token_sequence_default_indicators_read_only():
@@ -514,6 +522,42 @@ class TestBones:
         assert np.array_equal(ends[0], [1, 0, 0])
 
 
+# Numbers json writes, with its edge cases: NaN, the infinities, -0.0, the
+# least subnormal, a float past 2**53, ints past int64, np.float64 scalars.
+_JSON_NUMBERS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, np.inf, -np.inf, np.nan]),
+    st.integers(-2**70, 2**70), st.floats().map(np.float64))
+# Non-ASCII, control and surrogate characters too.
+_JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=4)
+# Numeric rows, ragged, empty and one-item, with bools and None among the
+# numbers; lists of them; and three-deep nests, the track layout.
+_JSON_ROW = st.lists(_JSON_NUMBERS | st.booleans() | st.none(), max_size=4)
+_JSON_ROWS = st.lists(_JSON_ROW | _JSON_ROW.map(tuple), max_size=5)
+_JSON_LEAVES = st.one_of(_JSON_NUMBERS, st.booleans(), st.none(), _JSON_TEXT,
+                         _JSON_ROW, _JSON_ROWS, st.lists(_JSON_ROWS, max_size=3))
+# Dict keys of one kind, which json's sort orders, or of mixed kinds, which
+# it may refuse.
+_JSON_KEYS = st.sampled_from([
+    _JSON_TEXT, st.integers(-2**70, 2**70) | st.floats() | st.booleans(), st.none(),
+    st.one_of(_JSON_TEXT, st.integers(), st.floats(), st.none())])
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    _JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4))),
+    max_leaves=20)
+
+
+def _json_oracle(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def _json_outcome(dump, data):
+    """What ``dump(data)`` returns, or the type of what it raises."""
+    try:
+        return dump(data)
+    except Exception as e:  # the type is what must agree
+        return type(e)
+
+
 class TestRigJson:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -538,11 +582,31 @@ class TestRigJson:
         with pytest.raises(ValueError):
             load_rig(path)
 
-    def test_canonical_json_stable(self):
-        a = canonical_json({"b": 1.5, "a": [1, 2]})
-        b = canonical_json({"a": [1, 2], "b": 1.5})
-        assert a == b
-        assert a.endswith("\n")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_JSON_VALUES)
+    def test_canonical_json_stable(self, data):
+        # Byte for byte what json.dumps writes with sorted keys, so no dict's
+        # insertion order shows; a value it refuses raises its exception type.
+        assert _json_outcome(canonical_json, data) == _json_outcome(_json_oracle, data)
+
+    @pytest.mark.parametrize("data", [
+        {1, 2}, object(), np.int64(3), [1.5, {2}], [[1.0], [object()]],
+        {"a": frozenset()}, {(1, 2): 0}, {1: 0, "a": 1}, {b"k": 0}])
+    def test_canonical_json_refuses_what_json_refuses(self, data):
+        refused = _json_outcome(_json_oracle, data)
+        assert isinstance(refused, type)
+        assert _json_outcome(canonical_json, data) is refused
+
+    def test_canonical_json_of_rig_files(self):
+        rng = np.random.default_rng(8)
+        s = Skeleton(rng.normal(size=(5, 3)), np.array([-1, 0, 1, 1, 3]),
+                     names=("hip", "spine", "l\u00e9g", "arm\t", "hand"))
+        w = rng.random((7, 5))
+        clip = [rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), rng.normal(size=(3, 5, 4))]
+        for data in (rig_to_dict(Rig(s, SkinWeights(w / w.sum(axis=1, keepdims=True)))),
+                     rig_to_dict(Rig(s)), track_set_to_dict(_synthesize(0.5)),
+                     animation_to_dict(*clip)):
+            assert canonical_json(data) == _json_oracle(data)
 
 
 def test_all_lists_every_public_name_once():
