@@ -42,13 +42,16 @@ class NonFiniteError(InvalidValueError):
 def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
     """Set each named field of the frozen dataclass ``obj`` to a read-only
     C-contiguous copy at its dtype, so the caller's arrays stay theirs;
-    returns the copies in the order named.  No field is cast blindly: an
-    int64 one goes through :func:`_require_integers` (an integral float past
+    returns the copies in the order named.  Each copy lies in an immutable
+    bytes object, so ``setflags(write=True)`` raises ValueError and what a
+    value derives from its arrays and keeps (a skeleton's FK schedule and
+    validation issues) cannot go stale.  No field is cast blindly: an int64
+    one goes through :func:`_require_integers` (an integral float past
     int64 is refused too), a bool one through :func:`_require_bools`, and a
     float64 one given as strings, complex, objects or bools raises ValueError."""
     copies = []
     for name, dtype in dtypes.items():
-        a = np.array(getattr(obj, name), order="C")
+        a = np.asarray(getattr(obj, name))
         if a.dtype != dtype:
             if dtype is np.int64:
                 a = _require_integers(name, a)
@@ -59,7 +62,7 @@ def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
             elif a.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must hold real numbers")
             a = a.astype(dtype, copy=False)
-        a.setflags(write=False)
+        a = np.ndarray(a.shape, dtype, a.tobytes())
         object.__setattr__(obj, name, a)
         copies.append(a)
     return tuple(copies)
@@ -75,11 +78,11 @@ def _require_finite(message: str, *arrays) -> None:
 def _require_integers(name: str, a) -> np.ndarray:
     """``a`` as an array, refused unless every entry is a finite integer:
     a NaN or Inf raises NonFiniteError, and a fraction or a non-number
-    (a string, a complex, an object) ValueError.  An integer-valued float
-    passes, returned as float64; nothing is cast."""
+    (a string, a complex, an object, a bool) ValueError.  An integer-valued
+    float passes, returned as float64; nothing is cast."""
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
-        if a.dtype.kind not in "bf":
+        if a.dtype.kind != "f":
             raise ValueError(f"{name} must hold integers")
         a = a.astype(np.float64)
         _require_finite(f"{name} contains NaN or Inf", a)
@@ -152,6 +155,8 @@ class Skeleton:
     Construction only enforces shapes; structural soundness (single root,
     acyclic, within the joint cap) is checked by :func:`validate_skeleton`,
     and operations that need a sound tree raise ``InvalidSkeletonError``.
+    Its issues and its FK schedule are computed on first use and kept with
+    the value, whose arrays are read-only.
     """
 
     joints: np.ndarray
@@ -181,6 +186,11 @@ class Skeleton:
     def _fk_schedule(self) -> _FkSchedule:
         # Built on first use and kept: the arrays it derives from are read-only.
         return _build_fk_schedule(self.joints, self.parents)
+
+    @cached_property
+    def _issues(self) -> tuple[ValidationIssue, ...]:
+        # Computed on first use and kept, as the FK schedule is.
+        return _skeleton_issues(self.joints, self.parents)
 
 
 @dataclass(frozen=True)
@@ -267,22 +277,34 @@ def validate_skeleton(s: Skeleton) -> tuple[ValidationIssue, ...]:
 
     An empty tuple means: exactly one root, all parent indices in range,
     no self-parenting, no cycles, finite coordinates, and at most
-    ``MAX_JOINTS`` joints.
+    ``MAX_JOINTS`` joints.  The issues are computed on first use and kept
+    with the value, so checking one skeleton again costs nothing.
     """
+    return s._issues
+
+
+def require_valid(s: Skeleton) -> None:
+    """Raise InvalidSkeletonError, one ``code: message`` line per issue;
+    reads the issues :func:`validate_skeleton` keeps with the value."""
+    if s._issues:
+        raise InvalidSkeletonError("\n".join(f"{i.code}: {i.message}" for i in s._issues))
+
+
+def _skeleton_issues(joints: np.ndarray, parents: np.ndarray) -> tuple[ValidationIssue, ...]:
+    """The work behind :func:`validate_skeleton`, once per skeleton."""
     issues: list[ValidationIssue] = []
-    j = s.joint_count
+    j = parents.shape[0]
     if j == 0:
         return (ValidationIssue("empty", "skeleton has no joints"),)
     if j > MAX_JOINTS:
         issues.append(
             ValidationIssue("joint-cap", f"{j} joints exceeds cap of {MAX_JOINTS}")
         )
-    if not np.all(np.isfinite(s.joints)):
+    if not np.all(np.isfinite(joints)):
         issues.append(
             ValidationIssue("non-finite", "joint coordinates contain NaN or Inf")
         )
 
-    parents = s.parents
     roots = np.flatnonzero(parents == ROOT_PARENT)
     if roots.size == 0:
         issues.append(ValidationIssue("no-root", "no joint has the root sentinel"))
@@ -318,13 +340,6 @@ def validate_skeleton(s: Skeleton) -> tuple[ValidationIssue, ...]:
     return tuple(issues)
 
 
-def require_valid(s: Skeleton) -> None:
-    """Raise InvalidSkeletonError, one ``code: message`` line per issue."""
-    issues = validate_skeleton(s)
-    if issues:
-        raise InvalidSkeletonError("\n".join(f"{i.code}: {i.message}" for i in issues))
-
-
 def _climb(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pointer doubling up the parent links: (hop, dist), length j + 1.
 
@@ -346,8 +361,22 @@ def _climb(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def joint_depths(parents: np.ndarray) -> np.ndarray:
-    """Hops from the root for every joint; assumes parents form a tree."""
-    return _climb(parents)[1][:-1]
+    """Hops from the root for every joint.
+
+    Raises InvalidSkeletonError for a link outside [-1, j) and for a joint
+    whose parent chain never reaches a root (a cycle, or a chain into one).
+    """
+    j = parents.shape[0]
+    outside = (parents < ROOT_PARENT) | (parents >= j)
+    if outside.any():
+        raise InvalidSkeletonError(
+            f"joints {np.flatnonzero(outside).tolist()} link outside [-1, {j})")
+    hop, dist = _climb(parents)
+    trapped = hop[:j] != j
+    if trapped.any():
+        raise InvalidSkeletonError(
+            f"joints {np.flatnonzero(trapped).tolist()} never reach a root")
+    return dist[:-1]
 
 
 class _FkSchedule(NamedTuple):

@@ -824,19 +824,23 @@ class TestOptimize:
             optimize(mesh, four, heuristic_skin_weights(mesh, four), tracks)
 
     def test_skeleton_validated_once_per_fit(self, monkeypatch):
+        # The validation work runs once per Skeleton value: its issues are
+        # kept with the value, so a second fit of it checks nothing again.
         from rigkit import core
 
-        mesh, s, weights, _, tracks = self._scene()
+        mesh, scene_s, weights, _, tracks = self._scene()
         calls = []
-        validate = core.validate_skeleton
+        issues = core._skeleton_issues
         monkeypatch.setattr(
-            core, "validate_skeleton", lambda s: calls.append(1) or validate(s)
+            core, "_skeleton_issues", lambda *a: calls.append(1) or issues(*a)
         )
-        result = optimize(
-            mesh, s, weights, tracks,
-            OptimizeConfig(iterations=20, plateau_window=100),
-        )
-        assert result.iterations == 20
+        s = Skeleton(scene_s.joints, scene_s.parents)  # not yet validated
+        for _ in range(2):
+            result = optimize(
+                mesh, s, weights, tracks,
+                OptimizeConfig(iterations=20, plateau_window=100),
+            )
+            assert result.iterations == 20
         assert len(calls) == 1
 
     def test_steps_match_plain_adam_on_copies(self):

@@ -100,6 +100,8 @@ class TestQuantization:
             dequantize_coords(np.array([1.5]))
         with pytest.raises(NonFiniteError, match="bins contains NaN or Inf"):
             dequantize_coords(np.array([np.nan]))
+        with pytest.raises(ValueError, match="bins must hold integers"):
+            dequantize_coords([True])
         assert np.array_equal(dequantize_coords([3.0, 0.0]), dequantize_coords([3, 0]))
 
     def test_rejects_non_finite(self):
@@ -318,6 +320,10 @@ CODEC_CONTRACT = {
         (ValueError, "order must hold integers")),
     "tokenize: string order": (
         tokenize_bone_based, (_CHAIN, ["0", "1", "2"]),
+        (ValueError, "order must hold integers")),
+    # A bool is not an index: [False, True] would read as the order [0, 1].
+    "tokenize: boolean order": (
+        tokenize_joint_based, (Skeleton(_CHAIN.joints[:2], np.array([-1, 0])), [False, True]),
         (ValueError, "order must hold integers")),
     "tokenize: NaN in order": (
         tokenize_joint_based, (_CHAIN, [0, np.nan, 2]),

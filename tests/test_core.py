@@ -51,7 +51,7 @@ from rigkit import (
     validate_skeleton,
 )
 from rigkit.animate import track_set_to_dict
-from rigkit.core import rig_to_dict
+from rigkit.core import require_valid, rig_to_dict
 from rigkit.deform import animation_to_dict
 
 from helpers import (
@@ -140,6 +140,12 @@ def test_value_types_freeze_copies(kind, layout):
         got = getattr(value, name)
         assert got.dtype == want.dtype, name
         assert got.flags.c_contiguous and not got.flags.writeable, name
+        # Neither the field nor any array it is a view of can be unlocked.
+        base = got
+        while isinstance(base, np.ndarray):
+            with pytest.raises(ValueError):
+                base.setflags(write=True)
+            base = base.base
         assert not np.shares_memory(got, given[name]), name
         caller = given[name]
         caller[...] = ~caller if caller.dtype == bool else caller + 1
@@ -173,8 +179,9 @@ def test_integer_fields_are_never_cast(kind, name):
     for huge in (1e30, -1e30, 2.0**63):
         with pytest.raises(ValueError, match=f"^{name} must hold integers within int64$"):
             _with_last(build, fields, name, huge)
-    # Digits in strings are not parsed, nor is an imaginary part dropped.
-    for other in (str, complex):
+    # Digits in strings are not parsed, an imaginary part is not dropped,
+    # and a bool is not read as 0 or 1.
+    for other in (str, complex, bool):
         with pytest.raises(ValueError, match=f"^{name} must hold integers$"):
             build(**{**fields, name: fields[name].astype(other)})
     got = getattr(build(**{**fields, name: fields[name].astype(np.float64)}), name)
@@ -371,6 +378,41 @@ class TestValidation:
             lines = [f"{i.code}: {i.message}" for i in validate_skeleton(s)]
             assert ("\n".join(lines) or "valid") == walk_validation_report(s)
 
+    def test_kept_issues_follow_each_value(self):
+        # Skeletons built and dropped in turn, so a new one may take the
+        # memory (and the id) of the last: each reports its own issues, and
+        # an invalid one raises the same text on every call.
+        rng = np.random.default_rng(40)
+        kinds = ("valid", "cycle", "dangling", "no-root", "multiple-roots",
+                 "non-finite", "over-cap")
+        for n in range(350):
+            kind = kinds[n % len(kinds)]
+            j = int(rng.integers(MAX_JOINTS + 1, MAX_JOINTS + 10)
+                    if kind == "over-cap" else rng.integers(3, 12))
+            joints = rng.uniform(-0.4, 0.4, (j, 3))
+            parents = np.concatenate([[-1], rng.integers(0, np.arange(1, j))])
+            a, b = rng.choice(np.arange(1, j), 2, replace=False)
+            if kind == "cycle":
+                parents[a], parents[b] = b, a
+            elif kind == "dangling":
+                parents[a] = rng.choice([-2 - a, j + a])
+            elif kind == "no-root":
+                parents[0] = a
+            elif kind == "multiple-roots":
+                parents[a] = -1
+            elif kind == "non-finite":
+                joints[a, 1] = rng.choice([np.nan, np.inf])
+            s = Skeleton(joints, parents)
+            want = walk_validation_report(s)
+            lines = [f"{i.code}: {i.message}" for i in validate_skeleton(s)]
+            assert ("\n".join(lines) or "valid") == want, (n, kind)
+            assert (want == "valid") == (kind == "valid"), (n, kind)
+            for _ in range(3 if kind != "valid" else 0):
+                with pytest.raises(InvalidSkeletonError) as raised:
+                    require_valid(s)
+                assert str(raised.value) == want, (n, kind)
+            del s
+
     def test_operations_reject_invalid(self):
         s = Skeleton(np.zeros((2, 3)), np.array([-1, 5]))
         with pytest.raises(InvalidSkeletonError):
@@ -447,6 +489,14 @@ class TestOrders:
             s = permute_joints(s, rng.permutation(j))
             root = int(np.flatnonzero(s.parents == ROOT_PARENT)[0])
             assert np.array_equal(joint_depths(s.parents), bfs_graph_distances(s)[root])
+        # Links outside [-1, j) and chains that never reach a root.
+        for parents, match in (([-1, 5], r"^joints \[1\] link outside \[-1, 2\)$"),
+                               ([-3, 0], r"^joints \[0\] link outside"),
+                               ([1, 0], r"^joints \[0, 1\] never reach a root$"),
+                               ([-1, 1], r"^joints \[1\] never reach a root$"),
+                               ([-1, 2, 3, 2], r"^joints \[1, 2, 3\] never reach a root$")):
+            with pytest.raises(InvalidSkeletonError, match=match):
+                joint_depths(np.array(parents))
 
     def test_spatial_order_sorts_zyx(self):
         joints = np.array([
