@@ -137,6 +137,13 @@ def _cmd_tokenize(args) -> int:
     _require_int(args.shuffle_seed, "--shuffle-seed", 0)  # read only when shuffling
     if not 0.0 <= args.permute_prob <= 1.0:
         raise ValueError("--permute-prob must lie in [0, 1]")
+    # The codec clamps a coordinate outside its box; the CLI refuses it.
+    outside = (abs(s.joints) > 0.5).any(axis=1)
+    if outside.any():
+        k = int(outside.argmax())
+        raise ValueError(
+            f"joint {k} at {s.joints[k].tolist()} lies outside the token box "
+            "[-0.5, 0.5]")
     if args.scheme == "joint":
         t = codec.tokenize_joint_based(
             s, order, require_causal=not args.allow_non_causal, **shape

@@ -51,13 +51,14 @@ def _frozen(obj, **dtypes) -> tuple[np.ndarray, ...]:
     float64 one given as strings, complex, objects or bools raises ValueError."""
     copies = []
     for name, dtype in dtypes.items():
-        a = np.asarray(getattr(obj, name))
+        a = getattr(obj, name)
+        if dtype is np.int64 and getattr(a, "dtype", None) != dtype:
+            a = _require_integers(name, a)
+            if a.dtype.kind != "i" and not np.all((-2.0**63 <= a) & (a < 2.0**63)):
+                raise ValueError(f"{name} must hold integers within int64")
+        a = np.asarray(a)
         if a.dtype != dtype:
-            if dtype is np.int64:
-                a = _require_integers(name, a)
-                if a.dtype.kind != "i" and not np.all((-2.0**63 <= a) & (a < 2.0**63)):
-                    raise ValueError(f"{name} must hold integers within int64")
-            elif dtype is bool:
+            if dtype is bool:
                 a = _require_bools(name, a)
             elif a.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must hold real numbers")
@@ -79,7 +80,10 @@ def _require_integers(name: str, a) -> np.ndarray:
     """``a`` as an array, refused unless every entry is a finite integer:
     a NaN or Inf raises NonFiniteError, and a fraction or a non-number
     (a string, a complex, an object, a bool) ValueError.  An integer-valued
-    float passes, returned as float64; nothing is cast."""
+    float passes, returned as float64; nothing is cast.  A list or tuple is
+    read for bools before numpy would promote them among its numbers."""
+    if isinstance(a, (list, tuple)) and _holds_bool(a):
+        raise ValueError(f"{name} must hold integers")
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
         if a.dtype.kind != "f":
@@ -89,6 +93,17 @@ def _require_integers(name: str, a) -> np.ndarray:
         if np.any(a != np.trunc(a)):
             raise ValueError(f"{name} must hold integers")
     return a
+
+
+def _holds_bool(items) -> bool:
+    """Whether a list or tuple, nested or not, holds a bool or a bool array."""
+    for x in items:
+        if isinstance(x, (list, tuple)):
+            if _holds_bool(x):
+                return True
+        elif isinstance(x, (bool, np.bool_)) or getattr(x, "dtype", None) == bool:
+            return True
+    return False
 
 
 def _require_bools(name: str, a) -> np.ndarray:

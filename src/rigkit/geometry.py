@@ -2,13 +2,17 @@
 
 Everything here is plain numpy at float64.  Ray queries share one engine:
 rays from a shared origin go through one Moller-Trumbore test whose
-per-triangle terms are computed once per call.  The engine bins the rays
-by direction (a gnomonic grid about their mean direction) and tests each
-cell's rays only against the triangles whose padded footprint reaches
-the cell; a ray it cannot bin meets every triangle, and a triangle it
-cannot bin meets every ray.  A non-finite origin or direction raises
+per-triangle terms are computed once per call, as one table whose last
+column, all zero, is a sentinel that is never hit.  The engine bins the
+rays by direction (a gnomonic grid about their mean direction).  A binned
+ray's row holds the ids of the triangles whose padded footprint reaches
+its cell and of every triangle the grid cannot bin, padded with the
+sentinel; rows go to the hit test a few blocks at a time, each block one
+gather of the table.  A ray the grid cannot bin meets every triangle,
+through the table as it is.  A non-finite origin or direction raises
 :class:`NonFiniteError`.  Each block of hit t goes through one of two
-reductions.  :func:`first_hit_distances` keeps the nearest hit;
+reductions, which both ignore the padding's inf.
+:func:`first_hit_distances` keeps the nearest hit;
 :func:`crossing_counts` counts the distinct t up to a limit, counting
 each run of nearly equal t once, so a ray through an edge or vertex is
 one crossing whether or not the mesh is welded there.  A pair's t does
@@ -49,13 +53,19 @@ RAY_MERGE_EPS = 1e-9
 _BARY_EPS = 1e-12
 _DET_EPS = 1e-14
 CAMERA_Z_EPS = 1e-9
-# Ray x triangle pairs per chunk of a ray query: 128 KiB per float64
-# temporary, small enough to stay in cache and to keep peak memory flat.
+# Ray x triangle pairs per block of a ray query: 128 KiB per float64
+# temporary, small enough to stay in cache and to keep peak memory flat.  A
+# block of gathered rows (see _blocks) takes a quarter as many pairs, as each
+# of its pairs also holds ten gathered terms and an id.
 _CHUNK_PAIRS = 1 << 14
-# Ray binning (see _cast): front rays per grid cell on average, the least
-# cosine of a binned ray to the mean direction, and the least length of the
-# mean unit direction.
-_BIN_RAYS = 16
+# Ray binning (see _cast): front rays per grid cell on average, the fewest
+# rays a query bins, the least cosine of a binned ray to the mean direction,
+# and the least length of the mean unit direction.  The grid's set-up and an
+# unbinned ray both cost time in proportion to the triangle count, so the
+# fewest rays worth binning does not depend on the mesh (64 on the bench's
+# 3968-triangle tube and 5120-triangle icosphere).
+_BIN_RAYS = 2
+_BIN_MIN_RAYS = 64
 _BIN_RAY_COS = 0.05
 _BIN_MEAN = 1e-3
 _MACHINE_EPS = np.finfo(np.float64).eps
@@ -298,61 +308,72 @@ def point_segment_distance(
 # ---------------------------------------------------------------------------
 
 
-def _hit_terms(mesh: Mesh, origin: np.ndarray):
-    """Moller-Trumbore terms fixed by the triangles and a shared ray origin.
+def _hit_table(mesh: Mesh, origin: np.ndarray) -> np.ndarray:
+    """Moller-Trumbore terms fixed by the triangles and a shared ray origin,
+    as one (10, tris + 1) table: rows n, m and q (three each), then t_det.
 
     With s = o - a and q = s x e1, a ray d has det = d.n, u*det = d.m and
-    v*det = d.q for n = e2 x e1 and m = e2 x s, while t*det = e2.q does not
-    depend on d at all.
+    v*det = d.q for n = e2 x e1 and m = e2 x s, while t_det = t*det = e2.q
+    does not depend on d at all.  The products are written out in the
+    order ``np.cross`` and ``np.sum`` take, so each term has their bits (a
+    zero t_det may differ in sign, which nothing reads).  The last column
+    is the sentinel, all zero: its det is 0, so it is never a hit.
     """
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    e1 = mesh.vertices[mesh.triangles[:, 1]] - a
-    e2 = mesh.vertices[mesh.triangles[:, 2]] - a
-    s = origin - a
-    q = np.cross(s, e1)
-    return np.cross(e2, e1), np.cross(e2, s), q, np.sum(e2 * q, axis=1)
+    v = mesh.vertices.T
+    a = v[:, mesh.triangles[:, 0]]
+    e1 = v[:, mesh.triangles[:, 1]] - a
+    e2 = v[:, mesh.triangles[:, 2]] - a
+    s = origin[:, None] - a
+    table = np.zeros((10, mesh.triangle_count + 1))
+    n, m, q, t_det = table[0:3, :-1], table[3:6, :-1], table[6:9, :-1], table[9, :-1]
+    for out, x, y in ((n, e2, e1), (m, e2, s), (q, s, e1)):
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            np.multiply(x[i], y[j], out=out[k])
+            out[k] -= x[j] * y[i]
+    np.multiply(e2[0], q[0], out=t_det)
+    t_det += e2[1] * q[1]
+    t_det += e2[2] * q[2]
+    return table
 
 
-def _hit_t(terms, d: np.ndarray) -> np.ndarray:
-    """Hit t of rays d (k, 3) against every triangle, (k, tris); inf on a miss.
+def _hit_t(table: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Hit t of rays d (k, 3) against a block of triangle terms; inf on a
+    miss.
 
-    Each dot product is an explicit three-term sum rather than a BLAS
-    product, so a ray's row is bitwise the same whatever rays share the
-    call.  Updates run in place to keep few (k, tris) arrays alive.
+    ``table`` holds rows of :func:`_hit_table`: its columns (tris,), one
+    set of triangles for every ray, or gathered per ray as (k, width).
+    Either way the result has the broadcast shape of the ray and the
+    triangle axes.  Each dot product is an explicit three-term sum rather
+    than a BLAS product, so a pair's t is bitwise the same whatever rays
+    and triangles share the call.  Updates run in place to keep few
+    block-sized arrays alive.
     """
-    n, m, q, t_det = terms
 
-    def dots(w):
-        return d[:, 0:1] * w[:, 0] + d[:, 1:2] * w[:, 1] + d[:, 2:3] * w[:, 2]
+    def dots(k):
+        out = d[:, 0:1] * table[k]
+        out += d[:, 1:2] * table[k + 1]
+        out += d[:, 2:3] * table[k + 2]
+        return out
 
-    det = dots(n)
+    det = dots(0)
     hit = np.abs(det) > _DET_EPS
     inv = np.divide(1.0, det, out=np.zeros_like(det), where=hit)
     del det
-    u = dots(m)
+    u = dots(3)
     u *= inv
     hit &= u >= -_BARY_EPS
-    v = dots(q)
+    v = dots(6)
     v *= inv
     hit &= v >= -_BARY_EPS
     u += v
     hit &= u <= 1.0 + _BARY_EPS
     del u, v
     t = inv
-    t *= t_det
+    t *= table[9]
     hit &= t > RAY_T_EPS
     t[~hit] = np.inf
     return t
-
-
-def _reduce_rows(terms, d: np.ndarray, reduce, dtype) -> np.ndarray:
-    """``reduce`` of the hit t of rays d against the triangles of ``terms``,
-    in blocks of about _CHUNK_PAIRS ray x triangle pairs."""
-    out = np.empty(d.shape[0], dtype=dtype)
-    step = max(1, _CHUNK_PAIRS // max(terms[3].shape[0], 1))
-    for lo in range(0, d.shape[0], step):
-        out[lo : lo + step] = reduce(_hit_t(terms, d[lo : lo + step]))
-    return out
 
 
 def _footprints(mesh: Mesh, origin: np.ndarray, frame: np.ndarray, t_det: np.ndarray):
@@ -364,24 +385,31 @@ def _footprints(mesh: Mesh, origin: np.ndarray, frame: np.ndarray, t_det: np.nda
     tri = mesh.triangles
     edge = np.maximum(np.linalg.norm(rel[tri[:, 1]] - rel[tri[:, 0]], axis=1),
                       np.linalg.norm(rel[tri[:, 2]] - rel[tri[:, 0]], axis=1))
-    reach = dist[tri].max(axis=1)
+    reach = _over_corners(np.maximum, dist[tri])
     graze = 32.0 * _MACHINE_EPS * edge * np.maximum(dist[tri[:, 0]], edge) * reach
     ids = np.flatnonzero(8.0 * graze < np.abs(t_det))
     eta = 2.0 * _BARY_EPS + graze[ids] / np.abs(t_det[ids])
     r = 4.0 * eta * edge[ids]
     r += 8.0 * _MACHINE_EPS * (np.linalg.norm(origin) + reach[ids])
     local = rel @ frame
-    z = local[tri[ids], 2].min(axis=1)
+    z = _over_corners(np.minimum, local[tri[ids], 2])
     near = r < z / 2
     ids, r, z = ids[near], r[near], z[near]
     # Corners of the binned triangles lie in front, so only their
     # projections are read.
     proj = np.divide(local[:, :2], local[:, 2:], out=np.zeros((len(local), 2)),
                      where=local[:, 2:] > 0)[tri[ids]]
-    box_lo, box_hi = proj.min(axis=1), proj.max(axis=1)
+    box_lo, box_hi = _over_corners(np.minimum, proj), _over_corners(np.maximum, proj)
     pad = 4.0 * r * (z + 3.0 * reach[ids]) / z**2
-    pad += 1e-12 * (1.0 + np.maximum(-box_lo, box_hi).max(axis=1))
+    far = np.maximum(-box_lo, box_hi)
+    pad += 1e-12 * (1.0 + np.maximum(far[:, 0], far[:, 1]))
     return ids, box_lo - pad[:, None], box_hi + pad[:, None]
+
+
+def _over_corners(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` (np.minimum or np.maximum) over axis 1 of ``a``, a triangle's
+    three corners: elementwise, as numpy reduces a length-3 axis slowly."""
+    return ufunc(ufunc(a[:, 0], a[:, 1]), a[:, 2])
 
 
 def _by_cell(items: np.ndarray, first: np.ndarray, last: np.ndarray, g: int):
@@ -396,7 +424,9 @@ def _by_cell(items: np.ndarray, first: np.ndarray, last: np.ndarray, g: int):
     cell = np.repeat(first[:, 0] * g + first[:, 1], n) + k // w * g + k % w
     start = np.zeros(g * g + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=g * g), out=start[1:])
-    return np.repeat(items, n)[np.argsort(cell, kind="stable")], start
+    # numpy's stable sort of 16-bit keys is a radix sort, several times faster.
+    key = cell.astype(np.uint16) if g * g <= 1 << 16 else cell
+    return np.repeat(items, n)[np.argsort(key, kind="stable")], start
 
 
 def _grid(mesh: Mesh, origin: np.ndarray, unit: np.ndarray, t_det: np.ndarray):
@@ -407,7 +437,7 @@ def _grid(mesh: Mesh, origin: np.ndarray, unit: np.ndarray, t_det: np.ndarray):
     and the listed triangles, each sorted by cell, with cell i's entries
     at [start[i], start[i + 1]), and the wide triangles.
     """
-    if unit.shape[0] <= _BIN_RAYS:
+    if unit.shape[0] < _BIN_MIN_RAYS:
         return None
     mean = unit.mean(axis=0)
     length = np.linalg.norm(mean)
@@ -430,7 +460,8 @@ def _grid(mesh: Mesh, origin: np.ndarray, unit: np.ndarray, t_det: np.ndarray):
         return np.clip(np.floor((x - lo) / size), 0, g - 1).astype(np.int64)
 
     ids, box_lo, box_hi = _footprints(mesh, origin, frame, t_det)
-    seen = np.all((box_hi >= lo) & (box_lo <= hi), axis=1)
+    seen = (box_hi >= lo) & (box_lo <= hi)
+    seen = seen[:, 0] & seen[:, 1]
     first, last = cell(box_lo[seen]), cell(box_hi[seen])
     listed, listed_start = _by_cell(ids[seen], first, last, g)
     ij = cell(p)
@@ -441,13 +472,48 @@ def _grid(mesh: Mesh, origin: np.ndarray, unit: np.ndarray, t_det: np.ndarray):
     return rays, ray_start, listed, listed_start, np.flatnonzero(wide)
 
 
+def _blocks(mesh: Mesh, origin: np.ndarray, unit: np.ndarray, t_det: np.ndarray):
+    """The blocks of :func:`_cast`: yields (rays, ids), the indices of some
+    rays and the (len(rays), width) triangle ids of their rows, padded with
+    the sentinel id (the triangle count), or None for rays that meet every
+    triangle.  Each ray is in exactly one block, and a block holds at least
+    one row and at most _CHUNK_PAIRS // 4 gathered or _CHUNK_PAIRS
+    all-pairs pairs.
+    """
+    tris = mesh.triangle_count
+    rest = np.ones(unit.shape[0], dtype=bool)
+    grid = _grid(mesh, origin, unit, t_det)
+    if grid is not None:
+        rays, ray_start, listed, listed_start, wide = grid
+        cell = np.repeat(np.arange(ray_start.size - 1), np.diff(ray_start))
+        start, stop = listed_start[cell], listed_start[cell + 1]
+        order = np.argsort(start - stop, kind="stable")
+        rays, start, stop = rays[order], start[order], stop[order]
+        listed = np.append(listed, tris)  # listed[-1] is the sentinel
+        lo = 0
+        while lo < rays.size:
+            count = int(stop[lo] - start[lo])
+            hi = lo + max(1, _CHUNK_PAIRS // 4 // max(wide.size + count, 1))
+            pos = start[lo:hi, None] + np.arange(count)
+            ids = np.empty((len(pos), wide.size + count), dtype=np.int64)
+            ids[:, : wide.size] = wide
+            ids[:, wide.size :] = listed[np.where(pos < stop[lo:hi, None], pos, -1)]
+            yield rays[lo:hi], ids
+            lo = hi
+        rest[rays] = False
+    rest = np.flatnonzero(rest)
+    step = max(1, _CHUNK_PAIRS // max(tris, 1))
+    for lo in range(0, rest.size, step):
+        yield rest[lo : lo + step], None
+
+
 def _cast(mesh: Mesh, origin, directions, reduce, dtype) -> np.ndarray:
     """Reduce each ray's row of hit t from a shared origin to one value.
 
     ``reduce`` maps a block of (rays, triangles) hit t from :func:`_hit_t`,
-    which it may overwrite, to one ``dtype`` value per ray; blocks hold
-    about _CHUNK_PAIRS pairs, and the per-triangle terms are computed once
-    per call.  Nothing is kept between calls.
+    which it may overwrite, to one ``dtype`` value per ray; a row may end
+    in the sentinel's inf.  The per-triangle terms are computed once per
+    call, and nothing is kept between calls.
 
     Binning.  Let c be the normalized mean of the unit ray directions and
     a, b an orthonormal pair across it.  A front ray (unit d with
@@ -458,19 +524,27 @@ def _cast(mesh: Mesh, origin, directions, reduce, dtype) -> np.ndarray:
     are binned into a g x g grid over their bounding box, g = ceil(sqrt(
     front rays / _BIN_RAYS)), and each triangle in front that meets the
     bounds below is listed in every cell its padded footprint box covers.
-    A cell's rays are tested against its listed triangles and every
-    triangle that is not listed anywhere ("wide"); back rays are tested
-    against all triangles.  A query with g = 1, or whose mean unit
-    direction is shorter than _BIN_MEAN (say, an origin inside a closed
-    mesh), runs all pairs.
+    A front ray's row is every triangle that is not listed anywhere
+    ("wide"), then its cell's listed ones; back rays are tested against all
+    triangles.  A query with fewer than _BIN_MIN_RAYS rays, with g = 1, or
+    whose mean unit direction is shorter than _BIN_MEAN (say, an origin
+    inside a closed mesh), runs all pairs.
+
+    Blocks.  The rows go widest first, and each block of them is padded
+    with the sentinel to its first row's width, so a block may hold the
+    rays of many cells or part of one cell's, and its padding is small.  A
+    block is one gather of the term table by its (rays, width) ids and one
+    :func:`_hit_t`; the rays that meet all pairs take the table as it is,
+    broadcast over them.  See :func:`_blocks` for their sizes.
 
     Why this is exact.  A pair's t comes from elementwise three-term dots,
-    so it is bitwise the same whatever rays or triangles share the block;
-    the min or distinct-t count over a candidate set therefore equals the
-    all-pairs one as long as the set holds every triangle that
-    :func:`_hit_t` can report, _BARY_EPS grazes included.  Let s = o - a,
-    e the longer edge from a, R the largest |V|, z the least V.c, eps the
-    machine epsilon and kappa = |e| max(|s|, |e|) R / |t_det|.  Each dot
+    so it is bitwise the same whatever rays or triangles share the block,
+    and the sentinel is never a hit; the min or distinct-t count over a
+    candidate set therefore equals the all-pairs one as long as the set
+    holds every triangle that :func:`_hit_t` can report, _BARY_EPS grazes
+    included.  Let s = o - a, e the longer edge from a, R the largest |V|,
+    z the least V.c, eps the machine epsilon and
+    kappa = |e| max(|s|, |e|) R / |t_det|.  Each dot
     is off by less than 8 eps times the lengths of its two vectors, so
     when 256 eps kappa < 1 a reported hit point has exact barycentrics
     above -eta = -(2 _BARY_EPS + 32 eps kappa) and lies within
@@ -492,19 +566,11 @@ def _cast(mesh: Mesh, origin, directions, reduce, dtype) -> np.ndarray:
     if not np.all(norms > 0):
         raise ValueError("ray directions must be non-zero")
 
-    terms = _hit_terms(mesh, origin)
+    table = _hit_table(mesh, origin)
     out = np.empty(directions.shape[0], dtype=dtype)
-    rest = np.ones(directions.shape[0], dtype=bool)
-    grid = _grid(mesh, origin, directions / norms[:, None], terms[3])
-    if grid is not None:
-        rays, ray_start, listed, listed_start, wide = grid
-        for i in np.flatnonzero(np.diff(ray_start)):
-            cell = rays[ray_start[i] : ray_start[i + 1]]
-            tris = np.concatenate([wide, listed[listed_start[i] : listed_start[i + 1]]])
-            cell_terms = [w[tris] for w in terms]
-            out[cell] = _reduce_rows(cell_terms, directions[cell], reduce, dtype)
-        rest[rays] = False
-    out[rest] = _reduce_rows(terms, directions[rest], reduce, dtype)
+    for rays, ids in _blocks(mesh, origin, directions / norms[:, None], table[9, :-1]):
+        block = table[:, :-1] if ids is None else np.take(table, ids, axis=1)
+        out[rays] = reduce(_hit_t(block, directions[rays]))
     return out
 
 

@@ -260,6 +260,22 @@ class TestTokenizePipeline:
         assert out == ""
         assert not tok.exists()
 
+    @pytest.mark.parametrize("scheme", ["joint", "bone"])
+    def test_joint_outside_token_box_rejected(self, tmp_path, capsys, scheme):
+        # The codec would clamp x = 0.9 onto the box's edge bin; the CLI
+        # refuses the rig and names the first joint outside, not the last.
+        rig = tmp_path / "wide.json"
+        joints = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.5], [0.9, 0.0, 0.0],
+                           [0.0, -0.7, 0.0]])
+        save_rig(rig, Rig(Skeleton(joints=joints, parents=np.array([-1, 0, 1, 2]))))
+        tok = tmp_path / "wide.tok"
+        assert main(["tokenize", str(rig), "-o", str(tok), "--scheme", scheme]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("rigkit tokenize: joint 2 at [0.9, 0.0, 0.0] lies "
+                                "outside the token box [-0.5, 0.5]\n")
+        assert not tok.exists()
+
     def test_spatial_hazard(self, tmp_path, capsys):
         # Spatial ordering puts the low-z child before its parent.
         rig = tmp_path / "hazard.json"

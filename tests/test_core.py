@@ -184,6 +184,18 @@ def test_integer_fields_are_never_cast(kind, name):
     for other in (str, complex, bool):
         with pytest.raises(ValueError, match=f"^{name} must hold integers$"):
             build(**{**fields, name: fields[name].astype(other)})
+    # Nor is a bool among the ints of a list, which numpy would promote to
+    # an int before any rule could see it.
+    for flag in (True, np.True_):
+        mixed = leaf = fields[name].tolist()
+        while isinstance(leaf[-1], list):
+            leaf = leaf[-1]
+        leaf[-1] = flag
+        for given in (mixed, tuple(mixed)):
+            with pytest.raises(ValueError, match=f"^{name} must hold integers$"):
+                build(**{**fields, name: given})
+    got = getattr(build(**{**fields, name: fields[name].tolist()}), name)
+    assert got.dtype == np.int64 and got.tobytes() == fields[name].tobytes()
     got = getattr(build(**{**fields, name: fields[name].astype(np.float64)}), name)
     assert got.dtype == np.int64 and got.tobytes() == fields[name].tobytes()
 

@@ -516,6 +516,39 @@ class TestFirstHit:
                 parts = [query(m, origin, d) for d in np.split(dirs, cuts)]
                 assert np.array_equal(np.concatenate(parts), whole)
 
+    def test_binned_blocks_independent_of_chunk_size(self, monkeypatch):
+        # A binned query whose cells list unequal numbers of triangles: as
+        # the block budget grows from one pair, blocks split cells and pad
+        # rows of mixed widths with the sentinel, and every result stays
+        # bitwise the all-pairs one, for both reductions.
+        m = star_mesh(np.random.default_rng(17), subdivisions=3)
+        origin = np.array([0.1, 0.12, 3.0])
+        dirs = _aimed_rays(m, origin)[::7]
+        unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        t_det = geometry._hit_table(m, origin)[9, :-1]
+        rays, ray_start, _, listed_start, _ = geometry._grid(m, origin, unit, t_det)
+        cell_of = np.empty(len(dirs), dtype=np.int64)
+        cell_of[rays] = np.repeat(np.arange(ray_start.size - 1), np.diff(ray_start))
+        assert len(set(np.diff(listed_start)[cell_of[rays]].tolist())) > 5
+        want_first, want_count = _all_pairs(m, origin, dirs)
+        want_near = _all_pairs(m, origin, dirs, t_max=1.0)[1]
+        assert np.any(want_near != want_count) and np.any(want_count > 0)
+        split = padded = False
+        for budget in [1, 2, 3, 4, 5, 7, 11, 16, 64, 250, 1000, 4000, 1 << 14, 1 << 20]:
+            monkeypatch.setattr(geometry, "_CHUNK_PAIRS", budget)
+            first = first_hit_distances(m, origin, dirs)
+            assert np.array_equal(first, want_first), budget
+            assert np.array_equal(crossing_counts(m, origin, dirs, np.inf), want_count), budget
+            assert np.array_equal(crossing_counts(m, origin, dirs, 1.0), want_near), budget
+            blocks = [(r, ids) for r, ids in geometry._blocks(m, origin, unit, t_det)
+                      if ids is not None]
+            assert np.array_equal(np.sort(np.concatenate([r for r, _ in blocks])),
+                                  np.sort(rays))
+            cells = [set(cell_of[r].tolist()) for r, _ in blocks]
+            split |= any(a & b for a, b in zip(cells, cells[1:]))
+            padded |= any(np.any(ids == m.triangle_count) for _, ids in blocks)
+        assert split and padded
+
     def test_rejects_bad_rays(self):
         m = icosphere(0)
         for query in (first_hit_distances,
@@ -537,14 +570,14 @@ class TestFirstHit:
             crossing_counts(m, np.array([0.0, 0.0, 3.0]), -np.ones((1, 3)), np.nan)
 
 
-def _all_pairs(m, origin, dirs):
-    """(nearest hit t, distinct-t count up to inf) of every ray, testing
-    every ray against every triangle."""
-    t = geometry._hit_t(geometry._hit_terms(m, np.asarray(origin, dtype=np.float64)),
-                        np.asarray(dirs, dtype=np.float64))
+def _all_pairs(m, origin, dirs, t_max=np.inf):
+    """(nearest hit t, distinct-t count up to t_max) of every ray, testing
+    every ray against every triangle through the whole, ungathered table."""
+    table = geometry._hit_table(m, np.asarray(origin, dtype=np.float64))
+    t = geometry._hit_t(table[:, :-1], np.asarray(dirs, dtype=np.float64))
     first = np.min(t, axis=1, initial=np.inf)
     t.sort(axis=1)
-    t[~np.isfinite(t)] = np.nan
+    t[~np.isfinite(t) | (t > t_max)] = np.nan
     close = np.diff(t, axis=1) < geometry.RAY_MERGE_EPS
     return first, np.count_nonzero(np.isfinite(t), axis=1) - np.count_nonzero(close, axis=1)
 
@@ -559,8 +592,8 @@ def _assert_all_pairs(m, origin, dirs, binned=True):
     assert np.array_equal(count, want_count)
     d = np.asarray(dirs, dtype=np.float64)
     unit = d / np.linalg.norm(d, axis=1)[:, None]
-    terms = geometry._hit_terms(m, np.asarray(origin, dtype=np.float64))
-    grid = geometry._grid(m, np.asarray(origin, dtype=np.float64), unit, terms[3])
+    table = geometry._hit_table(m, np.asarray(origin, dtype=np.float64))
+    grid = geometry._grid(m, np.asarray(origin, dtype=np.float64), unit, table[9, :-1])
     cells = 0 if grid is None else np.count_nonzero(np.diff(grid[1]))
     assert (cells > 1) == binned
 
