@@ -415,6 +415,7 @@ class _Fit:
         self.frame_count = tracks.frame_count
         self.basis = _BlendBasis(*_tracked_points(s, mesh, weights, subset))
         self.mask = np.concatenate([tracks.joint_visibility, tracks.vertex_visibility])
+        self.masked_in = int(np.count_nonzero(self.mask)) * (self.frame_count - 1)
         observed = np.concatenate(
             [tracks.joint_tracks[1:], tracks.vertex_tracks[1:]], axis=1
         )
@@ -448,7 +449,7 @@ class _Fit:
         x, y, z = np.moveaxis(cam, -2, 0)
         u, v, valid, safe_z = _pinhole(self.camera, x, y, z)
         use = self.mask & valid
-        dropped = np.sum(self.mask & ~valid, axis=(-2, -1))
+        dropped = self.masked_in - np.sum(use, axis=(-2, -1))
         # In place, to spare temporaries: the pixels become the residuals
         # (zero for unused terms), then the gradients 2 r of the values.
         for r, observed in ((u, self.observed_u), (v, self.observed_v)):
@@ -465,31 +466,30 @@ class _Fit:
         return values, dropped, fk_backward(cache, d_rows)
 
 
-def _geo_sq_pairs(a: np.ndarray, b: np.ndarray, with_grad: bool):
-    """Squared geodesic angle between quaternion stacks plus raw-space grads.
+def _geo_sq_pairs(u: np.ndarray, n: np.ndarray, with_grad: bool):
+    """Squared geodesic angles between consecutive frames of a quaternion
+    stack, given as its unit quaternions u (..., frames, k, 4) and norms n
+    (..., frames, k, 1), plus the gradients wrt the raw quaternions n u.
 
-    Returns (theta^2 array, grad wrt a, grad wrt b), the grads None without
-    ``with_grad``; inputs need not be normalized, gradients account for the
-    internal normalization.
+    Returns (theta^2 (..., frames - 1, k), grad wrt each pair's earlier
+    frame, grad wrt its later frame), the grads None without ``with_grad``.
     """
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
-    nb = np.linalg.norm(b, axis=-1, keepdims=True)
-    ua = a / na
-    ub = b / nb
+    ua, ub = u[..., :-1, :, :], u[..., 1:, :, :]
     d = np.sum(ua * ub, axis=-1)
     c = np.clip(np.abs(d), 0.0, 1.0)
-    theta = 2.0 * np.arccos(c)
+    half = np.arccos(c)
+    theta = 2.0 * half
     if not with_grad:
         return theta * theta, None, None
     s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
     # d(theta^2)/dc = -8 * arccos(c)/sqrt(1-c^2); the ratio tends to 1 at c=1.
-    ratio = np.where(s > 1e-8, np.arccos(c) / np.where(s > 1e-8, s, 1.0), 1.0)
+    ratio = np.where(s > 1e-8, half / np.where(s > 1e-8, s, 1.0), 1.0)
     dc = -8.0 * ratio
     dd = dc * np.sign(d)
     g_ua = dd[..., None] * ub
     g_ub = dd[..., None] * ua
-    g_a = (g_ua - ua * np.sum(ua * g_ua, axis=-1, keepdims=True)) / na
-    g_b = (g_ub - ub * np.sum(ub * g_ub, axis=-1, keepdims=True)) / nb
+    g_a = (g_ua - ua * np.sum(ua * g_ua, axis=-1, keepdims=True)) / n[..., :-1, :, :]
+    g_b = (g_ub - ub * np.sum(ub * g_ub, axis=-1, keepdims=True)) / n[..., 1:, :, :]
     return theta * theta, g_a, g_b
 
 
@@ -508,7 +508,7 @@ def _smoothness(
     pass gives every pair; the joints' sum comes first, then the root's."""
     rq, rt, jq = _with_rest_frame(root_quats, root_trans, joint_quats)
     q = np.concatenate([jq, rq[..., None, :]], axis=-2)
-    sq, g_a, g_b = _geo_sq_pairs(q[..., :-1, :, :], q[..., 1:, :, :], with_grad)
+    sq, g_a, g_b = _geo_sq_pairs(*quat._unit(q), with_grad)
     t_diff = rt[..., 1:, :] - rt[..., :-1, :]
     values = (
         np.sum(sq[..., :-1], axis=(-2, -1)) + np.sum(sq[..., -1], axis=-1)
@@ -640,13 +640,15 @@ def optimize(
             lr = config.lr_floor + 0.5 * span * (
                 1.0 + np.cos(np.pi * it / (config.iterations - 1))
             )
+        bias1 = 1.0 - ADAM_BETA1 ** (it + 1)
+        bias2 = 1.0 - ADAM_BETA2 ** (it + 1)
         for a, first, second, g_track, g_reg in zip(clip, m1, m2, track_grads, reg_grads):
             grad = g_track + config.reg_weight * g_reg
-            first[...] = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * grad
-            second[...] = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * grad * grad
-            hat1 = first / (1.0 - ADAM_BETA1 ** (it + 1))
-            hat2 = second / (1.0 - ADAM_BETA2 ** (it + 1))
-            a -= lr * hat1 / (np.sqrt(hat2) + ADAM_EPS)
+            first *= ADAM_BETA1
+            first += (1.0 - ADAM_BETA1) * grad
+            second *= ADAM_BETA2
+            second += (1.0 - ADAM_BETA2) * grad * grad
+            a -= lr * (first / bias1) / (np.sqrt(second / bias2) + ADAM_EPS)
         # Project every quaternion back onto the unit sphere.
         for q in (clip[0], clip[2]):
             q /= np.linalg.norm(q, axis=-1, keepdims=True)

@@ -163,6 +163,9 @@ def _cmd_tokenize(args) -> int:
 def _cmd_detokenize(args) -> int:
     t = _load(args.tokens, codec.read_token_file, "token")
     if t.scheme == codec.SCHEME_JOINT:
+        # A shuffled stream's indicators give back its emission order.
+        if (t.indicators != codec.NO_INDICATOR).any():
+            t = codec.unshuffle_groups(t)
         s, diagnostics = codec.detokenize_joint_based(t)
     else:
         s, diagnostics = codec.detokenize_bone_based(t)

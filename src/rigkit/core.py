@@ -397,15 +397,17 @@ def joint_depths(parents: np.ndarray) -> np.ndarray:
 class _FkSchedule(NamedTuple):
     """What forward kinematics needs of a skeleton's tree, all read-only.
 
-    The root motion is joint j, parent of the root.  ``levels`` lists the
-    joints below it by depth, root first, as (joints, their parents,
-    whether those parents are distinct); an index that runs contiguous
-    and ascending is a slice, so FK composes through views, otherwise an
-    int64 array.  ``ancestors[b, k]`` holds when k is b or lies above it,
-    so column j is all True and ``ancestors[:j].T`` is the subtree matrix.
+    The root motion is joint j, parent of the root, so ``parents`` gives
+    the root's parent as j.  ``levels`` lists the joints below j by depth,
+    root first, as (joints, their parents, whether those parents are
+    distinct); an index that runs contiguous and ascending is a slice, so
+    FK composes through views, otherwise an int64 array.
+    ``ancestors[b, k]`` holds when k is b or lies above it, so column j is
+    all True and ``ancestors[:j].T`` is the subtree matrix.
     """
 
     centres: np.ndarray  # (j + 1, 3): rest joints, then the root's rest position
+    parents: np.ndarray  # (j,) int64
     levels: tuple[tuple[slice | np.ndarray, slice | np.ndarray, bool], ...]
     ancestors: np.ndarray  # (j + 1, j + 1) bool
 
@@ -426,6 +428,7 @@ def _build_fk_schedule(joints: np.ndarray, parents: np.ndarray) -> _FkSchedule:
     centres.setflags(write=False)
     depths = joint_depths(parents)
     parents = np.where(parents == ROOT_PARENT, j, parents)
+    parents.setflags(write=False)
     levels = []
     for d in range(int(depths.max()) + 1):
         idx = np.flatnonzero(depths == d)
@@ -436,7 +439,7 @@ def _build_fk_schedule(joints: np.ndarray, parents: np.ndarray) -> _FkSchedule:
     for idx, par, _ in levels:  # parents before children
         ancestors[idx] |= ancestors[par]
     ancestors.setflags(write=False)
-    return _FkSchedule(centres, tuple(levels), ancestors)
+    return _FkSchedule(centres, parents, tuple(levels), ancestors)
 
 
 def graph_distance_matrix(s: Skeleton) -> np.ndarray:

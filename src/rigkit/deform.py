@@ -72,8 +72,9 @@ MAX_EULER_DEG = 60.0
 
 @dataclass
 class FkCache:
-    schedule: _FkSchedule  # the skeleton's: centres, depth levels, ancestors
-    quats: np.ndarray  # (..., j + 1, 4): joint quats, then the root quat
+    schedule: _FkSchedule  # the skeleton's: centres, parents, depth levels, ancestors
+    units: np.ndarray  # (..., j + 1, 4): unit joint quats, then the root quat
+    norms: np.ndarray  # (..., j + 1, 1): the raw quats' norms
     locals_: np.ndarray  # (..., j + 1, 4, 4)
     transforms: np.ndarray  # (..., j + 1, 4, 4)
 
@@ -105,8 +106,9 @@ def fk_forward(
     joint_quats = np.asarray(joint_quats, dtype=np.float64)
     root_quats = np.broadcast_to(root_quats, joint_quats.shape[:-2] + (4,))
     quats = np.concatenate([joint_quats, root_quats[..., None, :]], axis=-2)
+    units, norms = quat._unit(quats)
 
-    rots = quat.to_matrix(quats)  # (..., j + 1, 3, 3)
+    rots = quat._rotation(units)  # (..., j + 1, 3, 3)
     locals_ = np.zeros(rots.shape[:-2] + (4, 4))
     locals_[..., :3, :3] = rots
     locals_[..., :3, 3] = schedule.centres - (rots @ schedule.centres[:, :, None])[..., 0]
@@ -119,7 +121,7 @@ def fk_forward(
         transforms[..., idx, :, :] = (
             transforms[..., par, :, :] @ locals_[..., idx, :, :]
         )
-    return FkCache(schedule, quats, locals_, transforms)
+    return FkCache(schedule, units, norms, locals_, transforms)
 
 
 def fk_backward(
@@ -131,24 +133,25 @@ def fk_backward(
     :meth:`_BlendBasis.vjp` returns it.  Returns (grad root_quats (..., 4),
     grad root_trans (..., 3), grad joint_quats (..., j, 4)).
     """
-    g, loc = cache.transforms, cache.locals_
-    d_mats = np.zeros(loc.shape[:-2] + (3, 4))
+    schedule = cache.schedule
+    loc_t = _transpose(cache.locals_)
+    d_mats = np.zeros(loc_t.shape[:-2] + (3, 4))
     d_mats[..., :-1, :, :] = grad_rows
-    # Children before parents.  Once a level has passed its gradient up,
-    # its slot turns from d global into d local (joint j's global is its
-    # local already).
-    for idx, par, distinct in reversed(cache.schedule.levels):
-        d = d_mats[..., idx, :, :]
-        d_parent = d @ _transpose(loc[..., idx, :, :])
+    # Children before parents: each level passes its global gradient up.
+    for idx, par, distinct in reversed(schedule.levels):
+        d_parent = d_mats[..., idx, :, :] @ loc_t[..., idx, :, :]
         if distinct:
             d_mats[..., par, :, :] += d_parent
         else:  # siblings share a parent, which += would count once
             np.add.at(d_mats, (..., par, slice(None), slice(None)), d_parent)
-        d_mats[..., idx, :, :] = _transpose(g[..., par, :3, :3]) @ d
+    # Then every joint's d global turns into d local at once (joint j's
+    # global is its local already).
+    parent_rots = cache.transforms[..., schedule.parents, :3, :3]
+    d_mats[..., :-1, :, :] = _transpose(parent_rots) @ d_mats[..., :-1, :, :]
 
     # local = rotation about the joint's centre
-    d_rots = d_mats[..., :3] - d_mats[..., 3, None] * cache.schedule.centres[:, None, :]
-    grad_quats = quat.to_matrix_vjp(cache.quats, d_rots)
+    d_rots = d_mats[..., :3] - d_mats[..., 3, None] * schedule.centres[:, None, :]
+    grad_quats = quat._rotation_vjp(cache.units, cache.norms, d_rots)
     return grad_quats[..., -1, :], d_mats[..., -1, :, 3].copy(), grad_quats[..., :-1, :]
 
 

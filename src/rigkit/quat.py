@@ -7,12 +7,17 @@ import numpy as np
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def normalize(q: np.ndarray) -> np.ndarray:
+def _unit(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit quaternions of ``q`` and the norms (..., 1) they were divided by."""
     q = np.asarray(q, dtype=np.float64)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("cannot normalize zero quaternion")
-    return q / n
+    return q / n, n
+
+
+def normalize(q: np.ndarray) -> np.ndarray:
+    return _unit(q)[0]
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -47,7 +52,9 @@ def from_euler_xyz(angles: np.ndarray) -> np.ndarray:
 # e_c (0, e_k) conj(e_d) for basis quaternions e, built here by multiply.
 # Every entry is -1, 0 or 1; "+ 0.0" clears the sign of zero, so the
 # identity maps to exactly I.  The contractions run in einsum, not BLAS, so
-# a row's sums are the same whether it is stacked or called alone.
+# a row's sums are the same whether it is stacked or called alone.  The
+# outer products u (x) u and u (x) D do too, one product per entry; einsum
+# writes a zero product as +0, which no sum it feeds can tell from -0.
 _E = np.eye(4)
 _T = multiply(
     multiply(_E[:, None, None], _E[None, None, 1:]), _E[None, :, None] * [1, -1, -1, -1]
@@ -57,12 +64,25 @@ _ROTATION = _T.reshape(9, 16)
 _ROTATION_ADJOINT = (_T + _T.transpose(0, 2, 1)).transpose(1, 2, 0).reshape(4, 36)
 
 
+def _rotation(u: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternions."""
+    lead = u.shape[:-1]
+    uu = np.einsum("...a,...b->...ab", u, u).reshape(lead + (16,))
+    return np.einsum("...a,ma->...m", uu, _ROTATION).reshape(lead + (3, 3))
+
+
+def _rotation_vjp(u: np.ndarray, n: np.ndarray, grad_matrix: np.ndarray) -> np.ndarray:
+    """Pull a gradient wrt _rotation(u) back to the raw q = n u."""
+    lead = u.shape[:-1]
+    ud = np.einsum("...a,...m->...am", u, grad_matrix.reshape(lead + (9,)))
+    gu = np.einsum("...a,ca->...c", ud.reshape(lead + (36,)), _ROTATION_ADJOINT)
+    # Through u = q / |q|:  g_q = (g_u - u (u . g_u)) / |q|
+    return (gu - u * np.sum(u * gu, axis=-1, keepdims=True)) / n
+
+
 def to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3); input normalized defensively."""
-    u = normalize(q)
-    lead = u.shape[:-1]
-    uu = (u[..., :, None] * u[..., None, :]).reshape(lead + (16,))
-    return np.einsum("...a,ma->...m", uu, _ROTATION).reshape(lead + (3, 3))
+    return _rotation(normalize(q))
 
 
 def to_matrix_vjp(q: np.ndarray, grad_matrix: np.ndarray) -> np.ndarray:
@@ -71,11 +91,4 @@ def to_matrix_vjp(q: np.ndarray, grad_matrix: np.ndarray) -> np.ndarray:
     The normalization inside to_matrix is part of the differentiated map,
     so the returned gradient is orthogonal to q.
     """
-    q = np.asarray(q, dtype=np.float64)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    u = q / n
-    lead = u.shape[:-1]
-    ud = (u[..., :, None] * grad_matrix.reshape(lead + (1, 9))).reshape(lead + (36,))
-    gu = np.einsum("...a,ca->...c", ud, _ROTATION_ADJOINT)
-    # Through u = q / |q|:  g_q = (g_u - u (u . g_u)) / |q|
-    return (gu - u * np.sum(u * gu, axis=-1, keepdims=True)) / n
+    return _rotation_vjp(*_unit(q), grad_matrix)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rigkit import (BOS, EOS, Mesh, Rig, Skeleton, SkinWeights, TokenSequence, gradcheck,
-                    load_rig, save_rig, write_token_file)
+                    load_rig, read_token_file, save_rig, validate_skeleton, write_token_file)
 from rigkit.cli import _load_camera, build_parser, main
 from rigkit.core import InvalidSkeletonError, require_valid
 from rigkit.deform import save_animation
@@ -215,22 +215,46 @@ class TestTokenizePipeline:
         assert out.splitlines()[0] == "128 -1"
 
     def test_shuffled_stream_decodes(self, scene, capsys):
+        # The indicator stream restores the emission order, so a shuffled
+        # stream decodes to the tree its unshuffled stream decodes to.
+        tmp_path, rig_path, *_ = scene
+        orig = load_rig(rig_path)
+        for shape in ([], ["--shape-tokens", "3"]):
+            decoded = {}
+            for name, shuffle in (("plain", []), ("shuf", ["--permute-prob", "1.0",
+                                                           "--shuffle-seed", "3"])):
+                tok = tmp_path / f"{name}.tok"
+                assert main(["tokenize", str(rig_path), "-o", str(tok), *shape, *shuffle]) == 0
+                code, out = run(capsys, "detokenize", tok, "-o", tmp_path / f"{name}.json")
+                assert code == 0
+                decoded[name] = (load_rig(tmp_path / f"{name}.json").skeleton, json.loads(out))
+            (back, report), (want, _) = decoded["shuf"], decoded["plain"]
+            assert np.array_equal(back.parents, want.parents)
+            assert np.array_equal(back.joints, want.joints)
+            assert report["diagnostics"] == []
+            assert validate_skeleton(back) == ()
+            got = {tuple(np.round(p, 6)) for p in back.joints}
+            want_err = [
+                min(np.linalg.norm(np.array(g) - j) for g in got)
+                for j in orig.skeleton.joints
+            ]
+            assert max(want_err) <= np.sqrt(3) / 256 + 1e-9
+
+    def test_damaged_indicator_stream_refused(self, scene, capsys):
         tmp_path, rig_path, *_ = scene
         tok = tmp_path / "shuf.tok"
         assert main([
             "tokenize", str(rig_path), "-o", str(tok),
             "--permute-prob", "1.0", "--shuffle-seed", "3",
         ]) == 0
-        code, out = run(capsys, "detokenize", tok, "-o", tmp_path / "shuf.json")
-        assert code == 0
-        back = load_rig(tmp_path / "shuf.json")
-        orig = load_rig(rig_path)
-        got = {tuple(np.round(p, 6)) for p in back.skeleton.joints}
-        want_err = [
-            min(np.linalg.norm(np.array(g) - j) for g in got)
-            for j in orig.skeleton.joints
-        ]
-        assert max(want_err) <= np.sqrt(3) / 256 + 1e-9
+        t = read_token_file(tok)
+        indicators = t.indicators.copy()
+        indicators[indicators == 1] = 0  # two groups announce group 0
+        write_token_file(tok, TokenSequence(t.tokens, indicators, t.scheme))
+        code, out = run(capsys, "detokenize", tok, "-o", tmp_path / "back.json")
+        assert code == 3
+        assert out == ""
+        assert not (tmp_path / "back.json").exists()
 
     def test_shuffle_rejected_for_bones(self, scene, capsys):
         tmp_path, rig_path, *_ = scene

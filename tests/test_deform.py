@@ -215,10 +215,11 @@ class TestFkSchedule:
         assert first[:1] == (slice(1, 4),) and np.array_equal(first[1], [0, 0, 0])
         assert second[:1] == (slice(4, 6),) and np.array_equal(second[1], [1, 1])
         assert not first[2] and not second[2]
+        assert np.array_equal(trees["siblings"]._fk_schedule.parents, [6, 0, 0, 0, 1, 1])
         schedule = trees["random"]._fk_schedule
         arrays = [lvl for lvl in schedule.levels if isinstance(lvl[0], np.ndarray)]
         assert [lvl[2] for lvl in arrays] == [False, True]
-        for a in (schedule.centres, *(i for lvl in arrays for i in lvl[:2])):
+        for a in (schedule.centres, schedule.parents, *(i for lvl in arrays for i in lvl[:2])):
             assert not a.flags.writeable
 
     @pytest.mark.parametrize("tree", ["chain", "siblings", "random"])
@@ -251,6 +252,30 @@ class TestFkSchedule:
             ]
             for analytic, numeric in zip(grads, fd):
                 assert max_relative_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("tree", ["chain", "siblings", "random"])
+    def test_cached_rotations_match_public_quat(self, tree, monkeypatch):
+        # fk_forward normalizes each quaternion once and fk_backward reads
+        # the cached units and norms: both agree bitwise with the public
+        # quat functions on the raw (joint quats, then root quat) rows.
+        s = _schedule_trees()[tree]
+        rng = np.random.default_rng(44)
+        j = s.joint_count
+        vjp = quat._rotation_vjp
+        for lead in ((), (5,), (2, 3)):
+            root_q = 2.0 * rng.standard_normal(lead + (4,))
+            jq = 2.0 * rng.standard_normal(lead + (j, 4))
+            raw = np.concatenate([jq, root_q[..., None, :]], axis=-2)
+            cache = fk_forward(s, root_q, rng.standard_normal(lead + (3,)), jq)
+            assert np.array_equal(cache.units, quat.normalize(raw))
+            assert np.array_equal(cache.norms, np.linalg.norm(raw, axis=-1, keepdims=True))
+            seen = []  # the rotation gradient fk_backward hands the VJP
+            with monkeypatch.context() as m:
+                m.setattr(quat, "_rotation_vjp", lambda u, n, d: seen.append(d) or vjp(u, n, d))
+                g_root, _, g_joints = fk_backward(cache, rng.standard_normal(lead + (j, 3, 4)))
+            want = quat.to_matrix_vjp(raw, *seen)
+            assert np.array_equal(g_joints, want[..., :-1, :])
+            assert np.array_equal(g_root, want[..., -1, :])
 
     def test_ancestors_walk_the_parents(self):
         # ancestors[b, k] holds when walking b's parents reaches k, and the
